@@ -52,8 +52,6 @@ from .operators import (
     apply_bivariate,
     apply_on_grid,
     apply_univariate,
-    basis_weight,
-    node,
     nodes,
     reduce_operator,
     weight_vector,

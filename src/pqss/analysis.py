@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import TestFunction, grid_modulus_estimate
 from .moments import central_moment_closed, delta, first_moment_univariate
-from .operators import BivariateOperator, apply_bivariate, apply_on_grid
+from .operators import BivariateOperator, apply_bivariate, apply_on_grid, tabulate
 
 BOUND_SLACK = 1e-11
 
@@ -148,11 +148,10 @@ def total_modulus_bound_grid(
             "grid estimates are not sound in a bound check"
         )
     s_grid = apply_on_grid(op, f.fn, xs1, xs2)
-    f_grid = np.array([[f.fn(a, b) for b in xs2] for a in xs1])
-    lhs = np.abs(s_grid - f_grid)
+    lhs = np.abs(s_grid - tabulate(f.fn, xs1, xs2))
     d1s = [delta(op, 1, x) for x in xs1]
     d2s = [delta(op, 2, x) for x in xs2]
-    rhs = 4.0 * np.array([[f.total_modulus(a, b) for b in d2s] for a in d1s])
+    rhs = 4.0 * tabulate(f.total_modulus, d1s, d2s)
     return lhs, rhs
 
 
@@ -174,7 +173,7 @@ def k_functional_upper(
         raise ValueError("requires a nonempty candidate set")
     xs = np.linspace(0.0, f.width1, grid_k)
     ys = np.linspace(0.0, f.width2, grid_k)
-    f_grid = np.array([[f.fn(a, b) for b in ys] for a in xs])
+    f_grid = tabulate(f.fn, xs, ys)
     best = math.inf
     for g in candidates:
         if g.cb2_norm is None:
@@ -184,8 +183,7 @@ def k_functional_upper(
                 f"requires candidates on the same rectangle (got {g.name!r} on "
                 f"[0,{g.width1}]x[0,{g.width2}] vs [0,{f.width1}]x[0,{f.width2}])"
             )
-        g_grid = np.array([[g.fn(a, b) for b in ys] for a in xs])
-        est = float(np.max(np.abs(f_grid - g_grid))) + delta_arg * g.cb2_norm
+        est = float(np.max(np.abs(f_grid - tabulate(g.fn, xs, ys)))) + delta_arg * g.cb2_norm
         best = min(best, est)
     return best
 
@@ -228,7 +226,7 @@ def lipschitz_violations(
     ys = np.linspace(0.0, f.width2, grid_k)
     px = np.repeat(xs, grid_k)
     py = np.tile(ys, grid_k)
-    vals = np.array([f.fn(a, b) for a, b in zip(px, py)])
+    vals = tabulate(f.fn, xs, ys).ravel()
     d1 = np.abs(px[:, None] - px[None, :])
     d2 = np.abs(py[:, None] - py[None, :])
     lhs = np.abs(vals[:, None] - vals[None, :])

@@ -44,6 +44,8 @@ from typing import Callable
 
 import numpy as np
 
+from .operators import tabulate
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -179,7 +181,7 @@ def grid_modulus_estimate(
         raise ValueError(f"requires deltas >= 0 (got {delta1}, {delta2})")
     xs = np.linspace(0.0, width1, grid_k)
     ys = np.linspace(0.0, width2, grid_k)
-    f_grid = np.array([[fn(a, b) for b in ys] for a in xs])
+    f_grid = tabulate(fn, xs, ys)
     h1 = width1 / (grid_k - 1)
     h2 = width2 / (grid_k - 1)
     max_i = min(int(delta1 / h1 + 1e-9), grid_k - 1)
@@ -208,7 +210,7 @@ def verify_metadata(tf: TestFunction, grid_k: int = 101, pair_k: int = 26) -> li
     problems: list[str] = []
     xs = np.linspace(0.0, tf.width1, grid_k)
     ys = np.linspace(0.0, tf.width2, grid_k)
-    f_grid = np.array([[tf.fn(a, b) for b in ys] for a in xs])
+    f_grid = tabulate(tf.fn, xs, ys)
 
     if tf.sup_norm is not None:
         seen = float(np.max(np.abs(f_grid)))
@@ -221,7 +223,7 @@ def verify_metadata(tf: TestFunction, grid_k: int = 101, pair_k: int = 26) -> li
         cy = np.linspace(0.0, tf.width2, pair_k)
         pts_x = np.repeat(cx, pair_k)
         pts_y = np.tile(cy, pair_k)
-        vals = np.array([tf.fn(a, b) for a, b in zip(pts_x, pts_y)])
+        vals = tabulate(tf.fn, cx, cy).ravel()
         lhs = np.abs(vals[:, None] - vals[None, :])
         rhs = m1 * np.abs(pts_x[:, None] - pts_x[None, :]) + m2 * np.abs(
             pts_y[:, None] - pts_y[None, :]

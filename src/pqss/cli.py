@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import BOUND_SLACK, total_modulus_bound_grid
-from .catalog import build_catalog
+from .catalog import TestFunction, build_catalog
 from .convergence import (
     AxisShape,
     convergence_table,
@@ -59,93 +59,6 @@ from .serialize import config_hash, csv_text, fmt_float, json_text, write_text
 _EXPONENT_BY_FLAG = {"canonical": "canonical", "paper-literal": "literal"}
 
 
-def _add_axis_args(sp: argparse.ArgumentParser) -> None:
-    for i in (1, 2):
-        sp.add_argument(f"--n{i}", type=int, default=8)
-        sp.add_argument(f"--l{i}", type=int, default=0)
-        sp.add_argument(f"--p{i}", type=float, default=1.0)
-        sp.add_argument(f"--q{i}", type=float, default=0.5)
-        sp.add_argument(f"--alpha{i}", type=float, default=0.0)
-        sp.add_argument(f"--beta{i}", type=float, default=0.0)
-
-
-def _add_output_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--output", default=None, help="output file (or directory for converge)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_node_exponent(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--node-exponent",
-        dest="node_exponent",
-        choices=tuple(_EXPONENT_BY_FLAG),
-        default="canonical",
-    )
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="pqss",
-        description="Bivariate Schurer-Stancu operators on (p,q)-integers",
-    )
-    parser.add_argument("--config", default=None, help="key=value defaults file")
-    sub = parser.add_subparsers(dest="command", required=True)
-    subs: dict[str, argparse.ArgumentParser] = {}
-
-    sp = sub.add_parser("eval", help="evaluate S(f; x1, x2)")
-    _add_axis_args(sp)
-    sp.add_argument("--f", required=True, help="catalog function name")
-    sp.add_argument("--x1", type=float, required=True)
-    sp.add_argument("--x2", type=float, required=True)
-    sp.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
-    _add_node_exponent(sp)
-    _add_output_args(sp)
-    subs["eval"] = sp
-
-    sp = sub.add_parser("verify", help="closed moments vs oracle over the sweep")
-    sp.add_argument("--tolerance", type=float, default=1e-10)
-    sp.add_argument("--grid", type=int, default=11, help="points per axis in [0,1]")
-    _add_node_exponent(sp)
-    _add_output_args(sp)
-    subs["verify"] = sp
-
-    sp = sub.add_parser("converge", help="Korovkin suite and convergence table")
-    sp.add_argument(
-        "--family", choices=("one-minus-c-over-n", "tabulated"),
-        default="one-minus-c-over-n",
-    )
-    sp.add_argument("--cp", type=float, default=0.5, help="p_n = 1 - cp/n")
-    sp.add_argument("--cq", type=float, default=1.0, help="q_n = 1 - cq/n")
-    sp.add_argument("--family-file", dest="family_file", default=None,
-                    help="JSON {pairs: {n: [p, q]}, a: float, b: float} for --family tabulated")
-    sp.add_argument("--n-list", dest="n_list", default="16,32,64,128,256,512")
-    # e20 keeps a genuine error for every shape; linear entries can be
-    # reproduced exactly (l=0, alpha=beta=0), which makes a useless default
-    sp.add_argument("--f", default="e20", help="catalog function for the convergence table")
-    for i in (1, 2):
-        sp.add_argument(f"--l{i}", type=int, default=0)
-        sp.add_argument(f"--alpha{i}", type=float, default=0.0)
-        sp.add_argument(f"--beta{i}", type=float, default=0.0)
-    sp.add_argument("--grid", type=int, default=41)
-    _add_output_args(sp)
-    subs["converge"] = sp
-
-    sp = sub.add_parser("bounds", help="check |S(f) - f| <= 4 omega_total on a grid")
-    _add_axis_args(sp)
-    sp.add_argument("--f", required=True, help="catalog function name")
-    sp.add_argument("--grid", type=int, default=41)
-    _add_output_args(sp)
-    subs["bounds"] = sp
-
-    sp = sub.add_parser("catalog", help="list catalog functions and metadata")
-    sp.add_argument("--l1", type=int, default=0)
-    sp.add_argument("--l2", type=int, default=0)
-    _add_output_args(sp)
-    subs["catalog"] = sp
-
-    return parser, subs
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -155,23 +68,108 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _collect_types(parser, subs) -> dict:
-    """dest -> converter for every option, for typing config-file values."""
-    types: dict = {}
+class _Options:
+    """Subcommand parsers, each option's converter for config-file values and
+    each subcommand's required flags, recorded as the options are added.
+    Required flags are checked after parsing: a config value can satisfy them.
+    """
 
-    def scan(p):
-        for action in p._actions:
-            if action.dest in ("help", "command", "config") or action.dest is None:
-                continue
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                types[action.dest] = _parse_bool
-            else:
-                types[action.dest] = action.type if action.type is not None else str
+    def __init__(self, sub):
+        self.sub = sub
+        self.name = ""
+        self.parsers: dict[str, argparse.ArgumentParser] = {}
+        self.converters: dict = {}
+        self.mandatory: dict[str, list[tuple[str, str]]] = {}
 
-    scan(parser)
-    for sp in subs.values():
-        scan(sp)
-    return types
+    def command(self, name: str, help: str) -> None:
+        """Start a subcommand; the options added next belong to it."""
+        self.name = name
+        self.parsers[name] = self.sub.add_parser(name, help=help)
+        self.mandatory[name] = []
+
+    def add(self, flag: str, required: bool = False, **kwargs) -> None:
+        self.parsers[self.name].add_argument(flag, **kwargs)
+        dest = flag[2:].replace("-", "_")
+        bool_flag = kwargs.get("action") == "store_true"
+        self.converters[dest] = _parse_bool if bool_flag else kwargs.get("type", str)
+        if required:
+            self.mandatory[self.name].append((flag, dest))
+
+
+def _add_axis_args(opts: _Options) -> None:
+    for i in (1, 2):
+        opts.add(f"--n{i}", type=int, default=8)
+        opts.add(f"--l{i}", type=int, default=0)
+        opts.add(f"--p{i}", type=float, default=1.0)
+        opts.add(f"--q{i}", type=float, default=0.5)
+        opts.add(f"--alpha{i}", type=float, default=0.0)
+        opts.add(f"--beta{i}", type=float, default=0.0)
+
+
+def _add_output_args(opts: _Options) -> None:
+    opts.add("--output", default=None, help="output file (or directory for converge)")
+    opts.add("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_node_exponent(opts: _Options) -> None:
+    opts.add("--node-exponent", choices=tuple(_EXPONENT_BY_FLAG), default="canonical")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, _Options]:
+    parser = argparse.ArgumentParser(
+        prog="pqss",
+        description="Bivariate Schurer-Stancu operators on (p,q)-integers",
+    )
+    parser.add_argument("--config", default=None, help="key=value defaults file")
+    opts = _Options(parser.add_subparsers(dest="command", required=True))
+
+    opts.command("eval", help="evaluate S(f; x1, x2)")
+    _add_axis_args(opts)
+    opts.add("--f", required=True, help="catalog function name")
+    opts.add("--x1", type=float, required=True)
+    opts.add("--x2", type=float, required=True)
+    opts.add("--oracle", action="store_true", help="also run the brute-force oracle")
+    _add_node_exponent(opts)
+    _add_output_args(opts)
+
+    opts.command("verify", help="closed moments vs oracle over the sweep")
+    opts.add("--tolerance", type=float, default=1e-10)
+    opts.add("--grid", type=int, default=11, help="points per axis in [0,1]")
+    _add_node_exponent(opts)
+    _add_output_args(opts)
+
+    opts.command("converge", help="Korovkin suite and convergence table")
+    opts.add(
+        "--family", choices=("one-minus-c-over-n", "tabulated"),
+        default="one-minus-c-over-n",
+    )
+    opts.add("--cp", type=float, default=0.5, help="p_n = 1 - cp/n")
+    opts.add("--cq", type=float, default=1.0, help="q_n = 1 - cq/n")
+    opts.add("--family-file", default=None,
+             help="JSON {pairs: {n: [p, q]}, a: float, b: float} for --family tabulated")
+    opts.add("--n-list", default="16,32,64,128,256,512")
+    # e20 keeps a genuine error for every shape; linear entries can be
+    # reproduced exactly (l=0, alpha=beta=0), which makes a useless default
+    opts.add("--f", default="e20", help="catalog function for the convergence table")
+    for i in (1, 2):
+        opts.add(f"--l{i}", type=int, default=0)
+        opts.add(f"--alpha{i}", type=float, default=0.0)
+        opts.add(f"--beta{i}", type=float, default=0.0)
+    opts.add("--grid", type=int, default=41)
+    _add_output_args(opts)
+
+    opts.command("bounds", help="check |S(f) - f| <= 4 omega_total on a grid")
+    _add_axis_args(opts)
+    opts.add("--f", required=True, help="catalog function name")
+    opts.add("--grid", type=int, default=41)
+    _add_output_args(opts)
+
+    opts.command("catalog", help="list catalog functions and metadata")
+    opts.add("--l1", type=int, default=0)
+    opts.add("--l2", type=int, default=0)
+    _add_output_args(opts)
+
+    return parser, opts
 
 
 def load_config_file(path: str, types: dict) -> dict:
@@ -213,25 +211,35 @@ def _run_config(ns, keys: tuple[str, ...]) -> dict:
     return cfg
 
 
-def _write_report(ns, default_stem: str, csv_header, csv_rows, json_obj) -> Path:
-    if ns.output:
-        path = Path(ns.output)
+def _write_report(path, fmt: str, csv_report, json_report) -> None:
+    """Write one report file in the chosen format and say so.
+
+    csv_report() returns (header, rows) and json_report() the JSON object;
+    only the chosen one is called, so only that format's rows are built.
+    """
+    if fmt == "csv":
+        write_text(path, csv_text(*csv_report()))
     else:
-        path = Path(f"{default_stem}.{ns.format}")
-    if ns.format == "csv":
-        write_text(path, csv_text(csv_header, csv_rows))
-    else:
-        write_text(path, json_text(json_obj))
-    return path
+        write_text(path, json_text(json_report()))
+    print(f"wrote {path}")
+
+
+def _catalog_entry(name: str, width1: float, width2: float) -> TestFunction:
+    cat = build_catalog(width1, width2)
+    if name not in cat:
+        raise ValueError(f"unknown function {name!r}; available: {', '.join(sorted(cat))}")
+    return cat[name]
+
+
+def _check_grid(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"requires --grid >= 2 (got {k})")
 
 
 def cmd_eval(ns) -> int:
     exponent = _EXPONENT_BY_FLAG[ns.node_exponent]
     op = BivariateOperator(_axis(ns, 1, exponent), _axis(ns, 2, exponent))
-    cat = build_catalog(op.axis1.l + 1.0, op.axis2.l + 1.0)
-    if ns.f not in cat:
-        raise ValueError(f"unknown function {ns.f!r}; available: {', '.join(sorted(cat))}")
-    f = cat[ns.f]
+    f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
     value = apply_bivariate(op, f.fn, ns.x1, ns.x2)
     print(f"value {fmt_float(value)}")
     keys = ("f", "x1", "x2", "n1", "l1", "p1", "q1", "alpha1", "beta1",
@@ -245,16 +253,15 @@ def cmd_eval(ns) -> int:
         print(f"oracle {fmt_float(oracle)}")
         print(f"absdiff {fmt_float(record['absdiff'])}")
     if ns.output:
-        header = list(record.keys())
-        _write_report(ns, "", header, [list(record.values())], record)
-        print(f"wrote {ns.output}")
+        _write_report(ns.output, ns.format,
+                      lambda: (list(record.keys()), [list(record.values())]),
+                      lambda: record)
     return 0
 
 
 def cmd_verify(ns) -> int:
     exponent = _EXPONENT_BY_FLAG[ns.node_exponent]
-    if ns.grid < 2:
-        raise ValueError(f"requires --grid >= 2 (got {ns.grid})")
+    _check_grid(ns.grid)
     if not ns.tolerance > 0.0:
         raise ValueError(f"requires --tolerance > 0 (got {ns.tolerance})")
     ops = standard_sweep(exponent)
@@ -280,17 +287,16 @@ def cmd_verify(ns) -> int:
     if len(res.failures) > 10:
         print(f"... and {len(res.failures) - 10} more failures")
     cfg = _run_config(ns, ("tolerance", "grid", "node_exponent"))
-    json_obj = {
-        "config": cfg,
-        "reports": [r.to_json_obj() for r in res.reports],
-        "failures": res.failures,
-        "n_checks": res.n_checks,
-    }
-    path = _write_report(
-        ns, f"moments_{config_hash(cfg)}", MOMENT_CSV_HEADER,
-        moment_csv_rows(res.reports), json_obj,
+    _write_report(
+        Path(ns.output or f"moments_{config_hash(cfg)}.{ns.format}"), ns.format,
+        lambda: (MOMENT_CSV_HEADER, moment_csv_rows(res.reports)),
+        lambda: {
+            "config": cfg,
+            "reports": [r.to_json_obj() for r in res.reports],
+            "failures": res.failures,
+            "n_checks": res.n_checks,
+        },
     )
-    print(f"wrote {path}")
     print("verify: OK" if res.ok else f"verify: {len(res.failures)} failures")
     return 0 if res.ok else 1
 
@@ -327,14 +333,10 @@ def cmd_converge(ns) -> int:
             name=Path(ns.family_file).stem,
         )
     n_list = _parse_n_list(ns.n_list)
-    if ns.grid < 2:
-        raise ValueError(f"requires --grid >= 2 (got {ns.grid})")
+    _check_grid(ns.grid)
     shape1 = AxisShape(ns.l1, ns.alpha1, ns.beta1)
     shape2 = AxisShape(ns.l2, ns.alpha2, ns.beta2)
-    cat = build_catalog(shape1.l + 1.0, shape2.l + 1.0)
-    if ns.f not in cat:
-        raise ValueError(f"unknown function {ns.f!r}; available: {', '.join(sorted(cat))}")
-    f = cat[ns.f]
+    f = _catalog_entry(ns.f, shape1.l + 1.0, shape2.l + 1.0)
 
     suite = korovkin_suite(spec, n_list, shape1, shape2, grid_k=ns.grid)
     table = convergence_table(spec, f, n_list, shape1, shape2, grid_k=ns.grid)
@@ -365,31 +367,19 @@ def cmd_converge(ns) -> int:
     cfg = _run_config(ns, ("family", "cp", "cq", "family_file", "n_list", "f",
                            "l1", "alpha1", "beta1", "l2", "alpha2", "beta2", "grid"))
     h = config_hash(cfg)
-
-    kor_path = out_dir / f"korovkin_{h}.{ns.format}"
-    if ns.format == "csv":
-        write_text(kor_path, csv_text(suite.CSV_HEADER, suite.csv_rows()))
-    else:
-        write_text(kor_path, json_text({"config": cfg, **suite.to_json_obj()}))
-    print(f"wrote {kor_path}")
-
-    conv_path = out_dir / f"convergence_{f.name}_{h}.{ns.format}"
-    if ns.format == "csv":
-        write_text(conv_path, csv_text(table.CSV_HEADER, table.csv_rows()))
-    else:
-        write_text(conv_path, json_text({"config": cfg, **table.to_json_obj()}))
-    print(f"wrote {conv_path}")
+    _write_report(out_dir / f"korovkin_{h}.{ns.format}", ns.format,
+                  lambda: (suite.CSV_HEADER, suite.csv_rows()),
+                  lambda: {"config": cfg, **suite.to_json_obj()})
+    _write_report(out_dir / f"convergence_{f.name}_{h}.{ns.format}", ns.format,
+                  lambda: (table.CSV_HEADER, table.csv_rows()),
+                  lambda: {"config": cfg, **table.to_json_obj()})
     return 0
 
 
 def cmd_bounds(ns) -> int:
     op = BivariateOperator(_axis(ns, 1), _axis(ns, 2))
-    if ns.grid < 2:
-        raise ValueError(f"requires --grid >= 2 (got {ns.grid})")
-    cat = build_catalog(op.axis1.l + 1.0, op.axis2.l + 1.0)
-    if ns.f not in cat:
-        raise ValueError(f"unknown function {ns.f!r}; available: {', '.join(sorted(cat))}")
-    f = cat[ns.f]
+    _check_grid(ns.grid)
+    f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
     xs = np.linspace(0.0, 1.0, ns.grid)
     lhs, rhs = total_modulus_bound_grid(op, f, xs, xs)
     ok = lhs <= rhs + BOUND_SLACK
@@ -402,25 +392,22 @@ def cmd_bounds(ns) -> int:
     keys = ("f", "grid", "n1", "l1", "p1", "q1", "alpha1", "beta1",
             "n2", "l2", "p2", "q2", "alpha2", "beta2")
     cfg = _run_config(ns, keys)
-    rows = []
-    json_rows = []
-    for i, x1 in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            holds = bool(ok[i, j])
-            rows.append([float(x1), float(x2), float(lhs[i, j]), float(rhs[i, j]),
-                         "true" if holds else "false"])
-            json_rows.append({
-                "point": {"x1": float(x1), "x2": float(x2)},
-                "lhs": float(lhs[i, j]),
-                "rhs": float(rhs[i, j]),
-                "holds": holds,
-            })
-    path = _write_report(
-        ns, f"bounds_{f.name}_{config_hash(cfg)}",
-        ["x1", "x2", "lhs", "rhs", "holds"], rows,
-        {"config": cfg, "rows": json_rows, "violations": violations},
-    )
-    print(f"wrote {path}")
+    points = [(i, j, float(x1), float(x2))
+              for i, x1 in enumerate(xs) for j, x2 in enumerate(xs)]
+
+    def csv_report():
+        rows = [[x1, x2, float(lhs[i, j]), float(rhs[i, j]), "true" if ok[i, j] else "false"]
+                for i, j, x1, x2 in points]
+        return ["x1", "x2", "lhs", "rhs", "holds"], rows
+
+    def json_report():
+        rows = [{"point": {"x1": x1, "x2": x2}, "lhs": float(lhs[i, j]),
+                 "rhs": float(rhs[i, j]), "holds": bool(ok[i, j])}
+                for i, j, x1, x2 in points]
+        return {"config": cfg, "rows": rows, "violations": violations}
+
+    _write_report(Path(ns.output or f"bounds_{f.name}_{config_hash(cfg)}.{ns.format}"),
+                  ns.format, csv_report, json_report)
     return 1 if violations else 0
 
 
@@ -445,8 +432,9 @@ def cmd_catalog(ns) -> int:
         cb2 = "-" if r[6] == "" else f"{r[6]:.6g}"
         sup = "-" if r[3] == "" else f"{r[3]:.6g}"
         print(f"  {r[0]:<{name_w}}  sup {sup:>10}  cb2 {cb2:>10}  {mod}")
-    if ns.output:
-        json_obj = {
+
+    def json_report():
+        return {
             "width1": ns.l1 + 1.0,
             "width2": ns.l2 + 1.0,
             "entries": [
@@ -460,8 +448,9 @@ def cmd_catalog(ns) -> int:
                 for r in rows
             ],
         }
-        _write_report(ns, "", header, rows, json_obj)
-        print(f"wrote {ns.output}")
+
+    if ns.output:
+        _write_report(ns.output, ns.format, lambda: (header, rows), json_report)
     return 0
 
 
@@ -480,23 +469,22 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    parser, subs = build_parser()
+    parser, opts = build_parser()
     if known.config:
         try:
-            values = load_config_file(known.config, _collect_types(parser, subs))
+            values = load_config_file(known.config, opts.converters)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        parser.set_defaults(**values)
-        for sp in subs.values():
+        for sp in opts.parsers.values():
             sp.set_defaults(**values)
-        # a config-supplied value satisfies a required option
-        for sp in (parser, *subs.values()):
-            for action in sp._actions:
-                if action.dest in values:
-                    action.required = False
     try:
         ns = parser.parse_args(argv)
+        missing = [flag for flag, dest in opts.mandatory[ns.command] if getattr(ns, dest) is None]
+        if missing:
+            opts.parsers[ns.command].error(
+                f"the following arguments are required: {', '.join(missing)}"
+            )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

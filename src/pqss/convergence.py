@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import TestFunction
 from .moments import delta, first_moment_univariate, second_moment_univariate
-from .operators import AxisConfig, BivariateOperator, apply_on_grid
+from .operators import AxisConfig, BivariateOperator, apply_on_grid, tabulate
 from .pq_core import PQPair
 
 
@@ -253,7 +253,7 @@ def convergence_table(
     if shape2 is None:
         shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
-    f_grid = np.array([[f.fn(a, b) for b in xs] for a in xs])
+    f_grid = tabulate(f.fn, xs, xs)
     table = ConvergenceTable(spec.name, f.name, grid_k, shape1, shape2)
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
@@ -277,27 +277,33 @@ def convergence_table(
     return table
 
 
-# Largest error that empirical_order treats as exact: 512 ulps, 1.1e-13.  The
-# tables hold absolute errors of order-one quantities on [0, 1]^2.  Where the
-# operator is exact in exact arithmetic, the closed moments miss by about an
-# ulp (1.1e-16 for sup|S(t1) - x1| on the default shape); the full evaluation
-# path, which sums m + 1 weights, misses by more and grows with n (2.2e-14 at
-# n = 64, 4.8e-13 at n = 512 for S(t1)).  Genuine errors along the families
-# are many orders above the floor (first-moment errors 5e-4 to 2e-3 at n = 512).
-ROUNDOFF_FLOOR = 512 * np.finfo(float).eps
+# Largest error that empirical_order treats as exact: 64 ulps per unit of
+# degree, 64 n eps at degree n.  Where the operator is exact in exact
+# arithmetic, the closed moments miss by about an ulp, but the full evaluation
+# path sums m + 1 weights per axis and its roundoff grows with n: sup|S(1) - 1|
+# on the default shape at grid 41 is 4.1e-15 at n = 16, 2.6e-14 at 64, 1.6e-13
+# at 256, 5.2e-13 at 512, 5.4e-13 at 1024 and 7.9e-13 at 2048, at most 5 n eps.
+# A fixed floor would either let that noise through at high n or hide genuine
+# errors at low n.  64 keeps a 13x margin and stays below ~270, above which a
+# genuine 1e-9/n at n = 128 would count as exact.  Genuine errors along the
+# families sit far above (first-moment errors 5e-4 to 2e-3 at n = 512, floor
+# 7.3e-12).
+ROUNDOFF_ULPS_PER_DEGREE = 64
 
 
 def empirical_order(pairs: Iterable[tuple[float, float]]) -> float:
     """Least-squares slope of log(err) against log(n).
 
-    Requires at least three points.  Any error at or below ROUNDOFF_FLOOR
-    (zero included) short-circuits to -inf: the sequence is exact to machine
-    precision and no finite decay order is meaningful.
+    Requires at least three points.  Any error at or below its roundoff
+    floor ROUNDOFF_ULPS_PER_DEGREE * n * eps (zero included) short-circuits
+    to -inf: the sequence is exact to machine precision and no finite decay
+    order is meaningful.
     """
     pts = [(float(n), float(e)) for n, e in pairs]
     if len(pts) < 3:
         raise ValueError(f"requires at least 3 points (got {len(pts)})")
-    if any(e <= ROUNDOFF_FLOOR for _, e in pts):
+    eps = np.finfo(float).eps
+    if any(e <= ROUNDOFF_ULPS_PER_DEGREE * n * eps for n, e in pts):
         return -math.inf
     log_n = np.log([n for n, _ in pts])
     log_e = np.log([e for _, e in pts])

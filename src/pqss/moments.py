@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import AxisConfig, BivariateOperator, nodes
+from .operators import AxisConfig, BivariateOperator, nodes, tabulate
 from .pq_core import PQPair, pq_integer
 from .serialize import fmt_float
 
@@ -176,22 +176,15 @@ def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     return binom * powers * (x ** nu) * rising[::-1]
 
 
-def oracle_from_samples(op: BivariateOperator, samples: np.ndarray, x1: float, x2: float) -> float:
-    """Brute-force double sum over precomputed node samples, fsum-accumulated."""
+def moment_oracle(
+    op: BivariateOperator, g: Callable[[float, float], float], x1: float, x2: float
+) -> float:
+    """Brute-force S(g; x1, x2) with no closed forms anywhere, fsum-accumulated."""
+    samples = tabulate(g, nodes(op.axis1), nodes(op.axis2))
     w1 = oracle_weight_vector(op.axis1, x1)
     w2 = oracle_weight_vector(op.axis2, x2)
     terms = np.outer(w1, w2) * samples
     return math.fsum(terms.ravel().tolist())
-
-
-def moment_oracle(
-    op: BivariateOperator, g: Callable[[float, float], float], x1: float, x2: float
-) -> float:
-    """Brute-force S(g; x1, x2) with no closed forms anywhere."""
-    t1 = nodes(op.axis1)
-    t2 = nodes(op.axis2)
-    samples = np.array([[g(a, b) for b in t2] for a in t1])
-    return oracle_from_samples(op, samples, x1, x2)
 
 
 def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:

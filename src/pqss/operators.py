@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,13 +60,15 @@ class AxisConfig:
     node_exponent: str = "canonical"
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.l, numbers.Integral)):
+            raise ValueError(f"requires integer n and l (got n={self.n!r}, l={self.l!r})")
         if self.n < 1:
             raise ValueError(f"requires n >= 1 (got n={self.n})")
         if self.l < 0:
             raise ValueError(f"requires l >= 0 (got l={self.l})")
-        if not (0.0 <= self.alpha <= self.beta):
+        if not (0.0 <= self.alpha <= self.beta < math.inf):
             raise ValueError(
-                f"requires 0 <= alpha <= beta (got alpha={self.alpha}, beta={self.beta})"
+                f"requires finite 0 <= alpha <= beta (got alpha={self.alpha}, beta={self.beta})"
             )
         if self.node_exponent not in NODE_EXPONENTS:
             raise ValueError(
@@ -75,16 +78,6 @@ class AxisConfig:
     @property
     def degree(self) -> int:
         return self.n + self.l
-
-
-def node(axis: AxisConfig, nu: int) -> float:
-    """Sampling node t_nu = (p^e [nu] + alpha)/([n] + beta)."""
-    if not (0 <= nu <= axis.degree):
-        raise ValueError(f"requires 0 <= nu <= n + l (got nu={nu}, n+l={axis.degree})")
-    p = axis.pq.p
-    e = (axis.degree - nu) if axis.node_exponent == "canonical" else (axis.n - nu)
-    den = pq_integer(axis.n, axis.pq) + axis.beta
-    return (p ** e * pq_integer(nu, axis.pq) + axis.alpha) / den
 
 
 def nodes(axis: AxisConfig) -> np.ndarray:
@@ -134,13 +127,6 @@ def weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     return np.exp(log_w)
 
 
-def basis_weight(axis: AxisConfig, nu: int, x: float) -> float:
-    """Single weight s_nu(x)."""
-    if not (0 <= nu <= axis.degree):
-        raise ValueError(f"requires 0 <= nu <= n + l (got nu={nu}, n+l={axis.degree})")
-    return float(weight_vector(axis, x)[nu])
-
-
 def apply_univariate(axis: AxisConfig, f: Callable[[float], float], x: float) -> float:
     """sum_nu s_nu(x) f(t_nu)."""
     w = weight_vector(axis, x)
@@ -156,25 +142,27 @@ class BivariateOperator:
     axis2: AxisConfig
 
 
+def tabulate(fn: Callable[[float, float], float], xs, ys) -> np.ndarray:
+    """Matrix F[i, j] = fn(xs[i], ys[j]) over a product grid.
+
+    The one place a scalar callback meets a grid: every sampled matrix in the
+    package comes from here, in row-major order.
+    """
+    return np.array([[fn(a, b) for b in ys] for a in xs])
+
+
 def sample_at_nodes(op: BivariateOperator, f: Callable[[float, float], float]) -> np.ndarray:
     """Matrix F[i, j] = f(t1_i, t2_j) over the node grid."""
-    t1 = nodes(op.axis1)
-    t2 = nodes(op.axis2)
-    return np.array([[f(a, b) for b in t2] for a in t1])
-
-
-def apply_from_samples(op: BivariateOperator, samples: np.ndarray, x1: float, x2: float) -> float:
-    """Evaluate the double sum given precomputed node samples."""
-    w1 = weight_vector(op.axis1, x1)
-    w2 = weight_vector(op.axis2, x2)
-    return float(w1 @ samples @ w2)
+    return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
 def apply_bivariate(
     op: BivariateOperator, f: Callable[[float, float], float], x1: float, x2: float
 ) -> float:
     """S(f; x1, x2) = sum_{nu1, nu2} s_nu1(x1) s_nu2(x2) f(t1_nu1, t2_nu2)."""
-    return apply_from_samples(op, sample_at_nodes(op, f), x1, x2)
+    w1 = weight_vector(op.axis1, x1)
+    w2 = weight_vector(op.axis2, x2)
+    return float(w1 @ sample_at_nodes(op, f) @ w2)
 
 
 def apply_on_grid(

@@ -117,6 +117,18 @@ def test_converge_degenerate_linear_prints_exact(tmp_path, capsys):
         assert "order[e20+e02] = exact" not in out
 
 
+def test_converge_full_path_roundoff_prints_exact(tmp_path, capsys):
+    # S(1) = 1 in exact arithmetic; the full path's roundoff grows with n
+    rc, out, err = run(
+        ["converge", "--n-list", "256,512,1024", "--grid", "41", "--f", "const1",
+         "--output", str(tmp_path)],
+        capsys,
+    )
+    assert rc == 0
+    assert "order[const1] = exact (errors vanish)" in out
+    assert "order[e20+e02] = exact" not in out
+
+
 def test_converge_tabulated_family(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({
@@ -254,6 +266,11 @@ def test_usage_errors(capsys):
     rc, out, err = run(["eval", "--x1", "0.5", "--x2", "0.5"], capsys)
     assert rc == 2  # argparse: --f is required
 
+    rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
+                        "--alpha1", "inf", "--beta1", "inf"], capsys)
+    assert rc == 2
+    assert "finite 0 <= alpha <= beta" in err
+
     rc, out, err = run(["frobnicate"], capsys)
     assert rc == 2
 
@@ -296,3 +313,32 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert outs[0] == outs[1]
     for name in outs[0]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_config_file_booleans_and_shared_keys(tmp_path, capsys):
+    point = ["eval", "--x1", "0.3", "--x2", "0.8", *WORKED]
+    cfg = tmp_path / "run.cfg"
+
+    cfg.write_text("f = exp_sum\noracle = yes\n")
+    rc, out, err = run(["--config", str(cfg), *point], capsys)
+    assert rc == 0  # the file satisfies the required --f
+    assert {line.split(" ", 1)[0] for line in out.splitlines()} == {"value", "oracle", "absdiff"}
+
+    cfg.write_text("f = exp_sum\noracle = off\n")
+    rc, out, err = run(["--config", str(cfg), *point], capsys)
+    assert rc == 0
+    assert "oracle" not in out
+    rc, out, err = run(["--config", str(cfg), *point, "--oracle"], capsys)
+    assert rc == 0  # the explicit flag wins over the file
+    assert "oracle" in out
+
+    cfg.write_text("f = exp_sum\noracle = maybe\n")
+    rc, out, err = run(["--config", str(cfg), *point], capsys)
+    assert rc == 2
+    assert "not a boolean" in err
+
+    # a key of another subcommand is accepted and ignored
+    cfg.write_text("f = e11\ngrid = 7\n")
+    rc, out, err = run(["--config", str(cfg), *point], capsys)
+    assert rc == 0
+    assert out.startswith("value ")

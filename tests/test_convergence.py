@@ -6,6 +6,7 @@ import pytest
 
 from pqss.catalog import build_catalog
 from pqss.convergence import (
+    ROUNDOFF_ULPS_PER_DEGREE,
     AxisShape,
     KorovkinTable,
     SequenceSpec,
@@ -150,6 +151,12 @@ def test_empirical_order():
     assert empirical_order([(n, 0.0) for n in ns]) == -math.inf
     # roundoff-level errors, as on the exactly reproducing default shape
     assert empirical_order([(n, 1.11e-16) for n in ns]) == -math.inf
+    # the full evaluation path's roundoff grows with n; at the floor it is exact,
+    # above it a (noise) slope is fitted
+    eps = np.finfo(float).eps
+    floor = ROUNDOFF_ULPS_PER_DEGREE
+    assert empirical_order([(n, floor * n * eps) for n in ns]) == -math.inf
+    assert empirical_order([(n, 2 * floor * n * eps) for n in ns]) == pytest.approx(1.0)
     # a small but genuine error is still fitted
     assert empirical_order([(n, 1e-9 / n) for n in ns]) == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValueError, match="at least 3 points"):

@@ -16,14 +16,13 @@ from pqss.moments import (
     moment_closed,
     moment_csv_rows,
     moment_oracle,
-    oracle_from_samples,
     oracle_weight_vector,
     second_moment_univariate,
     standard_sweep,
     sweep_grid,
     verify_moments,
 )
-from pqss.operators import AxisConfig, BivariateOperator, weight_vector
+from pqss.operators import AxisConfig, BivariateOperator, apply_bivariate, weight_vector
 from pqss.pq_core import PQPair
 
 
@@ -123,12 +122,9 @@ def test_oracle_tensor_factorization(worked_op):
     assert got == pytest.approx(c1 * c2, rel=1e-12)
 
 
-def test_oracle_from_samples_matches(worked_op):
-    from pqss.operators import apply_bivariate, sample_at_nodes
-
+def test_oracle_matches_production(worked_op):
     f = lambda a, b: math.exp(a - b)
-    samples = sample_at_nodes(worked_op, f)
-    assert oracle_from_samples(worked_op, samples, 0.4, 0.6) == pytest.approx(
+    assert moment_oracle(worked_op, f, 0.4, 0.6) == pytest.approx(
         apply_bivariate(worked_op, f, 0.4, 0.6), abs=1e-14
     )
 

@@ -9,14 +9,10 @@ from pqss.operators import (
     AxisConfig,
     BivariateOperator,
     apply_bivariate,
-    apply_from_samples,
     apply_on_grid,
     apply_univariate,
-    basis_weight,
-    node,
     nodes,
     reduce_operator,
-    sample_at_nodes,
     weight_vector,
 )
 from pqss.pq_core import PQPair, pq_integer
@@ -39,6 +35,14 @@ def test_axis_config_validation():
         AxisConfig(n=1, l=0, pq=pq, alpha=2.0, beta=1.0)
     with pytest.raises(ValueError, match="node_exponent"):
         AxisConfig(n=1, l=0, pq=pq, node_exponent="other")
+    with pytest.raises(ValueError, match="integer n and l"):
+        AxisConfig(n=2.5, l=0, pq=pq)
+    with pytest.raises(ValueError, match="integer n and l"):
+        AxisConfig(n=2, l=1.0, pq=pq)
+    with pytest.raises(ValueError, match="finite 0 <= alpha <= beta"):
+        AxisConfig(n=1, l=0, pq=pq, alpha=math.inf, beta=math.inf)
+    with pytest.raises(ValueError, match="finite 0 <= alpha <= beta"):
+        AxisConfig(n=1, l=0, pq=pq, alpha=0.0, beta=math.inf)
 
 
 def test_endpoint_weights_are_exact_unit_vectors(worked_axis):
@@ -53,14 +57,11 @@ def test_worked_weight_vector(worked_axis):
     # s_0=(1-x)(1-qx)(1-q^2 x), s_1=1.75 x (1-x)(1-qx), s_2=1.75 x^2 (1-x), s_3=x^3
     w = weight_vector(worked_axis, 0.5)
     assert w == pytest.approx([0.328125, 0.328125, 0.21875, 0.125], rel=1e-13)
-    assert basis_weight(worked_axis, 2, 0.5) == pytest.approx(0.21875, rel=1e-13)
 
 
 def test_weight_vector_validation(worked_axis):
     with pytest.raises(ValueError, match="x in \\[0, 1\\]"):
         weight_vector(worked_axis, -0.1)
-    with pytest.raises(ValueError, match="0 <= nu <= n \\+ l"):
-        basis_weight(worked_axis, 4, 0.5)
 
 
 @settings(max_examples=60)
@@ -82,9 +83,6 @@ def test_node_values(worked_axis):
     # [0]=0, [1]=1, [2]=1.5, [3]=1.75; D=3.5; p=1 so powers drop out
     t = nodes(worked_axis)
     assert t == pytest.approx([1.0 / 3.5, 2.0 / 3.5, 2.5 / 3.5, 2.75 / 3.5], rel=1e-14)
-    assert node(worked_axis, 3) == pytest.approx(2.75 / 3.5, rel=1e-14)
-    with pytest.raises(ValueError, match="0 <= nu <= n \\+ l"):
-        node(worked_axis, -1)
 
 
 def test_nodes_monotone_for_both_conventions():
@@ -161,20 +159,14 @@ def test_apply_on_grid_matches_pointwise(worked_op):
             assert grid[i, j] == pytest.approx(apply_bivariate(worked_op, f, x1, x2), abs=1e-13)
 
 
-def test_apply_from_samples_consistent(worked_op):
-    f = lambda a, b: a + 2.0 * b
-    samples = sample_at_nodes(worked_op, f)
-    assert apply_from_samples(worked_op, samples, 0.25, 0.75) == pytest.approx(
-        apply_bivariate(worked_op, f, 0.25, 0.75), abs=1e-14
-    )
-
-
 def test_positivity_on_nonnegative_samples(worked_op):
     rng = np.random.default_rng(7)
-    samples = rng.uniform(0.0, 5.0, size=(4, 4))
+    t1, t2 = nodes(worked_op.axis1), nodes(worked_op.axis2)
+    samples = rng.uniform(0.0, 5.0, size=(len(t1), len(t2)))
+    table = {(a, b): samples[i, j] for i, a in enumerate(t1) for j, b in enumerate(t2)}
     for x1 in (0.0, 0.3, 1.0):
         for x2 in (0.1, 0.9):
-            assert apply_from_samples(worked_op, samples, x1, x2) >= 0.0
+            assert apply_bivariate(worked_op, lambda a, b: table[a, b], x1, x2) >= 0.0
 
 
 def test_reduce_operator_parameter_cuts():
