@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import TestFunction, grid_modulus_estimate
 from .moments import central_moment_closed, delta, first_moment_univariate
-from .operators import BivariateOperator, apply_bivariate, apply_on_grid, tabulate
+from .operators import BivariateOperator, GridFn, apply_bivariate, apply_on_grid, tabulate
 
 BOUND_SLACK = 1e-11
 
@@ -70,7 +70,8 @@ def second_modulus(
     """Grid estimate of the second-order modulus of a univariate function.
 
     sup over 0 < h <= delta and x with x + 2h <= hi of
-    |f(x + 2h) - 2 f(x + h) + f(x)|.  Affine functions give 0.
+    |f(x + 2h) - 2 f(x + h) + f(x)|.  Affine functions give 0.  f1d
+    broadcasts over an array of x, like a GridFn with one argument fixed.
     """
     if delta < 0.0:
         raise ValueError(f"requires delta >= 0 (got {delta})")
@@ -82,10 +83,8 @@ def second_modulus(
     best = 0.0
     for h in np.linspace(0.0, h_top, grid_k)[1:]:
         xs = np.linspace(lo, hi - 2.0 * h, grid_k)
-        for x in xs:
-            v = abs(f1d(x + 2.0 * h) - 2.0 * f1d(x + h) + f1d(x))
-            if v > best:
-                best = v
+        v = np.abs(f1d(xs + 2.0 * h) - 2.0 * f1d(xs + h) + f1d(xs))
+        best = max(best, float(np.max(v)))
     return best
 
 
@@ -97,9 +96,7 @@ def shift_point(op: BivariateOperator, x1: float, x2: float) -> tuple[float, flo
     )
 
 
-def auxiliary_apply(
-    op: BivariateOperator, f: Callable[[float, float], float], x1: float, x2: float
-) -> float:
+def auxiliary_apply(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:
     """Shift-corrected operator S(f) - f(P1, P2) + f(x1, x2).
 
     Built so that both centered coordinates are annihilated: applying it to

@@ -44,21 +44,35 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import tabulate
+from .operators import GridFn, tabulate
+
+
+def _libm(fn: Callable[[float], float], x):
+    """A math-module function applied element by element, on any shape.
+
+    numpy's own exp/sin/hypot use SIMD kernels that differ from libm in the
+    last bit on some inputs, and which kernel runs depends on the CPU; going
+    through math keeps every sample, and so every report, identical to the
+    scalar evaluation.  A 0-d input gives a numpy float, not a 0-d array.
+    Iterating x.flat keeps memory at one float per sample; going through
+    x.tolist() is slightly faster but holds a 32-byte Python float for each.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)[()]
 
 
 @dataclass(frozen=True)
 class TestFunction:
     name: str
-    fn: Callable[[float, float], float]
+    fn: GridFn
     width1: float
     width2: float
     sup_norm: float | None = None
     lipschitz_axis: tuple[float, float] | None = None
     cb2_norm: float | None = None
-    total_modulus: Callable[[float, float], float] | None = None
+    total_modulus: GridFn | None = None
 
-    def __call__(self, t1: float, t2: float) -> float:
+    def __call__(self, t1, t2):
         return self.fn(t1, t2)
 
 
@@ -66,7 +80,8 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
     """All catalog entries on [0, width1] x [0, width2]; widths must be >= 1.
 
     The width floor keeps 1/2 inside the first axis for the ramp entries and
-    matches the operator domain [0, l + 1).
+    matches the operator domain [0, l + 1).  Every fn and total_modulus is a
+    GridFn: tabulate evaluates it on a whole grid in one call.
     """
     if width1 < 1.0 or width2 < 1.0:
         raise ValueError(
@@ -74,10 +89,10 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
         )
     w1, w2 = float(width1), float(width2)
 
-    def cap(d: float, w: float) -> float:
-        if d < 0.0:
-            raise ValueError(f"requires delta >= 0 (got {d})")
-        return min(d, w)
+    def cap(d, w: float):
+        if np.any(np.less(d, 0.0)):
+            raise ValueError(f"requires delta >= 0 (got {np.min(d)})")
+        return np.minimum(d, w)
 
     entries = []
 
@@ -124,12 +139,13 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
     ))
     top = math.exp(w1 + w2)
     entries.append(TestFunction(
-        "exp_sum", lambda t1, t2: math.exp(t1 + t2), w1, w2,
+        "exp_sum", lambda t1, t2: _libm(math.exp, t1 + t2), w1, w2,
         sup_norm=top, lipschitz_axis=(top, top), cb2_norm=5.0 * top,
-        total_modulus=lambda d1, d2: top * -math.expm1(-(cap(d1, w1) + cap(d2, w2))),
+        total_modulus=lambda d1, d2: top * -_libm(math.expm1, -(cap(d1, w1) + cap(d2, w2))),
     ))
     entries.append(TestFunction(
-        "sinprod", lambda t1, t2: math.sin(math.pi * t1) * math.sin(math.pi * t2), w1, w2,
+        "sinprod",
+        lambda t1, t2: _libm(math.sin, math.pi * t1) * _libm(math.sin, math.pi * t2), w1, w2,
         sup_norm=1.0, lipschitz_axis=(math.pi, math.pi),
         cb2_norm=1.0 + 2.0 * math.pi + 2.0 * math.pi ** 2,
         total_modulus=None,
@@ -138,24 +154,26 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
     entries.append(TestFunction(
         "abs_ramp", lambda t1, t2: abs(t1 - 0.5), w1, w2,
         sup_norm=ustar, lipschitz_axis=(1.0, 0.0), cb2_norm=None,
-        total_modulus=lambda d1, d2: min(cap(d1, w1), ustar) + 0.0 * cap(d2, w2),
+        total_modulus=lambda d1, d2: np.minimum(cap(d1, w1), ustar) + 0.0 * cap(d2, w2),
     ))
     for tag, w in (("005", 0.05), ("010", 0.10), ("020", 0.20)):
-        def g(u: float, w: float = w) -> float:
-            return math.hypot(u, w) - w
+        def g(u, w: float = w):
+            return _libm(lambda v: math.hypot(v, w), u) - w
 
-        def smooth(t1: float, t2: float, w: float = w) -> float:
-            return math.hypot(t1 - 0.5, w) - w
+        def smooth(t1, t2, w: float = w):
+            return g(t1 - 0.5, w)
 
-        def omega(d1: float, d2: float, w: float = w) -> float:
+        gstar = math.hypot(ustar, w) - w
+
+        def omega(d1, d2, w: float = w, gstar: float = gstar):
             d = cap(d1, w1) + 0.0 * cap(d2, w2)
-            return g(ustar, w) - g(max(ustar - d, 0.0), w)
+            return gstar - g(np.maximum(ustar - d, 0.0), w)
 
         entries.append(TestFunction(
             f"smooth_abs_{tag}", smooth, w1, w2,
-            sup_norm=g(ustar),
+            sup_norm=gstar,
             lipschitz_axis=(ustar / math.hypot(ustar, w), 0.0),
-            cb2_norm=g(ustar) + ustar / math.hypot(ustar, w) + 1.0 / w,
+            cb2_norm=gstar + ustar / math.hypot(ustar, w) + 1.0 / w,
             total_modulus=omega,
         ))
 
@@ -163,7 +181,7 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
 
 
 def grid_modulus_estimate(
-    fn: Callable[[float, float], float],
+    fn: GridFn,
     width1: float,
     width2: float,
     delta1: float,

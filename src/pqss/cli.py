@@ -69,9 +69,10 @@ def _parse_bool(text: str) -> bool:
 
 
 class _Options:
-    """Subcommand parsers, each option's converter for config-file values and
-    each subcommand's required flags, recorded as the options are added.
-    Required flags are checked after parsing: a config value can satisfy them.
+    """Subcommand parsers, each option's converter and choices for config-file
+    values and each subcommand's required flags, recorded as the options are
+    added.  Required flags are checked after parsing: a config value can
+    satisfy them.
     """
 
     def __init__(self, sub):
@@ -79,6 +80,7 @@ class _Options:
         self.name = ""
         self.parsers: dict[str, argparse.ArgumentParser] = {}
         self.converters: dict = {}
+        self.choices: dict[str, tuple] = {}
         self.mandatory: dict[str, list[tuple[str, str]]] = {}
 
     def command(self, name: str, help: str) -> None:
@@ -92,6 +94,8 @@ class _Options:
         dest = flag[2:].replace("-", "_")
         bool_flag = kwargs.get("action") == "store_true"
         self.converters[dest] = _parse_bool if bool_flag else kwargs.get("type", str)
+        if "choices" in kwargs:
+            self.choices[dest] = tuple(kwargs["choices"])
         if required:
             self.mandatory[self.name].append((flag, dest))
 
@@ -172,8 +176,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, _Options]:
     return parser, opts
 
 
-def load_config_file(path: str, types: dict) -> dict:
-    """Parse key=value lines; '#' comments and blanks skipped; keys typed."""
+def load_config_file(path: str, types: dict, choices: dict) -> dict:
+    """Parse key=value lines; '#' comments and blanks skipped; keys typed and
+    checked against the option's choices, as argparse checks the flag."""
     values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -190,6 +195,12 @@ def load_config_file(path: str, types: dict) -> dict:
             values[dest] = types[dest](val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}") from exc
+        allowed = choices.get(dest)
+        if allowed is not None and values[dest] not in allowed:
+            raise ValueError(
+                f"{path}:{lineno}: bad value for {key.strip()!r}: "
+                f"{values[dest]!r} is not one of {', '.join(allowed)}"
+            )
     return values
 
 
@@ -472,7 +483,7 @@ def main(argv=None) -> int:
     parser, opts = build_parser()
     if known.config:
         try:
-            values = load_config_file(known.config, opts.converters)
+            values = load_config_file(known.config, opts.converters, opts.choices)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -13,7 +13,8 @@ On each axis, with m = n + l,
 for x in [0, 1], 0 < q < p <= 1 and 0 <= alpha <= beta.  The weights form a
 partition of unity and are nonnegative on [0, 1], so the operator is positive
 and reproduces constants up to roundoff.  Functions are only ever sampled at
-the nodes, which live in [0, l + 1); the caller provides an f defined there.
+the nodes, which live in [0, l + 1); the caller provides an f defined there
+that broadcasts over arrays (GridFn), so the whole node grid is one call.
 
 Weights are evaluated in log space and exponentiated once at the end; the
 endpoint rows x = 0 and x = 1 short-circuit to the exact unit vectors e_0 and
@@ -26,7 +27,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,6 +40,14 @@ from .pq_core import (
 )
 
 NODE_EXPONENTS = ("canonical", "literal")
+
+GridFn = Callable[..., Any]
+"""The contract for every sampled function: f(t1, t2) on floats or on arrays.
+
+Given a column t1 and a row t2, f returns an array that broadcasts to their
+grid; a constant, or a result that depends on one axis only, is stretched by
+tabulate.  Given two floats, f returns a float.
+"""
 
 
 @dataclass(frozen=True)
@@ -127,11 +136,11 @@ def weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     return np.exp(log_w)
 
 
-def apply_univariate(axis: AxisConfig, f: Callable[[float], float], x: float) -> float:
-    """sum_nu s_nu(x) f(t_nu)."""
+def apply_univariate(axis: AxisConfig, f: Callable, x: float) -> float:
+    """sum_nu s_nu(x) f(t_nu); f broadcasts over the node vector, like tabulate's fn."""
     w = weight_vector(axis, x)
     t = nodes(axis)
-    return float(w @ np.array([f(tv) for tv in t]))
+    return float(w @ np.broadcast_to(f(t), t.shape))
 
 
 @dataclass(frozen=True)
@@ -142,35 +151,31 @@ class BivariateOperator:
     axis2: AxisConfig
 
 
-def tabulate(fn: Callable[[float, float], float], xs, ys) -> np.ndarray:
-    """Matrix F[i, j] = fn(xs[i], ys[j]) over a product grid.
+def tabulate(fn: GridFn, xs, ys) -> np.ndarray:
+    """Matrix F[i, j] = fn(xs[i], ys[j]) from one call fn(xs[:, None], ys[None, :]).
 
-    The one place a scalar callback meets a grid: every sampled matrix in the
-    package comes from here, in row-major order.
+    Every sampled matrix in the package comes from here; fn is a GridFn.
     """
-    return np.array([[fn(a, b) for b in ys] for a in xs])
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    out = np.empty((xs.size, ys.size))
+    out[...] = fn(xs[:, None], ys[None, :])
+    return out
 
 
-def sample_at_nodes(op: BivariateOperator, f: Callable[[float, float], float]) -> np.ndarray:
+def sample_at_nodes(op: BivariateOperator, f: GridFn) -> np.ndarray:
     """Matrix F[i, j] = f(t1_i, t2_j) over the node grid."""
     return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
-def apply_bivariate(
-    op: BivariateOperator, f: Callable[[float, float], float], x1: float, x2: float
-) -> float:
+def apply_bivariate(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:
     """S(f; x1, x2) = sum_{nu1, nu2} s_nu1(x1) s_nu2(x2) f(t1_nu1, t2_nu2)."""
     w1 = weight_vector(op.axis1, x1)
     w2 = weight_vector(op.axis2, x2)
     return float(w1 @ sample_at_nodes(op, f) @ w2)
 
 
-def apply_on_grid(
-    op: BivariateOperator,
-    f: Callable[[float, float], float],
-    xs1,
-    xs2,
-) -> np.ndarray:
+def apply_on_grid(op: BivariateOperator, f: GridFn, xs1, xs2) -> np.ndarray:
     """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]).
 
     The nodes do not depend on x, so f is sampled once and the grid reduces

@@ -280,7 +280,7 @@ def test_reductions(verdict):
     ax2 = AxisConfig(n=4, l=1, pq=PQPair(0.9, 0.6), alpha=1.0, beta=1.5)
     base = BivariateOperator(ax1, ax2)
     xs = np.linspace(0.0, 1.0, 21)
-    fns = [lambda a, b: a * b, lambda a, b: math.sin(a) * math.cos(b)]
+    fns = [lambda a, b: a * b, lambda a, b: np.sin(a) * np.cos(b)]
 
     worst = 0.0
     ops = [
@@ -308,7 +308,7 @@ def test_reductions(verdict):
         and (red_b.axis1.l, red_b.axis1.alpha, red_b.axis1.beta) == (0, 0.0, 0.0)
         and red_b.axis2.n == 4
     )
-    g = lambda a, b: math.exp(a - 2.0 * b)
+    g = lambda a, b: np.exp(a - 2.0 * b)
     interp_ok = (
         apply_bivariate(red_b, g, 0.0, 0.0) == g(0.0, 0.0)
         and apply_bivariate(red_b, g, 1.0, 1.0) == g(1.0, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from pqss.analysis import (
 )
 from pqss.catalog import build_catalog
 from pqss.moments import first_moment_univariate
-from pqss.operators import AxisConfig, BivariateOperator
+from pqss.operators import AxisConfig, BivariateOperator, apply_on_grid, sample_at_nodes
 from pqss.pq_core import PQPair
 
 CAT = build_catalog(2.0, 2.0)
@@ -102,6 +103,46 @@ def test_bound_grid_matches_pointwise(worked_op):
             assert lhs[i, j] == pytest.approx(res.lhs, abs=1e-13)
             assert rhs[i, j] == pytest.approx(res.rhs, rel=1e-13)
     assert np.all(lhs <= rhs + BOUND_SLACK)
+
+
+class _Counting:
+    """A broadcasting callable that counts its calls and the points it got."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        self.points += np.broadcast(a, b).size
+        return self.fn(a, b)
+
+
+@pytest.mark.parametrize("n,grid", [(4, 3), (60, 25)])
+def test_grid_paths_call_f_once_per_grid(n, grid):
+    # per-point callbacks must not come back: each grid costs a fixed number
+    # of calls, whatever the degree and the grid size
+    axis = AxisConfig(n=n, l=1, pq=PQPair(0.95, 0.7), alpha=0.5, beta=1.0)
+    op = BivariateOperator(axis, axis)
+    xs = np.linspace(0.0, 1.0, grid)
+    tf = CAT["exp_sum"]
+
+    f = _Counting(tf.fn)
+    sample_at_nodes(op, f)
+    assert f.calls == 1 and f.points == (n + 2) ** 2
+
+    f = _Counting(tf.fn)
+    apply_on_grid(op, f, xs, xs)
+    assert f.calls == 1
+
+    f, om = _Counting(tf.fn), _Counting(tf.total_modulus)
+    counted = dataclasses.replace(tf, fn=f, total_modulus=om)
+    lhs, rhs = total_modulus_bound_grid(op, counted, xs, xs)
+    assert (f.calls, om.calls) == (2, 1)
+    np.testing.assert_array_equal(
+        (lhs, rhs), total_modulus_bound_grid(op, tf, xs, xs)
+    )
 
 
 def test_k_functional_upper():

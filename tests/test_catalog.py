@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from pqss.catalog import build_catalog, grid_modulus_estimate, verify_metadata
+from pqss.operators import AxisConfig, nodes, tabulate
+from pqss.pq_core import PQPair
 
 WIDTH_CASES = [(1.0, 1.0), (2.0, 2.0), (4.0, 2.0)]
 
@@ -70,6 +73,15 @@ def test_modulus_rejects_negative_delta():
     for name in ("sum", "e11", "abs_ramp", "const1", "smooth_abs_005"):
         with pytest.raises(ValueError, match="delta >= 0"):
             cat[name].total_modulus(-0.1, 0.2)
+    # one negative entry in a delta grid is enough, on either axis
+    deltas = np.array([[0.0], [0.4], [-1e-12]])
+    for tf in cat.values():
+        if tf.total_modulus is None:
+            continue
+        with pytest.raises(ValueError, match="delta >= 0"):
+            tf.total_modulus(deltas, np.array([[0.1, 0.2]]))
+        with pytest.raises(ValueError, match="delta >= 0"):
+            tf.total_modulus(np.array([0.1, 0.2]), deltas.T)
 
 
 def test_modulus_monotone_in_window():
@@ -115,3 +127,77 @@ def test_verify_metadata_catches_bad_claims():
     assert any("Lipschitz" in p for p in verify_metadata(bad_lip))
     bad_mod = dataclasses.replace(cat["sum"], total_modulus=lambda d1, d2: 0.25 * (d1 + d2))
     assert any("total_modulus" in p for p in verify_metadata(bad_mod))
+
+
+def _scalar_entries(w1, w2):
+    """Every entry and exact modulus as the plain-float formulas they replace."""
+    ustar = w1 - 0.5
+    top = math.exp(w1 + w2)
+
+    def cap(d, w):
+        return min(d, w)
+
+    fns = {
+        "const1": lambda t1, t2: 1.0,
+        "e10": lambda t1, t2: t1,
+        "e01": lambda t1, t2: t2,
+        "e11": lambda t1, t2: t1 * t2,
+        "e20": lambda t1, t2: t1 * t1,
+        "e02": lambda t1, t2: t2 * t2,
+        "sum": lambda t1, t2: t1 + t2,
+        "exp_sum": lambda t1, t2: math.exp(t1 + t2),
+        "sinprod": lambda t1, t2: math.sin(math.pi * t1) * math.sin(math.pi * t2),
+        "abs_ramp": lambda t1, t2: abs(t1 - 0.5),
+    }
+    moduli = {
+        "const1": lambda d1, d2: 0.0 * (cap(d1, w1) + cap(d2, w2)),
+        "e10": lambda d1, d2: cap(d1, w1) + 0.0 * cap(d2, w2),
+        "e01": lambda d1, d2: cap(d2, w2) + 0.0 * cap(d1, w1),
+        "e11": lambda d1, d2: w2 * cap(d1, w1) + w1 * cap(d2, w2) - cap(d1, w1) * cap(d2, w2),
+        "e20": lambda d1, d2: cap(d1, w1) * (2.0 * w1 - cap(d1, w1)) + 0.0 * cap(d2, w2),
+        "e02": lambda d1, d2: cap(d2, w2) * (2.0 * w2 - cap(d2, w2)) + 0.0 * cap(d1, w1),
+        "sum": lambda d1, d2: cap(d1, w1) + cap(d2, w2),
+        "exp_sum": lambda d1, d2: top * -math.expm1(-(cap(d1, w1) + cap(d2, w2))),
+        "abs_ramp": lambda d1, d2: min(cap(d1, w1), ustar) + 0.0 * cap(d2, w2),
+    }
+    for tag, w in (("005", 0.05), ("010", 0.10), ("020", 0.20)):
+        def g(u, w=w):
+            return math.hypot(u, w) - w
+
+        fns[f"smooth_abs_{tag}"] = lambda t1, t2, g=g: g(t1 - 0.5)
+        moduli[f"smooth_abs_{tag}"] = lambda d1, d2, g=g: g(ustar) - g(
+            max(ustar - (cap(d1, w1) + 0.0 * cap(d2, w2)), 0.0)
+        )
+    return fns, moduli
+
+
+def _pointwise(fn, xs, ys):
+    return np.array([[fn(float(a), float(b)) for b in ys] for a in xs])
+
+
+def test_broadcast_entries_match_scalar_formulas_bit_for_bit():
+    # node grids at n = 64 with l = 2 and l = 1 (widths 3 and 2), plus 0, 1
+    # and the far edges of the rectangle
+    ax1 = AxisConfig(n=64, l=2, pq=PQPair(0.99, 0.95), alpha=0.5, beta=1.0)
+    ax2 = AxisConfig(n=64, l=1, pq=PQPair(0.97, 0.9))
+    t1 = np.concatenate(([0.0, 1.0, 3.0], nodes(ax1)))
+    t2 = np.concatenate(([0.0, 1.0, 2.0], nodes(ax2)))
+    cat = build_catalog(3.0, 2.0)
+    fns, moduli = _scalar_entries(3.0, 2.0)
+    assert set(fns) == set(cat)
+    for name, tf in cat.items():
+        np.testing.assert_array_equal(
+            tabulate(tf.fn, t1, t2), _pointwise(fns[name], t1, t2), err_msg=name
+        )
+        assert isinstance(tf.fn(0.3, 0.7), float) and np.ndim(tf.fn(0.3, 0.7)) == 0
+
+    d1 = np.concatenate(([0.0, 1e-9, 0.5, 2.5, 3.0, 7.0], np.linspace(0.0, 3.5, 29)))
+    d2 = np.concatenate(([0.0, 1e-9, 0.5, 1.5, 2.0, 7.0], np.linspace(0.0, 2.5, 23)))
+    assert set(moduli) == {n for n, tf in cat.items() if tf.total_modulus is not None}
+    for name, om in moduli.items():
+        tf = cat[name]
+        np.testing.assert_array_equal(
+            tabulate(tf.total_modulus, d1, d2), _pointwise(om, d1, d2), err_msg=name
+        )
+        value = tf.total_modulus(0.3, 0.2)
+        assert isinstance(value, float) and np.ndim(value) == 0, name

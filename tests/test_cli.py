@@ -342,3 +342,19 @@ def test_config_file_booleans_and_shared_keys(tmp_path, capsys):
     rc, out, err = run(["--config", str(cfg), *point], capsys)
     assert rc == 0
     assert out.startswith("value ")
+
+
+@pytest.mark.parametrize("line,argv", [
+    ("node_exponent = bogus", ["eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5"]),
+    ("format = xml", ["eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--output", "x"]),
+    ("family = nope", ["converge", "--n-list", "8,16,32", "--grid", "3"]),
+])
+def test_config_file_values_outside_choices(tmp_path, capsys, monkeypatch, line, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# choices are checked\n{line}\n")
+    rc, out, err = run(["--config", str(cfg), *argv], capsys)
+    key = line.split(" = ")[0]
+    assert rc == 2
+    assert f"{cfg}:2: bad value for {key!r}" in err
+    assert list(tmp_path.iterdir()) == [cfg]  # nothing was written

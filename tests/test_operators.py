@@ -132,7 +132,7 @@ def test_apply_bivariate_basics(worked_op):
 def test_corner_evaluations_are_exact():
     axis = AxisConfig(n=3, l=1, pq=PQPair(0.9, 0.6))
     op = BivariateOperator(axis, axis)
-    f = lambda a, b: math.sin(a) + b * b
+    f = lambda a, b: np.sin(a) + b * b
     # alpha=0: the x=0 weight row is the exact e_0 and node 0 is exactly 0
     assert apply_bivariate(op, f, 0.0, 0.0) == f(0.0, 0.0)
     # x=1 concentrates at the last node pair
@@ -141,15 +141,15 @@ def test_corner_evaluations_are_exact():
 
 
 def test_tensor_product_separates(worked_op):
-    g = lambda t: math.sin(t)
-    h = lambda t: math.exp(-t)
+    g = np.sin
+    h = lambda t: np.exp(-t)
     got = apply_bivariate(worked_op, lambda a, b: g(a) * h(b), 0.4, 0.7)
     want = apply_univariate(worked_op.axis1, g, 0.4) * apply_univariate(worked_op.axis2, h, 0.7)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_apply_on_grid_matches_pointwise(worked_op):
-    f = lambda a, b: math.exp(a) * math.cos(b)
+    f = lambda a, b: np.exp(a) * np.cos(b)
     xs1 = np.linspace(0.0, 1.0, 5)
     xs2 = np.linspace(0.0, 1.0, 7)
     grid = apply_on_grid(worked_op, f, xs1, xs2)
@@ -163,10 +163,17 @@ def test_positivity_on_nonnegative_samples(worked_op):
     rng = np.random.default_rng(7)
     t1, t2 = nodes(worked_op.axis1), nodes(worked_op.axis2)
     samples = rng.uniform(0.0, 5.0, size=(len(t1), len(t2)))
-    table = {(a, b): samples[i, j] for i, a in enumerate(t1) for j, b in enumerate(t2)}
+    # the sample at node (t1[i], t2[j]) is samples[i, j]; the lookup broadcasts
+    assert np.all(np.diff(t1) > 0.0) and np.all(np.diff(t2) > 0.0)
+
+    def table(a, b):
+        i, j = np.searchsorted(t1, a), np.searchsorted(t2, b)
+        assert np.array_equal(t1[i], a) and np.array_equal(t2[j], b)
+        return samples[i, j]
+
     for x1 in (0.0, 0.3, 1.0):
         for x2 in (0.1, 0.9):
-            assert apply_bivariate(worked_op, lambda a, b: table[a, b], x1, x2) >= 0.0
+            assert apply_bivariate(worked_op, table, x1, x2) >= 0.0
 
 
 def test_reduce_operator_parameter_cuts():
@@ -192,7 +199,7 @@ def test_reduce_operator_parameter_cuts():
 def test_bernstein_reduction_interpolates_endpoints():
     axis = AxisConfig(n=6, l=2, pq=PQPair(0.95, 0.7), alpha=0.5, beta=0.9)
     op = reduce_operator(BivariateOperator(axis, axis), "pq-bernstein")
-    f = lambda a, b: math.cos(a + b)
+    f = lambda a, b: np.cos(a + b)
     # l=0, alpha=beta=0: node_m = [n]/[n] = 1 exactly, node_0 = 0 exactly
     assert apply_bivariate(op, f, 0.0, 0.0) == f(0.0, 0.0)
     assert apply_bivariate(op, f, 1.0, 1.0) == f(1.0, 1.0)
