@@ -146,8 +146,8 @@ def total_modulus_bound_grid(
         )
     s_grid = apply_on_grid(op, f.fn, xs1, xs2)
     lhs = np.abs(s_grid - tabulate(f.fn, xs1, xs2))
-    d1s = [delta(op, 1, x) for x in xs1]
-    d2s = [delta(op, 2, x) for x in xs2]
+    d1s = delta(op, 1, np.asarray(xs1, dtype=float))
+    d2s = delta(op, 2, np.asarray(xs2, dtype=float))
     rhs = 4.0 * tabulate(f.total_modulus, d1s, d2s)
     return lhs, rhs
 

@@ -40,25 +40,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .operators import GridFn, tabulate
-
-
-def _libm(fn: Callable[[float], float], x):
-    """A math-module function applied element by element, on any shape.
-
-    numpy's own exp/sin/hypot use SIMD kernels that differ from libm in the
-    last bit on some inputs, and which kernel runs depends on the CPU; going
-    through math keeps every sample, and so every report, identical to the
-    scalar evaluation.  A 0-d input gives a numpy float, not a 0-d array.
-    Iterating x.flat keeps memory at one float per sample; going through
-    x.tolist() is slightly faster but holds a 32-byte Python float for each.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)[()]
+from .pq_core import _libm
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,10 @@ def _parse_n_list(text: str) -> list[int]:
         raise ValueError(f"bad --n-list {text!r}: {exc}") from exc
     if not ns:
         raise ValueError("requires a nonempty --n-list")
+    if min(ns) < 1:
+        raise ValueError(f"--n-list requires every n >= 1 (got {text!r})")
+    if len(set(ns)) < len(ns):
+        raise ValueError(f"--n-list requires distinct degrees (got {text!r})")
     return ns
 
 

@@ -294,14 +294,18 @@ ROUNDOFF_ULPS_PER_DEGREE = 64
 def empirical_order(pairs: Iterable[tuple[float, float]]) -> float:
     """Least-squares slope of log(err) against log(n).
 
-    Requires at least three points.  Any error at or below its roundoff
+    Requires at least three distinct n.  Any error at or below its roundoff
     floor ROUNDOFF_ULPS_PER_DEGREE * n * eps (zero included) short-circuits
     to -inf: the sequence is exact to machine precision and no finite decay
     order is meaningful.
     """
     pts = [(float(n), float(e)) for n, e in pairs]
-    if len(pts) < 3:
-        raise ValueError(f"requires at least 3 points (got {len(pts)})")
+    distinct = len({n for n, _ in pts})
+    if distinct < 3:
+        raise ValueError(
+            f"requires at least 3 points at distinct n "
+            f"(got {len(pts)} points, {distinct} distinct n)"
+        )
     eps = np.finfo(float).eps
     if any(e <= ROUNDOFF_ULPS_PER_DEGREE * n * eps for n, e in pts):
         return -math.inf

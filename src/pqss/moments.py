@@ -122,23 +122,24 @@ def central_moment_closed(op: BivariateOperator, axis_index: int, x1: float, x2:
     return (a * x + b) * x + c
 
 
-def delta(op: BivariateOperator, axis_index: int, x: float) -> float:
-    """sqrt of the second central moment along one axis.
+def delta(op: BivariateOperator, axis_index: int, x):
+    """sqrt of the second central moment along one axis, at a scalar or an array x.
 
     The closed quadratic is nonnegative on [0, 1] in exact arithmetic;
     roundoff dips down to -1e-13 are clamped to zero, anything lower raises.
+    A scalar x gives a float.
     """
     if axis_index == 1:
         c = central_moment_closed(op, 1, x, 0.0)
     else:
         c = central_moment_closed(op, 2, 0.0, x)
-    if c < 0.0:
-        if c < -1e-13:
-            raise ArithmeticError(
-                f"central moment unexpectedly negative ({c}); config or closed form is wrong"
-            )
-        c = 0.0
-    return math.sqrt(c)
+    c = np.asarray(c, dtype=float)
+    if np.any(c < -1e-13):
+        raise ArithmeticError(
+            f"central moment unexpectedly negative ({np.min(c)}); config or closed form is wrong"
+        )
+    d = np.sqrt(np.where(c < 0.0, 0.0, c))
+    return float(d) if d.ndim == 0 else d
 
 
 @lru_cache(maxsize=512)

@@ -16,9 +16,9 @@ and reproduces constants up to roundoff.  Functions are only ever sampled at
 the nodes, which live in [0, l + 1); the caller provides an f defined there
 that broadcasts over arrays (GridFn), so the whole node grid is one call.
 
-Weights are evaluated in log space and exponentiated once at the end; the
-endpoint rows x = 0 and x = 1 short-circuit to the exact unit vectors e_0 and
-e_m, so endpoint evaluations are exact.
+Weights are evaluated in log space, for a whole vector of x at once, and
+exponentiated once at the end; the endpoint rows x = 0 and x = 1 are the exact
+unit vectors e_0 and e_m, so endpoint evaluations are exact.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 
 from .pq_core import (
     PQPair,
+    _libm,
     _log_rising_terms,
     compensated_cumsum,
     cumulative_log_factorials,
@@ -100,40 +101,48 @@ def nodes(axis: AxisConfig) -> np.ndarray:
     return (p ** exps.astype(float) * brackets + axis.alpha) / den
 
 
-def weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
-    """All weights s_0(x)..s_m(x).
+def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
+    """Weights s_0(x)..s_m(x) for every x in xs, one row per x.
 
     Log-space evaluation: log binomials come from compensated cumulative
-    log-factorials, the rising product from expm1-stabilized factor logs, and
-    the vector is exponentiated once.  x = 0 and x = 1 return exact unit
-    vectors (the weight mass concentrates at nu = 0 and nu = m).
+    log-factorials, the rising products from expm1-stabilized factor logs
+    summed along each row, and the matrix is exponentiated once.  Rows for
+    x = 0 and x = 1 are the exact unit vectors e_0 and e_m (the weight mass
+    concentrates at nu = 0 and nu = m).
     """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"requires x in [0, 1] (got x={x})")
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((0.0 <= xs) & (xs <= 1.0))
+    if outside.any():
+        raise ValueError(f"requires x in [0, 1] (got x={xs[outside][0]})")
     m = axis.degree
-    out = np.zeros(m + 1)
-    if x == 0.0:
-        out[0] = 1.0
+    out = np.zeros((xs.size, m + 1))
+    out[xs == 0.0, 0] = 1.0
+    out[xs == 1.0, m] = 1.0
+    inner = (0.0 < xs) & (xs < 1.0)
+    if not inner.any():
         return out
-    if x == 1.0:
-        out[m] = 1.0
-        return out
+    x = xs[inner]
     p, q = axis.pq.p, axis.pq.q
     log_p = math.log(p)
     lf = cumulative_log_factorials(m, p, q)
     log_binom = lf[m] - lf - lf[::-1]
-    rising_prefix = np.zeros(m + 1)
-    if m >= 1:
-        rising_prefix[1:] = compensated_cumsum(_log_rising_terms(m, x, axis.pq))
+    rising_prefix = np.zeros((x.size, m + 1))
+    rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, x, axis.pq))
     nu = np.arange(m + 1)
     log_w = (
         -0.5 * m * (m - 1) * log_p
         + log_binom
         + 0.5 * nu * (nu - 1) * log_p
-        + nu * math.log(x)
-        + rising_prefix[::-1]
+        + nu * _libm(math.log, x)[:, None]
+        + rising_prefix[:, ::-1]
     )
-    return np.exp(log_w)
+    out[inner] = np.exp(log_w)
+    return out
+
+
+def weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
+    """All weights s_0(x)..s_m(x): the one row of weight_matrix(axis, [x])."""
+    return weight_matrix(axis, [x])[0]
 
 
 def apply_univariate(axis: AxisConfig, f: Callable, x: float) -> float:
@@ -182,9 +191,7 @@ def apply_on_grid(op: BivariateOperator, f: GridFn, xs1, xs2) -> np.ndarray:
     to two matrix products.
     """
     samples = sample_at_nodes(op, f)
-    w1 = np.array([weight_vector(op.axis1, x) for x in xs1])
-    w2 = np.array([weight_vector(op.axis2, x) for x in xs2])
-    return w1 @ samples @ w2.T
+    return weight_matrix(op.axis1, xs1) @ samples @ weight_matrix(op.axis2, xs2).T
 
 
 REDUCTION_TARGETS = ("q-schurer-stancu", "pq-bernstein-schurer", "pq-bernstein")

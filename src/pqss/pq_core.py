@@ -16,11 +16,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
 DEFAULT_FACTORIAL_CAP = 10_000
+
+
+def _libm(fn: Callable[[float], float], x):
+    """A math-module function applied element by element, on any shape.
+
+    numpy's own exp/expm1/log/pow/sin/hypot use SIMD kernels that differ
+    from libm in the last bit on some inputs, and which kernel runs depends
+    on the CPU; going through math keeps every value, and so every report,
+    identical to the scalar evaluation.  A 0-d input gives a numpy float,
+    not a 0-d array.  Iterating x.flat keeps memory at one float per
+    element; going through x.tolist() is slightly faster but holds a
+    32-byte Python float for each.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -95,23 +111,23 @@ def rising_product(m: int, x: float, pq: PQPair) -> float:
     return acc
 
 
-def _log_rising_terms(m: int, x: float, pq: PQPair) -> list[float]:
-    """Logs of the factors p^j - q^j x for j = 0..m-1, each factor > 0.
+def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
+    """Logs of the factors p^j - q^j x for j = 0..m-1, one row per x in xs.
 
-    Factor j is rewritten as p^j * (1 - x (q/p)^j) and the parenthesis taken
-    through expm1, which stays accurate when x (q/p)^j is close to 1 (x near
-    1 with p - q small), exactly where the direct subtraction cancels.
+    Every x lies in [0, 1) and every factor is > 0.  Factor j is rewritten
+    as p^j * (1 - x (q/p)^j) and the parenthesis taken through expm1, which
+    stays accurate when x (q/p)^j is close to 1 (x near 1 with p - q small),
+    exactly where the direct subtraction cancels.  A row for x = 0 is j log p.
     """
+    xs = np.asarray(xs, dtype=float)
     p, q = pq.p, pq.q
-    log_p = math.log(p)
+    j = np.arange(m, dtype=float)
     log_ratio = math.log1p((q - p) / p)
-    if x == 0.0:
-        return [j * log_p for j in range(m)]
-    log_x = math.log(x)
-    return [
-        j * log_p + math.log(-math.expm1(j * log_ratio + log_x))
-        for j in range(m)
-    ]
+    out = np.tile(j * math.log(p), (xs.size, 1))
+    inner = xs > 0.0
+    log_x = _libm(math.log, xs[inner])
+    out[inner] += _libm(math.log, -_libm(math.expm1, j * log_ratio + log_x[:, None]))
+    return out
 
 
 def log_rising_product(m: int, x: float, pq: PQPair) -> tuple[int, float]:
@@ -129,28 +145,29 @@ def log_rising_product(m: int, x: float, pq: PQPair) -> tuple[int, float]:
         raise ValueError(f"requires x in [0, 1] (got x={x})")
     if m >= 1 and x == 1.0:
         return 0, -math.inf
-    return 1, math.fsum(_log_rising_terms(m, x, pq))
+    return 1, math.fsum(_log_rising_terms(m, [x], pq)[0].tolist())
 
 
 def compensated_cumsum(values) -> np.ndarray:
-    """Running prefix sums with Neumaier compensation.
+    """Running prefix sums with Neumaier compensation, along the last axis.
 
     Naive cumulative sums of ~2000 log-factorial terms drift around 1e-10;
     the compensated version keeps every prefix near 1e-13, which the long
-    partition-of-unity checks rely on.
+    partition-of-unity checks rely on.  This is the sequential loop
+
+        t = s + v;  c += (s - t) + v if |s| >= |v| else (v - t) + s;  s = t;
+        out = s + c
+
+    with the same operations in the same order: np.cumsum accumulates left
+    to right, and each error term depends only on its own s, v and t, so
+    every row gets the loop's bits.
     """
-    out = np.empty(len(values))
-    s = 0.0
-    c = 0.0
-    for i, v in enumerate(values):
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-        out[i] = s + c
-    return out
+    v = np.asarray(values, dtype=float)
+    s = np.cumsum(v, axis=-1)
+    prev = np.zeros_like(s)
+    prev[..., 1:] = s[..., :-1]
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
+    return s + np.cumsum(err, axis=-1)
 
 
 @lru_cache(maxsize=512)
@@ -158,12 +175,27 @@ def cumulative_log_factorials(kmax: int, p: float, q: float) -> np.ndarray:
     """Array lf with lf[k] = log([k]!) for k = 0..kmax, compensated sums.
 
     Keyed on raw floats for caching; construct the PQPair internally so the
-    usual validation still applies.  The returned array is read-only.
+    usual validation still applies.  The brackets [1..kmax] are pq_integer's
+    formula on a whole array, with the same libm calls, so the table has the
+    bits of summing log(pq_integer(j)).  A bracket that underflows to 0 (p^k
+    below the smallest double) has no log and raises.  The returned array is
+    read-only.
     """
     pq = PQPair(p, q)
-    logs = [math.log(pq_integer(j, pq)) for j in range(1, kmax + 1)]
     lf = np.zeros(kmax + 1)
     if kmax >= 1:
-        lf[1:] = compensated_cumsum(logs)
+        k = np.arange(2.0, kmax + 1)
+        log_ratio = math.log1p((q - p) / p)
+        brackets = np.empty(kmax)
+        brackets[0] = 1.0
+        p_k = _libm(partial(math.pow, p), k)
+        brackets[1:] = -p_k * _libm(math.expm1, k * log_ratio) / (p - q)
+        if not brackets.all():
+            k0 = int(np.flatnonzero(brackets == 0.0)[0]) + 1
+            raise ValueError(
+                f"bracket [{k0}] underflows to 0 at p={pq.p}, q={pq.q}: "
+                f"p^{k0} is below the smallest double"
+            )
+        lf[1:] = compensated_cumsum(_libm(math.log, brackets))
     lf.setflags(write=False)
     return lf

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pqss import analysis, operators
 from pqss.analysis import (
     BOUND_SLACK,
     BoundResult,
@@ -120,13 +121,24 @@ class _Counting:
 
 
 @pytest.mark.parametrize("n,grid", [(4, 3), (60, 25)])
-def test_grid_paths_call_f_once_per_grid(n, grid):
+def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     # per-point callbacks must not come back: each grid costs a fixed number
-    # of calls, whatever the degree and the grid size
+    # of calls, whatever the degree and the grid size; weights come from one
+    # weight_matrix per axis, never from per-point weight_vector rows, and
+    # delta is evaluated once per axis
     axis = AxisConfig(n=n, l=1, pq=PQPair(0.95, 0.7), alpha=0.5, beta=1.0)
     op = BivariateOperator(axis, axis)
     xs = np.linspace(0.0, 1.0, grid)
     tf = CAT["exp_sum"]
+    want = total_modulus_bound_grid(op, tf, xs, xs)
+
+    def no_rows(*args):
+        raise AssertionError("per-point weight_vector call on a grid path")
+
+    monkeypatch.setattr(operators, "weight_vector", no_rows)
+    delta_axes = []
+    real_delta = analysis.delta
+    monkeypatch.setattr(analysis, "delta", lambda *a: delta_axes.append(a[1]) or real_delta(*a))
 
     f = _Counting(tf.fn)
     sample_at_nodes(op, f)
@@ -139,10 +151,8 @@ def test_grid_paths_call_f_once_per_grid(n, grid):
     f, om = _Counting(tf.fn), _Counting(tf.total_modulus)
     counted = dataclasses.replace(tf, fn=f, total_modulus=om)
     lhs, rhs = total_modulus_bound_grid(op, counted, xs, xs)
-    assert (f.calls, om.calls) == (2, 1)
-    np.testing.assert_array_equal(
-        (lhs, rhs), total_modulus_bound_grid(op, tf, xs, xs)
-    )
+    assert (f.calls, om.calls, delta_axes) == (2, 1, [1, 2])
+    np.testing.assert_array_equal((lhs, rhs), want)
 
 
 def test_k_functional_upper():

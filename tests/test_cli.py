@@ -285,6 +285,23 @@ def test_usage_errors(capsys):
     assert rc == 2
     assert "nonempty --n-list" in err
 
+    rc, out, err = run(["converge", "--n-list", "0,8,16", "--grid", "3"], capsys)
+    assert rc == 2
+    assert "requires every n >= 1" in err
+
+    # one log n repeated: no slope can be fitted
+    for n_list in ("8,8,8", "8,16,8"):
+        rc, out, err = run(["converge", "--n-list", n_list, "--grid", "3"], capsys)
+        assert rc == 2
+        assert "distinct degrees" in err
+        assert "order[" not in out
+
+    # p^k underflows past k = 7072: the bracket table names the bracket
+    rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
+                        "--n1", "8000", "--p1", "0.9", "--q1", "0.6"], capsys)
+    assert rc == 2
+    assert "bracket [7073] underflows to 0 at p=0.9, q=0.6" in err
+
 
 def test_byte_identical_reruns(tmp_path, capsys):
     args_list = [

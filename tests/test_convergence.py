@@ -161,6 +161,11 @@ def test_empirical_order():
     assert empirical_order([(n, 1e-9 / n) for n in ns]) == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValueError, match="at least 3 points"):
         empirical_order([(10, 1.0), (20, 0.5)])
+    # repeated degrees leave fewer than 3 distinct log n to fit
+    with pytest.raises(ValueError, match="at least 3 points at distinct n"):
+        empirical_order([(8, 1.0), (8, 0.5), (8, 0.25)])
+    with pytest.raises(ValueError, match="at least 3 points at distinct n"):
+        empirical_order([(8, 1.0), (16, 0.5), (16, 0.25), (8, 0.5)])
 
 
 def test_square_condition_order_is_one():

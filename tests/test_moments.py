@@ -85,11 +85,24 @@ def test_delta_values_and_clamping(worked_op, monkeypatch):
     assert delta(op0, 1, 0.0) == 0.0
     assert delta(op0, 2, 0.0) == 0.0
 
+    # an array of x gives the scalar results bit for bit; a scalar gives a float
+    xs = np.linspace(0.0, 1.0, 23)
+    for k in (1, 2):
+        assert type(delta(worked_op, k, 0.5)) is float
+        np.testing.assert_array_equal(
+            delta(worked_op, k, xs), [delta(worked_op, k, float(x)) for x in xs]
+        )
+
     monkeypatch.setattr(moments, "central_moment_closed", lambda *a: -5e-14)
     assert delta(worked_op, 1, 0.5) == 0.0
     monkeypatch.setattr(moments, "central_moment_closed", lambda *a: -1e-3)
     with pytest.raises(ArithmeticError, match="unexpectedly negative"):
         delta(worked_op, 1, 0.5)
+    monkeypatch.setattr(moments, "central_moment_closed", lambda *a: np.array([0.25, -5e-14]))
+    np.testing.assert_array_equal(delta(worked_op, 1, xs[:2]), [0.5, 0.0])
+    monkeypatch.setattr(moments, "central_moment_closed", lambda *a: np.array([0.25, -1e-3]))
+    with pytest.raises(ArithmeticError, match="unexpectedly negative"):
+        delta(worked_op, 1, xs[:2])
 
 
 def test_oracle_weight_vector_matches_production(worked_axis):

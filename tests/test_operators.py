@@ -13,6 +13,7 @@ from pqss.operators import (
     apply_univariate,
     nodes,
     reduce_operator,
+    weight_matrix,
     weight_vector,
 )
 from pqss.pq_core import PQPair, pq_integer
@@ -62,6 +63,65 @@ def test_worked_weight_vector(worked_axis):
 def test_weight_vector_validation(worked_axis):
     with pytest.raises(ValueError, match="x in \\[0, 1\\]"):
         weight_vector(worked_axis, -0.1)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError, match=f"x in \\[0, 1\\] \\(got x={bad}\\)"):
+            weight_matrix(worked_axis, [0.2, bad, 0.7])
+
+
+def scalar_weight_vector(axis, x):
+    """Log-space weights one x at a time, with scalar loops: the reference
+    weight_matrix must reproduce bit for bit."""
+    m = axis.degree
+    out = np.zeros(m + 1)
+    if x == 0.0:
+        out[0] = 1.0
+        return out
+    if x == 1.0:
+        out[m] = 1.0
+        return out
+    p, q = axis.pq.p, axis.pq.q
+    log_p = math.log(p)
+    log_ratio = math.log1p((q - p) / p)
+
+    def neumaier(values):
+        acc = np.zeros(len(values) + 1)
+        s = c = 0.0
+        for i, v in enumerate(values):
+            t = s + v
+            c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+            s = t
+            acc[i + 1] = s + c
+        return acc
+
+    lf = neumaier([math.log(pq_integer(j, axis.pq)) for j in range(1, m + 1)])
+    log_binom = lf[m] - lf - lf[::-1]
+    log_x = math.log(x)
+    rising = neumaier([
+        j * log_p + math.log(-math.expm1(j * log_ratio + log_x)) for j in range(m)
+    ])
+    nu = np.arange(m + 1)
+    log_w = (
+        -0.5 * m * (m - 1) * log_p
+        + log_binom
+        + 0.5 * nu * (nu - 1) * log_p
+        + nu * log_x
+        + rising[::-1]
+    )
+    return np.exp(log_w)
+
+
+@pytest.mark.parametrize("m", [1, 2, 28, 257, 2049])
+def test_weight_matrix_rows_are_the_scalar_weights_bit_for_bit(m):
+    xs = np.concatenate(([0.0, 1.0, 1e-300, 1.0 - 1e-16], np.linspace(0.0, 1.0, 41)))
+    c = max(m, 8)
+    for p, q, l in ((1.0, 0.5, 0), (0.9, 0.6, min(m - 1, 2)),
+                    (1.0 - 0.4 / c, 1.0 - 1.3 / c, min(m - 1, 1))):
+        axis = AxisConfig(n=m - l, l=l, pq=PQPair(p, q), alpha=0.5, beta=1.0)
+        w = weight_matrix(axis, xs)
+        assert w.shape == (xs.size, m + 1)
+        for row, x in zip(w, xs):
+            np.testing.assert_array_equal(row, scalar_weight_vector(axis, float(x)))
+        np.testing.assert_array_equal(weight_vector(axis, 0.3), scalar_weight_vector(axis, 0.3))
 
 
 @settings(max_examples=60)

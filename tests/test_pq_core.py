@@ -170,13 +170,45 @@ def test_log_rising_against_mpmath():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+def neumaier_loop(values):
+    """The scalar Neumaier prefix sum that compensated_cumsum vectorizes."""
+    out = np.empty(len(values))
+    s = 0.0
+    c = 0.0
+    for i, v in enumerate(values):
+        t = s + v
+        if abs(s) >= abs(v):
+            c += (s - t) + v
+        else:
+            c += (v - t) + s
+        s = t
+        out[i] = s + c
+    return out
+
+
+ADVERSARIAL = [1.0, 1e-16, -1.0, 1e16, 3.14, -1e16, 2.5e-8] * 40
+
+
 def test_compensated_cumsum_matches_fsum_prefixes():
-    # adversarial mix of magnitudes
-    vals = [1.0, 1e-16, -1.0, 1e16, 3.14, -1e16, 2.5e-8] * 40
-    out = compensated_cumsum(vals)
-    for i in (0, 3, 17, len(vals) - 1):
-        want = math.fsum(vals[: i + 1])
+    out = compensated_cumsum(ADVERSARIAL)
+    for i in (0, 3, 17, len(ADVERSARIAL) - 1):
+        want = math.fsum(ADVERSARIAL[: i + 1])
         assert out[i] == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def test_compensated_cumsum_is_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(20)
+    mixed = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-20, 20, 3000)
+    logs = [math.log(pq_integer(j, PQPair(0.999, 0.998))) for j in range(1, 2001)]
+    for vals in (ADVERSARIAL, mixed, logs, [2.5], []):
+        np.testing.assert_array_equal(compensated_cumsum(vals), neumaier_loop(vals))
+    # along the last axis of 2-D input, each row is its own loop
+    rows = rng.choice([-1.0, 1.0], (7, 500)) * 10.0 ** rng.uniform(-12, 12, (7, 500))
+    rows[3, : len(ADVERSARIAL)] = ADVERSARIAL
+    got = compensated_cumsum(rows)
+    assert got.shape == rows.shape
+    for row, want in zip(got, rows):
+        np.testing.assert_array_equal(row, neumaier_loop(want))
 
 
 def test_cumulative_log_factorials_values_and_caching():
@@ -188,6 +220,26 @@ def test_cumulative_log_factorials_values_and_caching():
     assert lf.flags.writeable is False
     # cache returns the same object for identical keys
     assert cumulative_log_factorials(50, 0.9, 0.6) is lf
+
+
+def test_cumulative_log_factorials_is_the_compensated_sum_of_bracket_logs():
+    # the array bracket table keeps pq_integer's bits, hence the sum's bits
+    for m, p, q in ((1, 0.9, 0.6), (2, 1.0, 0.5), (28, 0.99, 0.95),
+                    (2049, 0.999, 0.998), (4000, 1.0 - 0.3 / 4000, 1.0 - 1.1 / 4000),
+                    (700, 0.9, 0.6)):
+        pq = PQPair(p, q)
+        want = neumaier_loop([math.log(pq_integer(j, pq)) for j in range(1, m + 1)])
+        np.testing.assert_array_equal(cumulative_log_factorials(m, p, q)[1:], want)
+    assert list(cumulative_log_factorials(0, 0.9, 0.6)) == [0.0]
+
+
+def test_cumulative_log_factorials_rejects_underflowed_brackets():
+    # 0.9^7073 is below the smallest subnormal, so [7073] = 0 has no log
+    assert pq_integer(7072, PQPair(0.9, 0.6)) > 0.0
+    assert pq_integer(7073, PQPair(0.9, 0.6)) == 0.0
+    with pytest.raises(ValueError, match=r"bracket \[7073\] underflows to 0 at p=0\.9, q=0\.6"):
+        cumulative_log_factorials(8000, 0.9, 0.6)
+    assert cumulative_log_factorials(7072, 0.9, 0.6)[-1] < 0.0
 
 
 def test_cumulative_log_factorials_long_run_precision():
