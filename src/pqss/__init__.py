@@ -11,15 +11,10 @@ from .analysis import (
     LipschitzSpec,
     MembershipError,
     MetadataError,
-    ModulusValue,
     auxiliary_apply,
     k_functional_upper,
     lipschitz_bound,
     lipschitz_violations,
-    local_smoothness_report,
-    second_modulus,
-    total_modulus,
-    total_modulus_bound,
     total_modulus_bound_grid,
 )
 from .catalog import TestFunction, build_catalog, grid_modulus_estimate, verify_metadata
@@ -38,7 +33,7 @@ from .moments import (
     MomentEntry,
     MomentReport,
     VerifyResult,
-    central_moment_closed,
+    central_moment,
     delta,
     literal_first_moment_factor,
     moment_closed,
@@ -51,18 +46,10 @@ from .operators import (
     BivariateOperator,
     apply_bivariate,
     apply_on_grid,
-    apply_univariate,
     nodes,
     reduce_operator,
     weight_vector,
 )
-from .pq_core import (
-    PQPair,
-    log_rising_product,
-    pq_binomial,
-    pq_factorial,
-    pq_integer,
-    rising_product,
-)
+from .pq_core import PQPair, pq_integer
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Error-bound machinery: moduli of continuity, the quantitative bound,
-Lipschitz classes, and the report-only K-functional estimates.
+"""Error-bound machinery: the quantitative total-modulus bound, Lipschitz
+classes, and an upper estimate of the Peetre K-functional.
 
 The central quantitative statement is
 
@@ -22,15 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .catalog import TestFunction, grid_modulus_estimate
-from .moments import central_moment_closed, delta, first_moment_univariate
+from .catalog import TestFunction
+from .moments import delta, first_moment_univariate
 from .operators import BivariateOperator, GridFn, apply_bivariate, apply_on_grid, tabulate
 
 BOUND_SLACK = 1e-11
+
+# Points per axis of the K-functional's sup grid and of the Lipschitz pair
+# grid, and the number of Lipschitz offenders reported.
+_K_GRID = 101
+_LIPSCHITZ_GRID = 21
+_MAX_VIOLATIONS = 10
 
 
 class MetadataError(ValueError):
@@ -39,53 +45,6 @@ class MetadataError(ValueError):
 
 class MembershipError(ValueError):
     """A function failed the class-membership check required by a bound."""
-
-
-class ModulusValue(NamedTuple):
-    value: float
-    exact: bool
-
-
-def total_modulus(
-    f: TestFunction, delta1: float, delta2: float, grid_k: int = 101
-) -> ModulusValue:
-    """omega_total(f; delta1, delta2), exact when the catalog carries it.
-
-    Falls back to a grid lower estimate flagged exact=False; callers that
-    need a guaranteed value must check the flag.
-    """
-    if f.total_modulus is not None:
-        return ModulusValue(f.total_modulus(delta1, delta2), True)
-    est = grid_modulus_estimate(f.fn, f.width1, f.width2, delta1, delta2, grid_k)
-    return ModulusValue(est, False)
-
-
-def second_modulus(
-    f1d: Callable[[float], float],
-    delta: float,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    grid_k: int = 101,
-) -> float:
-    """Grid estimate of the second-order modulus of a univariate function.
-
-    sup over 0 < h <= delta and x with x + 2h <= hi of
-    |f(x + 2h) - 2 f(x + h) + f(x)|.  Affine functions give 0.  f1d
-    broadcasts over an array of x, like a GridFn with one argument fixed.
-    """
-    if delta < 0.0:
-        raise ValueError(f"requires delta >= 0 (got {delta})")
-    if hi <= lo:
-        raise ValueError(f"requires hi > lo (got lo={lo}, hi={hi})")
-    h_top = min(delta, (hi - lo) / 2.0)
-    if h_top <= 0.0:
-        return 0.0
-    best = 0.0
-    for h in np.linspace(0.0, h_top, grid_k)[1:]:
-        xs = np.linspace(lo, hi - 2.0 * h, grid_k)
-        v = np.abs(f1d(xs + 2.0 * h) - 2.0 * f1d(xs + h) + f1d(xs))
-        best = max(best, float(np.max(v)))
-    return best
 
 
 def shift_point(op: BivariateOperator, x1: float, x2: float) -> tuple[float, float]:
@@ -116,25 +75,6 @@ class BoundResult:
         return self.lhs <= self.rhs + BOUND_SLACK
 
 
-def total_modulus_bound(
-    op: BivariateOperator, f: TestFunction, x1: float, x2: float
-) -> BoundResult:
-    """lhs = |S(f) - f| against rhs = 4 omega_total(f; delta1, delta2).
-
-    Refuses functions without exact modulus metadata: a grid estimate is a
-    lower estimate, so substituting it could both fake and mask violations.
-    """
-    if f.total_modulus is None:
-        raise MetadataError(
-            f"requires exact total_modulus metadata for {f.name!r}; "
-            "grid estimates are not sound in a bound check"
-        )
-    d1 = delta(op, 1, x1)
-    d2 = delta(op, 2, x2)
-    lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
-    return BoundResult(lhs, 4.0 * f.total_modulus(d1, d2))
-
-
 def total_modulus_bound_grid(
     op: BivariateOperator, f: TestFunction, xs1, xs2
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,8 +86,8 @@ def total_modulus_bound_grid(
         )
     s_grid = apply_on_grid(op, f.fn, xs1, xs2)
     lhs = np.abs(s_grid - tabulate(f.fn, xs1, xs2))
-    d1s = delta(op, 1, np.asarray(xs1, dtype=float))
-    d2s = delta(op, 2, np.asarray(xs2, dtype=float))
+    d1s = delta(op.axis1, np.asarray(xs1, dtype=float))
+    d2s = delta(op.axis2, np.asarray(xs2, dtype=float))
     rhs = 4.0 * tabulate(f.total_modulus, d1s, d2s)
     return lhs, rhs
 
@@ -156,7 +96,6 @@ def k_functional_upper(
     f: TestFunction,
     delta_arg: float,
     candidates: Sequence[TestFunction],
-    grid_k: int = 101,
 ) -> float:
     """Upper estimate of the Peetre K-functional at delta_arg.
 
@@ -168,8 +107,8 @@ def k_functional_upper(
         raise ValueError(f"requires delta_arg >= 0 (got {delta_arg})")
     if not candidates:
         raise ValueError("requires a nonempty candidate set")
-    xs = np.linspace(0.0, f.width1, grid_k)
-    ys = np.linspace(0.0, f.width2, grid_k)
+    xs = np.linspace(0.0, f.width1, _K_GRID)
+    ys = np.linspace(0.0, f.width2, _K_GRID)
     f_grid = tabulate(f.fn, xs, ys)
     best = math.inf
     for g in candidates:
@@ -209,20 +148,18 @@ class LipschitzSpec:
 def lipschitz_violations(
     f: TestFunction,
     spec: LipschitzSpec,
-    grid_k: int = 21,
     additive: bool = False,
-    cap: int = 10,
 ) -> list[tuple[tuple[float, float], tuple[float, float], float, float]]:
     """Membership check over all grid-pair combinations; returns violations.
 
     The pair grid contains pairs sharing a coordinate by construction, which
-    is exactly where the product form collapses.  At most `cap` offenders
-    are returned, worst first.
+    is exactly where the product form collapses.  At most _MAX_VIOLATIONS
+    offenders are returned, worst first.
     """
-    xs = np.linspace(0.0, f.width1, grid_k)
-    ys = np.linspace(0.0, f.width2, grid_k)
-    px = np.repeat(xs, grid_k)
-    py = np.tile(ys, grid_k)
+    xs = np.linspace(0.0, f.width1, _LIPSCHITZ_GRID)
+    ys = np.linspace(0.0, f.width2, _LIPSCHITZ_GRID)
+    px = np.repeat(xs, _LIPSCHITZ_GRID)
+    py = np.tile(ys, _LIPSCHITZ_GRID)
     vals = tabulate(f.fn, xs, ys).ravel()
     d1 = np.abs(px[:, None] - px[None, :])
     d2 = np.abs(py[:, None] - py[None, :])
@@ -233,7 +170,7 @@ def lipschitz_violations(
     excess = lhs - rhs
     bad = np.argwhere(excess > 1e-12)
     found = []
-    for i, j in bad[np.argsort(-excess[tuple(bad.T)])][: cap]:
+    for i, j in bad[np.argsort(-excess[tuple(bad.T)])][:_MAX_VIOLATIONS]:
         found.append((
             (float(px[i]), float(py[i])),
             (float(px[j]), float(py[j])),
@@ -250,16 +187,16 @@ def lipschitz_bound(
     x1: float,
     x2: float,
     additive: bool = False,
-    membership_grid_k: int = 21,
 ) -> BoundResult:
     """Holder-type bound for class members, membership checked first.
 
-    Product form: rhs = M c1^{g1/2} c2^{g2/2} with c_i the second central
-    moments.  additive=True switches predicate and bound to the additive
-    class M(|t1-x1|^g1 + |t2-x2|^g2) with rhs = M(c1^{g1/2} + c2^{g2/2});
-    experimental extension, not part of the verified bound set.
+    Product form: rhs = M d1^g1 d2^g2 with d_i = delta(axis_i, x_i), the
+    square roots of the second central moments.  additive=True switches
+    predicate and bound to the additive class M(|t1-x1|^g1 + |t2-x2|^g2)
+    with rhs = M(d1^g1 + d2^g2); experimental extension, not part of the
+    verified bound set.
     """
-    viols = lipschitz_violations(f, spec, membership_grid_k, additive=additive)
+    viols = lipschitz_violations(f, spec, additive=additive)
     if viols:
         a, b, lhs_v, rhs_v = viols[0]
         form = "additive" if additive else "product"
@@ -268,60 +205,11 @@ def lipschitz_bound(
             f"(M={spec.m_const}, gammas=({spec.gamma1}, {spec.gamma2})): "
             f"|f{a} - f{b}| = {lhs_v:.6g} > {rhs_v:.6g}"
         )
-    c1 = central_moment_closed(op, 1, x1, x2)
-    c2 = central_moment_closed(op, 2, x1, x2)
-    c1 = max(c1, 0.0)
-    c2 = max(c2, 0.0)
+    d1 = delta(op.axis1, x1)
+    d2 = delta(op.axis2, x2)
     if additive:
-        rhs = spec.m_const * (c1 ** (spec.gamma1 / 2.0) + c2 ** (spec.gamma2 / 2.0))
+        rhs = spec.m_const * (d1 ** spec.gamma1 + d2 ** spec.gamma2)
     else:
-        rhs = spec.m_const * c1 ** (spec.gamma1 / 2.0) * c2 ** (spec.gamma2 / 2.0)
+        rhs = spec.m_const * d1 ** spec.gamma1 * d2 ** spec.gamma2
     lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
     return BoundResult(lhs, rhs)
-
-
-def local_smoothness_report(
-    op: BivariateOperator,
-    f: TestFunction,
-    x1: float,
-    x2: float,
-    candidates: Sequence[TestFunction] | None = None,
-    grid_k: int = 101,
-) -> dict:
-    """Observational smoothness diagnostics at one point; nothing asserted.
-
-    Collects the actual error, the central-moment scales, a K-functional
-    upper estimate at the shift-corrected argument (c1 + c2 + r^2)/4 with r
-    the first-moment shift radius, the shifted-argument modulus evaluated as
-    omega_total(f; r, r), and per-axis second-modulus estimates taken on the
-    coordinate slices through (x1, x2).  Every entry is an estimate or an
-    observation; none is a verified inequality.
-    """
-    lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
-    c1 = max(central_moment_closed(op, 1, x1, x2), 0.0)
-    c2 = max(central_moment_closed(op, 2, x1, x2), 0.0)
-    p1, p2 = shift_point(op, x1, x2)
-    r = math.hypot(p1 - x1, p2 - x2)
-    omega_shift = total_modulus(f, r, r, grid_k=max(41, grid_k // 2))
-    report = {
-        "lhs": lhs,
-        "delta1": math.sqrt(c1),
-        "delta2": math.sqrt(c2),
-        "central_sum": c1 + c2,
-        "shift_radius": r,
-        "k_argument": (c1 + c2 + r * r) / 4.0,
-        "omega_shift": omega_shift.value,
-        "omega_shift_exact": omega_shift.exact,
-        "omega2_axis1": second_modulus(
-            lambda t: f.fn(t, x2), math.sqrt(c1 + c2) / 2.0, 0.0, f.width1, grid_k
-        ),
-        "omega2_axis2": second_modulus(
-            lambda t: f.fn(x1, t), math.sqrt(c1 + c2) / 2.0, 0.0, f.width2, grid_k
-        ),
-    }
-    if candidates:
-        k_up = k_functional_upper(f, report["k_argument"], candidates, grid_k)
-        report["k_upper"] = k_up
-        report["k_line_rhs"] = 4.0 * k_up + omega_shift.value
-        report["k_line_observed_ok"] = lhs <= report["k_line_rhs"] + BOUND_SLACK
-    return report

@@ -46,6 +46,11 @@ import numpy as np
 from .operators import GridFn, tabulate
 from .pq_core import _libm
 
+# verify_metadata's grids: points per axis for the sup-norm check, and for
+# the all-pairs Lipschitz check (26^2 points, so 26^4 pairs).
+_METADATA_GRID = 101
+_PAIR_GRID = 26
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -57,9 +62,6 @@ class TestFunction:
     lipschitz_axis: tuple[float, float] | None = None
     cb2_norm: float | None = None
     total_modulus: GridFn | None = None
-
-    def __call__(self, t1, t2):
-        return self.fn(t1, t2)
 
 
 def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFunction]:
@@ -204,7 +206,7 @@ def grid_modulus_estimate(
     return best
 
 
-def verify_metadata(tf: TestFunction, grid_k: int = 101, pair_k: int = 26) -> list[str]:
+def verify_metadata(tf: TestFunction) -> list[str]:
     """Check every metadata claim against the evaluator; returns violations.
 
     sup_norm and the Lipschitz constants are checked directly on grids; the
@@ -212,8 +214,8 @@ def verify_metadata(tf: TestFunction, grid_k: int = 101, pair_k: int = 26) -> li
     window sizes.  An empty list means the metadata survived.
     """
     problems: list[str] = []
-    xs = np.linspace(0.0, tf.width1, grid_k)
-    ys = np.linspace(0.0, tf.width2, grid_k)
+    xs = np.linspace(0.0, tf.width1, _METADATA_GRID)
+    ys = np.linspace(0.0, tf.width2, _METADATA_GRID)
     f_grid = tabulate(tf.fn, xs, ys)
 
     if tf.sup_norm is not None:
@@ -223,10 +225,10 @@ def verify_metadata(tf: TestFunction, grid_k: int = 101, pair_k: int = 26) -> li
 
     if tf.lipschitz_axis is not None:
         m1, m2 = tf.lipschitz_axis
-        cx = np.linspace(0.0, tf.width1, pair_k)
-        cy = np.linspace(0.0, tf.width2, pair_k)
-        pts_x = np.repeat(cx, pair_k)
-        pts_y = np.tile(cy, pair_k)
+        cx = np.linspace(0.0, tf.width1, _PAIR_GRID)
+        cy = np.linspace(0.0, tf.width2, _PAIR_GRID)
+        pts_x = np.repeat(cx, _PAIR_GRID)
+        pts_y = np.tile(cy, _PAIR_GRID)
         vals = tabulate(tf.fn, cx, cy).ravel()
         lhs = np.abs(vals[:, None] - vals[None, :])
         rhs = m1 * np.abs(pts_x[:, None] - pts_x[None, :]) + m2 * np.abs(

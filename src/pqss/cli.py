@@ -428,44 +428,38 @@ def cmd_bounds(ns) -> int:
 
 def cmd_catalog(ns) -> int:
     cat = build_catalog(ns.l1 + 1.0, ns.l2 + 1.0)
-    header = ["name", "width1", "width2", "sup_norm", "lip1", "lip2", "cb2_norm", "exact_modulus"]
-    rows = []
-    for name in sorted(cat):
-        tf = cat[name]
-        lip1, lip2 = tf.lipschitz_axis if tf.lipschitz_axis else ("", "")
-        rows.append([
-            name, tf.width1, tf.width2,
-            "" if tf.sup_norm is None else tf.sup_norm,
-            lip1, lip2,
-            "" if tf.cb2_norm is None else tf.cb2_norm,
-            "yes" if tf.total_modulus is not None else "no",
-        ])
-    name_w = max(len(r[0]) for r in rows)
-    print(f"catalog on [0, {ns.l1 + 1}] x [0, {ns.l2 + 1}]:")
-    for r in rows:
-        mod = "exact modulus" if r[7] == "yes" else "estimate only"
-        cb2 = "-" if r[6] == "" else f"{r[6]:.6g}"
-        sup = "-" if r[3] == "" else f"{r[3]:.6g}"
-        print(f"  {r[0]:<{name_w}}  sup {sup:>10}  cb2 {cb2:>10}  {mod}")
-
-    def json_report():
-        return {
-            "width1": ns.l1 + 1.0,
-            "width2": ns.l2 + 1.0,
-            "entries": [
-                {
-                    "name": r[0], "width1": r[1], "width2": r[2],
-                    "sup_norm": None if r[3] == "" else r[3],
-                    "lipschitz_axis": None if r[4] == "" else [r[4], r[5]],
-                    "cb2_norm": None if r[6] == "" else r[6],
-                    "exact_modulus": r[7] == "yes",
-                }
-                for r in rows
-            ],
+    entries = [
+        {
+            "name": name, "width1": tf.width1, "width2": tf.width2,
+            "sup_norm": tf.sup_norm,
+            "lipschitz_axis": list(tf.lipschitz_axis) if tf.lipschitz_axis else None,
+            "cb2_norm": tf.cb2_norm,
+            "exact_modulus": tf.total_modulus is not None,
         }
+        for name, tf in sorted(cat.items())
+    ]
+    name_w = max(len(e["name"]) for e in entries)
+    print(f"catalog on [0, {ns.l1 + 1}] x [0, {ns.l2 + 1}]:")
+    for e in entries:
+        mod = "exact modulus" if e["exact_modulus"] else "estimate only"
+        cb2 = "-" if e["cb2_norm"] is None else f"{e['cb2_norm']:.6g}"
+        sup = "-" if e["sup_norm"] is None else f"{e['sup_norm']:.6g}"
+        print(f"  {e['name']:<{name_w}}  sup {sup:>10}  cb2 {cb2:>10}  {mod}")
+
+    def csv_report():
+        header = ["name", "width1", "width2", "sup_norm", "lip1", "lip2", "cb2_norm",
+                  "exact_modulus"]
+        rows = []
+        for e in entries:
+            lip1, lip2 = e["lipschitz_axis"] or (None, None)
+            cells = [e["name"], e["width1"], e["width2"], e["sup_norm"], lip1, lip2,
+                     e["cb2_norm"], "yes" if e["exact_modulus"] else "no"]
+            rows.append(["" if v is None else v for v in cells])
+        return header, rows
 
     if ns.output:
-        _write_report(ns.output, ns.format, lambda: (header, rows), json_report)
+        _write_report(ns.output, ns.format, csv_report,
+                      lambda: {"width1": ns.l1 + 1.0, "width2": ns.l2 + 1.0, "entries": entries})
     return 0
 
 

@@ -110,13 +110,10 @@ def build_operator(
     n: int,
     shape1: AxisShape,
     shape2: AxisShape,
-    node_exponent: str = "canonical",
 ) -> BivariateOperator:
     pq = spec.pq_at(n)
-    ax1 = AxisConfig(n=n, l=shape1.l, pq=pq, alpha=shape1.alpha, beta=shape1.beta,
-                     node_exponent=node_exponent)
-    ax2 = AxisConfig(n=n, l=shape2.l, pq=pq, alpha=shape2.alpha, beta=shape2.beta,
-                     node_exponent=node_exponent)
+    ax1 = AxisConfig(n=n, l=shape1.l, pq=pq, alpha=shape1.alpha, beta=shape1.beta)
+    ax2 = AxisConfig(n=n, l=shape2.l, pq=pq, alpha=shape2.alpha, beta=shape2.beta)
     return BivariateOperator(ax1, ax2)
 
 
@@ -264,8 +261,8 @@ def convergence_table(
         bound = None
         ratio = None
         if f.total_modulus is not None:
-            d1 = delta(op, 1, float(xs[i1]))
-            d2 = delta(op, 2, float(xs[i2]))
+            d1 = delta(op.axis1, float(xs[i1]))
+            d2 = delta(op.axis2, float(xs[i2]))
             bound = 4.0 * f.total_modulus(d1, d2)
             if bound > 0.0:
                 ratio = sup_err / bound

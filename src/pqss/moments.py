@@ -69,8 +69,17 @@ def second_moment_univariate(axis: AxisConfig, x):
     ) / den ** 2
 
 
-def central_second_coefficients(axis: AxisConfig) -> tuple[float, float, float]:
-    """(A, B, C) of the central-moment quadratic A x^2 + B x + C."""
+def _raw_moment(axis: AxisConfig, k: int, x):
+    """S(t^k; x) on one axis for k in (0, 1, 2); accepts scalars or arrays."""
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return first_moment_univariate(axis, x)
+    return second_moment_univariate(axis, x)
+
+
+def central_moment(axis: AxisConfig, x):
+    """Closed S((t - x)^2; x) = A x^2 + B x + C on one axis; scalars or arrays."""
     p, q = axis.pq.p, axis.pq.q
     m = axis.degree
     den = pq_integer(axis.n, axis.pq) + axis.beta
@@ -79,12 +88,15 @@ def central_second_coefficients(axis: AxisConfig) -> tuple[float, float, float]:
     a = (q * bm * bm1 - 2.0 * bm * den + den * den) / den ** 2
     b = (bm * (p ** (m - 1) + 2.0 * axis.alpha) - 2.0 * axis.alpha * den) / den ** 2
     c = axis.alpha ** 2 / den ** 2
-    return a, b, c
+    return (a * x + b) * x + c
 
 
 def moment_closed(op: BivariateOperator, i: int, j: int, x1: float, x2: float) -> float:
     """Closed form of S(e_ij; x1, x2) for the six supported index pairs.
 
+    The operator is a tensor product, so S(t1^i t2^j; x1, x2) is
+    S1(t^i; x1) * S2(t^j; x2), each factor taken from its own axis (the
+    factor for exponent 0 is exactly 1.0, which keeps every bit of the other).
     Valid for canonical-node axes; for the literal node convention the first
     moments genuinely differ by p^l (see literal_first_moment_factor), which
     is exactly what verify surfaces.
@@ -93,47 +105,17 @@ def moment_closed(op: BivariateOperator, i: int, j: int, x1: float, x2: float) -
         raise ValueError(
             f"requires (i, j) in {sorted(_VALID_IJ)} (got ({i}, {j}))"
         )
-    if (i, j) == (0, 0):
-        return 1.0
-    if (i, j) == (1, 0):
-        return first_moment_univariate(op.axis1, x1)
-    if (i, j) == (0, 1):
-        return first_moment_univariate(op.axis2, x2)
-    if (i, j) == (1, 1):
-        return first_moment_univariate(op.axis1, x1) * first_moment_univariate(op.axis2, x2)
-    if (i, j) == (2, 0):
-        return second_moment_univariate(op.axis1, x1)
-    return second_moment_univariate(op.axis2, x2)
+    return _raw_moment(op.axis1, i, x1) * _raw_moment(op.axis2, j, x2)
 
 
-def central_moment_closed(op: BivariateOperator, axis_index: int, x1: float, x2: float):
-    """S((t_i - x_i)^2; x1, x2) for axis_index in {1, 2}.
-
-    Depends only on the matching coordinate (the other axis integrates to 1).
-    """
-    if axis_index == 1:
-        a, b, c = central_second_coefficients(op.axis1)
-        x = x1
-    elif axis_index == 2:
-        a, b, c = central_second_coefficients(op.axis2)
-        x = x2
-    else:
-        raise ValueError(f"requires axis_index in (1, 2) (got {axis_index})")
-    return (a * x + b) * x + c
-
-
-def delta(op: BivariateOperator, axis_index: int, x):
-    """sqrt of the second central moment along one axis, at a scalar or an array x.
+def delta(axis: AxisConfig, x):
+    """sqrt of one axis's second central moment, at a scalar or an array x.
 
     The closed quadratic is nonnegative on [0, 1] in exact arithmetic;
     roundoff dips down to -1e-13 are clamped to zero, anything lower raises.
     A scalar x gives a float.
     """
-    if axis_index == 1:
-        c = central_moment_closed(op, 1, x, 0.0)
-    else:
-        c = central_moment_closed(op, 2, 0.0, x)
-    c = np.asarray(c, dtype=float)
+    c = np.asarray(central_moment(axis, x), dtype=float)
     if np.any(c < -1e-13):
         raise ArithmeticError(
             f"central moment unexpectedly negative ({np.min(c)}); config or closed form is wrong"
@@ -317,8 +299,8 @@ class VerifyResult:
 
 
 def verify_moments(
-    ops: list[BivariateOperator] | None = None,
-    xs=None,
+    ops: list[BivariateOperator],
+    xs,
     tolerance: float = 1e-10,
 ) -> VerifyResult:
     """Compare every closed moment against the oracle across a grid.
@@ -327,10 +309,6 @@ def verify_moments(
     grid point; |closed - oracle| must stay within tolerance * max(1, |oracle|).
     Keeps one report per operator, taken at its worst point.
     """
-    if ops is None:
-        ops = standard_sweep()
-    if xs is None:
-        xs = sweep_grid()
     result = VerifyResult(tolerance=tolerance)
     xs = np.asarray(xs, dtype=float)
     x1s, x2s = xs[:, None], xs[None, :]
@@ -346,8 +324,8 @@ def verify_moments(
             (name, np.broadcast_to(moment_closed(op, i, j, x1s, x2s), shape))
             for name, i, j in MOMENT_NAMES
         ] + [
-            (f"central{k}", np.broadcast_to(central_moment_closed(op, k, x1s, x2s), shape))
-            for k in (1, 2)
+            ("central1", np.broadcast_to(central_moment(op.axis1, x1s), shape)),
+            ("central2", np.broadcast_to(central_moment(op.axis2, x2s), shape)),
         ]
         w1s = [oracle_weight_vector(op.axis1, x) for x in xs]
         w2s = [oracle_weight_vector(op.axis2, x) for x in xs]

@@ -84,6 +84,11 @@ class AxisConfig:
             raise ValueError(
                 f"requires node_exponent in {NODE_EXPONENTS} (got {self.node_exponent!r})"
             )
+        if pq_integer(self.n, self.pq) == 0.0:
+            raise ValueError(
+                f"requires [n] > 0 (got [n] = 0 at n={self.n}, p={self.pq.p}, "
+                f"q={self.pq.q}: p^n is below the smallest double)"
+            )
 
     @property
     def degree(self) -> int:
@@ -143,13 +148,6 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
 def weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     """All weights s_0(x)..s_m(x): the one row of weight_matrix(axis, [x])."""
     return weight_matrix(axis, [x])[0]
-
-
-def apply_univariate(axis: AxisConfig, f: Callable, x: float) -> float:
-    """sum_nu s_nu(x) f(t_nu); f broadcasts over the node vector, like tabulate's fn."""
-    w = weight_vector(axis, x)
-    t = nodes(axis)
-    return float(w @ np.broadcast_to(f(t), t.shape))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,11 @@ the bracket numbers
 
     [k] = (p^k - q^k) / (p - q),      [0] = 0,
 
-their factorials and binomials, and the rising products
-prod_{j=0}^{m-1} (p^j - q^j x) that appear in the operator weights.  Two
-evaluation styles live here: plain double precision for small problems, and a
-log-space path (sign, log magnitude) that stays finite when the direct
-products under- or overflow.
+their log-factorials, and the logs of the rising-product factors
+p^j - q^j x that appear in the operator weights.  A single bracket is plain
+double precision; the tables are built in log space (compensated sums of log
+magnitudes), so they stay finite where the direct products under- or
+overflow.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
-
-DEFAULT_FACTORIAL_CAP = 10_000
 
 
 def _libm(fn: Callable[[float], float], x):
@@ -71,46 +69,6 @@ def pq_integer(k: int, pq: PQPair) -> float:
     return -(p ** k) * math.expm1(k * log_ratio) / (p - q)
 
 
-def pq_factorial(k: int, pq: PQPair, cap: int = DEFAULT_FACTORIAL_CAP) -> float:
-    """[k]! = [1][2]...[k], empty product 1.  Refuses k above `cap`."""
-    if k < 0:
-        raise ValueError(f"requires k >= 0 (got k={k})")
-    if k > cap:
-        raise ValueError(f"requires k <= {cap} (got k={k}); raise cap explicitly if intended")
-    acc = 1.0
-    for j in range(2, k + 1):
-        acc *= pq_integer(j, pq)
-    return acc
-
-
-def pq_binomial(n: int, k: int, pq: PQPair) -> float:
-    """[n]! / ([k]! [n-k]!).  Requires 0 <= k <= n."""
-    if not (0 <= k <= n):
-        raise ValueError(f"requires 0 <= k <= n (got n={n}, k={k})")
-    return pq_factorial(n, pq) / (pq_factorial(k, pq) * pq_factorial(n - k, pq))
-
-
-def rising_product(m: int, x: float, pq: PQPair) -> float:
-    """Direct product prod_{j=0}^{m-1} (p^j - q^j x), empty product 1.
-
-    Plain double precision; under/overflows for large m are the caller's
-    problem (use log_rising_product there).
-    """
-    if m < 0:
-        raise ValueError(f"requires m >= 0 (got m={m})")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"requires x in [0, 1] (got x={x})")
-    p, q = pq.p, pq.q
-    acc = 1.0
-    pj = 1.0
-    qj = 1.0
-    for _ in range(m):
-        acc *= pj - qj * x
-        pj *= p
-        qj *= q
-    return acc
-
-
 def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
     """Logs of the factors p^j - q^j x for j = 0..m-1, one row per x in xs.
 
@@ -128,24 +86,6 @@ def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
     log_x = _libm(math.log, xs[inner])
     out[inner] += _libm(math.log, -_libm(math.expm1, j * log_ratio + log_x[:, None]))
     return out
-
-
-def log_rising_product(m: int, x: float, pq: PQPair) -> tuple[int, float]:
-    """Rising product as (sign, log magnitude).
-
-    sign is 0 exactly when a factor vanishes, which happens iff x = 1 and
-    m >= 1 (the j = 0 factor); the log is then -inf.  All other factors are
-    strictly positive under 0 < q < p, so sign is otherwise +1.  Agrees with
-    rising_product to ~1e-13 relative wherever the direct product is
-    representable.
-    """
-    if m < 0:
-        raise ValueError(f"requires m >= 0 (got m={m})")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"requires x in [0, 1] (got x={x})")
-    if m >= 1 and x == 1.0:
-        return 0, -math.inf
-    return 1, math.fsum(_log_rising_terms(m, [x], pq)[0].tolist())
 
 
 def compensated_cumsum(values) -> np.ndarray:

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -15,42 +14,29 @@ from pqss.analysis import (
     k_functional_upper,
     lipschitz_bound,
     lipschitz_violations,
-    local_smoothness_report,
-    second_modulus,
     shift_point,
-    total_modulus,
-    total_modulus_bound,
     total_modulus_bound_grid,
 )
 from pqss.catalog import build_catalog
-from pqss.moments import first_moment_univariate
-from pqss.operators import AxisConfig, BivariateOperator, apply_on_grid, sample_at_nodes
+from pqss.moments import delta, first_moment_univariate
+from pqss.operators import (
+    AxisConfig,
+    BivariateOperator,
+    apply_bivariate,
+    apply_on_grid,
+    sample_at_nodes,
+)
 from pqss.pq_core import PQPair
 
 CAT = build_catalog(2.0, 2.0)
 CAT11 = build_catalog(1.0, 1.0)
 
 
-def test_total_modulus_exactness_flag():
-    v = total_modulus(CAT["sum"], 0.1, 0.2)
-    assert v.exact
-    assert v.value == pytest.approx(0.3, abs=1e-15)
-    est = total_modulus(CAT["sinprod"], 0.25, 0.25, grid_k=41)
-    assert not est.exact
-    assert 0.0 < est.value <= 2.0
-
-
-def test_second_modulus():
-    # affine slices have zero second differences up to roundoff
-    assert second_modulus(lambda t: 3.0 * t - 1.0, 0.4) <= 1e-14
-    # f = t^2: |f(x+2h) - 2f(x+h) + f(x)| = 2h^2, maximal at h = delta
-    got = second_modulus(lambda t: t * t, 0.25, 0.0, 1.0, grid_k=101)
-    assert got == pytest.approx(2.0 * 0.25 ** 2, rel=1e-12)
-    assert second_modulus(lambda t: math.sin(t), 0.0) == 0.0
-    with pytest.raises(ValueError, match="delta >= 0"):
-        second_modulus(lambda t: t, -0.1)
-    with pytest.raises(ValueError, match="hi > lo"):
-        second_modulus(lambda t: t, 0.1, 1.0, 1.0)
+def total_modulus_bound(op, f, x1, x2):
+    """Pointwise reference for total_modulus_bound_grid: |S(f) - f| against
+    4 omega_total(f; delta1(x1), delta2(x2))."""
+    lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
+    return BoundResult(lhs, 4.0 * f.total_modulus(delta(op.axis1, x1), delta(op.axis2, x2)))
 
 
 def test_shift_point_matches_first_moments(worked_op):
@@ -86,8 +72,6 @@ def test_total_modulus_bound_worked(worked_op):
 
 
 def test_total_modulus_bound_refuses_estimate_only(worked_op):
-    with pytest.raises(MetadataError, match="sinprod"):
-        total_modulus_bound(worked_op, CAT["sinprod"], 0.5, 0.5)
     with pytest.raises(MetadataError, match="sinprod"):
         total_modulus_bound_grid(worked_op, CAT["sinprod"], [0.5], [0.5])
 
@@ -138,7 +122,7 @@ def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     monkeypatch.setattr(operators, "weight_vector", no_rows)
     delta_axes = []
     real_delta = analysis.delta
-    monkeypatch.setattr(analysis, "delta", lambda *a: delta_axes.append(a[1]) or real_delta(*a))
+    monkeypatch.setattr(analysis, "delta", lambda *a: delta_axes.append(a[0]) or real_delta(*a))
 
     f = _Counting(tf.fn)
     sample_at_nodes(op, f)
@@ -151,7 +135,7 @@ def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     f, om = _Counting(tf.fn), _Counting(tf.total_modulus)
     counted = dataclasses.replace(tf, fn=f, total_modulus=om)
     lhs, rhs = total_modulus_bound_grid(op, counted, xs, xs)
-    assert (f.calls, om.calls, delta_axes) == (2, 1, [1, 2])
+    assert (f.calls, om.calls, delta_axes) == (2, 1, [op.axis1, op.axis2])
     np.testing.assert_array_equal((lhs, rhs), want)
 
 
@@ -208,30 +192,6 @@ def test_lipschitz_bound(worked_op):
     add = LipschitzSpec(1.0, 1.0, 1.0)
     res = lipschitz_bound(worked_op, CAT["sum"], add, 0.4, 0.6, additive=True)
     assert res.holds
-
-
-def test_local_smoothness_report(worked_op):
-    rep = local_smoothness_report(worked_op, CAT["e20"], 0.5, 0.5)
-    for key in (
-        "lhs", "delta1", "delta2", "central_sum", "shift_radius",
-        "k_argument", "omega_shift", "omega_shift_exact",
-        "omega2_axis1", "omega2_axis2",
-    ):
-        assert key in rep
-    assert rep["omega_shift_exact"]
-    assert rep["delta1"] > 0.0
-    # sum has affine coordinate slices, so both second moduli vanish (to roundoff)
-    rep_sum = local_smoothness_report(worked_op, CAT["sum"], 0.5, 0.5, grid_k=41)
-    assert rep_sum["omega2_axis1"] <= 1e-14
-    assert rep_sum["omega2_axis2"] <= 1e-14
-
-    smooth = [CAT["const1"], CAT["e11"], CAT["e20"], CAT["sum"], CAT["exp_sum"]]
-    rep_k = local_smoothness_report(worked_op, CAT["e20"], 0.5, 0.5, candidates=smooth, grid_k=41)
-    assert rep_k["k_upper"] >= 0.0
-    assert rep_k["k_line_rhs"] == pytest.approx(
-        4.0 * rep_k["k_upper"] + rep_k["omega_shift"], rel=1e-14
-    )
-    assert rep_k["k_line_observed_ok"]
 
 
 def test_bound_sweep_over_catalog(worked_op):

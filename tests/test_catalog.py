@@ -18,8 +18,8 @@ EXPECTED_NAMES = {
 def test_catalog_names_and_evaluation():
     cat = build_catalog(1.0, 1.0)
     assert set(cat) == EXPECTED_NAMES
-    assert cat["e11"](0.25, 0.5) == 0.125
-    assert cat["const1"](0.9, 0.1) == 1.0
+    assert cat["e11"].fn(0.25, 0.5) == 0.125
+    assert cat["const1"].fn(0.9, 0.1) == 1.0
 
 
 def test_width_floor():

@@ -8,8 +8,7 @@ import pqss.moments as moments
 from pqss.moments import (
     MOMENT_CSV_HEADER,
     MomentReport,
-    central_moment_closed,
-    central_second_coefficients,
+    central_moment,
     delta,
     first_moment_univariate,
     literal_first_moment_factor,
@@ -43,14 +42,13 @@ def test_second_moment_worked(worked_axis):
 
 
 def test_central_coefficients_match_expansion(worked_axis):
-    a, b, c = central_second_coefficients(worked_axis)
     for x in np.linspace(0.0, 1.0, 9):
         direct = (
             second_moment_univariate(worked_axis, x)
             - 2.0 * x * first_moment_univariate(worked_axis, x)
             + x * x
         )
-        assert a * x * x + b * x + c == pytest.approx(direct, abs=1e-14)
+        assert central_moment(worked_axis, x) == pytest.approx(direct, abs=1e-14)
 
 
 def test_moment_closed_names(worked_op):
@@ -65,44 +63,41 @@ def test_moment_closed_names(worked_op):
         moment_closed(worked_op, 2, 1, 0.5, 0.5)
 
 
-def test_central_moment_closed(worked_op):
-    got = central_moment_closed(worked_op, 1, 0.5, 0.9)
+def test_central_moment_closed(worked_axis):
     want = 3.953125 / 12.25 - 2.0 * 0.5 * (1.875 / 3.5) + 0.25
-    assert got == pytest.approx(want, abs=1e-15)
-    # axis 2 ignores x1
-    assert central_moment_closed(worked_op, 2, 0.1, 0.5) == pytest.approx(want, abs=1e-15)
-    with pytest.raises(ValueError, match="axis_index"):
-        central_moment_closed(worked_op, 3, 0.5, 0.5)
+    assert central_moment(worked_axis, 0.5) == pytest.approx(want, abs=1e-15)
+    # an array of x gives the scalar values bit for bit
+    xs = np.linspace(0.0, 1.0, 7)
+    np.testing.assert_array_equal(
+        central_moment(worked_axis, xs), [central_moment(worked_axis, float(x)) for x in xs]
+    )
 
 
-def test_delta_values_and_clamping(worked_op, monkeypatch):
+def test_delta_values_and_clamping(worked_axis, monkeypatch):
     # exact: sqrt(e20 - 2 x e10 + x^2) at x=0.5
     want = math.sqrt(3.953125 / 12.25 - 1.875 / 3.5 + 0.25)
-    assert delta(worked_op, 1, 0.5) == pytest.approx(want, rel=1e-13)
+    assert delta(worked_axis, 0.5) == pytest.approx(want, rel=1e-13)
     # alpha=0 axis at x=0: central second moment is exactly 0
-    axis = AxisConfig(n=3, l=0, pq=PQPair(0.9, 0.6))
-    op0 = BivariateOperator(axis, axis)
-    assert delta(op0, 1, 0.0) == 0.0
-    assert delta(op0, 2, 0.0) == 0.0
+    axis0 = AxisConfig(n=3, l=0, pq=PQPair(0.9, 0.6))
+    assert delta(axis0, 0.0) == 0.0
 
     # an array of x gives the scalar results bit for bit; a scalar gives a float
     xs = np.linspace(0.0, 1.0, 23)
-    for k in (1, 2):
-        assert type(delta(worked_op, k, 0.5)) is float
-        np.testing.assert_array_equal(
-            delta(worked_op, k, xs), [delta(worked_op, k, float(x)) for x in xs]
-        )
+    other = AxisConfig(n=25, l=3, pq=PQPair(0.99, 0.95), alpha=0.5, beta=0.5)
+    for axis in (worked_axis, axis0, other):
+        assert type(delta(axis, 0.5)) is float
+        np.testing.assert_array_equal(delta(axis, xs), [delta(axis, float(x)) for x in xs])
 
-    monkeypatch.setattr(moments, "central_moment_closed", lambda *a: -5e-14)
-    assert delta(worked_op, 1, 0.5) == 0.0
-    monkeypatch.setattr(moments, "central_moment_closed", lambda *a: -1e-3)
+    monkeypatch.setattr(moments, "central_moment", lambda *a: -5e-14)
+    assert delta(worked_axis, 0.5) == 0.0
+    monkeypatch.setattr(moments, "central_moment", lambda *a: -1e-3)
     with pytest.raises(ArithmeticError, match="unexpectedly negative"):
-        delta(worked_op, 1, 0.5)
-    monkeypatch.setattr(moments, "central_moment_closed", lambda *a: np.array([0.25, -5e-14]))
-    np.testing.assert_array_equal(delta(worked_op, 1, xs[:2]), [0.5, 0.0])
-    monkeypatch.setattr(moments, "central_moment_closed", lambda *a: np.array([0.25, -1e-3]))
+        delta(worked_axis, 0.5)
+    monkeypatch.setattr(moments, "central_moment", lambda *a: np.array([0.25, -5e-14]))
+    np.testing.assert_array_equal(delta(worked_axis, xs[:2]), [0.5, 0.0])
+    monkeypatch.setattr(moments, "central_moment", lambda *a: np.array([0.25, -1e-3]))
     with pytest.raises(ArithmeticError, match="unexpectedly negative"):
-        delta(worked_op, 1, xs[:2])
+        delta(worked_axis, xs[:2])
 
 
 def test_oracle_weight_vector_matches_production(worked_axis):
@@ -130,8 +125,8 @@ def test_oracle_tensor_factorization(worked_op):
     x1, x2 = 0.3, 0.8
     f = lambda a, b: (a - x1) ** 2 * (b - x2) ** 2
     got = moment_oracle(worked_op, f, x1, x2)
-    c1 = central_moment_closed(worked_op, 1, x1, x2)
-    c2 = central_moment_closed(worked_op, 2, x1, x2)
+    c1 = central_moment(worked_op.axis1, x1)
+    c2 = central_moment(worked_op.axis2, x2)
     assert got == pytest.approx(c1 * c2, rel=1e-12)
 
 
@@ -160,6 +155,21 @@ def test_verify_moments_clean_subset():
     assert res.failures == []
     assert len(res.reports) == 6
     assert max(r.max_absdiff for r in res.reports) < 1e-12
+
+
+def test_verify_moments_asymmetric_axes():
+    # the symmetric sweep cannot tell the axes apart; pairing axis i with
+    # axis (i + 67) mod 135 changes n, l, (p, q) and (alpha, beta) at once,
+    # so a moment taken from the wrong axis fails here
+    sweep = standard_sweep()
+    ops = [BivariateOperator(sweep[i].axis1, sweep[(i + 67) % 135].axis2) for i in range(135)]
+    for op in ops:
+        a1, a2 = op.axis1, op.axis2
+        assert a1.n != a2.n and a1.l != a2.l
+        assert a1.pq != a2.pq and (a1.alpha, a1.beta) != (a2.alpha, a2.beta)
+    res = verify_moments(ops, sweep_grid(3), tolerance=1e-10)
+    assert res.ok, res.failures[:3]
+    assert res.n_checks == 135 * 9 * 8
 
 
 def test_verify_moments_flags_literal_nodes():

@@ -10,13 +10,18 @@ from pqss.operators import (
     BivariateOperator,
     apply_bivariate,
     apply_on_grid,
-    apply_univariate,
     nodes,
     reduce_operator,
     weight_matrix,
     weight_vector,
 )
 from pqss.pq_core import PQPair, pq_integer
+
+
+def apply_univariate(axis, f, x):
+    """Reference one-axis operator: sum_nu s_nu(x) f(t_nu); f broadcasts over the nodes."""
+    t = nodes(axis)
+    return float(weight_vector(axis, x) @ np.broadcast_to(f(t), t.shape))
 
 
 def sweep_axes(node_exponent="canonical"):
@@ -44,6 +49,11 @@ def test_axis_config_validation():
         AxisConfig(n=1, l=0, pq=pq, alpha=math.inf, beta=math.inf)
     with pytest.raises(ValueError, match="finite 0 <= alpha <= beta"):
         AxisConfig(n=1, l=0, pq=pq, alpha=0.0, beta=math.inf)
+    # 0.9^8000 underflows, so [n] = 0 and the nodes would divide by [n] + beta
+    assert pq_integer(8000, pq) == 0.0
+    with pytest.raises(ValueError, match=r"\[n\] > 0 \(got \[n\] = 0 at n=8000, p=0.9, q=0.6"):
+        AxisConfig(n=8000, l=0, pq=pq)
+    assert AxisConfig(n=7000, l=0, pq=pq).n == 7000
 
 
 def test_endpoint_weights_are_exact_unit_vectors(worked_axis):

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pqss.moments import _pascal_binomials
 from pqss.pq_core import (
     PQPair,
+    _log_rising_terms,
     compensated_cumsum,
     cumulative_log_factorials,
-    log_rising_product,
-    pq_binomial,
-    pq_factorial,
     pq_integer,
-    rising_product,
 )
 
 PAIRS = [PQPair(1.0, 0.5), PQPair(0.9, 0.6), PQPair(0.99, 0.95)]
@@ -21,6 +19,21 @@ PAIRS = [PQPair(1.0, 0.5), PQPair(0.9, 0.6), PQPair(0.99, 0.95)]
 def bracket_sum_form(k, pq):
     # independent formula: [k] = sum_{i<k} p^{k-1-i} q^i
     return math.fsum(pq.p ** (k - 1 - i) * pq.q ** i for i in range(k))
+
+
+def bracket_factorial(k, pq):
+    # [k]! = [1][2]...[k] as a plain product, empty product 1
+    return math.prod(pq_integer(j, pq) for j in range(1, k + 1))
+
+
+def rising_product(m, x, pq):
+    # direct product prod_{j<m} (p^j - q^j x) in plain double precision
+    return math.prod(pq.p ** j - pq.q ** j * x for j in range(m))
+
+
+def log_rising_sum(m, x, pq):
+    # log of the rising product: the fsum of one _log_rising_terms row
+    return math.fsum(_log_rising_terms(m, [x], pq)[0].tolist())
 
 
 def test_pqpair_rejects_bad_parameters():
@@ -77,84 +90,61 @@ def test_pq_integer_positive_and_bounded(p, frac, k):
 
 
 def test_pq_factorial_values():
-    assert pq_factorial(0, PAIRS[0]) == 1.0
-    assert pq_factorial(1, PAIRS[0]) == 1.0
-    assert pq_factorial(2, PAIRS[0]) == 1.5
-    assert pq_factorial(3, PAIRS[0]) == 2.625       # 1 * 1.5 * 1.75
-
-
-def test_pq_factorial_cap():
-    with pytest.raises(ValueError, match="k <= 10000"):
-        pq_factorial(10_001, PAIRS[1])
-    # explicit cap override is allowed
-    assert pq_factorial(12, PAIRS[1], cap=12) > 0.0
+    # the log-factorial table of p = 1, q = 0.5: [2]! = 1.5, [3]! = 1 * 1.5 * 1.75
+    lf = cumulative_log_factorials(3, 1.0, 0.5)
+    assert lf[0] == 0.0 and lf[1] == 0.0
+    assert math.exp(lf[2]) == pytest.approx(1.5, rel=1e-15)
+    assert math.exp(lf[3]) == pytest.approx(2.625, rel=1e-15)
 
 
 def test_pq_binomial_edges_and_value():
-    assert pq_binomial(5, 0, PAIRS[1]) == 1.0
-    assert pq_binomial(5, 5, PAIRS[1]) == 1.0
-    # C(3,1) = [3]!/([1]![2]!) = [3]
-    assert pq_binomial(3, 1, PAIRS[1]) == pytest.approx(pq_integer(3, PAIRS[1]), rel=1e-13)
-
-
-def test_pq_binomial_rejects_bad_indices():
-    for n, k in ((3, 4), (3, -1), (-1, 0)):
-        with pytest.raises(ValueError, match="0 <= k <= n"):
-            pq_binomial(n, k, PAIRS[0])
+    # the oracle's (p,q)-Pascal rows: C(5,0) = C(5,5) = 1, C(3,1) = [3]
+    row = _pascal_binomials(5, 0.9, 0.6)
+    assert row[0] == 1.0 and row[5] == 1.0
+    assert _pascal_binomials(3, 0.9, 0.6)[1] == pytest.approx(pq_integer(3, PAIRS[1]), rel=1e-13)
 
 
 def test_pascal_identities_both_variants():
-    # both recurrences follow from [n] = p^k [n-k] + q^{n-k} [k]; the suite
-    # records that BOTH hold, not just one
+    # both recurrences follow from [n] = p^k [n-k] + q^{n-k} [k]; the rows are
+    # built with the first, and the suite records that they equal the
+    # bracket-factorial ratio and satisfy the second as well
     for pq in PAIRS:
         p, q = pq.p, pq.q
         for n in range(1, 31):
+            row = _pascal_binomials(n, p, q)
+            prev = _pascal_binomials(n - 1, p, q)
+            for k in range(n + 1):
+                ratio = bracket_factorial(n, pq) / (
+                    bracket_factorial(k, pq) * bracket_factorial(n - k, pq)
+                )
+                assert row[k] == pytest.approx(ratio, rel=1e-11)
             for k in range(1, n):
-                c = pq_binomial(n, k, pq)
-                v1 = p ** k * pq_binomial(n - 1, k, pq) + q ** (n - k) * pq_binomial(n - 1, k - 1, pq)
-                v2 = q ** k * pq_binomial(n - 1, k, pq) + p ** (n - k) * pq_binomial(n - 1, k - 1, pq)
-                assert c == pytest.approx(v1, rel=1e-11)
-                assert c == pytest.approx(v2, rel=1e-11)
+                v2 = q ** k * prev[k] + p ** (n - k) * prev[k - 1]
+                assert row[k] == pytest.approx(v2, rel=1e-11)
 
 
 def test_rising_product_values():
-    assert rising_product(0, 0.7, PAIRS[1]) == 1.0
-    assert rising_product(1, 1.0, PAIRS[1]) == 0.0          # factor 1 - x
+    assert _log_rising_terms(0, [0.7], PAIRS[1]).shape == (1, 0)    # empty product 1
     # (1 - 0.5)(0.9 - 0.6*0.5) = 0.5 * 0.6
-    assert rising_product(2, 0.5, PAIRS[1]) == pytest.approx(0.30, rel=1e-14)
+    assert math.exp(log_rising_sum(2, 0.5, PAIRS[1])) == pytest.approx(0.30, rel=1e-14)
 
 
 def test_rising_product_at_zero_is_power_of_p():
-    # every factor is p^j, so the product collapses to p^{m(m-1)/2}
+    # every factor is p^j, so the log of the product is m(m-1)/2 log p
     for pq in PAIRS:
         for m in (0, 1, 2, 7, 40):
-            want = pq.p ** (m * (m - 1) // 2)
-            assert rising_product(m, 0.0, pq) == pytest.approx(want, rel=1e-13)
-
-
-def test_rising_product_validation():
-    with pytest.raises(ValueError, match="m >= 0"):
-        rising_product(-1, 0.5, PAIRS[0])
-    with pytest.raises(ValueError, match="x in \\[0, 1\\]"):
-        rising_product(2, 1.5, PAIRS[0])
-
-
-def test_log_rising_sign_convention():
-    assert log_rising_product(0, 1.0, PAIRS[1]) == (1, 0.0)
-    sign, mag = log_rising_product(3, 1.0, PAIRS[1])
-    assert sign == 0 and mag == -math.inf
-    sign, _ = log_rising_product(3, 0.999, PAIRS[1])
-    assert sign == 1
+            want = m * (m - 1) // 2 * math.log(pq.p)
+            assert log_rising_sum(m, 0.0, pq) == pytest.approx(want, rel=1e-13)
 
 
 def test_log_rising_agrees_with_direct():
+    xs = (0.1, 0.5, 0.9)
     for pq in PAIRS:
         for m in (1, 5, 50, 200):
-            for x in (0.1, 0.5, 0.9):
-                direct = rising_product(m, x, pq)
-                sign, mag = log_rising_product(m, x, pq)
-                assert sign == 1
-                assert math.exp(mag) == pytest.approx(direct, rel=1e-12)
+            rows = _log_rising_terms(m, xs, pq)
+            for x, row in zip(xs, rows):
+                got = math.exp(math.fsum(row.tolist()))
+                assert got == pytest.approx(rising_product(m, x, pq), rel=1e-12)
 
 
 def test_log_rising_against_mpmath():
@@ -166,7 +156,7 @@ def test_log_rising_against_mpmath():
         for j in range(m):
             prod *= p ** j - (q ** j) * x
         want = float(mp.log(prod))
-    _, got = log_rising_product(200, 0.5, PQPair(0.99, 0.98))
+    got = log_rising_sum(200, 0.5, PQPair(0.99, 0.98))
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -215,7 +205,7 @@ def test_cumulative_log_factorials_values_and_caching():
     lf = cumulative_log_factorials(50, 0.9, 0.6)
     assert lf[0] == 0.0
     for k in (1, 7, 50):
-        want = math.log(pq_factorial(k, PAIRS[1]))
+        want = math.log(bracket_factorial(k, PAIRS[1]))
         assert lf[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert lf.flags.writeable is False
     # cache returns the same object for identical keys
