@@ -50,6 +50,8 @@ from .pq_core import _libm
 # the all-pairs Lipschitz check (26^2 points, so 26^4 pairs).
 _METADATA_GRID = 101
 _PAIR_GRID = 26
+# grid_modulus_estimate's points per axis.
+_MODULUS_GRID = 41
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,6 @@ def grid_modulus_estimate(
     width2: float,
     delta1: float,
     delta2: float,
-    grid_k: int = 101,
 ) -> float:
     """Lower estimate of the total modulus from a uniform grid.
 
@@ -185,20 +186,20 @@ def grid_modulus_estimate(
     """
     if delta1 < 0.0 or delta2 < 0.0:
         raise ValueError(f"requires deltas >= 0 (got {delta1}, {delta2})")
-    xs = np.linspace(0.0, width1, grid_k)
-    ys = np.linspace(0.0, width2, grid_k)
+    xs = np.linspace(0.0, width1, _MODULUS_GRID)
+    ys = np.linspace(0.0, width2, _MODULUS_GRID)
     f_grid = tabulate(fn, xs, ys)
-    h1 = width1 / (grid_k - 1)
-    h2 = width2 / (grid_k - 1)
-    max_i = min(int(delta1 / h1 + 1e-9), grid_k - 1)
-    max_j = min(int(delta2 / h2 + 1e-9), grid_k - 1)
+    h1 = width1 / (_MODULUS_GRID - 1)
+    h2 = width2 / (_MODULUS_GRID - 1)
+    max_i = min(int(delta1 / h1 + 1e-9), _MODULUS_GRID - 1)
+    max_j = min(int(delta2 / h2 + 1e-9), _MODULUS_GRID - 1)
     best = 0.0
     for di in range(max_i + 1):
         hi_rows = f_grid[di:, :]
-        lo_rows = f_grid[: grid_k - di, :]
+        lo_rows = f_grid[: _MODULUS_GRID - di, :]
         for dj in range(-max_j, max_j + 1):
             if dj >= 0:
-                diff = hi_rows[:, dj:] - lo_rows[:, : grid_k - dj]
+                diff = hi_rows[:, dj:] - lo_rows[:, : _MODULUS_GRID - dj]
             else:
                 diff = hi_rows[:, :dj] - lo_rows[:, -dj:]
             if diff.size:
@@ -250,7 +251,7 @@ def verify_metadata(tf: TestFunction) -> list[str]:
         ]
         for d1, d2 in windows:
             claimed = tf.total_modulus(d1, d2)
-            seen = grid_modulus_estimate(tf.fn, tf.width1, tf.width2, d1, d2, grid_k=41)
+            seen = grid_modulus_estimate(tf.fn, tf.width1, tf.width2, d1, d2)
             if seen > claimed + 1e-9:
                 problems.append(
                     f"{tf.name}: total_modulus({d1}, {d2}) = {claimed} "

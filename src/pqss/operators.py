@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -84,10 +85,11 @@ class AxisConfig:
             raise ValueError(
                 f"requires node_exponent in {NODE_EXPONENTS} (got {self.node_exponent!r})"
             )
-        if pq_integer(self.n, self.pq) == 0.0:
+        bracket_n = pq_integer(self.n, self.pq)
+        if bracket_n < sys.float_info.min:
             raise ValueError(
-                f"requires [n] > 0 (got [n] = 0 at n={self.n}, p={self.pq.p}, "
-                f"q={self.pq.q}: p^n is below the smallest double)"
+                f"requires [n] to be a normal double (got [n] = {bracket_n!r} at n={self.n}, "
+                f"p={self.pq.p}, q={self.pq.q})"
             )
 
     @property

@@ -109,34 +109,47 @@ def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     # per-point callbacks must not come back: each grid costs a fixed number
     # of calls, whatever the degree and the grid size; weights come from one
     # weight_matrix per axis, never from per-point weight_vector rows, and
-    # delta is evaluated once per axis
-    axis = AxisConfig(n=n, l=1, pq=PQPair(0.95, 0.7), alpha=0.5, beta=1.0)
-    op = BivariateOperator(axis, axis)
-    xs = np.linspace(0.0, 1.0, grid)
+    # delta is evaluated once per axis, on that axis's own points.  The two
+    # axes differ in every parameter and the two grids in size, so a swap of
+    # axes or of grids shows in the recorded delta calls.
+    axis1 = AxisConfig(n=n, l=1, pq=PQPair(0.95, 0.7), alpha=0.5, beta=1.0)
+    axis2 = AxisConfig(n=n + 1, l=2, pq=PQPair(0.9, 0.6), alpha=0.25, beta=0.5)
+    op = BivariateOperator(axis1, axis2)
+    xs1 = np.linspace(0.0, 1.0, grid)
+    xs2 = np.linspace(0.0, 1.0, grid + 2)
     tf = CAT["exp_sum"]
-    want = total_modulus_bound_grid(op, tf, xs, xs)
+    want = total_modulus_bound_grid(op, tf, xs1, xs2)
 
     def no_rows(*args):
         raise AssertionError("per-point weight_vector call on a grid path")
 
     monkeypatch.setattr(operators, "weight_vector", no_rows)
-    delta_axes = []
+    delta_calls = []
     real_delta = analysis.delta
-    monkeypatch.setattr(analysis, "delta", lambda *a: delta_axes.append(a[0]) or real_delta(*a))
+    monkeypatch.setattr(
+        analysis, "delta", lambda *a: delta_calls.append((a[0], a[1].size)) or real_delta(*a)
+    )
 
     f = _Counting(tf.fn)
     sample_at_nodes(op, f)
-    assert f.calls == 1 and f.points == (n + 2) ** 2
+    assert f.calls == 1 and f.points == (axis1.degree + 1) * (axis2.degree + 1)
 
     f = _Counting(tf.fn)
-    apply_on_grid(op, f, xs, xs)
+    apply_on_grid(op, f, xs1, xs2)
     assert f.calls == 1
 
     f, om = _Counting(tf.fn), _Counting(tf.total_modulus)
     counted = dataclasses.replace(tf, fn=f, total_modulus=om)
-    lhs, rhs = total_modulus_bound_grid(op, counted, xs, xs)
-    assert (f.calls, om.calls, delta_axes) == (2, 1, [op.axis1, op.axis2])
+    lhs, rhs = total_modulus_bound_grid(op, counted, xs1, xs2)
+    assert (f.calls, om.calls) == (2, 1)
+    assert delta_calls == [(axis1, grid), (axis2, grid + 2)]
+    assert lhs.shape == rhs.shape == (grid, grid + 2)
     np.testing.assert_array_equal((lhs, rhs), want)
+    for i in (0, grid // 2, grid - 1):
+        for j in (0, (grid + 2) // 2, grid + 1):
+            assert rhs[i, j] == 4.0 * tf.total_modulus(
+                real_delta(axis1, xs1[i]), real_delta(axis2, xs2[j])
+            )
 
 
 def test_k_functional_upper():

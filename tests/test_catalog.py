@@ -95,7 +95,7 @@ def test_modulus_monotone_in_window():
 
 
 def test_grid_estimate_linear_case():
-    got = grid_modulus_estimate(lambda a, b: a, 1.0, 1.0, 0.3, 0.0, grid_k=101)
+    got = grid_modulus_estimate(lambda a, b: a, 1.0, 1.0, 0.3, 0.0)
     assert got == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValueError, match="deltas >= 0"):
         grid_modulus_estimate(lambda a, b: a, 1.0, 1.0, -0.1, 0.0)
@@ -106,7 +106,7 @@ def test_grid_estimate_never_exceeds_exact():
     for name in ("e11", "exp_sum", "abs_ramp", "smooth_abs_010"):
         tf = cat[name]
         for d1, d2 in ((0.15, 0.4), (0.8, 0.0), (2.0, 2.0)):
-            est = grid_modulus_estimate(tf.fn, tf.width1, tf.width2, d1, d2, grid_k=41)
+            est = grid_modulus_estimate(tf.fn, tf.width1, tf.width2, d1, d2)
             assert est <= tf.total_modulus(d1, d2) + 1e-9, (name, d1, d2)
 
 

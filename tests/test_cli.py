@@ -296,20 +296,23 @@ def test_usage_errors(capsys):
         assert "distinct degrees" in err
         assert "order[" not in out
 
-    # p^k underflows past k = 7072: with [n] > 0 but m = n + l past it, the
-    # bracket table names the bracket
+    # p^k underflows past k = 7072: with [n] normal but m = n + l past it,
+    # the bracket table names the bracket
     rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
-                        "--n1", "7000", "--l1", "100", "--p1", "0.9", "--q1", "0.6"], capsys)
+                        "--n1", "6700", "--l1", "400", "--p1", "0.9", "--q1", "0.6"], capsys)
     assert rc == 2
     assert "bracket [7073] underflows to 0 at p=0.9, q=0.6" in err
 
-    # [n] itself underflows: the axis is refused before any evaluation, also
-    # at x1 = 0 where the weight row is a unit vector and no table is built
-    rc, out, err = run(["eval", "--f", "e11", "--x1", "0", "--x2", ".5",
-                        "--n1", "8000", "--p1", "0.9", "--q1", "0.6"], capsys)
-    assert rc == 2
-    assert "value" not in out
-    assert "requires [n] > 0 (got [n] = 0 at n=8000, p=0.9, q=0.6" in err
+    # [n] itself underflows to 0 or is subnormal: the axis is refused before
+    # any evaluation, also at x1 = 0 or 1 where the weight row is a unit
+    # vector and no table is built
+    for n1, x1, f, got in (("8000", "0", "e11", "0.0"), ("7000", "1", "e10", "1.66")):
+        rc, out, err = run(["eval", "--f", f, "--x1", x1, "--x2", ".5",
+                            "--n1", n1, "--p1", "0.9", "--q1", "0.6"], capsys)
+        assert rc == 2
+        assert "value" not in out
+        assert f"requires [n] to be a normal double (got [n] = {got}" in err
+        assert f"at n={n1}, p=0.9, q=0.6" in err
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,11 +50,18 @@ def test_axis_config_validation():
         AxisConfig(n=1, l=0, pq=pq, alpha=math.inf, beta=math.inf)
     with pytest.raises(ValueError, match="finite 0 <= alpha <= beta"):
         AxisConfig(n=1, l=0, pq=pq, alpha=0.0, beta=math.inf)
-    # 0.9^8000 underflows, so [n] = 0 and the nodes would divide by [n] + beta
+    # 0.9^8000 underflows, so [n] = 0 and the nodes would divide by [n] + beta;
+    # at n = 7000, [n] is subnormal and the nodes would keep about a dozen bits
     assert pq_integer(8000, pq) == 0.0
-    with pytest.raises(ValueError, match=r"\[n\] > 0 \(got \[n\] = 0 at n=8000, p=0.9, q=0.6"):
+    assert 0.0 < pq_integer(7000, pq) < sys.float_info.min
+    with pytest.raises(ValueError, match=r"normal double \(got \[n\] = 0\.0 at n=8000, p=0.9, q=0.6"):
         AxisConfig(n=8000, l=0, pq=pq)
-    assert AxisConfig(n=7000, l=0, pq=pq).n == 7000
+    with pytest.raises(ValueError, match=r"normal double \(got \[n\] = 1\.66\d*e-320 at n=7000, p=0.9"):
+        AxisConfig(n=7000, l=0, pq=pq)
+    # [6734] is the last normal bracket at (0.9, 0.6)
+    assert AxisConfig(n=6734, l=0, pq=pq).n == 6734
+    with pytest.raises(ValueError, match="n=6735"):
+        AxisConfig(n=6735, l=0, pq=pq)
 
 
 def test_endpoint_weights_are_exact_unit_vectors(worked_axis):
