@@ -16,7 +16,7 @@ fits the decay slope of any error column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -84,11 +84,14 @@ def tabulated_sequence(
 ) -> SequenceSpec:
     """A family given by an explicit table n -> (p_n, q_n).
 
-    The limits a, b are declared, not checked: a finite table cannot be
-    extrapolated.  Lookups outside the table raise.
+    The limits a, b are declared, not checked against the table: a finite
+    table cannot be extrapolated.  They must lie in (0, 1], the range the
+    Korovkin hypotheses allow.  Lookups outside the table raise.
     """
     if not pairs:
         raise ValueError("requires a nonempty table")
+    if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
+        raise ValueError(f"requires limits a, b in (0, 1] (got a={a}, b={b})")
     table = {int(k): (float(p), float(q)) for k, (p, q) in pairs.items()}
 
     def pick(n: int, idx: int) -> float:
@@ -136,22 +139,13 @@ class KorovkinTable:
     shape2: AxisShape
     rows: list[KorovkinRow] = field(default_factory=list)
 
-    CSV_HEADER = ["n", "p", "q", "sup_e00", "sup_e10", "sup_e01", "sup_e20_e02"]
+    CSV_HEADER = [f.name for f in fields(KorovkinRow)]
 
     def csv_rows(self) -> list[list]:
-        return [
-            [r.n, r.p, r.q, r.sup_e00, r.sup_e10, r.sup_e01, r.sup_e20_e02]
-            for r in self.rows
-        ]
+        return [list(astuple(r)) for r in self.rows]
 
     def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "grid_k": self.grid_k,
-            "shape1": vars(self.shape1),
-            "shape2": vars(self.shape2),
-            "rows": [vars(r) for r in self.rows],
-        }
+        return asdict(self)
 
 
 def korovkin_suite(
@@ -211,27 +205,13 @@ class ConvergenceTable:
     shape2: AxisShape
     rows: list[ConvergenceRow] = field(default_factory=list)
 
-    CSV_HEADER = ["n", "p", "q", "sup_err", "worst_x1", "worst_x2", "bound_at_worst", "ratio"]
+    CSV_HEADER = [f.name for f in fields(ConvergenceRow)]
 
     def csv_rows(self) -> list[list]:
-        out = []
-        for r in self.rows:
-            out.append([
-                r.n, r.p, r.q, r.sup_err, r.worst_x1, r.worst_x2,
-                "" if r.bound_at_worst is None else r.bound_at_worst,
-                "" if r.ratio is None else r.ratio,
-            ])
-        return out
+        return [list(astuple(r)) for r in self.rows]
 
     def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "function": self.function,
-            "grid_k": self.grid_k,
-            "shape1": vars(self.shape1),
-            "shape2": vars(self.shape2),
-            "rows": [vars(r) for r in self.rows],
-        }
+        return asdict(self)
 
 
 def convergence_table(

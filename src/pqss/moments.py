@@ -20,7 +20,8 @@ The oracle below recomputes everything as a literal double sum in plain
 double precision: Pascal-recurrence binomials, cumulative-product rising
 factors, Shewchuk-exact fsum accumulation.  It shares no code with the
 log-space production path in operators.py, so agreement between the two is
-meaningful evidence.
+meaningful evidence.  moment_oracle sums a stack of node tables over a
+product grid; verify_moments and `pqss eval --oracle` both call it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import AxisConfig, BivariateOperator, GridFn, nodes, tabulate
+from .operators import AxisConfig, BivariateOperator, nodes
 from .pq_core import PQPair, pq_integer
 from .serialize import fmt_float
 
@@ -143,28 +144,47 @@ def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     """Weights by the direct formula: Pascal binomials, cumprod rising factors.
 
     Deliberately independent of the log-space production path.  Double
-    precision only; fine for the sweep sizes (m <= 28), not for m ~ 2000.
+    precision only; fine for the sweep sizes (m <= 28), not for m ~ 2000:
+    where the factor p^{-m(m-1)/2} overflows (m >= 117 at p = 0.9) it raises
+    ArithmeticError rather than return a non-finite weight.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"requires x in [0, 1] (got x={x})")
     m = axis.degree
     p, q = axis.pq.p, axis.pq.q
-    binom = _pascal_binomials(m, p, q)
-    jj = np.arange(m).astype(float)
-    factors = p ** jj - (q ** jj) * x
-    rising = np.concatenate(([1.0], np.cumprod(factors)))
-    nu = np.arange(m + 1)
-    powers = p ** (0.5 * nu * (nu - 1) - 0.5 * m * (m - 1))
-    return binom * powers * (x ** nu) * rising[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        binom = _pascal_binomials(m, p, q)
+        jj = np.arange(m).astype(float)
+        factors = p ** jj - (q ** jj) * x
+        rising = np.concatenate(([1.0], np.cumprod(factors)))
+        nu = np.arange(m + 1)
+        powers = p ** (0.5 * nu * (nu - 1) - 0.5 * m * (m - 1))
+        w = binom * powers * (x ** nu) * rising[::-1]
+    if not np.all(np.isfinite(w)):
+        raise ArithmeticError(f"oracle weights overflow a double at m={m}, p={p}, q={q}")
+    return w
 
 
-def moment_oracle(op: BivariateOperator, g: GridFn, x1: float, x2: float) -> float:
-    """Brute-force S(g; x1, x2) with no closed forms anywhere, fsum-accumulated."""
-    samples = tabulate(g, nodes(op.axis1), nodes(op.axis2))
-    w1 = oracle_weight_vector(op.axis1, x1)
-    w2 = oracle_weight_vector(op.axis2, x2)
-    terms = np.outer(w1, w2) * samples
-    return math.fsum(terms.ravel().tolist())
+def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
+    """Brute-force S(T; x1, x2), shape (len(tables), len(xs1), len(xs2)).
+
+    Each table broadcasts to (len(xs1), len(xs2), m1 + 1, m2 + 1): a node
+    table such as sample_at_nodes(op, f), or a per-point one such as
+    ((t1 - xs1[:, None])**2)[:, None, :, None].  Each entry is one fsum of
+    (w1[a] * w2[b]) * T[a, b]; the terms are built one xs1 row at a time.
+    """
+    xs1 = np.asarray(xs1, dtype=float)
+    xs2 = np.asarray(xs2, dtype=float)
+    w1s = [oracle_weight_vector(op.axis1, x) for x in xs1]
+    w2s = np.array([oracle_weight_vector(op.axis2, x) for x in xs2])
+    shape = (xs1.size, xs2.size, op.axis1.degree + 1, op.axis2.degree + 1)
+    out = np.empty((len(tables), xs1.size, xs2.size))
+    for k, table in enumerate(tables):
+        table = np.broadcast_to(table, shape)
+        for a, w1 in enumerate(w1s):
+            terms = (w1[None, :, None] * w2s[:, None, :]) * table[a]
+            out[k, a] = [math.fsum(row) for row in terms.reshape(xs2.size, -1).tolist()]
+    return out
 
 
 def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
@@ -307,51 +327,40 @@ def verify_moments(
 
     Checks the six monomial moments plus both second central moments at each
     grid point; |closed - oracle| must stay within tolerance * max(1, |oracle|).
-    Keeps one report per operator, taken at its worst point.
+    Failures are listed point by point (row-major), moment by moment.  Keeps
+    one report per operator, at the first point whose largest absdiff is the
+    largest.
     """
     result = VerifyResult(tolerance=tolerance)
     xs = np.asarray(xs, dtype=float)
     x1s, x2s = xs[:, None], xs[None, :]
-    shape = (xs.size, xs.size)
+    names = [name for name, _, _ in MOMENT_NAMES] + ["central1", "central2"]
     for op in ops:
         t1 = nodes(op.axis1)
         t2 = nodes(op.axis2)
-        ones1 = np.ones_like(t1)
-        ones2 = np.ones_like(t2)
-        mono_samples = [np.outer(t1 ** i, t2 ** j) for _, i, j in MOMENT_NAMES]
-        # closed forms for the whole grid at once: same operations, same bits
-        closed = [
-            (name, np.broadcast_to(moment_closed(op, i, j, x1s, x2s), shape))
-            for name, i, j in MOMENT_NAMES
-        ] + [
-            ("central1", np.broadcast_to(central_moment(op.axis1, x1s), shape)),
-            ("central2", np.broadcast_to(central_moment(op.axis2, x2s), shape)),
+        closed = np.array(np.broadcast_arrays(
+            *[moment_closed(op, i, j, x1s, x2s) for _, i, j in MOMENT_NAMES],
+            central_moment(op.axis1, x1s), central_moment(op.axis2, x2s),
+        ))
+        tables = [np.outer(t1 ** i, t2 ** j) for _, i, j in MOMENT_NAMES] + [
+            ((t1 - xs[:, None]) ** 2)[:, None, :, None],
+            ((t2 - xs[:, None]) ** 2)[None, :, None, :],
         ]
-        w1s = [oracle_weight_vector(op.axis1, x) for x in xs]
-        w2s = [oracle_weight_vector(op.axis2, x) for x in xs]
-        worst: MomentReport | None = None
-        for i1, x1 in enumerate(xs):
-            for i2, x2 in enumerate(xs):
-                outer = np.outer(w1s[i1], w2s[i2])
-                samples = mono_samples + [
-                    np.outer((t1 - x1) ** 2, ones2),
-                    np.outer(ones1, (t2 - x2) ** 2),
-                ]
-                entries = [
-                    MomentEntry(name, values[i1, i2],
-                                math.fsum((outer * smp).ravel().tolist()))
-                    for (name, values), smp in zip(closed, samples)
-                ]
-                result.n_checks += len(entries)
-                report = MomentReport(op, (float(x1), float(x2)), tuple(entries))
-                if worst is None or report.max_absdiff > worst.max_absdiff:
-                    worst = report
-                for e in entries:
-                    if e.absdiff > tolerance * max(1.0, abs(e.oracle)):
-                        result.failures.append(
-                            f"{e.name} closed={fmt_float(e.closed)} oracle={fmt_float(e.oracle)} "
-                            f"absdiff={e.absdiff:.3e} at (x1={x1}, x2={x2}) for "
-                            f"axis1={axis_params(op.axis1)} axis2={axis_params(op.axis2)}"
-                        )
-        result.reports.append(worst)
+        oracle = moment_oracle(op, tables, xs, xs)
+        absdiff = np.abs(closed - oracle)
+        result.n_checks += absdiff.size
+        bad = absdiff > tolerance * np.maximum(1.0, np.abs(oracle))
+        for i1, i2, k in np.argwhere(bad.transpose(1, 2, 0)):
+            result.failures.append(
+                f"{names[k]} closed={fmt_float(closed[k, i1, i2])} "
+                f"oracle={fmt_float(oracle[k, i1, i2])} absdiff={absdiff[k, i1, i2]:.3e} "
+                f"at (x1={xs[i1]}, x2={xs[i2]}) for "
+                f"axis1={axis_params(op.axis1)} axis2={axis_params(op.axis2)}"
+            )
+        i1, i2 = divmod(int(np.argmax(absdiff.max(axis=0))), xs.size)
+        entries = tuple(
+            MomentEntry(name, closed[k, i1, i2], float(oracle[k, i1, i2]))
+            for k, name in enumerate(names)
+        )
+        result.reports.append(MomentReport(op, (float(xs[i1]), float(xs[i2])), entries))
     return result

@@ -177,13 +177,6 @@ def sample_at_nodes(op: BivariateOperator, f: GridFn) -> np.ndarray:
     return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
-def apply_bivariate(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:
-    """S(f; x1, x2) = sum_{nu1, nu2} s_nu1(x1) s_nu2(x2) f(t1_nu1, t2_nu2)."""
-    w1 = weight_vector(op.axis1, x1)
-    w2 = weight_vector(op.axis2, x2)
-    return float(w1 @ sample_at_nodes(op, f) @ w2)
-
-
 def apply_on_grid(op: BivariateOperator, f: GridFn, xs1, xs2) -> np.ndarray:
     """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]).
 
@@ -192,6 +185,11 @@ def apply_on_grid(op: BivariateOperator, f: GridFn, xs1, xs2) -> np.ndarray:
     """
     samples = sample_at_nodes(op, f)
     return weight_matrix(op.axis1, xs1) @ samples @ weight_matrix(op.axis2, xs2).T
+
+
+def apply_bivariate(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:
+    """S(f; x1, x2) = sum s_nu1(x1) s_nu2(x2) f(t1_nu1, t2_nu2), on a one-point grid."""
+    return float(apply_on_grid(op, f, [x1], [x2])[0, 0])
 
 
 REDUCTION_TARGETS = ("q-schurer-stancu", "pq-bernstein-schurer", "pq-bernstein")

@@ -62,15 +62,16 @@ def verdict(capfd):
     return emit
 
 
-def test_moment_closed_forms(verdict):
+def test_moment_closed_forms(verdict, asymmetric_sweep):
     start = time.monotonic()
-    res = verify_moments(standard_sweep(), sweep_grid(11), tolerance=1e-10)
+    res = verify_moments(standard_sweep() + asymmetric_sweep, sweep_grid(11), tolerance=1e-10)
     elapsed = time.monotonic() - start
     worst = max(r.max_absdiff for r in res.reports)
     ok = res.ok and elapsed < 60.0
     verdict(
         "moment-closed-forms", ok,
-        f"{res.n_checks} closed-vs-oracle checks, {len(res.failures)} failures, "
+        f"{res.n_checks} closed-vs-oracle checks over 135 symmetric and 135 asymmetric "
+        f"operators, {len(res.failures)} failures, "
         f"worst absdiff {worst:.2e}, {elapsed:.1f}s (budget 60s)",
     )
 
@@ -123,10 +124,10 @@ def test_literal_node_factor(verdict):
     )
 
 
-def test_auxiliary_identities(verdict):
+def test_auxiliary_identities(verdict, asymmetric_sweep):
     pts = np.linspace(0.0, 1.0, 5)
     worst = 0.0
-    for op in standard_sweep():
+    for op in standard_sweep() + asymmetric_sweep:
         for x1 in pts:
             for x2 in pts:
                 g1 = auxiliary_apply(op, lambda a, b: a - x1, float(x1), float(x2))
@@ -135,19 +136,20 @@ def test_auxiliary_identities(verdict):
     ok = worst <= 1e-11
     verdict(
         "auxiliary-identities", ok,
-        f"both centered coordinates annihilated at {135 * 25} points, "
+        f"both centered coordinates annihilated at {270 * 25} points "
+        "of 135 symmetric and 135 asymmetric operators, "
         f"worst |residual| {worst:.2e} (tol 1e-11)",
     )
 
 
-def test_modulus_bound_sweep(verdict):
+def test_modulus_bound_sweep(verdict, asymmetric_sweep):
     xs = np.linspace(0.0, 1.0, 41)
     catalogs: dict[tuple[float, float], dict] = {}
     violations = 0
     checks = 0
     min_margin = math.inf
     start = time.monotonic()
-    for op in standard_sweep():
+    for op in standard_sweep() + asymmetric_sweep:
         widths = (op.axis1.l + 1.0, op.axis2.l + 1.0)
         if widths not in catalogs:
             catalogs[widths] = build_catalog(*widths)
@@ -162,7 +164,8 @@ def test_modulus_bound_sweep(verdict):
     ok = violations == 0
     verdict(
         "modulus-bound-sweep", ok,
-        f"{checks} bound evaluations across 135 operators x 12 functions, "
+        f"{checks} bound evaluations across 135 symmetric and 135 asymmetric "
+        f"operators x 12 functions, "
         f"{violations} violations, min margin {min_margin:.2e} "
         f"(slack {BOUND_SLACK:g}), {elapsed:.1f}s",
     )

@@ -163,6 +163,17 @@ def test_converge_tabulated_errors(tmp_path, capsys):
     assert rc == 2
     assert "missing key" in err
 
+    # declared limits outside (0, 1]: the Korovkin hypotheses do not hold
+    for a, b in ((0, 0.6), (0.8, 1.5)):
+        fam.write_text(json.dumps({"pairs": {"8": [0.95, 0.9]}, "a": a, "b": b}))
+        rc, out, err = run(
+            ["converge", "--family", "tabulated", "--family-file", str(fam),
+             "--n-list", "8", "--grid", "3"], capsys
+        )
+        assert rc == 2
+        assert "requires limits a, b in (0, 1]" in err
+        assert "korovkin" not in out
+
     rc, out, err = run(["converge", "--cp", "1.0", "--cq", "0.5"], capsys)
     assert rc == 2
     assert "0 <= c_p < c_q" in err
@@ -296,12 +307,23 @@ def test_usage_errors(capsys):
         assert "distinct degrees" in err
         assert "order[" not in out
 
-    # p^k underflows past k = 7072: with [n] normal but m = n + l past it,
-    # the bracket table names the bracket
-    rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
-                        "--n1", "6700", "--l1", "400", "--p1", "0.9", "--q1", "0.6"], capsys)
+    # brackets leave the normal range at k = 6735: with [n] normal but
+    # m = n + l past it, the bracket table names the first subnormal bracket
+    for l1 in ("300", "400"):
+        rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
+                            "--n1", "6700", "--l1", l1, "--p1", "0.9", "--q1", "0.6"], capsys)
+        assert rc == 2
+        assert "value" not in out
+        assert "bracket [6735] = 2.219e-308 is below the smallest normal double" in err
+        assert "at p=0.9, q=0.6" in err
+
+    # the oracle's direct formula overflows at m = 200, p = 0.9: an error,
+    # not an oracle of nan, and nothing on stdout
+    rc, out, err = run(["eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
+                        "--n1", "200", "--p1", "0.9", "--q1", "0.6", "--oracle"], capsys)
     assert rc == 2
-    assert "bracket [7073] underflows to 0 at p=0.9, q=0.6" in err
+    assert out == ""
+    assert "oracle weights overflow a double at m=200, p=0.9, q=0.6" in err
 
     # [n] itself underflows to 0 or is subnormal: the axis is refused before
     # any evaluation, also at x1 = 0 or 1 where the weight row is a unit

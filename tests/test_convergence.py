@@ -8,6 +8,7 @@ from pqss.catalog import build_catalog
 from pqss.convergence import (
     ROUNDOFF_ULPS_PER_DEGREE,
     AxisShape,
+    ConvergenceTable,
     KorovkinTable,
     SequenceSpec,
     build_operator,
@@ -20,6 +21,7 @@ from pqss.convergence import (
 from pqss.moments import first_moment_univariate, second_moment_univariate
 from pqss.operators import apply_bivariate
 from pqss.pq_core import pq_integer
+from pqss.serialize import csv_text
 
 
 def test_one_minus_family_values_and_limits():
@@ -50,6 +52,10 @@ def test_tabulated_sequence():
         spec.pq_at(16)
     with pytest.raises(ValueError, match="nonempty"):
         tabulated_sequence({}, a=1.0, b=1.0)
+    assert tabulated_sequence({4: (0.95, 0.9)}, a=1.0, b=1.0).b == 1.0
+    for a, b in ((0.0, 0.8), (0.9, -0.1), (1.5, 0.8), (0.9, float("nan"))):
+        with pytest.raises(ValueError, match=r"requires limits a, b in \(0, 1\]"):
+            tabulated_sequence({4: (0.95, 0.9)}, a=a, b=b)
 
 
 def test_build_operator_shapes():
@@ -191,13 +197,17 @@ def test_tables_serialize():
     assert obj["family"] == spec.name
     assert obj["shape1"]["l"] == 1
     assert len(obj["rows"]) == 2
-    assert len(KorovkinTable.CSV_HEADER) == len(k_table.csv_rows()[0])
+    assert KorovkinTable.CSV_HEADER == [
+        "n", "p", "q", "sup_e00", "sup_e10", "sup_e01", "sup_e20_e02"]
+    assert k_table.csv_rows()[0] == list(obj["rows"][0].values())
 
     c_table = convergence_table(spec, cat["sinprod"], [8], AxisShape(l=1), grid_k=5)
-    row = c_table.csv_rows()[0]
-    # estimate-only function: bound and ratio columns stay empty
-    assert row[-2] == ""
-    assert row[-1] == ""
+    assert ConvergenceTable.CSV_HEADER == [
+        "n", "p", "q", "sup_err", "worst_x1", "worst_x2", "bound_at_worst", "ratio"]
+    # estimate-only function: bound and ratio cells stay empty in the CSV
+    lines = csv_text(c_table.CSV_HEADER, c_table.csv_rows()).split("\r\n")
+    assert lines[1].startswith("8,") and lines[1].endswith(",,")
+    assert lines[1].count(",") == 7
     obj = json.loads(json.dumps(c_table.to_json_obj()))
     assert obj["function"] == "sinprod"
     assert obj["rows"][0]["bound_at_worst"] is None

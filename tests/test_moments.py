@@ -7,6 +7,7 @@ import pytest
 import pqss.moments as moments
 from pqss.moments import (
     MOMENT_CSV_HEADER,
+    MomentEntry,
     MomentReport,
     central_moment,
     delta,
@@ -21,8 +22,16 @@ from pqss.moments import (
     sweep_grid,
     verify_moments,
 )
-from pqss.operators import AxisConfig, BivariateOperator, apply_bivariate, weight_vector
+from pqss.operators import (
+    AxisConfig,
+    BivariateOperator,
+    apply_on_grid,
+    nodes,
+    sample_at_nodes,
+    weight_vector,
+)
 from pqss.pq_core import PQPair
+from pqss.serialize import fmt_float
 
 
 def test_first_moment_worked(worked_axis):
@@ -112,28 +121,61 @@ def test_oracle_weight_vector_matches_production(worked_axis):
         )
 
 
+def test_oracle_weight_vector_refuses_overflow():
+    # p^(-m(m-1)/2) overflows at m = 117 for p = 0.9: an error naming m, p
+    # and q, with no RuntimeWarning (an error under this suite's settings)
+    ok = AxisConfig(n=116, l=0, pq=PQPair(0.9, 0.6))
+    assert np.all(np.isfinite(oracle_weight_vector(ok, 0.5)))
+    for n, x in ((117, 0.5), (200, 0.0), (200, 1.0)):
+        axis = AxisConfig(n=n, l=0, pq=PQPair(0.9, 0.6))
+        with pytest.raises(ArithmeticError, match=f"at m={n}, p=0.9, q=0.6"):
+            oracle_weight_vector(axis, x)
+    op = BivariateOperator(ok, AxisConfig(n=150, l=3, pq=PQPair(0.9, 0.6)))
+    with pytest.raises(ArithmeticError, match="at m=153, p=0.9, q=0.6"):
+        moment_oracle(op, [sample_at_nodes(op, lambda a, b: a + b)], [0.5], [0.5])
+
+
+def _oracle_at(op, f, x1, x2):
+    return moment_oracle(op, [sample_at_nodes(op, f)], [x1], [x2])[0, 0, 0]
+
+
 def test_oracle_values(worked_op):
-    assert moment_oracle(worked_op, lambda a, b: 1.0, 0.7, 0.2) == pytest.approx(1.0, abs=1e-14)
-    got = moment_oracle(worked_op, lambda a, b: a, 0.5, 0.9)
+    assert _oracle_at(worked_op, lambda a, b: 1.0, 0.7, 0.2) == pytest.approx(1.0, abs=1e-14)
+    got = _oracle_at(worked_op, lambda a, b: a, 0.5, 0.9)
     assert got == pytest.approx(1.875 / 3.5, rel=1e-13)
-    got = moment_oracle(worked_op, lambda a, b: a * a, 0.5, 0.1)
+    got = _oracle_at(worked_op, lambda a, b: a * a, 0.5, 0.1)
     assert got == pytest.approx(3.953125 / 12.25, rel=1e-13)
+
+    # a stack of tables over a grid: shape (tables, xs1, xs2), and every
+    # entry is the one-point oracle's value
+    xs1, xs2 = [0.0, 0.5, 1.0], [0.2, 0.9]
+    fns = [lambda a, b: 1.0, lambda a, b: a, lambda a, b: a * a * b]
+    grid = moment_oracle(worked_op, [sample_at_nodes(worked_op, f) for f in fns], xs1, xs2)
+    assert grid.shape == (3, 3, 2)
+    for k, f in enumerate(fns):
+        for a, x1 in enumerate(xs1):
+            for b, x2 in enumerate(xs2):
+                assert grid[k, a, b] == _oracle_at(worked_op, f, x1, x2)
 
 
 def test_oracle_tensor_factorization(worked_op):
-    # (t1-x1)^2 (t2-x2)^2 factors into the product of univariate central seconds
-    x1, x2 = 0.3, 0.8
-    f = lambda a, b: (a - x1) ** 2 * (b - x2) ** 2
-    got = moment_oracle(worked_op, f, x1, x2)
-    c1 = central_moment(worked_op.axis1, x1)
-    c2 = central_moment(worked_op.axis2, x2)
-    assert got == pytest.approx(c1 * c2, rel=1e-12)
+    # (t1-x1)^2 (t2-x2)^2 factors into the product of univariate central
+    # seconds; the per-point tables broadcast over the grid
+    xs1, xs2 = np.array([0.3, 0.6]), np.array([0.8, 0.1, 0.45])
+    t1, t2 = nodes(worked_op.axis1), nodes(worked_op.axis2)
+    table = (((t1 - xs1[:, None]) ** 2)[:, None, :, None]
+             * ((t2 - xs2[:, None]) ** 2)[None, :, None, :])
+    got = moment_oracle(worked_op, [table], xs1, xs2)[0]
+    want = np.outer(central_moment(worked_op.axis1, xs1), central_moment(worked_op.axis2, xs2))
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_oracle_matches_production(worked_op):
     f = lambda a, b: np.exp(a - b)
-    assert moment_oracle(worked_op, f, 0.4, 0.6) == pytest.approx(
-        apply_bivariate(worked_op, f, 0.4, 0.6), abs=1e-14
+    xs1, xs2 = np.linspace(0.0, 1.0, 4), np.array([0.6, 0.05])
+    np.testing.assert_allclose(
+        moment_oracle(worked_op, [sample_at_nodes(worked_op, f)], xs1, xs2)[0],
+        apply_on_grid(worked_op, f, xs1, xs2), rtol=0.0, atol=1e-14,
     )
 
 
@@ -157,12 +199,11 @@ def test_verify_moments_clean_subset():
     assert max(r.max_absdiff for r in res.reports) < 1e-12
 
 
-def test_verify_moments_asymmetric_axes():
+def test_verify_moments_asymmetric_axes(asymmetric_sweep):
     # the symmetric sweep cannot tell the axes apart; pairing axis i with
     # axis (i + 67) mod 135 changes n, l, (p, q) and (alpha, beta) at once,
     # so a moment taken from the wrong axis fails here
-    sweep = standard_sweep()
-    ops = [BivariateOperator(sweep[i].axis1, sweep[(i + 67) % 135].axis2) for i in range(135)]
+    ops = asymmetric_sweep
     for op in ops:
         a1, a2 = op.axis1, op.axis2
         assert a1.n != a2.n and a1.l != a2.l
@@ -170,6 +211,82 @@ def test_verify_moments_asymmetric_axes():
     res = verify_moments(ops, sweep_grid(3), tolerance=1e-10)
     assert res.ok, res.failures[:3]
     assert res.n_checks == 135 * 9 * 8
+
+
+def _verify_per_point(ops, xs, tolerance):
+    """The per-point loop verify_moments replaced, kept as its reference:
+    an fsum per moment per grid point, a report per point, the first worst
+    report per operator kept.  Returns (failures, n_checks, reports)."""
+    failures, n_checks, reports = [], 0, []
+    xs = np.asarray(xs, dtype=float)
+    x1s, x2s = xs[:, None], xs[None, :]
+    shape = (xs.size, xs.size)
+    for op in ops:
+        t1 = nodes(op.axis1)
+        t2 = nodes(op.axis2)
+        ones1 = np.ones_like(t1)
+        ones2 = np.ones_like(t2)
+        mono_samples = [np.outer(t1 ** i, t2 ** j) for _, i, j in moments.MOMENT_NAMES]
+        closed = [
+            (name, np.broadcast_to(moment_closed(op, i, j, x1s, x2s), shape))
+            for name, i, j in moments.MOMENT_NAMES
+        ] + [
+            ("central1", np.broadcast_to(central_moment(op.axis1, x1s), shape)),
+            ("central2", np.broadcast_to(central_moment(op.axis2, x2s), shape)),
+        ]
+        w1s = [oracle_weight_vector(op.axis1, x) for x in xs]
+        w2s = [oracle_weight_vector(op.axis2, x) for x in xs]
+        worst = None
+        for i1, x1 in enumerate(xs):
+            for i2, x2 in enumerate(xs):
+                outer = np.outer(w1s[i1], w2s[i2])
+                samples = mono_samples + [
+                    np.outer((t1 - x1) ** 2, ones2),
+                    np.outer(ones1, (t2 - x2) ** 2),
+                ]
+                entries = [
+                    MomentEntry(name, values[i1, i2],
+                                math.fsum((outer * smp).ravel().tolist()))
+                    for (name, values), smp in zip(closed, samples)
+                ]
+                n_checks += len(entries)
+                report = MomentReport(op, (float(x1), float(x2)), tuple(entries))
+                if worst is None or report.max_absdiff > worst.max_absdiff:
+                    worst = report
+                for e in entries:
+                    if e.absdiff > tolerance * max(1.0, abs(e.oracle)):
+                        failures.append(
+                            f"{e.name} closed={fmt_float(e.closed)} oracle={fmt_float(e.oracle)} "
+                            f"absdiff={e.absdiff:.3e} at (x1={x1}, x2={x2}) for "
+                            f"axis1={moments.axis_params(op.axis1)} "
+                            f"axis2={moments.axis_params(op.axis2)}"
+                        )
+        reports.append(worst)
+    return failures, n_checks, reports
+
+
+@pytest.mark.parametrize("case", ["sweep-tol-1e-17", "literal", "asymmetric"])
+def test_verify_moments_matches_per_point_reference(case, asymmetric_sweep):
+    # the first two fail at many points, so the failure order is compared
+    ops, tolerance, fails = {
+        "sweep-tol-1e-17": (standard_sweep(), 1e-17, True),
+        "literal": (standard_sweep("literal"), 1e-10, True),
+        "asymmetric": (asymmetric_sweep, 1e-10, False),
+    }[case]
+    xs = sweep_grid(3)
+    res = verify_moments(ops, xs, tolerance)
+    failures, n_checks, reports = _verify_per_point(ops, xs, tolerance)
+    assert bool(failures) == fails
+    assert res.failures == failures
+    assert res.n_checks == n_checks
+    assert len(res.reports) == len(reports)
+
+    def bits(r):
+        return (r.op, r.point, [(e.name, float(e.closed).hex(), float(e.oracle).hex())
+                                for e in r.entries])
+
+    for got, want in zip(res.reports, reports):
+        assert bits(got) == bits(want)
 
 
 def test_verify_moments_flags_literal_nodes():

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pqss.moments import _pascal_binomials
+from pqss.operators import AxisConfig, weight_vector
 from pqss.pq_core import (
     PQPair,
     _log_rising_terms,
@@ -224,12 +226,21 @@ def test_cumulative_log_factorials_is_the_compensated_sum_of_bracket_logs():
 
 
 def test_cumulative_log_factorials_rejects_underflowed_brackets():
-    # 0.9^7073 is below the smallest subnormal, so [7073] = 0 has no log
-    assert pq_integer(7072, PQPair(0.9, 0.6)) > 0.0
-    assert pq_integer(7073, PQPair(0.9, 0.6)) == 0.0
-    with pytest.raises(ValueError, match=r"bracket \[7073\] underflows to 0 at p=0\.9, q=0\.6"):
-        cumulative_log_factorials(8000, 0.9, 0.6)
-    assert cumulative_log_factorials(7072, 0.9, 0.6)[-1] < 0.0
+    # [6735] is the first bracket below the smallest normal double at
+    # p = 0.9, q = 0.6; [7073] = 0 has no log, and the subnormal brackets
+    # between them keep too few bits for their logs
+    pq = PQPair(0.9, 0.6)
+    assert pq_integer(6734, pq) >= sys.float_info.min > pq_integer(6735, pq) > 0.0
+    assert pq_integer(7073, pq) == 0.0
+    for kmax in (6735, 7000, 8000):
+        with pytest.raises(ValueError, match=r"bracket \[6735\] = 2\.219e-308 is below "
+                                             r"the smallest normal double at p=0\.9, q=0\.6"):
+            cumulative_log_factorials(kmax, 0.9, 0.6)
+    assert cumulative_log_factorials(6734, 0.9, 0.6)[-1] < 0.0
+    # an axis with a normal [n] and m past the normal range: its weights
+    # summed to 1.0001255 before the check
+    with pytest.raises(ValueError, match=r"bracket \[6735\]"):
+        weight_vector(AxisConfig(n=6700, l=300, pq=pq), 0.5)
 
 
 def test_cumulative_log_factorials_long_run_precision():
