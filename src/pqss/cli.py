@@ -11,7 +11,8 @@ Subcommands:
   catalog   list catalog functions and their metadata
 
 Exit codes: 0 success, 1 verification/bound failure, 2 usage or validation
-error.  A --config file holds key=value lines (flag names, hyphens or
+error; a command whose arrays would hold more than 2^26 elements is refused
+before any work.  A --config file holds key=value lines (flag names, hyphens or
 underscores); explicit command-line flags override it.
 
 --node-exponent exists on eval and verify only: converge and bounds lean on
@@ -73,10 +74,16 @@ class _Options:
     values and each subcommand's required flags, recorded as the options are
     added.  Required flags are checked after parsing: a config value can
     satisfy them.
+
+    Every subcommand's parser is registered, but only `only`'s options are
+    added to it (all of them when `only` is None): argparse reads nothing
+    else.  Converters, choices and required flags are recorded for every
+    subcommand, since a config file may hold any subcommand's keys.
     """
 
-    def __init__(self, sub):
+    def __init__(self, sub, only: str | None):
         self.sub = sub
+        self.only = only
         self.name = ""
         self.parsers: dict[str, argparse.ArgumentParser] = {}
         self.converters: dict = {}
@@ -90,7 +97,8 @@ class _Options:
         self.mandatory[name] = []
 
     def add(self, flag: str, required: bool = False, **kwargs) -> None:
-        self.parsers[self.name].add_argument(flag, **kwargs)
+        if self.only in (None, self.name):
+            self.parsers[self.name].add_argument(flag, **kwargs)
         dest = flag[2:].replace("-", "_")
         bool_flag = kwargs.get("action") == "store_true"
         self.converters[dest] = _parse_bool if bool_flag else kwargs.get("type", str)
@@ -119,13 +127,16 @@ def _add_node_exponent(opts: _Options) -> None:
     opts.add("--node-exponent", choices=tuple(_EXPONENT_BY_FLAG), default="canonical")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, _Options]:
+def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, _Options]:
+    """The pqss parser, with options added for `command` only when it names a
+    subcommand, and for every subcommand otherwise."""
     parser = argparse.ArgumentParser(
         prog="pqss",
         description="Bivariate Schurer-Stancu operators on (p,q)-integers",
     )
     parser.add_argument("--config", default=None, help="key=value defaults file")
-    opts = _Options(parser.add_subparsers(dest="command", required=True))
+    opts = _Options(parser.add_subparsers(dest="command", required=True),
+                    command if command in _DISPATCH else None)
 
     opts.command("eval", help="evaluate S(f; x1, x2)")
     _add_axis_args(opts)
@@ -247,9 +258,35 @@ def _check_grid(k: int) -> None:
         raise ValueError(f"requires --grid >= 2 (got {k})")
 
 
+MAX_ELEMENTS = 2 ** 26
+
+
+def _check_cost(m1: int, m2: int, k: int) -> None:
+    """Refuse, before any work, a command whose arrays would be too large.
+
+    m1, m2 are the largest degrees the command builds on each axis and k the
+    points per axis of its grid; the arrays are the node samples, each axis's
+    weight matrix and the grid itself.
+    """
+    sizes = (
+        ("node samples (m1+1)(m2+1)", (m1 + 1) * (m2 + 1)),
+        ("axis 1 weights k(m1+1)", k * (m1 + 1)),
+        ("axis 2 weights k(m2+1)", k * (m2 + 1)),
+        ("grid k^2", k * k),
+    )
+    for what, size in sizes:
+        if size > MAX_ELEMENTS:
+            raise ValueError(
+                f"{what} = {size} elements exceeds the limit of {MAX_ELEMENTS} (2^26) "
+                f"at m1={m1}, m2={m2}, k={k}"
+            )
+
+
 def cmd_eval(ns) -> int:
     exponent = _EXPONENT_BY_FLAG[ns.node_exponent]
-    op = BivariateOperator(_axis(ns, 1, exponent), _axis(ns, 2, exponent))
+    ax1, ax2 = _axis(ns, 1, exponent), _axis(ns, 2, exponent)
+    _check_cost(ax1.degree, ax2.degree, 1)
+    op = BivariateOperator(ax1, ax2)
     f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
     value = apply_bivariate(op, f.fn, ns.x1, ns.x2)
     keys = ("f", "x1", "x2", "n1", "l1", "p1", "q1", "alpha1", "beta1",
@@ -274,8 +311,9 @@ def cmd_eval(ns) -> int:
 def cmd_verify(ns) -> int:
     exponent = _EXPONENT_BY_FLAG[ns.node_exponent]
     _check_grid(ns.grid)
-    if not ns.tolerance > 0.0:
-        raise ValueError(f"requires --tolerance > 0 (got {ns.tolerance})")
+    if not 0.0 < ns.tolerance < 1.0:
+        # a tolerance no difference can exceed would make the check vacuous
+        raise ValueError(f"requires a finite --tolerance in (0, 1) (got {ns.tolerance})")
     ops = standard_sweep(exponent)
     xs = sweep_grid(ns.grid)
     res = verify_moments(ops, xs, ns.tolerance)
@@ -352,6 +390,8 @@ def cmd_converge(ns) -> int:
     _check_grid(ns.grid)
     shape1 = AxisShape(ns.l1, ns.alpha1, ns.beta1)
     shape2 = AxisShape(ns.l2, ns.alpha2, ns.beta2)
+    # a negative l is refused when the first operator is built
+    _check_cost(max(n_list) + max(ns.l1, 0), max(n_list) + max(ns.l2, 0), ns.grid)
     f = _catalog_entry(ns.f, shape1.l + 1.0, shape2.l + 1.0)
 
     suite = korovkin_suite(spec, n_list, shape1, shape2, grid_k=ns.grid)
@@ -393,8 +433,10 @@ def cmd_converge(ns) -> int:
 
 
 def cmd_bounds(ns) -> int:
-    op = BivariateOperator(_axis(ns, 1), _axis(ns, 2))
+    ax1, ax2 = _axis(ns, 1), _axis(ns, 2)
     _check_grid(ns.grid)
+    _check_cost(ax1.degree, ax2.degree, ns.grid)
+    op = BivariateOperator(ax1, ax2)
     f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
     xs = np.linspace(0.0, 1.0, ns.grid)
     lhs, rhs = total_modulus_bound_grid(op, f, xs, xs)
@@ -408,18 +450,18 @@ def cmd_bounds(ns) -> int:
     keys = ("f", "grid", "n1", "l1", "p1", "q1", "alpha1", "beta1",
             "n2", "l2", "p2", "q2", "alpha2", "beta2")
     cfg = _run_config(ns, keys)
-    points = [(i, j, float(x1), float(x2))
-              for i, x1 in enumerate(xs) for j, x2 in enumerate(xs)]
+    # one entry per grid point, x1 outer and x2 inner
+    columns = (np.repeat(xs, ns.grid).tolist(), np.tile(xs, ns.grid).tolist(),
+               lhs.ravel().tolist(), rhs.ravel().tolist(), ok.ravel().tolist())
 
     def csv_report():
-        rows = [[x1, x2, float(lhs[i, j]), float(rhs[i, j]), "true" if ok[i, j] else "false"]
-                for i, j, x1, x2 in points]
-        return ["x1", "x2", "lhs", "rhs", "holds"], rows
+        x1s, x2s, lhss, rhss, holds = columns
+        holds_text = ["true" if h else "false" for h in holds]
+        return ["x1", "x2", "lhs", "rhs", "holds"], list(zip(x1s, x2s, lhss, rhss, holds_text))
 
     def json_report():
-        rows = [{"point": {"x1": x1, "x2": x2}, "lhs": float(lhs[i, j]),
-                 "rhs": float(rhs[i, j]), "holds": bool(ok[i, j])}
-                for i, j, x1, x2 in points]
+        rows = [{"point": {"x1": x1, "x2": x2}, "lhs": lo, "rhs": hi, "holds": h}
+                for x1, x2, lo, hi, h in zip(*columns)]
         return {"config": cfg, "rows": rows, "violations": violations}
 
     _write_report(Path(ns.output or f"bounds_{f.name}_{config_hash(cfg)}.{ns.format}"),
@@ -477,8 +519,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    parser, opts = build_parser()
+    known, rest = pre.parse_known_args(argv)
+    # with --config taken out, the first token that is not a flag names the subcommand
+    parser, opts = build_parser(next((tok for tok in rest if not tok.startswith("-")), None))
     if known.config:
         try:
             values = load_config_file(known.config, opts.converters, opts.choices)

@@ -183,7 +183,7 @@ def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
         table = np.broadcast_to(table, shape)
         for a, w1 in enumerate(w1s):
             terms = (w1[None, :, None] * w2s[:, None, :]) * table[a]
-            out[k, a] = [math.fsum(row) for row in terms.reshape(xs2.size, -1).tolist()]
+            out[k, a] = [math.fsum(memoryview(row)) for row in terms.reshape(xs2.size, -1)]
     return out
 
 

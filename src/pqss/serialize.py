@@ -7,25 +7,53 @@ files, which the output-hashing in the CLI depends on.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
+import re
+
+_FLOAT_FORMAT = "%.17g"
+# A CSV field holding any of these is quoted, with its quotes doubled
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def fmt_float(x: float) -> str:
     """Round-trip decimal form for CSV cells."""
-    return "%.17g" % x
+    return _FLOAT_FORMAT % x
+
+
+def _field(v) -> str:
+    """One CSV field: None is empty, floats via fmt_float, anything else str()."""
+    if v is None:
+        return ""
+    text = fmt_float(v) if isinstance(v, float) else v if isinstance(v, str) else str(v)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(cells: tuple) -> list[str]:
+    """The fields of one column; a column of floats is one % operation."""
+    if all(issubclass(t, float) for t in set(map(type, cells))):
+        return ((_FLOAT_FORMAT + "\n") * len(cells) % cells).split("\n")[:-1]
+    return list(map(_field, cells))
+
+
+def _line(fields) -> str:
+    # a lone empty field is quoted, so the line does not read as a row of no
+    # fields
+    return '""' if len(fields) == 1 and not fields[0] else ",".join(fields)
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
-    """RFC-4180 CSV (CRLF line endings, minimal quoting); floats via fmt_float."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """RFC-4180 CSV (CRLF line endings, minimal quoting); floats via fmt_float.
+
+    The bytes are those of csv.writer with lineterminator="\\r\\n".  Rows are
+    formatted a column at a time, so they must all have one length.
+    """
+    columns = [_column(cells) for cells in zip(*rows, strict=True)]
+    body = zip(*columns) if columns else [()] * len(rows)
+    lines = [_line([_field(v) for v in header]), *map(_line, body)]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def json_text(obj) -> str:

@@ -280,7 +280,7 @@ def _direct_apply(op: BivariateOperator, f, x1: float, x2: float) -> float:
 
 def test_reductions(verdict):
     ax1 = AxisConfig(n=5, l=2, pq=PQPair(0.9, 0.6), alpha=1.0, beta=1.5)
-    ax2 = AxisConfig(n=4, l=1, pq=PQPair(0.9, 0.6), alpha=1.0, beta=1.5)
+    ax2 = AxisConfig(n=4, l=1, pq=PQPair(0.95, 0.7), alpha=1.0, beta=1.5)
     base = BivariateOperator(ax1, ax2)
     xs = np.linspace(0.0, 1.0, 21)
     fns = [lambda a, b: a * b, lambda a, b: np.sin(a) * np.cos(b)]
@@ -304,8 +304,10 @@ def test_reductions(verdict):
     red_q, red_bs, red_b = ops[1], ops[2], ops[3]
     params_ok = (
         red_q.axis1.pq == PQPair(1.0, 0.6)
+        and red_q.axis2.pq == PQPair(1.0, 0.7)
         and (red_q.axis1.l, red_q.axis1.alpha, red_q.axis1.beta) == (2, 1.0, 1.5)
         and red_bs.axis1.pq == ax1.pq
+        and red_bs.axis2.pq == ax2.pq
         and (red_bs.axis1.alpha, red_bs.axis1.beta) == (0.0, 0.0)
         and red_bs.axis1.l == 2
         and (red_b.axis1.l, red_b.axis1.alpha, red_b.axis1.beta) == (0, 0.0, 0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,33 @@ def test_usage_errors(capsys):
     assert rc == 2
     assert "--grid >= 2" in err
 
+    # a tolerance no difference can exceed: the 2,560 literal-node failures
+    # at 1e-10 would read as OK
+    for tol in ("inf", "nan", "1", "0", "-1e-10"):
+        rc, out, err = run(["verify", "--grid", "3", "--node-exponent", "paper-literal",
+                            f"--tolerance={tol}"], capsys)
+        assert rc == 2
+        assert "requires a finite --tolerance in (0, 1)" in err
+        assert out == ""
+
+    # cost bound: refused before any operator is built, naming the size
+    for argv, size in (
+        (["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
+          "--n1", "100000", "--n2", "100000"], "node samples (m1+1)(m2+1) = 10000200001"),
+        (["bounds", "--f", "e11", "--n1", "100000", "--n2", "100000"],
+         "node samples (m1+1)(m2+1) = 10000200001"),
+        (["bounds", "--f", "e11", "--grid", "10000"], "grid k^2 = 100000000"),
+        (["bounds", "--f", "e11", "--n1", "10000", "--grid", "8000"],
+         "axis 1 weights k(m1+1) = 80008000"),
+        (["converge", "--n-list", "8,16,100000", "--l2", "2"],
+         "node samples (m1+1)(m2+1) = 10000400003"),
+        (["converge", "--n-list", "8,16,32", "--grid", "10000"], "grid k^2 = 100000000"),
+    ):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert f"{size} elements exceeds the limit of 67108864 (2^26)" in err
+
     rc, out, err = run(["converge", "--n-list", ""], capsys)
     assert rc == 2
     assert "nonempty --n-list" in err
@@ -335,6 +363,40 @@ def test_usage_errors(capsys):
         assert "value" not in out
         assert f"requires [n] to be a normal double (got [n] = {got}" in err
         assert f"at n={n1}, p=0.9, q=0.6" in err
+
+
+AXIS_FLAGS = [f"--{key}{i}" for i in (1, 2) for key in ("n", "l", "p", "q", "alpha", "beta")]
+OUTPUT_FLAGS = ["--output", "--format"]
+FLAGS = {
+    "eval": [*AXIS_FLAGS, "--f", "--x1", "--x2", "--oracle", "--node-exponent", *OUTPUT_FLAGS],
+    "verify": ["--tolerance", "--grid", "--node-exponent", *OUTPUT_FLAGS],
+    "converge": ["--family", "--cp", "--cq", "--family-file", "--n-list", "--f",
+                 "--l1", "--alpha1", "--beta1", "--l2", "--alpha2", "--beta2", "--grid",
+                 *OUTPUT_FLAGS],
+    "bounds": [*AXIS_FLAGS, "--f", "--grid", *OUTPUT_FLAGS],
+    "catalog": ["--l1", "--l2", *OUTPUT_FLAGS],
+}
+
+
+def _flags_in(text: str) -> set[str]:
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+
+
+def test_help_lists_every_flag(tmp_path, capsys):
+    # the parser gets only the invoked subcommand's options; its help must
+    # still list all of them, and the top level all subcommands
+    rc, out, err = run(["--help"], capsys)
+    assert rc == 0
+    assert _flags_in(out) == {"--help", "--config"}
+    assert "{" + ",".join(FLAGS) + "}" in out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid = 5\n")
+    for command, flags in FLAGS.items():
+        for argv in ([command, "--help"], ["--config", str(cfg), command, "-h"]):
+            rc, out, err = run(argv, capsys)
+            assert rc == 0
+            assert out.startswith(f"usage: pqss {command} ")
+            assert _flags_in(out) == {"--help", *flags}
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -1,9 +1,44 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pqss.serialize import config_hash, csv_text, fmt_float, json_text, write_text
+
+
+def reference_csv_text(header, rows):
+    """csv.writer with floats through fmt_float: the bytes csv_text must give."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_float(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324]),
+    st.floats().map(np.float64),
+)
+TEXTS = st.text(alphabet='ab ,"\r\n\t', max_size=5)
+CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXTS)
+
+
+@st.composite
+def tables(draw):
+    """A header and rectangular rows whose columns are all floats, all text or mixed."""
+    width = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(0, 5))
+    columns = [draw(st.lists(draw(st.sampled_from([FLOATS, TEXTS, CELLS])),
+                             min_size=n_rows, max_size=n_rows))
+               for _ in range(width)]
+    rows = [list(row) for row in zip(*columns)] if width else [[] for _ in range(n_rows)]
+    return draw(st.lists(TEXTS, min_size=width, max_size=width)), rows
 
 
 def test_fmt_float_round_trips():
@@ -19,6 +54,20 @@ def test_csv_text_shape_and_quoting():
     assert lines[2] == '"x,y",2'
     assert lines[3] == ""
     assert "\n" not in text.replace("\r\n", "")
+
+
+@given(tables())
+def test_csv_text_matches_csv_writer(table):
+    header, rows = table
+    assert csv_text(header, rows) == reference_csv_text(header, rows)
+
+
+def test_csv_text_one_field_rows_and_ragged_rows():
+    rows = [[""], [None], [1.5], ['a"b']]
+    assert csv_text([""], rows) == '""\r\n""\r\n""\r\n1.5\r\n"a""b"\r\n'
+    assert csv_text([""], rows) == reference_csv_text([""], rows)
+    with pytest.raises(ValueError):
+        csv_text(["a", "b"], [[1, 2], [3]])  # columns need rows of one length
 
 
 def test_json_text_canonical():
