@@ -27,6 +27,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,127 +70,39 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-class _Options:
-    """Subcommand parsers, each option's converter and choices for config-file
-    values and each subcommand's required flags, recorded as the options are
-    added.  Required flags are checked after parsing: a config value can
-    satisfy them.
-
-    Every subcommand's parser is registered, but only `only`'s options are
-    added to it (all of them when `only` is None): argparse reads nothing
-    else.  Converters, choices and required flags are recorded for every
-    subcommand, since a config file may hold any subcommand's keys.
-    """
-
-    def __init__(self, sub, only: str | None):
-        self.sub = sub
-        self.only = only
-        self.name = ""
-        self.parsers: dict[str, argparse.ArgumentParser] = {}
-        self.converters: dict = {}
-        self.choices: dict[str, tuple] = {}
-        self.mandatory: dict[str, list[tuple[str, str]]] = {}
-
-    def command(self, name: str, help: str) -> None:
-        """Start a subcommand; the options added next belong to it."""
-        self.name = name
-        self.parsers[name] = self.sub.add_parser(name, help=help)
-        self.mandatory[name] = []
-
-    def add(self, flag: str, required: bool = False, **kwargs) -> None:
-        if self.only in (None, self.name):
-            self.parsers[self.name].add_argument(flag, **kwargs)
-        dest = flag[2:].replace("-", "_")
-        bool_flag = kwargs.get("action") == "store_true"
-        self.converters[dest] = _parse_bool if bool_flag else kwargs.get("type", str)
-        if "choices" in kwargs:
-            self.choices[dest] = tuple(kwargs["choices"])
-        if required:
-            self.mandatory[self.name].append((flag, dest))
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _add_axis_args(opts: _Options) -> None:
-    for i in (1, 2):
-        opts.add(f"--n{i}", type=int, default=8)
-        opts.add(f"--l{i}", type=int, default=0)
-        opts.add(f"--p{i}", type=float, default=1.0)
-        opts.add(f"--q{i}", type=float, default=0.5)
-        opts.add(f"--alpha{i}", type=float, default=0.0)
-        opts.add(f"--beta{i}", type=float, default=0.0)
+_AXIS_KWARGS = {
+    "n": dict(type=int, default=8),
+    "l": dict(type=int, default=0),
+    "p": dict(type=float, default=1.0),
+    "q": dict(type=float, default=0.5),
+    "alpha": dict(type=float, default=0.0),
+    "beta": dict(type=float, default=0.0),
+}
 
 
-def _add_output_args(opts: _Options) -> None:
-    opts.add("--output", default=None, help="output file (or directory for converge)")
-    opts.add("--format", choices=("csv", "json"), default="csv")
+def _axis_rows(*keys: str) -> tuple:
+    """The option rows of the axis parameters `keys`, axis 1's before axis 2's."""
+    return tuple((f"--{key}{i}", _AXIS_KWARGS[key]) for i in (1, 2) for key in keys)
 
 
-def _add_node_exponent(opts: _Options) -> None:
-    opts.add("--node-exponent", choices=tuple(_EXPONENT_BY_FLAG), default="canonical")
+_AXIS_OPTIONS = _axis_rows(*_AXIS_KWARGS)
+_AXIS_KEYS = tuple(_dest(flag) for flag, _ in _AXIS_OPTIONS)
+_OUTPUT_OPTIONS = (
+    ("--output", dict(default=None, help="output file (or directory for converge)")),
+    ("--format", dict(choices=("csv", "json"), default="csv")),
+)
+_NODE_EXPONENT = ("--node-exponent", dict(choices=tuple(_EXPONENT_BY_FLAG), default="canonical"))
+_REQUIRED_F = ("--f", dict(help="catalog function name"))
 
 
-def build_parser(command: str | None = None) -> tuple[argparse.ArgumentParser, _Options]:
-    """The pqss parser, with options added for `command` only when it names a
-    subcommand, and for every subcommand otherwise."""
-    parser = argparse.ArgumentParser(
-        prog="pqss",
-        description="Bivariate Schurer-Stancu operators on (p,q)-integers",
-    )
-    parser.add_argument("--config", default=None, help="key=value defaults file")
-    opts = _Options(parser.add_subparsers(dest="command", required=True),
-                    command if command in _DISPATCH else None)
-
-    opts.command("eval", help="evaluate S(f; x1, x2)")
-    _add_axis_args(opts)
-    opts.add("--f", required=True, help="catalog function name")
-    opts.add("--x1", type=float, required=True)
-    opts.add("--x2", type=float, required=True)
-    opts.add("--oracle", action="store_true", help="also run the brute-force oracle")
-    _add_node_exponent(opts)
-    _add_output_args(opts)
-
-    opts.command("verify", help="closed moments vs oracle over the sweep")
-    opts.add("--tolerance", type=float, default=1e-10)
-    opts.add("--grid", type=int, default=11, help="points per axis in [0,1]")
-    _add_node_exponent(opts)
-    _add_output_args(opts)
-
-    opts.command("converge", help="Korovkin suite and convergence table")
-    opts.add(
-        "--family", choices=("one-minus-c-over-n", "tabulated"),
-        default="one-minus-c-over-n",
-    )
-    opts.add("--cp", type=float, default=0.5, help="p_n = 1 - cp/n")
-    opts.add("--cq", type=float, default=1.0, help="q_n = 1 - cq/n")
-    opts.add("--family-file", default=None,
-             help="JSON {pairs: {n: [p, q]}, a: float, b: float} for --family tabulated")
-    opts.add("--n-list", default="16,32,64,128,256,512")
-    # e20 keeps a genuine error for every shape; linear entries can be
-    # reproduced exactly (l=0, alpha=beta=0), which makes a useless default
-    opts.add("--f", default="e20", help="catalog function for the convergence table")
-    for i in (1, 2):
-        opts.add(f"--l{i}", type=int, default=0)
-        opts.add(f"--alpha{i}", type=float, default=0.0)
-        opts.add(f"--beta{i}", type=float, default=0.0)
-    opts.add("--grid", type=int, default=41)
-    _add_output_args(opts)
-
-    opts.command("bounds", help="check |S(f) - f| <= 4 omega_total on a grid")
-    _add_axis_args(opts)
-    opts.add("--f", required=True, help="catalog function name")
-    opts.add("--grid", type=int, default=41)
-    _add_output_args(opts)
-
-    opts.command("catalog", help="list catalog functions and metadata")
-    opts.add("--l1", type=int, default=0)
-    opts.add("--l2", type=int, default=0)
-    _add_output_args(opts)
-
-    return parser, opts
-
-
-def load_config_file(path: str, types: dict, choices: dict) -> dict:
+def load_config_file(path: str) -> dict:
     """Parse key=value lines; '#' comments and blanks skipped; keys typed and
-    checked against the option's choices, as argparse checks the flag."""
+    checked against the option's choices, as argparse checks the flag.  A key
+    may name an option of any subcommand."""
     values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -200,13 +113,15 @@ def load_config_file(path: str, types: dict, choices: dict) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         dest = key.strip().replace("-", "_")
-        if dest not in types:
+        if dest not in _OPTION_KWARGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+        kwargs = _OPTION_KWARGS[dest]
+        convert = _parse_bool if kwargs.get("action") == "store_true" else kwargs.get("type", str)
         try:
-            values[dest] = types[dest](val.strip())
+            values[dest] = convert(val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key.strip()!r}: {exc}") from exc
-        allowed = choices.get(dest)
+        allowed = kwargs.get("choices")
         if allowed is not None and values[dest] not in allowed:
             raise ValueError(
                 f"{path}:{lineno}: bad value for {key.strip()!r}: "
@@ -289,9 +204,7 @@ def cmd_eval(ns) -> int:
     op = BivariateOperator(ax1, ax2)
     f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
     value = apply_bivariate(op, f.fn, ns.x1, ns.x2)
-    keys = ("f", "x1", "x2", "n1", "l1", "p1", "q1", "alpha1", "beta1",
-            "n2", "l2", "p2", "q2", "alpha2", "beta2", "node_exponent")
-    record = _run_config(ns, keys)
+    record = _run_config(ns, ("f", "x1", "x2", *_AXIS_KEYS, "node_exponent"))
     record["value"] = value
     if ns.oracle:
         # the oracle's one-point grid; it raises before anything is printed
@@ -447,9 +360,7 @@ def cmd_bounds(ns) -> int:
         f"max lhs {np.max(lhs):.3e}, min margin {np.min(rhs - lhs):.3e}, "
         f"violations {violations}"
     )
-    keys = ("f", "grid", "n1", "l1", "p1", "q1", "alpha1", "beta1",
-            "n2", "l2", "p2", "q2", "alpha2", "beta2")
-    cfg = _run_config(ns, keys)
+    cfg = _run_config(ns, ("f", "grid", *_AXIS_KEYS))
     # one entry per grid point, x1 outer and x2 inner
     columns = (np.repeat(xs, ns.grid).tolist(), np.tile(xs, ns.grid).tolist(),
                lhs.ravel().tolist(), rhs.ravel().tolist(), ok.ravel().tolist())
@@ -505,43 +416,98 @@ def cmd_catalog(ns) -> int:
     return 0
 
 
-_DISPATCH = {
-    "eval": cmd_eval,
-    "verify": cmd_verify,
-    "converge": cmd_converge,
-    "bounds": cmd_bounds,
-    "catalog": cmd_catalog,
+# Each subcommand's help, handler and option rows (flag, kwargs), in help
+# order.  kwargs go to argparse's add_argument, except "default", which main
+# applies beneath the config file and the flags; a row without a default is a
+# required flag, which a config value can satisfy.
+COMMANDS = {
+    "eval": ("evaluate S(f; x1, x2)", cmd_eval, (
+        *_AXIS_OPTIONS,
+        _REQUIRED_F,
+        ("--x1", dict(type=float)),
+        ("--x2", dict(type=float)),
+        ("--oracle", dict(action="store_true", default=False,
+                          help="also run the brute-force oracle")),
+        _NODE_EXPONENT,
+        *_OUTPUT_OPTIONS,
+    )),
+    "verify": ("closed moments vs oracle over the sweep", cmd_verify, (
+        ("--tolerance", dict(type=float, default=1e-10)),
+        ("--grid", dict(type=int, default=11, help="points per axis in [0,1]")),
+        _NODE_EXPONENT,
+        *_OUTPUT_OPTIONS,
+    )),
+    "converge": ("Korovkin suite and convergence table", cmd_converge, (
+        ("--family", dict(choices=("one-minus-c-over-n", "tabulated"),
+                          default="one-minus-c-over-n")),
+        ("--cp", dict(type=float, default=0.5, help="p_n = 1 - cp/n")),
+        ("--cq", dict(type=float, default=1.0, help="q_n = 1 - cq/n")),
+        ("--family-file", dict(
+            default=None,
+            help="JSON {pairs: {n: [p, q]}, a: float, b: float} for --family tabulated")),
+        ("--n-list", dict(default="16,32,64,128,256,512")),
+        # e20 keeps a genuine error for every shape; linear entries can be
+        # reproduced exactly (l=0, alpha=beta=0), which makes a useless default
+        ("--f", dict(default="e20", help="catalog function for the convergence table")),
+        *_axis_rows("l", "alpha", "beta"),
+        ("--grid", dict(type=int, default=41)),
+        *_OUTPUT_OPTIONS,
+    )),
+    "bounds": ("check |S(f) - f| <= 4 omega_total on a grid", cmd_bounds, (
+        *_AXIS_OPTIONS,
+        _REQUIRED_F,
+        ("--grid", dict(type=int, default=41)),
+        *_OUTPUT_OPTIONS,
+    )),
+    "catalog": ("list catalog functions and metadata", cmd_catalog, (
+        *_axis_rows("l"),
+        *_OUTPUT_OPTIONS,
+    )),
 }
+
+# A config file may hold any subcommand's keys; an option shared by several
+# subcommands has one type and one set of choices.
+_OPTION_KWARGS = {_dest(flag): kw for _, _, rows in COMMANDS.values() for flag, kw in rows}
+
+
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The pqss parser and its subcommand parsers, built once per process.
+
+    No option has an argparse default, so a parsed namespace holds only the
+    flags that were given.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pqss",
+        description="Bivariate Schurer-Stancu operators on (p,q)-integers",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument("--config", help="key=value defaults file")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, rows) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag, kwargs in rows:
+            sp.add_argument(flag, **{k: v for k, v in kwargs.items() if k != "default"})
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, rest = pre.parse_known_args(argv)
-    # with --config taken out, the first token that is not a flag names the subcommand
-    parser, opts = build_parser(next((tok for tok in rest if not tok.startswith("-")), None))
-    if known.config:
-        try:
-            values = load_config_file(known.config, opts.converters, opts.choices)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for sp in opts.parsers.values():
-            sp.set_defaults(**values)
+    parser, subparsers = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        missing = [flag for flag, dest in opts.mandatory[ns.command] if getattr(ns, dest) is None]
+        given = vars(parser.parse_args(argv))
+        _, handler, rows = COMMANDS[given["command"]]
+        config = load_config_file(given["config"]) if "config" in given else {}
+        defaults = {_dest(flag): kw["default"] for flag, kw in rows if "default" in kw}
+        ns = argparse.Namespace(**{**defaults, **config, **given})
+        missing = [flag for flag, _ in rows if not hasattr(ns, _dest(flag))]
         if missing:
-            opts.parsers[ns.command].error(
+            subparsers[ns.command].error(
                 f"the following arguments are required: {', '.join(missing)}"
             )
+        return handler(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _DISPATCH[ns.command](ns)
-    except (ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
