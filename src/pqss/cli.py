@@ -176,25 +176,31 @@ def _check_grid(k: int) -> None:
 MAX_ELEMENTS = 2 ** 26
 
 
-def _check_cost(m1: int, m2: int, k: int) -> None:
+def _check_sizes(sizes, at: str) -> None:
+    """Refuse, before any work, a command with an array of (what, size) above
+    the limit; `at` names the inputs the sizes were computed from."""
+    for what, size in sizes:
+        if size > MAX_ELEMENTS:
+            raise ValueError(
+                f"{what} = {size} elements exceeds the limit of {MAX_ELEMENTS} (2^26) at {at}"
+            )
+
+
+def _check_cost(m1: int, m2: int, k: int, *more: tuple[str, int]) -> None:
     """Refuse, before any work, a command whose arrays would be too large.
 
     m1, m2 are the largest degrees the command builds on each axis and k the
     points per axis of its grid; the arrays are the node samples, each axis's
-    weight matrix and the grid itself.
+    weight matrix and the grid itself, then the command's own `more` sizes.
     """
     sizes = (
         ("node samples (m1+1)(m2+1)", (m1 + 1) * (m2 + 1)),
         ("axis 1 weights k(m1+1)", k * (m1 + 1)),
         ("axis 2 weights k(m2+1)", k * (m2 + 1)),
         ("grid k^2", k * k),
+        *more,
     )
-    for what, size in sizes:
-        if size > MAX_ELEMENTS:
-            raise ValueError(
-                f"{what} = {size} elements exceeds the limit of {MAX_ELEMENTS} (2^26) "
-                f"at m1={m1}, m2={m2}, k={k}"
-            )
+    _check_sizes(sizes, f"m1={m1}, m2={m2}, k={k}")
 
 
 def cmd_eval(ns) -> int:
@@ -227,6 +233,8 @@ def cmd_verify(ns) -> int:
     if not 0.0 < ns.tolerance < 1.0:
         # a tolerance no difference can exceed would make the check vacuous
         raise ValueError(f"requires a finite --tolerance in (0, 1) (got {ns.tolerance})")
+    # each operator's eight closed moments and their oracle values, per grid point
+    _check_sizes((("moment stacks 8k^2", 8 * ns.grid * ns.grid),), f"k={ns.grid}")
     ops = standard_sweep(exponent)
     xs = sweep_grid(ns.grid)
     res = verify_moments(ops, xs, ns.tolerance)
@@ -284,27 +292,48 @@ def _order_text(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _tabulated_family(path: str):
+    """The family of a JSON file {pairs: {n: [p, q]}, a: float, b: float}."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"family file {path}: expected a JSON object")
+    for key in ("pairs", "a", "b"):
+        if key not in raw:
+            raise ValueError(f"family file missing key {key!r}")
+    pairs = raw["pairs"]
+    if not isinstance(pairs, dict) or not all(
+        isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) for v in pairs.values()
+    ):
+        raise ValueError(f"family file {path}: 'pairs' must map each n to two numbers [p, q]")
+    if not (_is_number(raw["a"]) and _is_number(raw["b"])):
+        raise ValueError(f"family file {path}: 'a' and 'b' must be numbers")
+    return tabulated_sequence(
+        {int(k): tuple(v) for k, v in pairs.items()},
+        float(raw["a"]), float(raw["b"]),
+        name=Path(path).stem,
+    )
+
+
 def cmd_converge(ns) -> int:
     if ns.family == "one-minus-c-over-n":
         spec = one_minus_c_over_n(ns.cp, ns.cq)
     else:
         if not ns.family_file:
             raise ValueError("requires --family-file with --family tabulated")
-        raw = json.loads(Path(ns.family_file).read_text(encoding="utf-8"))
-        for key in ("pairs", "a", "b"):
-            if key not in raw:
-                raise ValueError(f"family file missing key {key!r}")
-        spec = tabulated_sequence(
-            {int(k): tuple(v) for k, v in raw["pairs"].items()},
-            float(raw["a"]), float(raw["b"]),
-            name=Path(ns.family_file).stem,
-        )
+        spec = _tabulated_family(ns.family_file)
     n_list = _parse_n_list(ns.n_list)
     _check_grid(ns.grid)
     shape1 = AxisShape(ns.l1, ns.alpha1, ns.beta1)
     shape2 = AxisShape(ns.l2, ns.alpha2, ns.beta2)
     # a negative l is refused when the first operator is built
-    _check_cost(max(n_list) + max(ns.l1, 0), max(n_list) + max(ns.l2, 0), ns.grid)
+    l1, l2 = max(ns.l1, 0), max(ns.l2, 0)
+    _check_cost(max(n_list) + l1, max(n_list) + l2, ns.grid,
+                ("total node samples over --n-list",
+                 sum((n + l1 + 1) * (n + l2 + 1) for n in n_list)))
     f = _catalog_entry(ns.f, shape1.l + 1.0, shape2.l + 1.0)
 
     suite = korovkin_suite(spec, n_list, shape1, shape2, grid_k=ns.grid)

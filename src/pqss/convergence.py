@@ -22,7 +22,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .catalog import TestFunction
-from .moments import delta, first_moment_univariate, second_moment_univariate
+from .analysis import total_modulus_bound_grid
+from .moments import first_moment_univariate, second_moment_univariate
 from .operators import AxisConfig, BivariateOperator, apply_on_grid, tabulate
 from .pq_core import PQPair
 
@@ -234,18 +235,15 @@ def convergence_table(
     table = ConvergenceTable(spec.name, f.name, grid_k, shape1, shape2)
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
-        errs = np.abs(apply_on_grid(op, f.fn, xs, xs) - f_grid)
+        if f.total_modulus is None:
+            errs, rhs = np.abs(apply_on_grid(op, f.fn, xs, xs) - f_grid), None
+        else:
+            errs, rhs = total_modulus_bound_grid(op, f, xs, xs)
         flat = int(np.argmax(errs))
         i1, i2 = divmod(flat, len(xs))
         sup_err = float(errs[i1, i2])
-        bound = None
-        ratio = None
-        if f.total_modulus is not None:
-            d1 = delta(op.axis1, float(xs[i1]))
-            d2 = delta(op.axis2, float(xs[i2]))
-            bound = 4.0 * f.total_modulus(d1, d2)
-            if bound > 0.0:
-                ratio = sup_err / bound
+        bound = None if rhs is None else float(rhs[i1, i2])
+        ratio = sup_err / bound if bound and bound > 0.0 else None
         table.rows.append(ConvergenceRow(
             n=n, p=op.axis1.pq.p, q=op.axis1.pq.q, sup_err=sup_err,
             worst_x1=float(xs[i1]), worst_x2=float(xs[i2]),

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqss import cli
 
@@ -179,6 +183,29 @@ def test_converge_tabulated_errors(tmp_path, capsys):
     assert rc == 2
     assert "0 <= c_p < c_q" in err
 
+    # a missing file and malformed fields: usage errors naming the file, not
+    # tracebacks that exit 1 as a failed check would
+    rc, out, err = run(["converge", "--family", "tabulated",
+                        "--family-file", str(tmp_path / "missing.json")], capsys)
+    assert rc == 2
+    assert "No such file or directory" in err and "missing.json" in err
+    for raw, what in (
+        ([["8", 0.95, 0.9]], "expected a JSON object"),
+        ({"pairs": [[0.95, 0.9]], "a": 0.8, "b": 0.6}, "'pairs' must map each n to two numbers"),
+        ({"pairs": {"8": 0.95}, "a": 0.8, "b": 0.6}, "'pairs' must map each n to two numbers"),
+        ({"pairs": {"8": [0.95]}, "a": 0.8, "b": 0.6}, "'pairs' must map each n to two numbers"),
+        ({"pairs": {"8": [0.95, 0.9]}, "a": None, "b": 0.6}, "'a' and 'b' must be numbers"),
+        ({"pairs": {"8": [0.95, 0.9]}, "a": 0.8, "b": "0.6"}, "'a' and 'b' must be numbers"),
+    ):
+        fam.write_text(json.dumps(raw))
+        rc, out, err = run(
+            ["converge", "--family", "tabulated", "--family-file", str(fam),
+             "--n-list", "8", "--grid", "3"], capsys
+        )
+        assert rc == 2
+        assert f"family file {fam}: {what}" in err
+        assert out == ""
+
 
 def test_bounds_clean(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -258,7 +285,19 @@ def test_config_file_errors(tmp_path, capsys):
     assert rc == 2
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
+    # --config without a value: pqss's own usage, not a pre-parser's
+    rc, out, err = run(["--config"], capsys)
+    assert rc == 2
+    assert err.startswith("usage: pqss ")
+    assert "argument --config: expected one argument" in err
+
+    # a report into a missing directory: an error, not a traceback
+    missing = tmp_path / "missing" / "x.csv"
+    rc, out, err = run(["bounds", "--f", "e11", "--grid", "3", "--output", str(missing)], capsys)
+    assert rc == 2
+    assert f"No such file or directory: {str(missing)!r}" in err
+
     rc, out, err = run(["eval", "--f", "nope", "--x1", "0.5", "--x2", "0.5"], capsys)
     assert rc == 2
     assert "unknown function" in err
@@ -314,6 +353,12 @@ def test_usage_errors(capsys):
         (["converge", "--n-list", "8,16,100000", "--l2", "2"],
          "node samples (m1+1)(m2+1) = 10000400003"),
         (["converge", "--n-list", "8,16,32", "--grid", "10000"], "grid k^2 = 100000000"),
+        # each degree passes alone; together they sample 110M node values
+        (["converge", "--n-list", "5000,6000,7000"],
+         "total node samples over --n-list = 110036003"),
+        # verify's closed and oracle moment stacks hold 8 k^2 values
+        (["verify", "--grid", "2897"], "moment stacks 8k^2 = 67140872"),
+        (["verify", "--grid", "100000"], "moment stacks 8k^2 = 80000000000"),
     ):
         rc, out, err = run(argv, capsys)
         assert rc == 2
@@ -383,8 +428,8 @@ def _flags_in(text: str) -> set[str]:
 
 
 def test_help_lists_every_flag(tmp_path, capsys):
-    # the parser gets only the invoked subcommand's options; its help must
-    # still list all of them, and the top level all subcommands
+    # each subcommand's help lists exactly its options, and the top level
+    # all subcommands; help comes before the config file is read
     rc, out, err = run(["--help"], capsys)
     assert rc == 0
     assert _flags_in(out) == {"--help", "--config"}
@@ -397,6 +442,16 @@ def test_help_lists_every_flag(tmp_path, capsys):
             assert rc == 0
             assert out.startswith(f"usage: pqss {command} ")
             assert _flags_in(out) == {"--help", *flags}
+
+
+def test_shared_options_convert_alike():
+    # a config key is typed and checked by one row of the table, so every
+    # subcommand that declares the option must type and restrict it alike
+    seen = {}
+    for _, _, rows in cli.COMMANDS.values():
+        for flag, kwargs in rows:
+            conversion = (kwargs.get("type"), kwargs.get("action"), kwargs.get("choices"))
+            assert seen.setdefault(flag, conversion) == conversion, flag
 
 
 def test_byte_identical_reruns(tmp_path, capsys):
@@ -471,3 +526,66 @@ def test_config_file_values_outside_choices(tmp_path, capsys, monkeypatch, line,
     assert rc == 2
     assert f"{cfg}:2: bad value for {key!r}" in err
     assert list(tmp_path.iterdir()) == [cfg]  # nothing was written
+
+
+# Config-file values against flags.  Each eval option but --output, with valid
+# values and ones argparse or the command must refuse.
+BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
+FUZZ_BAD = ["abc", "", "nan", "inf", "-1", "1e400", "yes"]
+FUZZ_VALUES = {
+    "n": ["1", "3", "8", "40", "0", "100000", "2.5"],
+    "l": ["0", "1", "5", "300", "-2"],
+    "p": ["1", "0.95", "0.9", "0", "1.5"],
+    "q": ["0.5", "0.8", "0.99", "0", "1"],
+    "alpha": ["0", "0.5", "2", "-0.5"],
+    "beta": ["0", "1", "3"],
+    "f": ["e11", "exp_sum", "smooth_abs_005", "sinprod", "nope", "E11"],
+    "x": ["0", "0.25", "1", "1.5", "-0.5"],
+    "node_exponent": ["canonical", "paper-literal", "bogus"],
+    "format": ["csv", "json", "xml"],
+}
+EVAL_REQUIRED = {"f": "e11", "x1": "0.5", "x2": "0.5"}
+FUZZ_KEYS = [flag[2:].replace("-", "_") for flag in FLAGS["eval"] if flag != "--output"]
+
+
+def _fuzz_values(key: str) -> list[str]:
+    if key == "oracle":
+        return list(BOOLEANS)
+    return FUZZ_VALUES[key.rstrip("12")] + FUZZ_BAD
+
+
+def _flag(key: str, value: str) -> list[str]:
+    """The command-line form of the config line `key = value`."""
+    if key == "oracle":
+        return ["--oracle"] if BOOLEANS[value] else []
+    return [f"--{key.replace('_', '-')}={value}"]
+
+
+def _outcome(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+    return rc, out.getvalue()
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_config_line_matches_flag(data):
+    key = data.draw(st.sampled_from(FUZZ_KEYS), label="key")
+    values = _fuzz_values(key)
+    value = data.draw(st.sampled_from(values), label="value")
+    base = ["eval", *(arg for k, v in EVAL_REQUIRED.items() if k != key for arg in (f"--{k}", v))]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        config_only = _outcome(["--config", str(cfg), *base])
+        assert config_only == _outcome([*base, *_flag(key, value)])
+        if config_only[0] != 0:
+            return
+        # a flag beats the file: a different flag value wins outright
+        others = [v for v in values if _flag(key, v) not in ([], _flag(key, value))]
+        if others:
+            other = _flag(key, data.draw(st.sampled_from(others), label="other"))
+            assert _outcome(["--config", str(cfg), *base, *other]) == _outcome([*base, *other])

@@ -1,0 +1,179 @@
+"""Compare what pqss prints and writes in two source trees.
+
+Usage:
+
+    python tools/compare_reports.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout of this repository (a `git worktree` will do).  Every
+command that `_commands` lists runs once per root as `python -m pqss.cli ARGS`, with
+`PYTHONPATH=<root>/src`, `OPENBLAS_NUM_THREADS=1` and `COLUMNS=100`, in a fresh
+temporary directory that holds only the command's input files.  Paths in the
+commands are relative, so nothing on stdout or stderr names the directory.
+
+A command matches when its exit code, stdout, stderr and the files left in
+its directory are equal byte for byte.  The script prints one line per command
+that differs, naming what differs, and exits 1 if any does, 0 otherwise.
+
+Commands whose cost grows with the input (`verify --grid 100000`, an n-list
+of degrees near 8000) are left out: a tree without the cost bounds would try
+to run them.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SHAPE = ["--l1", "1", "--alpha1", "0.5", "--beta1", "1.0"]
+WORKED = [
+    "--n1", "2", "--l1", "1", "--q1", "0.5", "--alpha1", "1.0", "--beta1", "2.0",
+    "--n2", "2", "--l2", "1", "--q2", "0.5", "--alpha2", "1.0", "--beta2", "2.0",
+]
+POINT = ["--x1", "0.3", "--x2", "0.8", *WORKED]
+WORKED_CFG = (
+    "# worked operator\n"
+    "n1 = 2\nl1 = 1\nq1 = 0.5\nalpha1 = 1.0\nbeta1 = 2.0\n"
+    "n2 = 2\nl2 = 1\nq2 = 0.5\nalpha2 = 1.0\nbeta2 = 2.0\n"
+    "x1 = 0.5\nx2 = 0.5\n"
+)
+FAMILY = json.dumps({
+    "pairs": {"8": [0.95, 0.9], "16": [0.97, 0.94], "32": [0.99, 0.97]},
+    "a": 0.8, "b": 0.6,
+})
+CATALOG = ["abs_ramp", "const1", "e01", "e02", "e10", "e11", "e20", "exp_sum", "sinprod",
+           "smooth_abs_005", "smooth_abs_010", "smooth_abs_020", "sum"]
+
+
+def _commands() -> list[tuple[list[str], dict[str, str]]]:
+    """(pqss arguments, {input file name: text}) for every compared command."""
+    cmds: list[tuple[list[str], dict[str, str]]] = []
+
+    def add(*argv: str, files: dict[str, str] | None = None) -> None:
+        cmds.append((list(argv), files or {}))
+
+    # help and usage
+    add("--help")
+    for command in ("eval", "verify", "converge", "bounds", "catalog"):
+        add(command, "--help")
+        add("--config", "run.cfg", command, "-h", files={"run.cfg": "grid = 5\n"})
+    add()
+    add("frobnicate")
+    add("--config")
+    add("eval", "--x1", "0.5", "--x2", "0.5")
+    add("eval", "--f", "e11", "--x1", "abc", "--x2", "0.5")
+    add("eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--format", "xml")
+    add("converge", "--node-exponent", "canonical")
+
+    # validation errors
+    add("eval", "--f", "nope", "--x1", "0.5", "--x2", "0.5")
+    add("eval", "--f", "e11", "--x1", "1.5", "--x2", "0.5")
+    add("eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--p1", "0.5", "--q1", "0.9")
+    add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--alpha1", "inf", "--beta1", "inf")
+    add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "100000", "--n2", "100000")
+    add("eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
+        "--n1", "200", "--p1", "0.9", "--q1", "0.6", "--oracle")
+    add("eval", "--f", "e11", "--x1", "0", "--x2", ".5", "--n1", "8000", "--p1", "0.9",
+        "--q1", "0.6")
+    add("verify", "--grid", "1")
+    add("verify", "--grid", "3", "--node-exponent", "paper-literal", "--tolerance=inf")
+    add("bounds", "--f", "e11", "--grid", "10000")
+    add("bounds", "--f", "sinprod", "--grid", "5", *WORKED)
+    add("bounds", "--f", "e11", "--grid", "3", "--output", "missing/x.csv")
+    add("converge", "--n-list", "")
+    add("converge", "--n-list", "8,16,8", "--grid", "3")
+    add("converge", "--n-list", "8,16,100000", "--l2", "2")
+    add("converge", "--cp", "1.0", "--cq", "0.5")
+    add("converge", "--family", "tabulated")
+    add("converge", "--family", "tabulated", "--family-file", "missing.json")
+    for name, fam in (
+        ("keys", {"pairs": {"8": [0.95, 0.9]}}),
+        ("limits", {"pairs": {"8": [0.95, 0.9]}, "a": 0, "b": 0.6}),
+        ("pairs_list", {"pairs": [[0.95, 0.9]], "a": 0.8, "b": 0.6}),
+        ("bare_number", {"pairs": {"8": 0.95}, "a": 0.8, "b": 0.6}),
+        ("null_a", {"pairs": {"8": [0.95, 0.9]}, "a": None, "b": 0.6}),
+    ):
+        add("converge", "--family", "tabulated", "--family-file", f"{name}.json",
+            "--n-list", "8", "--grid", "3", files={f"{name}.json": json.dumps(fam)})
+
+    # config files
+    add("--config", "run.cfg", "eval", "--f", "e11", files={"run.cfg": WORKED_CFG})
+    add("--config", "run.cfg", "eval", "--f", "e11", "--alpha1", "0.0", "--beta1", "0.0",
+        files={"run.cfg": WORKED_CFG})
+    for text in ("nq = 3\n", "just words\n"):
+        add("--config", "bad.cfg", "eval", "--f", "e11", "--x1", "0", "--x2", "0",
+            files={"bad.cfg": text})
+    add("--config", "missing.cfg", "eval", "--f", "e11", "--x1", "0", "--x2", "0")
+    for text, extra in (
+        ("f = exp_sum\noracle = yes\n", []),
+        ("f = exp_sum\noracle = off\n", []),
+        ("f = exp_sum\noracle = off\n", ["--oracle"]),
+        ("f = exp_sum\noracle = maybe\n", []),
+        ("f = e11\ngrid = 7\n", []),
+    ):
+        add("--config", "run.cfg", "eval", *POINT, *extra, files={"run.cfg": text})
+    for line, argv in (
+        ("node_exponent = bogus", ["eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5"]),
+        ("format = xml", ["eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--output", "x"]),
+        ("family = nope", ["converge", "--n-list", "8,16,32", "--grid", "3"]),
+    ):
+        add("--config", "run.cfg", *argv, files={"run.cfg": f"# choices are checked\n{line}\n"})
+
+    # reports, in both formats
+    for fmt in ("csv", "json"):
+        out = ["--format", fmt]
+        add("verify", "--grid", "11", *out)
+        add("verify", "--grid", "3", "--node-exponent", "paper-literal", *out)
+        add("converge", *out)
+        add("converge", "--f", "exp_sum", "--n-list", "16,64,256,1024", *SHAPE, *out)
+        add("converge", "--family", "tabulated", "--family-file", "fam.json",
+            "--n-list", "8,16,32", "--grid", "5", *out, files={"fam.json": FAMILY})
+        for f in ("exp_sum", "e11", "smooth_abs_005"):
+            for grid in ("41", "101"):
+                add("bounds", "--f", f, "--grid", grid, *SHAPE, *out)
+        add("eval", "--f", "exp_sum", "--oracle", *POINT, "--output", f"eval.{fmt}", *out)
+        add("catalog", "--l1", "1", "--l2", "1", "--output", f"catalog.{fmt}", *out)
+    # the convergence table's bound column for every catalog entry
+    for f in CATALOG:
+        add("converge", "--f", f, "--n-list", "16,64,256,1024", *SHAPE, "--l2", "2")
+    return cmds
+
+
+def _run(root: Path, argv: list[str], files: dict[str, str]) -> tuple:
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "COLUMNS": "100"}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, text in files.items():
+            (work / name).write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "pqss.cli", *argv], cwd=work, env=env,
+                              capture_output=True, timeout=600)
+        outputs = {str(p.relative_to(work)): p.read_bytes()
+                   for p in sorted(work.rglob("*")) if p.is_file()}
+    return proc.returncode, proc.stdout, proc.stderr, outputs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/compare_reports.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in argv)
+    commands = _commands()
+    differ = 0
+    for args, files in commands:
+        a, b = _run(parent, args, files), _run(change, args, files)
+        what = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        what += [f"file {name}" for name in sorted(a[3].keys() | b[3].keys())
+                 if a[3].get(name) != b[3].get(name)]
+        if what:
+            differ += 1
+            print(f"DIFFERS pqss {' '.join(args)}: {', '.join(what)}")
+    print(f"{len(commands) - differ} of {len(commands)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
