@@ -1,0 +1,178 @@
+"""libm's exp, expm1, log, sin and pow over a whole array, in one C loop.
+
+pq_core._libm applies math-module functions to arrays.  This module gives it
+a compiled loop that calls the same libm functions as `math`, so every value
+keeps its bits and the Python call per element is gone.
+
+The C source below is built with cffi in API mode on first use, into this
+package's __pycache__ directory, under a name keyed by a hash of the source,
+the cdef, the compile flags and the interpreter's extension suffix.  The
+compile runs in a child process, so its memory never counts against the
+caller's, and writes into a temporary directory beside the target; the file
+is moved into place with os.replace, so processes that build at once all
+succeed.  The flags keep gcc from substituting anything for libm: no
+-ffast-math (which would call libmvec's vector kernels) and
+-ffp-contract=off.
+
+Where cffi or a C compiler is missing, or the build fails, load() returns
+None and callers keep the element-by-element math path, which gives the same
+values.  A failed build is not retried within the process.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from pathlib import Path
+
+import numpy as np
+
+# The modules that build, hash and load the kernel are imported by the code
+# that uses them, on first use: at module level they would add about 10 ms
+# to every `import pqss`.
+
+_CDEF = """
+int pqss_exp(const double *x, double *out, size_t n);
+int pqss_expm1(const double *x, double *out, size_t n);
+int pqss_log(const double *x, double *out, size_t n);
+int pqss_sin(const double *x, double *out, size_t n);
+int pqss_pow(double base, const double *x, double *out, size_t n);
+"""
+
+_SOURCE = r"""
+#include <math.h>
+#include <stddef.h>
+
+/* out[i] = fn(x[i]); the result is 1 if any output is not finite. */
+#define PQSS_MAP(name, fn)                                  \
+    int name(const double *x, double *out, size_t n)        \
+    {                                                       \
+        int bad = 0;                                        \
+        for (size_t i = 0; i < n; i++) {                    \
+            out[i] = fn(x[i]);                              \
+            bad |= !isfinite(out[i]);                       \
+        }                                                   \
+        return bad;                                         \
+    }
+
+PQSS_MAP(pqss_exp, exp)
+PQSS_MAP(pqss_expm1, expm1)
+PQSS_MAP(pqss_log, log)
+PQSS_MAP(pqss_sin, sin)
+
+int pqss_pow(double base, const double *x, double *out, size_t n)
+{
+    int bad = 0;
+    for (size_t i = 0; i < n; i++) {
+        out[i] = pow(base, x[i]);
+        bad |= !isfinite(out[i]);
+    }
+    return bad;
+}
+"""
+
+_FLAGS = ["-O2", "-ffp-contract=off"]
+_CACHE = Path(__file__).resolve().parent / "__pycache__"
+_BUILD_TIMEOUT_S = 300
+
+# Run by the child: compile the spec read from stdin into its tmpdir.
+_CHILD = """
+import json, sys
+import cffi
+spec = json.load(sys.stdin)
+ffi = cffi.FFI()
+ffi.cdef(spec["cdef"])
+ffi.set_source(spec["name"], spec["source"], libraries=["m"], extra_compile_args=spec["flags"])
+ffi.compile(tmpdir=spec["tmpdir"])
+"""
+
+_KERNELS = {
+    math.exp: "pqss_exp",
+    math.expm1: "pqss_expm1",
+    math.log: "pqss_log",
+    math.sin: "pqss_sin",
+}
+
+
+def _build(name: str, target: Path) -> bool:
+    """Compile the module in a child process and move it to target; False
+    if the build failed."""
+    import json
+    import os
+    import shutil
+    import subprocess
+    import sys
+    import tempfile
+
+    try:
+        _CACHE.mkdir(exist_ok=True)
+        tmpdir = tempfile.mkdtemp(prefix=f"{name}-", dir=_CACHE)
+    except OSError:
+        return False
+    try:
+        spec = {"cdef": _CDEF, "source": _SOURCE, "name": name, "flags": _FLAGS,
+                "tmpdir": tmpdir}
+        subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(spec), cwd=tmpdir,
+                       capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S, check=True)
+        os.replace(Path(tmpdir) / target.name, target)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
+    return True
+
+
+@functools.cache
+def load():
+    """The compiled module (with .ffi and .lib), built on first use, or None
+    where it cannot be built or loaded here."""
+    import hashlib
+    import importlib.util
+    import shutil
+    import sysconfig
+
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    name = "_pqss_libm_" + hashlib.sha256(
+        "\0".join([_CDEF, _SOURCE, *_FLAGS, suffix]).encode()
+    ).hexdigest()[:16]
+    target = _CACHE / f"{name}{suffix}"
+    if not target.exists():
+        compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+        if shutil.which(compiler) is None or importlib.util.find_spec("cffi") is None:
+            return None
+        if not _build(name, target):
+            return None
+    try:
+        spec = importlib.util.spec_from_file_location(name, target)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    return module
+
+
+def apply(fn, x: np.ndarray) -> np.ndarray | None:
+    """fn applied to each element of the float array x by the compiled loop.
+
+    fn is math.exp, math.expm1, math.log, math.sin or partial(math.pow, base).
+    Returns None where the loop does not serve the call: no kernel here,
+    another function, or a non-finite output.  libm returns inf, -inf or nan
+    where math raises OverflowError or ValueError, so such a call must be
+    left to math, which gives the same finite values and raises the same
+    errors.
+    """
+    module = load()
+    if module is None:
+        return None
+    if (isinstance(fn, functools.partial) and fn.func is math.pow
+            and len(fn.args) == 1 and not fn.keywords):
+        kernel = functools.partial(module.lib.pqss_pow, float(fn.args[0]))
+    elif fn in _KERNELS:
+        kernel = getattr(module.lib, _KERNELS[fn])
+    else:
+        return None
+    src = np.asarray(x, dtype=float, order="C")
+    out = np.empty_like(src)
+    bad = kernel(module.ffi.from_buffer("double[]", src), module.ffi.from_buffer("double[]", out),
+                 src.size)
+    return None if bad else out

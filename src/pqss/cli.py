@@ -54,7 +54,7 @@ from .moments import (
     sweep_grid,
     verify_moments,
 )
-from .operators import AxisConfig, BivariateOperator, apply_bivariate, sample_at_nodes
+from .operators import AxisConfig, BivariateOperator, apply_to_samples, sample_at_nodes
 from .pq_core import PQPair
 from .serialize import config_hash, csv_text, fmt_float, json_text, write_text
 
@@ -209,12 +209,14 @@ def cmd_eval(ns) -> int:
     _check_cost(ax1.degree, ax2.degree, 1)
     op = BivariateOperator(ax1, ax2)
     f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
-    value = apply_bivariate(op, f.fn, ns.x1, ns.x2)
+    # f is sampled once, for the value and for the oracle
+    samples = sample_at_nodes(op, f.fn)
+    value = float(apply_to_samples(op, samples, [ns.x1], [ns.x2])[0, 0])
     record = _run_config(ns, ("f", "x1", "x2", *_AXIS_KEYS, "node_exponent"))
     record["value"] = value
     if ns.oracle:
         # the oracle's one-point grid; it raises before anything is printed
-        oracle = float(moment_oracle(op, [sample_at_nodes(op, f.fn)], [ns.x1], [ns.x2])[0, 0, 0])
+        oracle = float(moment_oracle(op, [samples], [ns.x1], [ns.x2])[0, 0, 0])
         record["oracle"] = oracle
         record["absdiff"] = abs(value - oracle)
     for key in ("value", "oracle", "absdiff"):
@@ -468,7 +470,9 @@ COMMANDS = {
     )),
     "converge": ("Korovkin suite and convergence table", cmd_converge, (
         ("--family", dict(choices=("one-minus-c-over-n", "tabulated"),
-                          default="one-minus-c-over-n")),
+                          default="one-minus-c-over-n",
+                          help="the (p_n, q_n) family; at each n both axes use the same "
+                               "pair, while l, alpha and beta are set per axis")),
         ("--cp", dict(type=float, default=0.5, help="p_n = 1 - cp/n")),
         ("--cq", dict(type=float, default=1.0, help="q_n = 1 - cq/n")),
         ("--family-file", dict(

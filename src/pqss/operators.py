@@ -28,6 +28,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -105,7 +106,7 @@ def nodes(axis: AxisConfig) -> np.ndarray:
     base = m if axis.node_exponent == "canonical" else axis.n
     exps = base - np.arange(m + 1)
     den = pq_integer(axis.n, axis.pq) + axis.beta
-    return (p ** exps.astype(float) * brackets + axis.alpha) / den
+    return (_libm(partial(math.pow, p), exps) * brackets + axis.alpha) / den
 
 
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
@@ -135,7 +136,7 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     log_binom = lf[m] - lf - lf[::-1]
     rising_prefix = np.zeros((x.size, m + 1))
     rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, x, axis.pq))
-    nu = np.arange(m + 1)
+    nu = np.arange(m + 1.0)
     log_w = (
         -0.5 * m * (m - 1) * log_p
         + log_binom
@@ -143,7 +144,7 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
         + nu * _libm(math.log, x)[:, None]
         + rising_prefix[:, ::-1]
     )
-    out[inner] = np.exp(log_w)
+    out[inner] = _libm(math.exp, log_w)
     return out
 
 
@@ -177,14 +178,19 @@ def sample_at_nodes(op: BivariateOperator, f: GridFn) -> np.ndarray:
     return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
+def apply_to_samples(op: BivariateOperator, samples: np.ndarray, xs1, xs2) -> np.ndarray:
+    """S(f) on a product grid from f's node samples (sample_at_nodes(op, f)):
+    the two matrix products W1 @ F @ W2.T."""
+    return weight_matrix(op.axis1, xs1) @ samples @ weight_matrix(op.axis2, xs2).T
+
+
 def apply_on_grid(op: BivariateOperator, f: GridFn, xs1, xs2) -> np.ndarray:
     """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]).
 
     The nodes do not depend on x, so f is sampled once and the grid reduces
     to two matrix products.
     """
-    samples = sample_at_nodes(op, f)
-    return weight_matrix(op.axis1, xs1) @ samples @ weight_matrix(op.axis2, xs2).T
+    return apply_to_samples(op, sample_at_nodes(op, f), xs1, xs2)
 
 
 def apply_bivariate(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:

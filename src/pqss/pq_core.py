@@ -22,20 +22,29 @@ from typing import Callable
 
 import numpy as np
 
+from . import _clibm
+
 
 def _libm(fn: Callable[[float], float], x):
     """A math-module function applied element by element, on any shape.
 
     numpy's own exp/expm1/log/pow/sin/hypot use SIMD kernels that differ
     from libm in the last bit on some inputs, and which kernel runs depends
-    on the CPU; going through math keeps every value, and so every report,
-    identical to the scalar evaluation.  A 0-d input gives a numpy float,
-    not a 0-d array.  Iterating x.flat keeps memory at one float per
-    element; going through x.tolist() is slightly faster but holds a
-    32-byte Python float for each.
+    on the CPU; going through libm keeps every value, and so every report,
+    identical to the scalar evaluation.  exp, expm1, log, sin and
+    partial(math.pow, base) run in one compiled loop over the array
+    (_clibm), which calls the same libm functions as math; any other fn, a
+    call whose output is not finite (math raises there, or gives nan
+    itself) and a machine without the compiled loop go through math.  A
+    0-d input gives a numpy float, not a 0-d array.  Iterating x.flat keeps
+    memory at one float per element; going through x.tolist() is slightly
+    faster but holds a 32-byte Python float for each.
     """
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)[()]
+    out = _clibm.apply(fn, x)
+    if out is None:
+        out = np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)
+    return out[()]
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,24 @@ def test_eval_oracle_lines(capsys):
     assert float(lines["absdiff"]) < 1e-12
 
 
+def test_eval_oracle_samples_f_once(monkeypatch, capsys):
+    # the value and the oracle share one node-grid sample of f
+    from pqss import operators
+
+    calls = []
+    tabulate = operators.tabulate
+
+    def counted(fn, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return tabulate(fn, xs, ys)
+
+    monkeypatch.setattr(operators, "tabulate", counted)
+    rc, out, err = run(["eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5", "--n2", "700",
+                        "--oracle"], capsys)
+    assert rc == 0, err
+    assert calls == [(9, 701)]
+
+
 def test_eval_output_file(tmp_path, capsys):
     out_json = tmp_path / "run.json"
     rc, out, err = run(

@@ -125,7 +125,7 @@ def scalar_weight_vector(axis, x):
         + nu * log_x
         + rising[::-1]
     )
-    return np.exp(log_w)
+    return np.array([math.exp(v) for v in log_w])
 
 
 @pytest.mark.parametrize("m", [1, 2, 28, 257, 2049])

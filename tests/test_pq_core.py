@@ -1,14 +1,30 @@
 import math
+import os
+import shutil
+import subprocess
 import sys
+import sysconfig
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pqss import _clibm
+from pqss.catalog import build_catalog
 from pqss.moments import _pascal_binomials
-from pqss.operators import AxisConfig, weight_vector
+from pqss.operators import (
+    AxisConfig,
+    BivariateOperator,
+    nodes,
+    sample_at_nodes,
+    weight_matrix,
+    weight_vector,
+)
 from pqss.pq_core import (
     PQPair,
+    _libm,
     _log_rising_terms,
     compensated_cumsum,
     cumulative_log_factorials,
@@ -263,3 +279,156 @@ def test_compensated_beats_naive_cumsum():
     exact = math.fsum(logs)
     assert abs(comp[-1] - exact) <= abs(naive[-1] - exact) + 1e-15
     assert abs(comp[-1] - exact) < 1e-10
+
+
+# The compiled libm loop (pqss._clibm) behind _libm: it must give math's bits
+# and math's errors, on every shape, and the package must give the same
+# arrays with it and without it.
+
+needs_compiler = pytest.mark.skipif(
+    shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is None,
+    reason="no C compiler, so the libm kernel cannot be built",
+)
+
+
+def math_map(fn, x):
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)
+
+
+# (function, inputs drawn from rng): the ranges the package passes to each
+KERNEL_CASES = {
+    "exp-wide": (math.exp, lambda rng, n: rng.uniform(-745.0, 709.0, n)),
+    "exp-samples": (math.exp, lambda rng, n: rng.uniform(0.0, 8.0, n)),
+    "expm1": (math.expm1, lambda rng, n: rng.uniform(-40.0, 1.0, n)),
+    "expm1-tiny": (math.expm1, lambda rng, n: -(10.0 ** rng.uniform(-300.0, -1.0, n))),
+    "log-unit": (math.log, lambda rng, n: 1.0 - rng.uniform(0.0, 1.0, n)),
+    "log-wide": (math.log, lambda rng, n: np.exp(rng.uniform(-700.0, 700.0, n))),
+    "sin": (math.sin, lambda rng, n: rng.uniform(0.0, 4.0 * math.pi, n)),
+}
+
+
+@needs_compiler
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_is_math_bit_for_bit(case):
+    fn, draw = KERNEL_CASES[case]
+    x = draw(np.random.default_rng(20261018), 1_000_000)
+    got = _clibm.apply(fn, x)
+    assert got is not None, f"the compiled loop did not run for {case}"
+    np.testing.assert_array_equal(got, math_map(fn, x))
+
+
+@needs_compiler
+@pytest.mark.parametrize("p", [0.9, 0.999, 1.0 - 0.3 / 8000, 1.0])
+def test_kernel_pow_is_math_pow_bit_for_bit(p):
+    # k = 2..8000 for the bracket table; negative k for literal nodes (n - nu)
+    k = np.arange(-8.0, 8001.0)
+    got = _clibm.apply(partial(math.pow, p), k)
+    assert got is not None
+    np.testing.assert_array_equal(got, [math.pow(p, v) for v in k.tolist()])
+
+
+@needs_compiler
+def test_kernel_shapes():
+    assert _clibm.load() is not None
+    x = np.linspace(0.1, 3.0, 24).reshape(4, 6)
+    for fn in (math.exp, math.expm1, math.log, math.sin, partial(math.pow, 0.9)):
+        zero_d = _libm(fn, 0.7)
+        assert type(zero_d) is np.float64 and zero_d == fn(0.7)
+        assert _libm(fn, np.float64(0.7)) == fn(0.7)
+        for empty in (np.empty(0), np.empty((0, 3))):
+            assert _libm(fn, empty).shape == empty.shape
+        for arr in (x, x[:, ::2], x.T, x[1], [0.25, 1.5]):
+            got = _libm(fn, arr)
+            assert got.shape == np.shape(arr)
+            np.testing.assert_array_equal(got, math_map(fn, arr))
+
+
+@needs_compiler
+def test_kernel_raises_what_math_raises():
+    assert _clibm.load() is not None
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="math domain error"):
+            _libm(math.log, [1.0, 2.0, bad])
+    with pytest.raises(OverflowError, match="math range error"):
+        _libm(math.exp, [1.0, 710.0])
+    got = _libm(math.exp, [math.nan, 1.0])
+    assert math.isnan(got[0]) and got[1] == math.exp(1.0)
+    # a lone non-finite result that math returns without raising
+    assert _libm(math.exp, math.inf) == math.inf
+
+
+def _package_arrays():
+    cumulative_log_factorials.cache_clear()
+    axis = AxisConfig(n=2000, l=3, pq=PQPair(1.0 - 0.5 / 2000, 1.0 - 1.0 / 2000),
+                      alpha=0.5, beta=1.0)
+    literal = AxisConfig(n=300, l=5, pq=PQPair(0.9, 0.6), node_exponent="literal")
+    op = BivariateOperator(axis, literal)
+    cat = build_catalog(axis.l + 1.0, literal.l + 1.0)
+    d = np.linspace(0.0, 2.0, 41)
+    return {
+        "weight_matrix": weight_matrix(axis, np.linspace(0.0, 1.0, 21)),
+        "cumulative_log_factorials": cumulative_log_factorials(6000, 0.9, 0.6),
+        "high-degree log-factorials": cumulative_log_factorials(8000, 1.0 - 0.3 / 8000,
+                                                                1.0 - 1.0 / 8000),
+        "nodes": nodes(axis),
+        "literal nodes": nodes(literal),
+        "exp_sum samples": sample_at_nodes(op, cat["exp_sum"].fn),
+        "exp_sum modulus": cat["exp_sum"].total_modulus(d[:, None], d[None, :]),
+        "sinprod samples": sample_at_nodes(op, cat["sinprod"].fn),
+    }
+
+
+@needs_compiler
+def test_package_arrays_equal_with_and_without_kernel(monkeypatch):
+    assert _clibm.load() is not None
+    with_kernel = _package_arrays()
+    monkeypatch.setattr(_clibm, "load", lambda: None)
+    without = _package_arrays()
+    cumulative_log_factorials.cache_clear()
+    for name, arr in with_kernel.items():
+        np.testing.assert_array_equal(arr, without[name], err_msg=name)
+
+
+@needs_compiler
+def test_kernel_builds_on_a_cold_cache(tmp_path):
+    # two fresh interpreters race to build the kernel in a copy of the package
+    # with no __pycache__; both load it, and only the built file is left
+    src = Path(_clibm.__file__).resolve().parent
+    shutil.copytree(src, tmp_path / "pqss", ignore=shutil.ignore_patterns("__pycache__"))
+    code = "import pqss._clibm as k; m = k.load(); assert m is not None; print(m.__file__)"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    results = [proc.communicate(timeout=300) for proc in procs]
+    for proc, (out, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+        assert Path(out.strip()).parent == tmp_path / "pqss" / "__pycache__"
+    left = sorted(p.name for p in (tmp_path / "pqss" / "__pycache__").iterdir())
+    assert left == [Path(results[0][0].strip()).name]
+
+
+def test_no_compiler_keeps_the_math_path(tmp_path):
+    # with no compiler found nothing is built or written, and _libm still
+    # gives math's values and errors
+    src = Path(_clibm.__file__).resolve().parent
+    shutil.copytree(src, tmp_path / "pqss", ignore=shutil.ignore_patterns("__pycache__"))
+    code = (
+        "import math, shutil\n"
+        "shutil.which = lambda *args, **kwargs: None\n"
+        "import pqss._clibm as k\n"
+        "from pqss.pq_core import _libm\n"
+        "assert k.load() is None\n"
+        "assert _libm(math.exp, [0.0, 1.0]).tolist() == [1.0, math.exp(1.0)]\n"
+        "try:\n"
+        "    _libm(math.log, [0.0])\n"
+        "except ValueError:\n"
+        "    print('ok')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+    assert not (tmp_path / "pqss" / "__pycache__").exists()
