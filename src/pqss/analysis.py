@@ -144,6 +144,15 @@ class LipschitzSpec:
             if not (0.0 < g <= 1.0):
                 raise ValueError(f"requires gamma in (0, 1] (got {g})")
 
+    def rhs(self, d1, d2, additive: bool = False):
+        """M d1^g1 d2^g2, or M (d1^g1 + d2^g2) for the additive class.
+
+        Floats go through Python's power and arrays through numpy's, as given.
+        """
+        g1 = d1 ** self.gamma1
+        g2 = d2 ** self.gamma2
+        return self.m_const * (g1 + g2) if additive else self.m_const * g1 * g2
+
 
 def lipschitz_violations(
     f: TestFunction,
@@ -164,9 +173,7 @@ def lipschitz_violations(
     d1 = np.abs(px[:, None] - px[None, :])
     d2 = np.abs(py[:, None] - py[None, :])
     lhs = np.abs(vals[:, None] - vals[None, :])
-    g1 = d1 ** spec.gamma1
-    g2 = d2 ** spec.gamma2
-    rhs = spec.m_const * (g1 + g2) if additive else spec.m_const * g1 * g2
+    rhs = spec.rhs(d1, d2, additive)
     excess = lhs - rhs
     bad = np.argwhere(excess > 1e-12)
     found = []
@@ -190,11 +197,10 @@ def lipschitz_bound(
 ) -> BoundResult:
     """Holder-type bound for class members, membership checked first.
 
-    Product form: rhs = M d1^g1 d2^g2 with d_i = delta(axis_i, x_i), the
-    square roots of the second central moments.  additive=True switches
-    predicate and bound to the additive class M(|t1-x1|^g1 + |t2-x2|^g2)
-    with rhs = M(d1^g1 + d2^g2); experimental extension, not part of the
-    verified bound set.
+    rhs = spec.rhs(d1, d2) with d_i = delta(axis_i, x_i), the square roots
+    of the second central moments.  additive=True switches predicate and
+    bound to the additive class M(|t1-x1|^g1 + |t2-x2|^g2); experimental
+    extension, not part of the verified bound set.
     """
     viols = lipschitz_violations(f, spec, additive=additive)
     if viols:
@@ -205,11 +211,6 @@ def lipschitz_bound(
             f"(M={spec.m_const}, gammas=({spec.gamma1}, {spec.gamma2})): "
             f"|f{a} - f{b}| = {lhs_v:.6g} > {rhs_v:.6g}"
         )
-    d1 = delta(op.axis1, x1)
-    d2 = delta(op.axis2, x2)
-    if additive:
-        rhs = spec.m_const * (d1 ** spec.gamma1 + d2 ** spec.gamma2)
-    else:
-        rhs = spec.m_const * d1 ** spec.gamma1 * d2 ** spec.gamma2
+    rhs = spec.rhs(delta(op.axis1, x1), delta(op.axis2, x2), additive)
     lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
     return BoundResult(lhs, rhs)

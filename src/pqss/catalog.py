@@ -21,9 +21,12 @@ Derivations, with di = min(delta_i, width_i) and u* = width1 - 1/2:
             W1 W2 - (W1-d1)(W2-d2) = W2 d1 + W1 d2 - d1 d2.
   e20       f = t1^2: top-corner again, W1^2 - (W1-d1)^2 = d1(2W1 - d1).
   sum       f = t1 + t2: omega = d1 + d2.
-  exp_sum   f = e^{t1+t2}: E - E e^{-d1-d2} with E = e^{W1+W2}.
+  exp_sum   f = e^{t1+t2}: E - E e^{-d1-d2} with E = e^{W1+W2}.  Where
+            5E (cb2_norm) passes the largest double, the entry keeps f but
+            carries no sup_norm, Lipschitz or cb2 value, and its
+            total_modulus raises ArithmeticError.
   abs_ramp  f = |t1 - 1/2|: slope 1 arms of lengths 1/2 and u* >= 1/2, so
-            omega = min(delta1, u*).
+            omega = min(d1, u*).
   smooth_abs(w): f = sqrt((t1-1/2)^2 + w^2) - w, an even convex g of
             u = t1 - 1/2 increasing on [0, u*]; convexity puts the largest
             increment at the right end, omega = g(u*) - g(max(u* - d1, 0)).
@@ -79,59 +82,79 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
         )
     w1, w2 = float(width1), float(width2)
 
-    def cap(d, w: float):
-        if np.any(np.less(d, 0.0)):
-            raise ValueError(f"requires delta >= 0 (got {np.min(d)})")
-        return np.minimum(d, w)
+    def capped(omega):
+        """omega as a total modulus: refuses a negative delta and hands omega
+        the deltas capped at the widths; omega may return one axis only."""
+        def total_modulus(d1, d2):
+            for d in (d1, d2):
+                if np.any(np.less(d, 0.0)):
+                    raise ValueError(f"requires delta >= 0 (got {np.min(d)})")
+            return omega(np.minimum(d1, w1), np.minimum(d2, w2))
+        return total_modulus
 
     entries = []
 
     entries.append(TestFunction(
         "const1", lambda t1, t2: 1.0, w1, w2,
         sup_norm=1.0, lipschitz_axis=(0.0, 0.0), cb2_norm=1.0,
-        total_modulus=lambda d1, d2: 0.0 * (cap(d1, w1) + cap(d2, w2)),
+        total_modulus=capped(lambda d1, d2: 0.0),
     ))
     entries.append(TestFunction(
         "e10", lambda t1, t2: t1, w1, w2,
         sup_norm=w1, lipschitz_axis=(1.0, 0.0), cb2_norm=w1 + 1.0,
-        total_modulus=lambda d1, d2: cap(d1, w1) + 0.0 * cap(d2, w2),
+        total_modulus=capped(lambda d1, d2: d1),
     ))
     entries.append(TestFunction(
         "e01", lambda t1, t2: t2, w1, w2,
         sup_norm=w2, lipschitz_axis=(0.0, 1.0), cb2_norm=w2 + 1.0,
-        total_modulus=lambda d1, d2: cap(d2, w2) + 0.0 * cap(d1, w1),
+        total_modulus=capped(lambda d1, d2: d2),
     ))
     entries.append(TestFunction(
         "e11", lambda t1, t2: t1 * t2, w1, w2,
         sup_norm=w1 * w2, lipschitz_axis=(w2, w1),
         cb2_norm=w1 * w2 + w1 + w2,
-        total_modulus=lambda d1, d2: (
-            w2 * cap(d1, w1) + w1 * cap(d2, w2) - cap(d1, w1) * cap(d2, w2)
-        ),
+        total_modulus=capped(lambda d1, d2: w2 * d1 + w1 * d2 - d1 * d2),
     ))
     entries.append(TestFunction(
         "e20", lambda t1, t2: t1 * t1, w1, w2,
         sup_norm=w1 * w1, lipschitz_axis=(2.0 * w1, 0.0),
         cb2_norm=w1 * w1 + 2.0 * w1 + 2.0,
-        total_modulus=lambda d1, d2: cap(d1, w1) * (2.0 * w1 - cap(d1, w1)) + 0.0 * cap(d2, w2),
+        total_modulus=capped(lambda d1, d2: d1 * (2.0 * w1 - d1)),
     ))
     entries.append(TestFunction(
         "e02", lambda t1, t2: t2 * t2, w1, w2,
         sup_norm=w2 * w2, lipschitz_axis=(0.0, 2.0 * w2),
         cb2_norm=w2 * w2 + 2.0 * w2 + 2.0,
-        total_modulus=lambda d1, d2: cap(d2, w2) * (2.0 * w2 - cap(d2, w2)) + 0.0 * cap(d1, w1),
+        total_modulus=capped(lambda d1, d2: d2 * (2.0 * w2 - d2)),
     ))
     entries.append(TestFunction(
         "sum", lambda t1, t2: t1 + t2, w1, w2,
         sup_norm=w1 + w2, lipschitz_axis=(1.0, 1.0),
         cb2_norm=w1 + w2 + 2.0,
-        total_modulus=lambda d1, d2: cap(d1, w1) + cap(d2, w2),
+        total_modulus=capped(lambda d1, d2: d1 + d2),
     ))
-    top = math.exp(w1 + w2)
+    try:
+        top = math.exp(w1 + w2)
+    except OverflowError:
+        top = math.inf
+    if math.isfinite(5.0 * top):
+        exp_metadata = dict(
+            sup_norm=top, lipschitz_axis=(top, top), cb2_norm=5.0 * top,
+            total_modulus=capped(lambda d1, d2: top * -_libm(math.expm1, -(d1 + d2))),
+        )
+    else:
+        # the values of f stay finite where the nodes do; only a bound
+        # check needs the metadata, and it says why there is none
+        def overflowed(d1, d2):
+            raise ArithmeticError(
+                f"exp_sum metadata overflows a double on [0, {w1:g}] x [0, {w2:g}]: "
+                f"its sup_norm, Lipschitz constants, cb2_norm and total_modulus grow "
+                f"as e^(width1 + width2) = e^{w1 + w2:g}"
+            )
+
+        exp_metadata = dict(total_modulus=overflowed)
     entries.append(TestFunction(
-        "exp_sum", lambda t1, t2: _libm(math.exp, t1 + t2), w1, w2,
-        sup_norm=top, lipschitz_axis=(top, top), cb2_norm=5.0 * top,
-        total_modulus=lambda d1, d2: top * -_libm(math.expm1, -(cap(d1, w1) + cap(d2, w2))),
+        "exp_sum", lambda t1, t2: _libm(math.exp, t1 + t2), w1, w2, **exp_metadata,
     ))
     entries.append(TestFunction(
         "sinprod",
@@ -144,7 +167,7 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
     entries.append(TestFunction(
         "abs_ramp", lambda t1, t2: abs(t1 - 0.5), w1, w2,
         sup_norm=ustar, lipschitz_axis=(1.0, 0.0), cb2_norm=None,
-        total_modulus=lambda d1, d2: np.minimum(cap(d1, w1), ustar) + 0.0 * cap(d2, w2),
+        total_modulus=capped(lambda d1, d2: np.minimum(d1, ustar)),
     ))
     for tag, w in (("005", 0.05), ("010", 0.10), ("020", 0.20)):
         def g(u, w: float = w):
@@ -156,15 +179,14 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
         gstar = math.hypot(ustar, w) - w
 
         def omega(d1, d2, w: float = w, gstar: float = gstar):
-            d = cap(d1, w1) + 0.0 * cap(d2, w2)
-            return gstar - g(np.maximum(ustar - d, 0.0), w)
+            return gstar - g(np.maximum(ustar - d1, 0.0), w)
 
         entries.append(TestFunction(
             f"smooth_abs_{tag}", smooth, w1, w2,
             sup_norm=gstar,
             lipschitz_axis=(ustar / math.hypot(ustar, w), 0.0),
             cb2_norm=gstar + ustar / math.hypot(ustar, w) + 1.0 / w,
-            total_modulus=omega,
+            total_modulus=capped(omega),
         ))
 
     return {tf.name: tf for tf in entries}

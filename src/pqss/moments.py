@@ -49,23 +49,29 @@ MOMENT_NAMES = (
 _VALID_IJ = {(i, j) for _, i, j in MOMENT_NAMES}
 
 
+def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float]:
+    """(D, [m], [m-1], p^(m-1)) of one axis, with m = n + l and D = [n] + beta."""
+    m = axis.degree
+    return (
+        pq_integer(axis.n, axis.pq) + axis.beta,
+        pq_integer(m, axis.pq),
+        pq_integer(m - 1, axis.pq),
+        axis.pq.p ** (m - 1),
+    )
+
+
 def first_moment_univariate(axis: AxisConfig, x):
     """([m] x + alpha) / ([n] + beta); accepts scalars or arrays."""
-    m = axis.degree
-    den = pq_integer(axis.n, axis.pq) + axis.beta
-    return (pq_integer(m, axis.pq) * x + axis.alpha) / den
+    den, bm, _, _ = _coefficients(axis)
+    return (bm * x + axis.alpha) / den
 
 
 def second_moment_univariate(axis: AxisConfig, x):
     """Closed second raw moment; accepts scalars or arrays."""
-    p, q = axis.pq.p, axis.pq.q
-    m = axis.degree
-    den = pq_integer(axis.n, axis.pq) + axis.beta
-    bm = pq_integer(m, axis.pq)
-    bm1 = pq_integer(m - 1, axis.pq)
+    den, bm, bm1, pm1 = _coefficients(axis)
     return (
-        bm * (p ** (m - 1) + 2.0 * axis.alpha) * x
-        + q * bm * bm1 * x * x
+        bm * (pm1 + 2.0 * axis.alpha) * x
+        + axis.pq.q * bm * bm1 * x * x
         + axis.alpha ** 2
     ) / den ** 2
 
@@ -81,13 +87,9 @@ def _raw_moment(axis: AxisConfig, k: int, x):
 
 def central_moment(axis: AxisConfig, x):
     """Closed S((t - x)^2; x) = A x^2 + B x + C on one axis; scalars or arrays."""
-    p, q = axis.pq.p, axis.pq.q
-    m = axis.degree
-    den = pq_integer(axis.n, axis.pq) + axis.beta
-    bm = pq_integer(m, axis.pq)
-    bm1 = pq_integer(m - 1, axis.pq)
-    a = (q * bm * bm1 - 2.0 * bm * den + den * den) / den ** 2
-    b = (bm * (p ** (m - 1) + 2.0 * axis.alpha) - 2.0 * axis.alpha * den) / den ** 2
+    den, bm, bm1, pm1 = _coefficients(axis)
+    a = (axis.pq.q * bm * bm1 - 2.0 * bm * den + den * den) / den ** 2
+    b = (bm * (pm1 + 2.0 * axis.alpha) - 2.0 * axis.alpha * den) / den ** 2
     c = axis.alpha ** 2 / den ** 2
     return (a * x + b) * x + c
 
@@ -202,9 +204,9 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     w = oracle_weight_vector(lit, x)
     t = nodes(lit)
     measured = math.fsum((w * t).tolist())
-    den = pq_integer(axis.n, axis.pq) + axis.beta
+    den, bm, _, _ = _coefficients(axis)
     base = axis.alpha / den
-    closed_slope = pq_integer(axis.degree, axis.pq) * x / den
+    closed_slope = bm * x / den
     return closed_slope / (measured - base)
 
 

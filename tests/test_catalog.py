@@ -84,6 +84,29 @@ def test_modulus_rejects_negative_delta():
             tf.total_modulus(np.array([0.1, 0.2]), deltas.T)
 
 
+def test_exp_sum_metadata_where_it_overflows():
+    # cb2_norm = 5 e^(w1 + w2) is the largest exp_sum metadatum; it fits a
+    # double at w1 + w2 = 708 and not at 709
+    fits = build_catalog(707.0, 1.0)["exp_sum"]
+    assert fits.cb2_norm == 5.0 * math.exp(708.0)
+    assert math.isfinite(fits.total_modulus(800.0, 1.0))
+    for w1, w2 in ((708.0, 1.0), (1.0, 708.0), (801.0, 1.0), (1e6, 1e6)):
+        cat = build_catalog(w1, w2)
+        tf = cat["exp_sum"]
+        assert (tf.sup_norm, tf.lipschitz_axis, tf.cb2_norm) == (None, None, None)
+        with pytest.raises(ArithmeticError, match="exp_sum metadata overflows a double"):
+            tf.total_modulus(0.1, 0.2)
+        assert tf.fn(0.5, 0.5) == math.exp(1.0)
+        # every other entry keeps finite metadata
+        for other in cat.values():
+            if other.name == "exp_sum":
+                continue
+            values = [other.sup_norm, other.cb2_norm, *(other.lipschitz_axis or ())]
+            assert all(math.isfinite(v) for v in values if v is not None), other.name
+            if other.total_modulus is not None:
+                assert math.isfinite(other.total_modulus(0.3, 0.2)), other.name
+
+
 def test_modulus_monotone_in_window():
     cat = build_catalog(2.0, 2.0)
     deltas = [0.0, 0.1, 0.3, 0.7, 1.5, 2.0, 3.0]

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -259,6 +260,56 @@ def test_catalog_listing(tmp_path, capsys):
     by_name = {e["name"]: e for e in obj["entries"]}
     assert by_name["sinprod"]["exact_modulus"] is False
     assert by_name["abs_ramp"]["cb2_norm"] is None
+
+
+WIDE = ["--l1", "800", "--n1", "2"]
+
+
+def test_commands_work_where_exp_sum_metadata_overflows(tmp_path, monkeypatch, capsys):
+    # on [0, 801] x [0, 1], e^(width1 + width2) is past the largest double;
+    # only exp_sum's metadata depends on it, and its nodes stay below 1.4
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(["bounds", "--f", "e11", *WIDE, "--grid", "3"], capsys)
+    assert rc == 0, err
+    assert "violations 0" in out
+    rc, out, err = run(["eval", "--f", "exp_sum", *WIDE, "--x1", ".5", "--x2", ".5"], capsys)
+    assert rc == 0, err
+    assert float(out.split()[1]) == pytest.approx(3.7767623623625419, rel=1e-14)
+    rc, out, err = run(["converge", "--f", "e20", "--l1", "800", "--n-list", "8,16,32",
+                        "--grid", "3"], capsys)
+    assert rc == 0, err
+    rc, out, err = run(["catalog", "--l1", "800", "--output", "cat.json", "--format", "json"],
+                       capsys)
+    assert rc == 0, err
+    assert "catalog on [0, 801] x [0, 1]" in out
+    by_name = {e["name"]: e for e in json.loads((tmp_path / "cat.json").read_text())["entries"]}
+    assert len(by_name) == 13
+    assert [by_name["exp_sum"][k] for k in ("sup_norm", "lipschitz_axis", "cb2_norm")] == [
+        None, None, None]
+    assert by_name["e20"]["sup_norm"] == 801.0 ** 2
+
+
+def test_bounds_refuse_overflowing_exp_sum_metadata(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(["bounds", "--f", "exp_sum", *WIDE, "--grid", "3"], capsys)
+    assert rc == 2
+    assert err.startswith("error: exp_sum metadata overflows a double on [0, 801] x [0, 1]")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []  # no report carries inf or nan
+
+
+@pytest.mark.parametrize("cp,cq,message", [
+    ("1e7", "2e7", "family 'one-minus-c-over-n(cp=1e+07,cq=2e+07)' invalid at n=8: "
+                   "requires 0 < q < p <= 1"),
+    ("0.5", "inf", "requires finite c_p and c_q (got c_p=0.5, c_q=inf)"),
+])
+def test_converge_family_constants_outside_the_usual_range(tmp_path, capsys, cp, cq, message):
+    rc, out, err = run(["converge", "--cp", cp, "--cq", cq, "--n-list", "8,16,32", "--grid", "3",
+                        "--output", str(tmp_path)], capsys)
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):
@@ -546,8 +597,10 @@ def test_config_file_values_outside_choices(tmp_path, capsys, monkeypatch, line,
     assert list(tmp_path.iterdir()) == [cfg]  # nothing was written
 
 
-# Config-file values against flags.  Each eval option but --output, with valid
-# values and ones argparse or the command must refuse.
+# Config-file values against flags.  Each option of eval, verify, converge and
+# bounds but --output, with valid values and ones argparse or the command must
+# refuse.  The valid values stay cheap: the degrees, grids and n-lists either
+# run in well under a second or are refused by the cost limits before any work.
 BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
             "0": False, "false": False, "no": False, "off": False}
 FUZZ_BAD = ["abc", "", "nan", "inf", "-1", "1e400", "yes"]
@@ -562,9 +615,24 @@ FUZZ_VALUES = {
     "x": ["0", "0.25", "1", "1.5", "-0.5"],
     "node_exponent": ["canonical", "paper-literal", "bogus"],
     "format": ["csv", "json", "xml"],
+    "tolerance": ["1e-10", "0.5", "1e-300", "0", "1"],
+    "grid": ["2", "3", "1", "0", "100000", "2.5"],
+    "family": ["one-minus-c-over-n", "tabulated", "nope"],
+    "cp": ["0", "0.5", "2", "1e7"],
+    "cq": ["1", "0.5", "3", "2e7"],
+    "family_file": ["missing.json"],
+    "n_list": ["8,16,32", "16", "8,8", "0,8", "8,,16", "a,b", "100000"],
 }
-EVAL_REQUIRED = {"f": "e11", "x1": "0.5", "x2": "0.5"}
-FUZZ_KEYS = [flag[2:].replace("-", "_") for flag in FLAGS["eval"] if flag != "--output"]
+# Per command: the required flags and cheap values for the costly options;
+# the key being drawn is left out.
+FUZZ_BASE = {
+    "eval": {"f": "e11", "x1": "0.5", "x2": "0.5"},
+    "verify": {"grid": "2"},
+    "converge": {"n_list": "8,16,32", "grid": "3"},
+    "bounds": {"f": "e11", "grid": "3"},
+}
+# verify runs the whole 135-operator sweep, about 0.2 s a run
+FUZZ_EXAMPLES = {"eval": 60, "verify": 8, "converge": 30, "bounds": 30}
 
 
 def _fuzz_values(key: str) -> list[str]:
@@ -580,30 +648,54 @@ def _flag(key: str, value: str) -> list[str]:
     return [f"--{key.replace('_', '-')}={value}"]
 
 
-def _outcome(argv: list[str]) -> tuple[int, str]:
+def _outcome(argv: list[str]) -> tuple[int, str, dict]:
+    """Exit code, stdout and the files written, run in a fresh directory."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
-    assert rc in (0, 2), (argv, err.getvalue())
-    return rc, out.getvalue()
-
-
-@settings(max_examples=60)
-@given(data=st.data())
-def test_config_line_matches_flag(data):
-    key = data.draw(st.sampled_from(FUZZ_KEYS), label="key")
-    values = _fuzz_values(key)
-    value = data.draw(st.sampled_from(values), label="value")
-    base = ["eval", *(arg for k, v in EVAL_REQUIRED.items() if k != key for arg in (f"--{k}", v))]
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-        config_only = _outcome(["--config", str(cfg), *base])
-        assert config_only == _outcome([*base, *_flag(key, value)])
-        if config_only[0] != 0:
-            return
-        # a flag beats the file: a different flag value wins outright
-        others = [v for v in values if _flag(key, v) not in ([], _flag(key, value))]
-        if others:
-            other = _flag(key, data.draw(st.sampled_from(others), label="other"))
-            assert _outcome(["--config", str(cfg), *base, *other]) == _outcome([*base, *other])
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 1, 2), (argv, err.getvalue())
+    return rc, out.getvalue(), files
+
+
+def _check_config_line_matches_flag(command: str) -> None:
+    keys = [flag[2:].replace("-", "_") for flag in FLAGS[command] if flag != "--output"]
+
+    @settings(max_examples=FUZZ_EXAMPLES[command])
+    @given(data=st.data())
+    def check(data):
+        key = data.draw(st.sampled_from(keys), label="key")
+        values = _fuzz_values(key)
+        value = data.draw(st.sampled_from(values), label="value")
+        base = [command, *(arg for k, v in FUZZ_BASE[command].items() if k != key
+                           for arg in (f"--{k.replace('_', '-')}", v))]
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            config_only = _outcome(["--config", str(cfg), *base])
+            assert config_only == _outcome([*base, *_flag(key, value)])
+            if config_only[0] == 2:
+                return
+            # a flag beats the file: a different flag value wins outright
+            others = [v for v in values if _flag(key, v) not in ([], _flag(key, value))]
+            if others:
+                other = _flag(key, data.draw(st.sampled_from(others), label="other"))
+                assert (_outcome(["--config", str(cfg), *base, *other])
+                        == _outcome([*base, *other]))
+
+    check()
+
+
+def test_config_line_matches_flag():
+    _check_config_line_matches_flag("eval")
+
+
+@pytest.mark.parametrize("command", [c for c in FUZZ_BASE if c != "eval"])
+def test_config_line_matches_flag_beyond_eval(command):
+    _check_config_line_matches_flag(command)

@@ -37,6 +37,29 @@ def test_one_minus_family_values_and_limits():
         one_minus_c_over_n(0.5, 0.5)
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 3.0])
+def test_one_minus_family_limits_are_exp_minus_c(c):
+    # (1 - c/n)^n = exp(n log(1 - c/n)) misses exp(-c) by about c^2 / (2n)
+    spec = one_minus_c_over_n(c, c + 1.0)
+    assert (spec.a, spec.b) == (math.exp(-c), math.exp(-(c + 1.0)))
+    n = 10 ** 6
+    assert spec.p_of(n) ** n == pytest.approx(spec.a, rel=1e-5)
+    assert spec.q_of(n) ** n == pytest.approx(spec.b, rel=1e-5)
+
+
+def test_one_minus_family_refuses_non_finite_constants():
+    for c_p, c_q in ((0.5, math.inf), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="requires finite c_p and c_q"):
+            one_minus_c_over_n(c_p, c_q)
+    # nan fails the ordering first, as before
+    with pytest.raises(ValueError, match="0 <= c_p < c_q"):
+        one_minus_c_over_n(math.nan, 1.0)
+    # large finite constants build a family that is invalid at small n
+    spec = one_minus_c_over_n(1e7, 2e7)
+    with pytest.raises(ValueError, match="invalid at n=8"):
+        spec.pq_at(8)
+
+
 def test_family_invalid_at_small_n():
     # q_1 = 1 - 1/1 = 0 leaves the admissible region
     spec = one_minus_c_over_n(0.5, 1.0)

@@ -99,6 +99,14 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         add("converge", "--family", "tabulated", "--family-file", f"{name}.json",
             "--n-list", "8", "--grid", "3", files={f"{name}.json": json.dumps(fam)})
 
+    # widths where e^(width1 + width2) overflows a double, and family constants
+    # that are huge or infinite
+    add("bounds", "--f", "e11", "--l1", "800", "--n1", "2", "--grid", "3")
+    add("bounds", "--f", "exp_sum", "--l1", "800", "--n1", "2", "--grid", "3")
+    add("catalog", "--l1", "800")
+    add("converge", "--cp", "1e7", "--cq", "2e7", "--n-list", "8,16,32", "--grid", "3")
+    add("converge", "--cp", "0.5", "--cq", "inf", "--n-list", "8,16,32", "--grid", "3")
+
     # config files
     add("--config", "run.cfg", "eval", "--f", "e11", files={"run.cfg": WORKED_CFG})
     add("--config", "run.cfg", "eval", "--f", "e11", "--alpha1", "0.0", "--beta1", "0.0",
