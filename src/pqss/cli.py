@@ -39,6 +39,7 @@ from .analysis import BOUND_SLACK, total_modulus_bound_grid
 from .catalog import TestFunction, build_catalog
 from .convergence import (
     AxisShape,
+    build_operator,
     convergence_table,
     empirical_order,
     korovkin_suite,
@@ -313,11 +314,14 @@ def _tabulated_family(path: str):
         raise ValueError(f"family file {path}: 'pairs' must map each n to two numbers [p, q]")
     if not (_is_number(raw["a"]) and _is_number(raw["b"])):
         raise ValueError(f"family file {path}: 'a' and 'b' must be numbers")
-    return tabulated_sequence(
-        {int(k): tuple(v) for k, v in pairs.items()},
-        float(raw["a"]), float(raw["b"]),
-        name=Path(path).stem,
-    )
+    table: dict[int, tuple] = {}
+    for key, pair in pairs.items():
+        if not key.strip().isdecimal():
+            raise ValueError(f"family file {path}: key {key!r} is not a degree n")
+        if int(key) in table:
+            raise ValueError(f"family file {path}: key {key!r} repeats the degree n={int(key)}")
+        table[int(key)] = tuple(pair)
+    return tabulated_sequence(table, float(raw["a"]), float(raw["b"]), name=Path(path).stem)
 
 
 def cmd_converge(ns) -> int:
@@ -331,8 +335,10 @@ def cmd_converge(ns) -> int:
     _check_grid(ns.grid)
     shape1 = AxisShape(ns.l1, ns.alpha1, ns.beta1)
     shape2 = AxisShape(ns.l2, ns.alpha2, ns.beta2)
-    # a negative l is refused when the first operator is built
-    l1, l2 = max(ns.l1, 0), max(ns.l2, 0)
+    # the first operator checks the family and the axis rules, l >= 0 among
+    # them, before the cost and the catalog's widths are computed from l
+    build_operator(spec, n_list[0], shape1, shape2)
+    l1, l2 = shape1.l, shape2.l
     _check_cost(max(n_list) + l1, max(n_list) + l2, ns.grid,
                 ("total node samples over --n-list",
                  sum((n + l1 + 1) * (n + l2 + 1) for n in n_list)))

@@ -126,8 +126,18 @@ class KorovkinRow:
     sup_e20_e02: float
 
 
+class _RowTable:
+    """A dataclass table whose `rows` are dataclasses: CSV rows and a JSON object."""
+
+    def csv_rows(self) -> list[list]:
+        return [list(astuple(r)) for r in self.rows]
+
+    def to_json_obj(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class KorovkinTable:
+class KorovkinTable(_RowTable):
     family: str
     grid_k: int
     shape1: AxisShape
@@ -135,12 +145,6 @@ class KorovkinTable:
     rows: list[KorovkinRow] = field(default_factory=list)
 
     CSV_HEADER = [f.name for f in fields(KorovkinRow)]
-
-    def csv_rows(self) -> list[list]:
-        return [list(astuple(r)) for r in self.rows]
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def korovkin_suite(
@@ -192,7 +196,7 @@ class ConvergenceRow:
 
 
 @dataclass
-class ConvergenceTable:
+class ConvergenceTable(_RowTable):
     family: str
     function: str
     grid_k: int
@@ -201,12 +205,6 @@ class ConvergenceTable:
     rows: list[ConvergenceRow] = field(default_factory=list)
 
     CSV_HEADER = [f.name for f in fields(ConvergenceRow)]
-
-    def csv_rows(self) -> list[list]:
-        return [list(astuple(r)) for r in self.rows]
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def convergence_table(
@@ -225,7 +223,7 @@ def convergence_table(
     if shape2 is None:
         shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
-    f_grid = tabulate(f.fn, xs, xs)
+    f_grid = tabulate(f.fn, xs, xs) if f.total_modulus is None else None
     table = ConvergenceTable(spec.name, f.name, grid_k, shape1, shape2)
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
@@ -278,7 +276,5 @@ def empirical_order(pairs: Iterable[tuple[float, float]]) -> float:
     eps = np.finfo(float).eps
     if any(e <= ROUNDOFF_ULPS_PER_DEGREE * n * eps for n, e in pts):
         return -math.inf
-    log_n = np.log([n for n, _ in pts])
-    log_e = np.log([e for _, e in pts])
-    slope = np.polyfit(log_n, log_e, 1)[0]
+    slope = np.polyfit([math.log(n) for n, _ in pts], [math.log(e) for _, e in pts], 1)[0]
     return float(slope)

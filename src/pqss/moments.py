@@ -16,9 +16,9 @@ A x^2 + B x + C with
     B = ([m](p^{m-1} + 2 alpha) - 2 alpha D) / D^2
     C = alpha^2 / D^2.
 
-The oracle below recomputes everything as a literal double sum in plain
-double precision: Pascal-recurrence binomials, cumulative-product rising
-factors, Shewchuk-exact fsum accumulation.  It shares no code with the
+The oracle below recomputes everything as a literal double sum in Python
+floats, whose ** is libm's pow: Pascal-recurrence binomials, a running product
+of rising factors, Shewchuk-exact fsum accumulation.  It shares no code with the
 log-space production path in operators.py, so agreement between the two is
 meaningful evidence.  moment_oracle sums a stack of node tables over a
 product grid; verify_moments and `pqss eval --oracle` both call it.
@@ -128,43 +128,38 @@ def delta(axis: AxisConfig, x):
 
 
 @lru_cache(maxsize=512)
-def _pascal_binomials(m: int, p: float, q: float) -> np.ndarray:
+def _pascal_binomials(m: int, p: float, q: float) -> tuple[float, ...]:
     """Row m of the (p,q)-Pascal triangle via C(r,k) = p^k C(r-1,k) + q^{r-k} C(r-1,k-1)."""
-    row = np.array([1.0])
+    row = (1.0,)
     for r in range(1, m + 1):
-        new = np.zeros(r + 1)
-        k_left = np.arange(r)
-        new[:r] += p ** k_left.astype(float) * row
-        k_right = np.arange(1, r + 1)
-        new[1:] += q ** (r - k_right).astype(float) * row
-        row = new
-    row.setflags(write=False)
+        row = (row[0], *(p ** k * row[k] + q ** (r - k) * row[k - 1] for k in range(1, r)), row[-1])
     return row
 
 
 def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
-    """Weights by the direct formula: Pascal binomials, cumprod rising factors.
+    """Weights by the direct formula: Pascal binomials, a running product of rising factors.
 
-    Deliberately independent of the log-space production path.  Double
-    precision only; fine for the sweep sizes (m <= 28), not for m ~ 2000:
-    where the factor p^{-m(m-1)/2} overflows (m >= 117 at p = 0.9) it raises
-    ArithmeticError rather than return a non-finite weight.
+    Deliberately independent of the log-space production path.  Python
+    floats, whose ** is libm's pow; double precision only, fine for the sweep
+    sizes (m <= 28), not for m ~ 2000: where the factor p^{-m(m-1)/2}
+    overflows (m >= 117 at p = 0.9) it raises ArithmeticError rather than
+    return a non-finite weight.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"requires x in [0, 1] (got x={x})")
-    m = axis.degree
-    p, q = axis.pq.p, axis.pq.q
-    with np.errstate(over="ignore", invalid="ignore"):
-        binom = _pascal_binomials(m, p, q)
-        jj = np.arange(m).astype(float)
-        factors = p ** jj - (q ** jj) * x
-        rising = np.concatenate(([1.0], np.cumprod(factors)))
-        nu = np.arange(m + 1)
-        powers = p ** (0.5 * nu * (nu - 1) - 0.5 * m * (m - 1))
-        w = binom * powers * (x ** nu) * rising[::-1]
-    if not np.all(np.isfinite(w)):
-        raise ArithmeticError(f"oracle weights overflow a double at m={m}, p={p}, q={q}")
-    return w
+    m, p, q, x = axis.degree, axis.pq.p, axis.pq.q, float(x)
+    rising = [1.0]
+    for j in range(m):
+        rising.append(rising[-1] * (p ** j - q ** j * x))
+    binom = _pascal_binomials(m, p, q)
+    try:
+        w = [binom[nu] * p ** (0.5 * nu * (nu - 1) - 0.5 * m * (m - 1)) * x ** nu * rising[m - nu]
+             for nu in range(m + 1)]
+        if all(map(math.isfinite, w)):
+            return np.array(w)
+    except OverflowError:
+        pass
+    raise ArithmeticError(f"oracle weights overflow a double at m={m}, p={p}, q={q}")
 
 
 def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
@@ -310,7 +305,6 @@ def moment_csv_rows(reports: list[MomentReport]) -> list[list]:
 
 @dataclass
 class VerifyResult:
-    tolerance: float
     n_checks: int = 0
     reports: list[MomentReport] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
@@ -333,7 +327,7 @@ def verify_moments(
     one report per operator, at the first point whose largest absdiff is the
     largest.
     """
-    result = VerifyResult(tolerance=tolerance)
+    result = VerifyResult()
     xs = np.asarray(xs, dtype=float)
     x1s, x2s = xs[:, None], xs[None, :]
     names = [name for name, _, _ in MOMENT_NAMES] + ["central1", "central2"]

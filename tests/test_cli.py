@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -215,6 +217,11 @@ def test_converge_tabulated_errors(tmp_path, capsys):
         ({"pairs": {"8": [0.95]}, "a": 0.8, "b": 0.6}, "'pairs' must map each n to two numbers"),
         ({"pairs": {"8": [0.95, 0.9]}, "a": None, "b": 0.6}, "'a' and 'b' must be numbers"),
         ({"pairs": {"8": [0.95, 0.9]}, "a": 0.8, "b": "0.6"}, "'a' and 'b' must be numbers"),
+        # a key that is no degree, and two keys for one degree, which would
+        # otherwise make the later pair win silently
+        ({"pairs": {"8.0": [0.95, 0.9]}, "a": 0.8, "b": 0.6}, "key '8.0' is not a degree n"),
+        ({"pairs": {"8": [0.95, 0.9], "08": [0.96, 0.92]}, "a": 0.8, "b": 0.6},
+         "key '08' repeats the degree n=8"),
     ):
         fam.write_text(json.dumps(raw))
         rc, out, err = run(
@@ -224,6 +231,15 @@ def test_converge_tabulated_errors(tmp_path, capsys):
         assert rc == 2
         assert f"family file {fam}: {what}" in err
         assert out == ""
+
+
+def test_converge_refuses_negative_l_by_the_axis_rule(tmp_path, capsys):
+    # l sets the catalog's widths and the cost, so it is checked before either
+    for flag in ("--l1", "--l2"):
+        rc, out, err = run(["converge", flag, "-1", "--n-list", "8,16,32", "--grid", "3",
+                            "--output", str(tmp_path)], capsys)
+        assert (rc, out, err) == (2, "", "error: requires l >= 0 (got l=-1)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bounds_clean(tmp_path, monkeypatch, capsys):
@@ -310,6 +326,34 @@ def test_converge_family_constants_outside_the_usual_range(tmp_path, capsys, cp,
     assert err.startswith(f"error: {message}")
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# numpy picks its SIMD kernels (power, exp, log) by CPU feature, so a report
+# path that used them would write other bytes with numpy's AVX512 targets
+# switched off in the child.  On a CPU without those targets both runs take
+# the same kernels, and this test cannot fail.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--grid", "3"],
+    ["eval", "--f", "exp_sum", "--x1", "0.3", "--x2", "0.8", "--n1", "10", "--l1", "1",
+     "--p1", "0.9", "--q1", "0.6", "--n2", "7", "--p2", "0.95", "--q2", "0.5", "--oracle",
+     "--output", "eval.csv"],
+], ids=["verify", "eval-oracle"])
+def test_reports_do_not_follow_numpy_cpu_kernels(tmp_path, argv):
+    outcomes = []
+    for name, cpu in (("as_is", {}), ("no_avx512", NO_AVX512)):
+        work = tmp_path / name
+        work.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", **cpu}
+        proc = subprocess.run([sys.executable, "-m", "pqss.cli", *argv], cwd=work, env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    assert outcomes[0][1], "no report written"
+    assert outcomes[0] == outcomes[1]
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

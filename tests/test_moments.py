@@ -121,6 +121,23 @@ def test_oracle_weight_vector_matches_production(worked_axis):
         )
 
 
+def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
+    # oracle independence: no _libm and no weight_matrix, even for a new row
+    from pqss import operators, pq_core
+
+    op = BivariateOperator(worked_axis, worked_axis)
+    table = sample_at_nodes(op, lambda a, b: a * b)
+    want = moment_oracle(op, [table], [0.3], [0.8])
+
+    def refuse(*args):
+        raise AssertionError("the oracle called a production kernel")
+
+    for module, name in ((pq_core, "_libm"), (operators, "_libm"), (operators, "weight_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    moments._pascal_binomials.cache_clear()
+    np.testing.assert_array_equal(moment_oracle(op, [table], [0.3], [0.8]), want)
+
+
 def test_oracle_weight_vector_refuses_overflow():
     # p^(-m(m-1)/2) overflows at m = 117 for p = 0.9: an error naming m, p
     # and q, with no RuntimeWarning (an error under this suite's settings)

@@ -34,6 +34,10 @@ WORKED = [
     "--n2", "2", "--l2", "1", "--q2", "0.5", "--alpha2", "1.0", "--beta2", "2.0",
 ]
 POINT = ["--x1", "0.3", "--x2", "0.8", *WORKED]
+# p = 1 makes every power of the worked operator exact; at p = 0.9 the oracle's
+# powers are rounded, so a change in its pow shows
+POINT_P09 = ["--x1", "0.3", "--x2", "0.8", "--n1", "10", "--l1", "1", "--p1", "0.9", "--q1", "0.6",
+             "--n2", "7", "--p2", "0.95", "--q2", "0.5"]
 WORKED_CFG = (
     "# worked operator\n"
     "n1 = 2\nl1 = 1\nq1 = 0.5\nalpha1 = 1.0\nbeta1 = 2.0\n"
@@ -87,6 +91,7 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     add("converge", "--n-list", "8,16,8", "--grid", "3")
     add("converge", "--n-list", "8,16,100000", "--l2", "2")
     add("converge", "--cp", "1.0", "--cq", "0.5")
+    add("converge", "--l1", "-1", "--n-list", "8,16,32", "--grid", "3")
     add("converge", "--family", "tabulated")
     add("converge", "--family", "tabulated", "--family-file", "missing.json")
     for name, fam in (
@@ -95,6 +100,8 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         ("pairs_list", {"pairs": [[0.95, 0.9]], "a": 0.8, "b": 0.6}),
         ("bare_number", {"pairs": {"8": 0.95}, "a": 0.8, "b": 0.6}),
         ("null_a", {"pairs": {"8": [0.95, 0.9]}, "a": None, "b": 0.6}),
+        ("float_key", {"pairs": {"8.0": [0.95, 0.9]}, "a": 0.8, "b": 0.6}),
+        ("repeated_key", {"pairs": {"8": [0.95, 0.9], "08": [0.96, 0.92]}, "a": 0.8, "b": 0.6}),
     ):
         add("converge", "--family", "tabulated", "--family-file", f"{name}.json",
             "--n-list", "8", "--grid", "3", files={f"{name}.json": json.dumps(fam)})
@@ -143,6 +150,7 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
             for grid in ("41", "101"):
                 add("bounds", "--f", f, "--grid", grid, *SHAPE, *out)
         add("eval", "--f", "exp_sum", "--oracle", *POINT, "--output", f"eval.{fmt}", *out)
+        add("eval", "--f", "exp_sum", "--oracle", *POINT_P09, "--output", f"eval.{fmt}", *out)
         add("catalog", "--l1", "1", "--l2", "1", "--output", f"catalog.{fmt}", *out)
     # the convergence table's bound column for every catalog entry
     for f in CATALOG:
