@@ -142,11 +142,12 @@ def _axis(ns, i: int, node_exponent: str = "canonical") -> AxisConfig:
     )
 
 
-def _run_config(ns, keys: tuple[str, ...]) -> dict:
-    cfg = {"command": ns.command}
-    for k in keys:
-        cfg[k] = getattr(ns, k)
-    return cfg
+def _run_config(ns, keys: tuple[str, ...] | None = None) -> dict:
+    """The command and its values of `keys`, by default every option of the
+    command but --output and --format, in the option table's order."""
+    if keys is None:
+        keys = [_dest(row[0]) for row in COMMANDS[ns.command][2] if row not in _OUTPUT_OPTIONS]
+    return {"command": ns.command, **{k: getattr(ns, k) for k in keys}}
 
 
 def _write_report(path, fmt: str, csv_report, json_report) -> None:
@@ -260,7 +261,7 @@ def cmd_verify(ns) -> int:
         print(f"FAIL {line}")
     if len(res.failures) > 10:
         print(f"... and {len(res.failures) - 10} more failures")
-    cfg = _run_config(ns, ("tolerance", "grid", "node_exponent"))
+    cfg = _run_config(ns)
     _write_report(
         Path(ns.output or f"moments_{config_hash(cfg)}.{ns.format}"), ns.format,
         lambda: (MOMENT_CSV_HEADER, moment_csv_rows(res.reports)),
@@ -326,6 +327,9 @@ def _tabulated_family(path: str):
 
 def cmd_converge(ns) -> int:
     if ns.family == "one-minus-c-over-n":
+        if ns.family_file is not None:
+            # the file would go unread, yet enter the config and its hash
+            raise ValueError(f"--family-file requires --family tabulated (got {ns.family})")
         spec = one_minus_c_over_n(ns.cp, ns.cq)
     else:
         if not ns.family_file:
@@ -370,8 +374,7 @@ def cmd_converge(ns) -> int:
 
     out_dir = Path(ns.output) if ns.output else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _run_config(ns, ("family", "cp", "cq", "family_file", "n_list", "f",
-                           "l1", "alpha1", "beta1", "l2", "alpha2", "beta2", "grid"))
+    cfg = _run_config(ns)
     h = config_hash(cfg)
     _write_report(out_dir / f"korovkin_{h}.{ns.format}", ns.format,
                   lambda: (suite.CSV_HEADER, suite.csv_rows()),
@@ -397,7 +400,7 @@ def cmd_bounds(ns) -> int:
         f"max lhs {np.max(lhs):.3e}, min margin {np.min(rhs - lhs):.3e}, "
         f"violations {violations}"
     )
-    cfg = _run_config(ns, ("f", "grid", *_AXIS_KEYS))
+    cfg = _run_config(ns)
     # one entry per grid point, x1 outer and x2 inner
     columns = (np.repeat(xs, ns.grid).tolist(), np.tile(xs, ns.grid).tolist(),
                lhs.ravel().tolist(), rhs.ravel().tolist(), ok.ravel().tolist())
@@ -418,38 +421,41 @@ def cmd_bounds(ns) -> int:
 
 
 def cmd_catalog(ns) -> int:
-    cat = build_catalog(ns.l1 + 1.0, ns.l2 + 1.0)
-    entries = [
-        {
-            "name": name, "width1": tf.width1, "width2": tf.width2,
-            "sup_norm": tf.sup_norm,
-            "lipschitz_axis": list(tf.lipschitz_axis) if tf.lipschitz_axis else None,
-            "cb2_norm": tf.cb2_norm,
-            "exact_modulus": tf.total_modulus is not None,
-        }
-        for name, tf in sorted(cat.items())
-    ]
-    name_w = max(len(e["name"]) for e in entries)
+    for l in (ns.l1, ns.l2):
+        # each width is l + 1, an axis's node domain, so l obeys the axis rule
+        AxisConfig(n=1, l=l, pq=PQPair(1.0, 0.5))
+    entries = [tf for _, tf in sorted(build_catalog(ns.l1 + 1.0, ns.l2 + 1.0).items())]
+    name_w = max(len(tf.name) for tf in entries)
     print(f"catalog on [0, {ns.l1 + 1}] x [0, {ns.l2 + 1}]:")
-    for e in entries:
-        mod = "exact modulus" if e["exact_modulus"] else "estimate only"
-        cb2 = "-" if e["cb2_norm"] is None else f"{e['cb2_norm']:.6g}"
-        sup = "-" if e["sup_norm"] is None else f"{e['sup_norm']:.6g}"
-        print(f"  {e['name']:<{name_w}}  sup {sup:>10}  cb2 {cb2:>10}  {mod}")
+    for tf in entries:
+        mod = "estimate only" if tf.total_modulus is None else "exact modulus"
+        cb2 = "-" if tf.cb2_norm is None else f"{tf.cb2_norm:.6g}"
+        sup = "-" if tf.sup_norm is None else f"{tf.sup_norm:.6g}"
+        print(f"  {tf.name:<{name_w}}  sup {sup:>10}  cb2 {cb2:>10}  {mod}")
 
     def csv_report():
         header = ["name", "width1", "width2", "sup_norm", "lip1", "lip2", "cb2_norm",
                   "exact_modulus"]
-        rows = []
-        for e in entries:
-            lip1, lip2 = e["lipschitz_axis"] or (None, None)
-            rows.append([e["name"], e["width1"], e["width2"], e["sup_norm"], lip1, lip2,
-                         e["cb2_norm"], "yes" if e["exact_modulus"] else "no"])
-        return header, rows
+        return header, [
+            [tf.name, tf.width1, tf.width2, tf.sup_norm, *(tf.lipschitz_axis or (None, None)),
+             tf.cb2_norm, "no" if tf.total_modulus is None else "yes"]
+            for tf in entries
+        ]
+
+    def json_report():
+        return {"width1": ns.l1 + 1.0, "width2": ns.l2 + 1.0, "entries": [
+            {
+                "name": tf.name, "width1": tf.width1, "width2": tf.width2,
+                "sup_norm": tf.sup_norm,
+                "lipschitz_axis": list(tf.lipschitz_axis) if tf.lipschitz_axis else None,
+                "cb2_norm": tf.cb2_norm,
+                "exact_modulus": tf.total_modulus is not None,
+            }
+            for tf in entries
+        ]}
 
     if ns.output:
-        _write_report(ns.output, ns.format, csv_report,
-                      lambda: {"width1": ns.l1 + 1.0, "width2": ns.l2 + 1.0, "entries": entries})
+        _write_report(ns.output, ns.format, csv_report, json_report)
     return 0
 
 

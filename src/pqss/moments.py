@@ -234,16 +234,13 @@ def sweep_grid(k: int = 11) -> np.ndarray:
     return np.linspace(0.0, 1.0, k)
 
 
+# An axis's parameters, in the order of the reports' axis columns
+_AXIS_COLUMNS = ("n", "l", "p", "q", "alpha", "beta")
+
+
 def axis_params(axis: AxisConfig) -> dict:
-    return {
-        "n": axis.n,
-        "l": axis.l,
-        "p": axis.pq.p,
-        "q": axis.pq.q,
-        "alpha": axis.alpha,
-        "beta": axis.beta,
-        "node_exponent": axis.node_exponent,
-    }
+    values = (axis.n, axis.l, axis.pq.p, axis.pq.q, axis.alpha, axis.beta)
+    return {**dict(zip(_AXIS_COLUMNS, values)), "node_exponent": axis.node_exponent}
 
 
 @dataclass(frozen=True)
@@ -283,8 +280,7 @@ class MomentReport:
 
 
 MOMENT_CSV_HEADER = [
-    "n1", "l1", "p1", "q1", "alpha1", "beta1",
-    "n2", "l2", "p2", "q2", "alpha2", "beta2",
+    *(f"{name}{i}" for i in (1, 2) for name in _AXIS_COLUMNS),
     "node_exponent", "x1", "x2", "name", "closed", "oracle", "absdiff",
 ]
 
@@ -292,14 +288,11 @@ MOMENT_CSV_HEADER = [
 def moment_csv_rows(reports: list[MomentReport]) -> list[list]:
     rows = []
     for r in reports:
-        a1, a2 = r.op.axis1, r.op.axis2
+        a1, a2 = axis_params(r.op.axis1), axis_params(r.op.axis2)
+        axes = [a[name] for a in (a1, a2) for name in _AXIS_COLUMNS]
         for e in r.entries:
-            rows.append([
-                a1.n, a1.l, a1.pq.p, a1.pq.q, a1.alpha, a1.beta,
-                a2.n, a2.l, a2.pq.p, a2.pq.q, a2.alpha, a2.beta,
-                a1.node_exponent, r.point[0], r.point[1],
-                e.name, e.closed, e.oracle, e.absdiff,
-            ])
+            rows.append([*axes, a1["node_exponent"], *r.point,
+                         e.name, e.closed, e.oracle, e.absdiff])
     return rows
 
 

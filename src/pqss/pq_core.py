@@ -59,6 +59,16 @@ class PQPair:
             raise ValueError(
                 f"requires 0 < q < p <= 1 (got p={self.p}, q={self.q})"
             )
+        if not (self.q - self.p) / self.p > -1.0:
+            raise ValueError(
+                f"requires a finite log(q/p), but (q - p)/p rounds to -1 "
+                f"(got p={self.p}, q={self.q})"
+            )
+
+    @property
+    def log_ratio(self) -> float:
+        """log(q/p), taken as log1p((q - p)/p) so that nearby p and q do not cancel."""
+        return math.log1p((self.q - self.p) / self.p)
 
 
 def pq_integer(k: int, pq: PQPair) -> float:
@@ -75,8 +85,7 @@ def pq_integer(k: int, pq: PQPair) -> float:
     if k == 1:
         return 1.0
     p, q = pq.p, pq.q
-    log_ratio = math.log1p((q - p) / p)
-    return -(p ** k) * math.expm1(k * log_ratio) / (p - q)
+    return -(p ** k) * math.expm1(k * pq.log_ratio) / (p - q)
 
 
 def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
@@ -88,13 +97,11 @@ def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
     exactly where the direct subtraction cancels.  A row for x = 0 is j log p.
     """
     xs = np.asarray(xs, dtype=float)
-    p, q = pq.p, pq.q
     j = np.arange(m, dtype=float)
-    log_ratio = math.log1p((q - p) / p)
-    out = np.tile(j * math.log(p), (xs.size, 1))
+    out = np.tile(j * math.log(pq.p), (xs.size, 1))
     inner = xs > 0.0
     log_x = _libm(math.log, xs[inner])
-    out[inner] += _libm(math.log, -_libm(math.expm1, j * log_ratio + log_x[:, None]))
+    out[inner] += _libm(math.log, -_libm(math.expm1, j * pq.log_ratio + log_x[:, None]))
     return out
 
 
@@ -136,11 +143,10 @@ def cumulative_log_factorials(kmax: int, p: float, q: float) -> np.ndarray:
     lf = np.zeros(kmax + 1)
     if kmax >= 1:
         k = np.arange(2.0, kmax + 1)
-        log_ratio = math.log1p((q - p) / p)
         brackets = np.empty(kmax)
         brackets[0] = 1.0
         p_k = _libm(partial(math.pow, p), k)
-        brackets[1:] = -p_k * _libm(math.expm1, k * log_ratio) / (p - q)
+        brackets[1:] = -p_k * _libm(math.expm1, k * pq.log_ratio) / (p - q)
         if brackets.min() < sys.float_info.min:
             k0 = int(np.argmax(brackets < sys.float_info.min)) + 1
             raise ValueError(

@@ -242,6 +242,48 @@ def test_converge_refuses_negative_l_by_the_axis_rule(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_catalog_refuses_negative_l_by_the_axis_rule(tmp_path, capsys):
+    # the widths are l + 1: l is refused by the axis rule, not as a width
+    for flag in ("--l1", "--l2"):
+        rc, out, err = run(["catalog", flag, "-1", "--output", str(tmp_path / "cat.csv")],
+                           capsys)
+        assert (rc, out, err) == (2, "", "error: requires l >= 0 (got l=-1)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_converge_refuses_a_family_file_without_tabulated(tmp_path, monkeypatch, capsys):
+    # the file would go unread, yet enter the config hash of the reports
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("family_file = nothere.json\n")
+    base = ["converge", "--n-list", "8,16,32", "--grid", "3"]
+    for argv in ([*base, "--family-file", "nothere.json"],
+                 [*base, "--family", "one-minus-c-over-n", "--family-file", "nothere.json"],
+                 ["--config", "run.cfg", *base]):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("error: --family-file requires --family tabulated "
+                       "(got one-minus-c-over-n)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
+    # (q - p)/p rounds to -1: the pair is refused with its values, not a
+    # bare "math domain error" from the bracket's log1p
+    monkeypatch.chdir(tmp_path)
+    point = ["--f", "e11", "--x1", "0.5", "--x2", "0.5"]
+    for argv, p, q in ((["eval", *point, "--n1", "3", "--p1", "1", "--q1", "1e-17"], 1.0, 1e-17),
+                       (["bounds", "--f", "e11", "--grid", "3", "--p2", "0.5", "--q2", "1e-17"],
+                        0.5, 1e-17)):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: requires a finite log(q/p), but (q - p)/p rounds to -1 "
+                       f"(got p={p}, q={q})\n")
+    assert list(tmp_path.iterdir()) == []
+    # the near miss still evaluates
+    rc, out, err = run(["eval", *point, "--n1", "3", "--p1", "1", "--q1", "1e-15"], capsys)
+    assert (rc, out) == (0, "value 0.24999999999999994\n")
+
+
 def test_bounds_clean(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(["bounds", "--f", "e11", "--grid", "5", *WORKED], capsys)
@@ -250,6 +292,23 @@ def test_bounds_clean(tmp_path, monkeypatch, capsys):
     files = list(tmp_path.glob("bounds_e11_*.csv"))
     assert len(files) == 1
     assert len(files[0].read_text().strip().splitlines()) == 1 + 25
+
+
+def test_bounds_json_report(tmp_path, capsys):
+    report = tmp_path / "b.json"
+    rc, out, err = run(["bounds", "--f", "e11", "--grid", "5", *WORKED,
+                        "--output", str(report), "--format", "json"], capsys)
+    assert rc == 0
+    obj = json.loads(report.read_text())
+    assert obj["violations"] == 0
+    assert obj["config"]["command"] == "bounds" and obj["config"]["grid"] == 5
+    rows = obj["rows"]
+    assert len(rows) == 5 * 5
+    xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    # x1 outer, x2 inner
+    assert [(r["point"]["x1"], r["point"]["x2"]) for r in rows] == [
+        (x1, x2) for x1 in xs for x2 in xs]
+    assert all(r["holds"] is True and r["lhs"] <= r["rhs"] for r in rows)
 
 
 def test_bounds_refuses_estimate_only(capsys):
@@ -276,6 +335,22 @@ def test_catalog_listing(tmp_path, capsys):
     by_name = {e["name"]: e for e in obj["entries"]}
     assert by_name["sinprod"]["exact_modulus"] is False
     assert by_name["abs_ramp"]["cb2_norm"] is None
+
+
+def test_catalog_csv_report(tmp_path, capsys):
+    out_csv = tmp_path / "x.csv"
+    rc, out, err = run(["catalog", "--l1", "1", "--output", str(out_csv)], capsys)
+    assert rc == 0
+    lines = out_csv.read_bytes().decode().split("\r\n")
+    assert lines[0] == "name,width1,width2,sup_norm,lip1,lip2,cb2_norm,exact_modulus"
+    assert lines[-1] == ""
+    rows = {line.split(",")[0]: line.split(",") for line in lines[1:-1]}
+    assert len(rows) == 13 == len(lines) - 2
+    assert list(rows) == sorted(rows)
+    assert rows["e10"] == ["e10", "2", "1", "2", "1", "0", "3", "yes"]
+    # no Lipschitz constants, no CB2 norm and no exact modulus: empty fields, "no"
+    assert rows["sinprod"][-1] == "no"
+    assert rows["abs_ramp"][6] == ""
 
 
 WIDE = ["--l1", "800", "--n1", "2"]

@@ -43,8 +43,8 @@ def test_one_minus_family_limits_are_exp_minus_c(c):
     spec = one_minus_c_over_n(c, c + 1.0)
     assert (spec.a, spec.b) == (math.exp(-c), math.exp(-(c + 1.0)))
     n = 10 ** 6
-    assert spec.p_of(n) ** n == pytest.approx(spec.a, rel=1e-5)
-    assert spec.q_of(n) ** n == pytest.approx(spec.b, rel=1e-5)
+    assert spec.pq_of(n)[0] ** n == pytest.approx(spec.a, rel=1e-5)
+    assert spec.pq_of(n)[1] ** n == pytest.approx(spec.b, rel=1e-5)
 
 
 def test_one_minus_family_refuses_non_finite_constants():

@@ -60,6 +60,19 @@ def test_pqpair_rejects_bad_parameters():
             PQPair(p, q)
 
 
+def test_pqpair_refuses_a_q_too_far_below_p_for_log_ratio():
+    # (q - p)/p rounds to -1, so log(q/p) = log1p((q - p)/p) has no value
+    for p, q in ((1.0, 1e-17), (0.5, 1e-17), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match=r"requires a finite log\(q/p\), but \(q - p\)/p "
+                                             rf"rounds to -1 \(got p={p}, q={q}\)"):
+            PQPair(p, q)
+    # the near miss keeps a finite log_ratio, as close to log(q/p) as the
+    # rounding of (q - p)/p next to -1 allows, and its brackets
+    pq = PQPair(1.0, 1e-15)
+    assert pq.log_ratio == pytest.approx(math.log(1e-15), rel=1e-4)
+    assert pq_integer(2, pq) == pytest.approx(1.0 + 1e-15, rel=1e-15)
+
+
 def test_pq_integer_known_values():
     assert pq_integer(0, PAIRS[0]) == 0.0
     assert pq_integer(1, PAIRS[0]) == 1.0

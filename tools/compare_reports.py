@@ -76,6 +76,9 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     add("eval", "--f", "nope", "--x1", "0.5", "--x2", "0.5")
     add("eval", "--f", "e11", "--x1", "1.5", "--x2", "0.5")
     add("eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--p1", "0.5", "--q1", "0.9")
+    # (q - p)/p rounds to -1, so log(q/p) has no value
+    add("eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--n1", "3", "--p1", "1",
+        "--q1", "1e-17")
     add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--alpha1", "inf", "--beta1", "inf")
     add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "100000", "--n2", "100000")
     add("eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
@@ -94,6 +97,11 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     add("converge", "--l1", "-1", "--n-list", "8,16,32", "--grid", "3")
     add("converge", "--family", "tabulated")
     add("converge", "--family", "tabulated", "--family-file", "missing.json")
+    add("converge", "--family", "one-minus-c-over-n", "--family-file", "nothere.json",
+        "--n-list", "8,16,32", "--grid", "3")
+    add("converge", "--family", "tabulated", "--family-file", "fam.json",
+        "--n-list", "8,16,64", "--grid", "3", files={"fam.json": FAMILY})
+    add("catalog", "--l1", "-1")
     for name, fam in (
         ("keys", {"pairs": {"8": [0.95, 0.9]}}),
         ("limits", {"pairs": {"8": [0.95, 0.9]}, "a": 0, "b": 0.6}),
