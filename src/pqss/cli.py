@@ -217,7 +217,6 @@ def cmd_eval(ns) -> int:
     record = _run_config(ns, ("f", "x1", "x2", *_AXIS_KEYS, "node_exponent"))
     record["value"] = value
     if ns.oracle:
-        # the oracle's one-point grid; it raises before anything is printed
         oracle = float(moment_oracle(op, [samples], [ns.x1], [ns.x2])[0, 0, 0])
         record["oracle"] = oracle
         record["absdiff"] = abs(value - oracle)
@@ -326,10 +325,13 @@ def _tabulated_family(path: str):
 
 
 def cmd_converge(ns) -> int:
+    for family, keys in (("one-minus-c-over-n", ("cp", "cq")), ("tabulated", ("family_file",))):
+        for key in keys:
+            # another family's option would go unread, yet enter the config and its hash
+            if ns.family != family and getattr(ns, key) != _OPTION_KWARGS[key]["default"]:
+                raise ValueError(f"--{key.replace('_', '-')} requires --family {family} "
+                                 f"(got {ns.family})")
     if ns.family == "one-minus-c-over-n":
-        if ns.family_file is not None:
-            # the file would go unread, yet enter the config and its hash
-            raise ValueError(f"--family-file requires --family tabulated (got {ns.family})")
         spec = one_minus_c_over_n(ns.cp, ns.cq)
     else:
         if not ns.family_file:

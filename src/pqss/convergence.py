@@ -146,9 +146,9 @@ def korovkin_suite(
     """Sup errors of the four convergence test conditions per n.
 
     Both axes share n (the sweep convention); the moment layer itself
-    supports n1 != n2.  Errors come from the closed moment forms, which
-    `verify` compares with the oracle only up to degree m = 28; the degrees
-    a family reaches here are not checked independently.
+    supports n1 != n2.  Errors come from the closed moment forms; the oracle
+    certifies the weights up to m = 8000 (high-degree-weights), but these
+    closed moments only up to m = 28 (`verify`).
     """
     if shape2 is None:
         shape2 = shape1

@@ -16,10 +16,10 @@ A x^2 + B x + C with
     B = ([m](p^{m-1} + 2 alpha) - 2 alpha D) / D^2
     C = alpha^2 / D^2.
 
-The oracle below recomputes everything as a literal double sum in Python
-floats, whose ** is libm's pow: Pascal-recurrence binomials, a running product
-of rising factors, Shewchuk-exact fsum accumulation.  It shares no code with the
-log-space production path in operators.py, so agreement between the two is
+The oracle below recomputes everything as a literal sum: weights by the direct
+formula in stdlib decimal at 60 digits, each rounded once to a double, with no
+overflow at any degree, summed by Shewchuk-exact fsum.  It shares no code with
+the log-space production path in operators.py, so agreement between the two is
 meaningful evidence.  moment_oracle sums a stack of node tables over a
 product grid; verify_moments and `pqss eval --oracle` both call it.
 """
@@ -27,6 +27,7 @@ product grid; verify_moments and `pqss eval --oracle` both call it.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -127,39 +128,38 @@ def delta(axis: AxisConfig, x):
     return float(d) if d.ndim == 0 else d
 
 
+_ORACLE_DIGITS = 60  # the sweep's rows round to the same doubles at twice as many digits
+_ORACLE_CONTEXT = decimal.Context(prec=_ORACLE_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 @lru_cache(maxsize=512)
-def _pascal_binomials(m: int, p: float, q: float) -> tuple[float, ...]:
-    """Row m of the (p,q)-Pascal triangle via C(r,k) = p^k C(r-1,k) + q^{r-k} C(r-1,k-1)."""
-    row = (1.0,)
-    for r in range(1, m + 1):
-        row = (row[0], *(p ** k * row[k] + q ** (r - k) * row[k - 1] for k in range(1, r)), row[-1])
+def _oracle_row(m: int, p: float, q: float, x: float) -> np.ndarray:
+    """s_0(x)..s_m(x) by the direct formula in decimal, each rounded once by float().
+
+    [k]! = prod (p^j - q^j)/(p - q); the rising factors p^j - q^j x and the
+    powers x^nu, p^(nu(nu-1)/2) are running products (decimal 0 ** 0 raises)."""
+    with decimal.localcontext(_ORACLE_CONTEXT):
+        p, q, x = map(decimal.Decimal, (p, q, x))
+        fact, rising, x_pow, p_pow = ([decimal.Decimal(1)] for _ in range(4))
+        p_j = q_j = fact[0]
+        for _ in range(m):
+            rising.append(rising[-1] * (p_j - q_j * x))
+            x_pow.append(x_pow[-1] * x)
+            p_pow.append(p_pow[-1] * p_j)
+            p_j, q_j = p_j * p, q_j * q
+            fact.append(fact[-1] * (p_j - q_j) / (p - q))
+        lead = fact[m] / p_pow[m]
+        row = np.array([float(lead / (fact[nu] * fact[m - nu]) * p_pow[nu] * x_pow[nu]
+                              * rising[m - nu]) for nu in range(m + 1)])
+    row.setflags(write=False)
     return row
 
 
 def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
-    """Weights by the direct formula: Pascal binomials, a running product of rising factors.
-
-    Deliberately independent of the log-space production path.  Python
-    floats, whose ** is libm's pow; double precision only, fine for the sweep
-    sizes (m <= 28), not for m ~ 2000: where the factor p^{-m(m-1)/2}
-    overflows (m >= 117 at p = 0.9) it raises ArithmeticError rather than
-    return a non-finite weight.
-    """
+    """The oracle's weight row at x, read-only; rows are cached per (m, p, q, x)."""
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"requires x in [0, 1] (got x={x})")
-    m, p, q, x = axis.degree, axis.pq.p, axis.pq.q, float(x)
-    rising = [1.0]
-    for j in range(m):
-        rising.append(rising[-1] * (p ** j - q ** j * x))
-    binom = _pascal_binomials(m, p, q)
-    try:
-        w = [binom[nu] * p ** (0.5 * nu * (nu - 1) - 0.5 * m * (m - 1)) * x ** nu * rising[m - nu]
-             for nu in range(m + 1)]
-        if all(map(math.isfinite, w)):
-            return np.array(w)
-    except OverflowError:
-        pass
-    raise ArithmeticError(f"oracle weights overflow a double at m={m}, p={p}, q={q}")
+    return _oracle_row(axis.degree, axis.pq.p, axis.pq.q, float(x))
 
 
 def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
@@ -196,9 +196,7 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     if not (0.0 < x <= 1.0):
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
-    w = oracle_weight_vector(lit, x)
-    t = nodes(lit)
-    measured = math.fsum((w * t).tolist())
+    measured = math.fsum((oracle_weight_vector(lit, x) * nodes(lit)).tolist())
     den, bm, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den

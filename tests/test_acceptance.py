@@ -34,6 +34,7 @@ from pqss.moments import (
     SWEEP_AB,
     SWEEP_N,
     literal_first_moment_factor,
+    oracle_weight_vector,
     standard_sweep,
     sweep_grid,
     verify_moments,
@@ -44,6 +45,7 @@ from pqss.operators import (
     apply_bivariate,
     apply_on_grid,
     reduce_operator,
+    weight_matrix,
     weight_vector,
 )
 from pqss.pq_core import PQPair
@@ -102,6 +104,29 @@ def test_partition_of_unity(verdict):
         "partition-of-unity", ok,
         f"sweep worst |sum-1| {worst:.2e} (tol 1e-12), degree-2000 worst "
         f"{worst_big:.2e} (tol 1e-9), min weight {min_weight:.2e}",
+    )
+
+
+def test_high_degree_weights(verdict):
+    # the production log-space rows against the oracle's decimal rows, at the
+    # degrees the Korovkin tables reach: relative error over weights > 1e-200
+    start = time.monotonic()
+    xs = (0.1, 0.37, 0.5, 0.83, 0.999)
+    family = one_minus_c_over_n(0.5, 1.0)
+    axes = [AxisConfig(n=m, l=0, pq=family.pq_at(m)) for m in (500, 2000, 8000)]
+    axes.append(AxisConfig(n=2000, l=0, pq=PQPair(0.999, 0.998)))
+    worst = 0.0
+    for axis in axes:
+        for x, w in zip(xs, weight_matrix(axis, xs)):
+            ref = oracle_weight_vector(axis, x)
+            big = ref > 1e-200
+            worst = max(worst, float(np.max(np.abs(w[big] - ref[big]) / ref[big])))
+    elapsed = time.monotonic() - start
+    verdict(
+        "high-degree-weights", worst <= 1e-10,
+        f"weight_matrix vs decimal oracle at m = 500, 2000, 8000 on 1 - c/n and "
+        f"m = 2000 at (0.999, 0.998), 5 points each, worst relative error "
+        f"{worst:.2e} over weights > 1e-200 (tol 1e-10), {elapsed:.1f}s",
     )
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqss import cli
+from pqss import cli, moments
 
 WORKED = [
     "--n1", "2", "--l1", "1", "--q1", "0.5", "--alpha1", "1.0", "--beta1", "2.0",
@@ -264,6 +264,38 @@ def test_converge_refuses_a_family_file_without_tabulated(tmp_path, monkeypatch,
         assert err == ("error: --family-file requires --family tabulated "
                        "(got one-minus-c-over-n)\n")
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_converge_refuses_family_constants_with_tabulated(tmp_path, monkeypatch, capsys):
+    # --cp and --cq go unread under a tabulated family, yet would enter the
+    # config hash of the reports; their defaults are accepted
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fam.json").write_text(json.dumps({
+        "pairs": {"8": [0.95, 0.9], "16": [0.97, 0.94], "32": [0.99, 0.97]},
+        "a": 0.8, "b": 0.6,
+    }))
+    (tmp_path / "run.cfg").write_text("cq = 2\n")
+    base = ["converge", "--family", "tabulated", "--family-file", "fam.json",
+            "--n-list", "8,16,32", "--grid", "3"]
+    for argv, flag in (([*base, "--cp", "0.3"], "cp"), ([*base, "--cq", "nan"], "cq"),
+                       (["--config", "run.cfg", *base], "cq")):
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --{flag} requires --family one-minus-c-over-n (got tabulated)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.json", "run.cfg"]
+    rc, out, err = run([*base, "--cp", "0.5", "--cq", "1"], capsys)
+    assert (rc, err) == (0, "")
+
+
+def test_verify_computes_each_oracle_row_once(tmp_path, monkeypatch, capsys):
+    # 2,970 oracle rows over the 135 operators, 429 of them distinct: 39
+    # (m, p, q) axes at 11 points
+    monkeypatch.chdir(tmp_path)
+    moments._oracle_row.cache_clear()
+    rc, out, err = run(["verify", "--grid", "11"], capsys)
+    assert rc == 0
+    info = moments._oracle_row.cache_info()
+    assert (info.misses, info.hits) == (429, 2970 - 429)
 
 
 def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
@@ -578,13 +610,14 @@ def test_usage_errors(tmp_path, capsys):
         assert "bracket [6735] = 2.219e-308 is below the smallest normal double" in err
         assert "at p=0.9, q=0.6" in err
 
-    # the oracle's direct formula overflows at m = 200, p = 0.9: an error,
-    # not an oracle of nan, and nothing on stdout
+    # p^(-m(m-1)/2) overflows a double at m = 200, p = 0.9, but not the
+    # oracle's decimal rows: a finite oracle value next to the value
     rc, out, err = run(["eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
                         "--n1", "200", "--p1", "0.9", "--q1", "0.6", "--oracle"], capsys)
-    assert rc == 2
-    assert out == ""
-    assert "oracle weights overflow a double at m=200, p=0.9, q=0.6" in err
+    assert (rc, err) == (0, "")
+    values = dict(line.split(" ", 1) for line in out.splitlines())
+    assert set(values) == {"value", "oracle", "absdiff"}
+    assert float(values["absdiff"]) <= 1e-11 * float(values["oracle"])
 
     # [n] itself underflows to 0 or is subnormal: the axis is refused before
     # any evaluation, also at x1 = 0 or 1 where the weight row is a unit

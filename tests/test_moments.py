@@ -134,22 +134,34 @@ def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
 
     for module, name in ((pq_core, "_libm"), (operators, "_libm"), (operators, "weight_matrix")):
         monkeypatch.setattr(module, name, refuse)
-    moments._pascal_binomials.cache_clear()
+    moments._oracle_row.cache_clear()
     np.testing.assert_array_equal(moment_oracle(op, [table], [0.3], [0.8]), want)
 
 
-def test_oracle_weight_vector_refuses_overflow():
-    # p^(-m(m-1)/2) overflows at m = 117 for p = 0.9: an error naming m, p
-    # and q, with no RuntimeWarning (an error under this suite's settings)
-    ok = AxisConfig(n=116, l=0, pq=PQPair(0.9, 0.6))
-    assert np.all(np.isfinite(oracle_weight_vector(ok, 0.5)))
-    for n, x in ((117, 0.5), (200, 0.0), (200, 1.0)):
-        axis = AxisConfig(n=n, l=0, pq=PQPair(0.9, 0.6))
-        with pytest.raises(ArithmeticError, match=f"at m={n}, p=0.9, q=0.6"):
-            oracle_weight_vector(axis, x)
-    op = BivariateOperator(ok, AxisConfig(n=150, l=3, pq=PQPair(0.9, 0.6)))
-    with pytest.raises(ArithmeticError, match="at m=153, p=0.9, q=0.6"):
-        moment_oracle(op, [sample_at_nodes(op, lambda a, b: a + b)], [0.5], [0.5])
+def test_oracle_weight_vector_beyond_double_range():
+    # p^(-m(m-1)/2) overflows a double at m = 117 for p = 0.9; the decimal
+    # rows have no such limit and match production to 1e-11 relative
+    axis = AxisConfig(n=200, l=0, pq=PQPair(0.9, 0.6))
+    for x in (0.0, 0.1, 0.5, 0.9, 1.0):
+        w = oracle_weight_vector(axis, x)
+        assert not w.flags.writeable
+        np.testing.assert_allclose(weight_vector(axis, x), w, rtol=1e-11, atol=0.0)
+
+
+def test_oracle_digits_suffice_on_the_sweep(monkeypatch):
+    # twice the digits round every sweep row to the same doubles
+    assert moments._ORACLE_DIGITS == 60
+    keys = {(op.axis1.degree, op.axis1.pq.p, op.axis1.pq.q) for op in standard_sweep()}
+    keys = [(*key, float(x)) for key in sorted(keys) for x in sweep_grid(11)]
+    assert len(keys) == 429
+    moments._oracle_row.cache_clear()
+    rows = [moments._oracle_row(*key) for key in keys]
+    monkeypatch.setattr(moments, "_ORACLE_CONTEXT", moments._ORACLE_CONTEXT.copy())
+    moments._ORACLE_CONTEXT.prec = 2 * moments._ORACLE_DIGITS
+    moments._oracle_row.cache_clear()
+    for key, row in zip(keys, rows):
+        np.testing.assert_array_equal(moments._oracle_row(*key), row, err_msg=str(key))
+    moments._oracle_row.cache_clear()
 
 
 def _oracle_at(op, f, x1, x2):

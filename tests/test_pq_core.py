@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from pqss import _clibm
 from pqss.catalog import build_catalog
-from pqss.moments import _pascal_binomials
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
@@ -126,32 +125,6 @@ def test_pq_factorial_values():
     assert lf[0] == 0.0 and lf[1] == 0.0
     assert math.exp(lf[2]) == pytest.approx(1.5, rel=1e-15)
     assert math.exp(lf[3]) == pytest.approx(2.625, rel=1e-15)
-
-
-def test_pq_binomial_edges_and_value():
-    # the oracle's (p,q)-Pascal rows: C(5,0) = C(5,5) = 1, C(3,1) = [3]
-    row = _pascal_binomials(5, 0.9, 0.6)
-    assert row[0] == 1.0 and row[5] == 1.0
-    assert _pascal_binomials(3, 0.9, 0.6)[1] == pytest.approx(pq_integer(3, PAIRS[1]), rel=1e-13)
-
-
-def test_pascal_identities_both_variants():
-    # both recurrences follow from [n] = p^k [n-k] + q^{n-k} [k]; the rows are
-    # built with the first, and the suite records that they equal the
-    # bracket-factorial ratio and satisfy the second as well
-    for pq in PAIRS:
-        p, q = pq.p, pq.q
-        for n in range(1, 31):
-            row = _pascal_binomials(n, p, q)
-            prev = _pascal_binomials(n - 1, p, q)
-            for k in range(n + 1):
-                ratio = bracket_factorial(n, pq) / (
-                    bracket_factorial(k, pq) * bracket_factorial(n - k, pq)
-                )
-                assert row[k] == pytest.approx(ratio, rel=1e-11)
-            for k in range(1, n):
-                v2 = q ** k * prev[k] + p ** (n - k) * prev[k - 1]
-                assert row[k] == pytest.approx(v2, rel=1e-11)
 
 
 def test_rising_product_values():

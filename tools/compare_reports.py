@@ -83,6 +83,9 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "100000", "--n2", "100000")
     add("eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
         "--n1", "200", "--p1", "0.9", "--q1", "0.6", "--oracle")
+    # a degree where p^(-m(m-1)/2) overflows a double
+    add("eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
+        "--n1", "2000", "--p1", "0.999", "--q1", "0.998", "--oracle")
     add("eval", "--f", "e11", "--x1", "0", "--x2", ".5", "--n1", "8000", "--p1", "0.9",
         "--q1", "0.6")
     add("verify", "--grid", "1")
@@ -101,6 +104,8 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         "--n-list", "8,16,32", "--grid", "3")
     add("converge", "--family", "tabulated", "--family-file", "fam.json",
         "--n-list", "8,16,64", "--grid", "3", files={"fam.json": FAMILY})
+    add("converge", "--family", "tabulated", "--family-file", "fam.json", "--cp", "0.3",
+        "--n-list", "8,16,32", "--grid", "3", files={"fam.json": FAMILY})
     add("catalog", "--l1", "-1")
     for name, fam in (
         ("keys", {"pairs": {"8": [0.95, 0.9]}}),
