@@ -1,8 +1,11 @@
-"""libm's exp, expm1, log, sin and pow over a whole array, in one C loop.
+"""libm's exp, expm1, log, sin and pow over a whole array, in one C loop,
+and math.fsum over each row of a 2-D array.
 
 pq_core._libm applies math-module functions to arrays.  This module gives it
 a compiled loop that calls the same libm functions as `math`, so every value
-keeps its bits and the Python call per element is gone.
+keeps its bits and the Python call per element is gone.  The oracle in
+moments sums its rows with fsum_rows, a port of CPython 3.11's math_fsum
+that gives math.fsum's bits.
 
 The C source below is built with cffi in API mode on first use, into this
 package's __pycache__ directory, under a name keyed by a hash of the source,
@@ -15,8 +18,9 @@ succeed.  The flags keep gcc from substituting anything for libm: no
 -ffp-contract=off.
 
 Where cffi or a C compiler is missing, or the build fails, load() returns
-None and callers keep the element-by-element math path, which gives the same
-values.  A failed build is not retried within the process.
+None and callers keep the element-by-element math path (math.fsum row by row
+for the sums), which gives the same values.  A failed build is not retried
+within the process.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ int pqss_expm1(const double *x, double *out, size_t n);
 int pqss_log(const double *x, double *out, size_t n);
 int pqss_sin(const double *x, double *out, size_t n);
 int pqss_pow(double base, const double *x, double *out, size_t n);
+int pqss_fsum_rows(const double *x, double *out, size_t rows, size_t cols);
 """
 
 _SOURCE = r"""
@@ -68,6 +73,65 @@ int pqss_pow(double base, const double *x, double *out, size_t n)
         bad |= !isfinite(out[i]);
     }
     return bad;
+}
+
+/* out[r] = math.fsum(row r of the rows x cols array x), by CPython 3.11's
+   math_fsum: Shewchuk's non-overlapping partials, then the half-even
+   correction across them.  The result is 1 if a term or a partial is not
+   finite, where math.fsum raises or returns inf or nan, or if the partials
+   outgrow the buffer; math.fsum must then redo the rows. */
+#define PQSS_PARTIALS 128
+
+int pqss_fsum_rows(const double *x, double *out, size_t rows, size_t cols)
+{
+    double p[PQSS_PARTIALS];
+    for (size_t r = 0; r < rows; r++) {
+        const double *row = x + r * cols;
+        size_t n = 0;
+        for (size_t k = 0; k < cols; k++) {
+            double v = row[k];
+            size_t i = 0;
+            for (size_t j = 0; j < n; j++) {
+                double y = p[j];
+                if (fabs(v) < fabs(y)) {
+                    double t = v;
+                    v = y;
+                    y = t;
+                }
+                double hi = v + y;
+                double lo = y - (hi - v);
+                if (lo != 0.0)
+                    p[i++] = lo;
+                v = hi;
+            }
+            n = i;
+            if (v != 0.0) {
+                if (!isfinite(v) || n == PQSS_PARTIALS)
+                    return 1;
+                p[n++] = v;
+            }
+        }
+        double hi = 0.0;
+        if (n > 0) {
+            double lo = 0.0;
+            hi = p[--n];
+            while (n > 0) {
+                double v = hi, y = p[--n];
+                hi = v + y;
+                lo = y - (hi - v);
+                if (lo != 0.0)
+                    break;
+            }
+            if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+                double y = lo * 2.0;
+                double v = hi + y;
+                if (y == v - hi)
+                    hi = v;
+            }
+        }
+        out[r] = hi;
+    }
+    return 0;
 }
 """
 
@@ -175,4 +239,23 @@ def apply(fn, x: np.ndarray) -> np.ndarray | None:
     out = np.empty_like(src)
     bad = kernel(module.ffi.from_buffer("double[]", src), module.ffi.from_buffer("double[]", out),
                  src.size)
+    return None if bad else out
+
+
+def fsum_rows(x: np.ndarray) -> np.ndarray | None:
+    """math.fsum of each row of the 2-D float array x, by the compiled kernel.
+
+    Returns None where the kernel does not serve the call: no kernel here, a
+    term or partial that is not finite, or more partials than its buffer
+    holds (a row spread over hundreds of binades).  math.fsum redoes such a
+    call with the same values, and raises the same errors.
+    """
+    module = load()
+    if module is None:
+        return None
+    src = np.ascontiguousarray(x, dtype=float)
+    rows, cols = src.shape
+    out = np.empty(rows)
+    bad = module.lib.pqss_fsum_rows(module.ffi.from_buffer("double[]", src),
+                                    module.ffi.from_buffer("double[]", out), rows, cols)
     return None if bad else out

@@ -176,16 +176,18 @@ def _check_grid(k: int) -> None:
 
 
 MAX_ELEMENTS = 2 ** 26
+# One decimal oracle row of 2^16 weights takes about 0.4 s and 40 MB
+_MAX_ORACLE_ROW = 2 ** 16
 
 
-def _check_sizes(sizes, at: str) -> None:
+def _check_sizes(sizes, at: str, limit: int = MAX_ELEMENTS) -> None:
     """Refuse, before any work, a command with an array of (what, size) above
-    the limit; `at` names the inputs the sizes were computed from."""
+    the limit, a power of two; `at` names the inputs the sizes were computed
+    from."""
     for what, size in sizes:
-        if size > MAX_ELEMENTS:
-            raise ValueError(
-                f"{what} = {size} elements exceeds the limit of {MAX_ELEMENTS} (2^26) at {at}"
-            )
+        if size > limit:
+            raise ValueError(f"{what} = {size} elements exceeds the limit of {limit} "
+                             f"(2^{limit.bit_length() - 1}) at {at}")
 
 
 def _check_cost(m1: int, m2: int, k: int, *more: tuple[str, int]) -> None:
@@ -209,6 +211,9 @@ def cmd_eval(ns) -> int:
     exponent = _EXPONENT_BY_FLAG[ns.node_exponent]
     ax1, ax2 = _axis(ns, 1, exponent), _axis(ns, 2, exponent)
     _check_cost(ax1.degree, ax2.degree, 1)
+    if ns.oracle:
+        _check_sizes((("oracle row m1+1", ax1.degree + 1), ("oracle row m2+1", ax2.degree + 1)),
+                     f"m1={ax1.degree}, m2={ax2.degree}", limit=_MAX_ORACLE_ROW)
     op = BivariateOperator(ax1, ax2)
     f = _catalog_entry(ns.f, op.axis1.l + 1.0, op.axis2.l + 1.0)
     # f is sampled once, for the value and for the oracle

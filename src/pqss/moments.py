@@ -18,10 +18,12 @@ A x^2 + B x + C with
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
-overflow at any degree, summed by Shewchuk-exact fsum.  It shares no code with
-the log-space production path in operators.py, so agreement between the two is
-meaningful evidence.  moment_oracle sums a stack of node tables over a
-product grid; verify_moments and `pqss eval --oracle` both call it.
+overflow at any degree, summed by Shewchuk-exact fsum: the compiled row-sum
+kernel in _clibm, which gives math.fsum's bits, with math.fsum itself as the
+fallback.  It shares no code with the log-space production path in
+operators.py, so agreement between the two is meaningful evidence.
+moment_oracle sums a stack of node tables over a product grid;
+verify_moments and `pqss eval --oracle` both call it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _clibm
 from .operators import AxisConfig, BivariateOperator, nodes
 from .pq_core import PQPair, pq_integer
 from .serialize import fmt_float
@@ -162,13 +165,25 @@ def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     return _oracle_row(axis.degree, axis.pq.p, axis.pq.q, float(x))
 
 
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D array: one compiled call, or math.fsum
+    row by row where the kernel is missing or declines the call, which gives
+    the same values and raises the same errors."""
+    sums = _clibm.fsum_rows(terms)
+    if sums is None:
+        sums = np.array([math.fsum(memoryview(row)) for row in terms], dtype=float)
+    return sums
+
+
 def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
     """Brute-force S(T; x1, x2), shape (len(tables), len(xs1), len(xs2)).
 
     Each table broadcasts to (len(xs1), len(xs2), m1 + 1, m2 + 1): a node
     table such as sample_at_nodes(op, f), or a per-point one such as
     ((t1 - xs1[:, None])**2)[:, None, :, None].  Each entry is one fsum of
-    (w1[a] * w2[b]) * T[a, b]; the terms are built one xs1 row at a time.
+    (w1[a] * w2[b]) * T[a, b]; the terms are built one xs1 row at a time and
+    summed by the compiled row-sum kernel, one call per (table, xs1 row), or
+    by math.fsum where the kernel is missing or declines.
     """
     xs1 = np.asarray(xs1, dtype=float)
     xs2 = np.asarray(xs2, dtype=float)
@@ -180,7 +195,7 @@ def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
         table = np.broadcast_to(table, shape)
         for a, w1 in enumerate(w1s):
             terms = (w1[None, :, None] * w2s[:, None, :]) * table[a]
-            out[k, a] = [math.fsum(memoryview(row)) for row in terms.reshape(xs2.size, -1)]
+            out[k, a] = _fsum_rows(terms.reshape(xs2.size, -1))
     return out
 
 
@@ -196,7 +211,7 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     if not (0.0 < x <= 1.0):
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
-    measured = math.fsum((oracle_weight_vector(lit, x) * nodes(lit)).tolist())
+    measured = float(_fsum_rows((oracle_weight_vector(lit, x) * nodes(lit))[None, :])[0])
     den, bm, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den

@@ -298,6 +298,30 @@ def test_verify_computes_each_oracle_row_once(tmp_path, monkeypatch, capsys):
     assert (info.misses, info.hits) == (429, 2970 - 429)
 
 
+def test_eval_oracle_refuses_oversized_degrees(tmp_path, monkeypatch, capsys):
+    # one axis far above the oracle's row limit passes the 2^26 array bound
+    # (m1 = 100000 against m2 = 1); it is refused before any row is computed,
+    # and the same degree without --oracle still runs
+    monkeypatch.chdir(tmp_path)
+    point = ["--f", "e11", "--x1", "0.5", "--x2", "0.5", "--p1", "1", "--q1", "0.5"]
+    moments._oracle_row.cache_clear()
+    for degrees, err_want in (
+        (["--n1", "100000", "--n2", "1"],
+         "error: oracle row m1+1 = 100001 elements exceeds the limit of 65536 (2^16) "
+         "at m1=100000, m2=1\n"),
+        (["--n1", "3", "--n2", "65530", "--l2", "6"],
+         "error: oracle row m2+1 = 65537 elements exceeds the limit of 65536 (2^16) "
+         "at m1=3, m2=65536\n"),
+    ):
+        rc, out, err = run(["eval", *point, *degrees, "--oracle", "--output", "r.csv"], capsys)
+        assert (rc, out, err) == (2, "", err_want)
+        assert moments._oracle_row.cache_info().misses == 0
+    assert list(tmp_path.iterdir()) == []
+    rc, out, err = run(["eval", *point, "--n1", "100000", "--n2", "1"], capsys)
+    assert (rc, err) == (0, "")
+    assert out.startswith("value ")
+
+
 def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
     # (q - p)/p rounds to -1: the pair is refused with its values, not a
     # bare "math domain error" from the bracket's log1p

@@ -13,6 +13,14 @@ from hypothesis import given, strategies as st
 
 from pqss import _clibm
 from pqss.catalog import build_catalog
+from pqss.moments import (
+    _fsum_rows,
+    literal_first_moment_factor,
+    moment_oracle,
+    standard_sweep,
+    sweep_grid,
+    verify_moments,
+)
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
@@ -372,6 +380,116 @@ def test_package_arrays_equal_with_and_without_kernel(monkeypatch):
     monkeypatch.setattr(_clibm, "load", lambda: None)
     without = _package_arrays()
     cumulative_log_factorials.cache_clear()
+    for name, arr in with_kernel.items():
+        np.testing.assert_array_equal(arr, without[name], err_msg=name)
+
+
+def _fsum_blocks():
+    """Row blocks for the row-sum kernel, keyed by case: more than 10,000 rows
+    spread over the cases where an fsum port goes wrong."""
+    rng = np.random.default_rng(20261019)
+
+    def signs(shape):
+        return rng.choice([-1.0, 1.0], size=shape)
+
+    # exact and near-exact cancellation: each row is v and -v(1 + k ulp), shuffled
+    v = signs((2000, 20)) * 10.0 ** rng.uniform(-20.0, 20.0, (2000, 20))
+    near = -v * (1.0 + rng.integers(-4, 5, v.shape) * 2.0 ** -52)
+    cancelling = rng.permuted(np.concatenate([v, np.where(rng.random(v.shape) < 0.5, -v, near)],
+                                             axis=1), axis=1)
+    # powers of two 25 binades apart, ascending, with random signs: each row
+    # holds 78 partials at its peak, past CPython's 32 and within the kernel's 128
+    powers = 2.0 ** np.arange(-1000.0, 1000.0, 25.0)
+    many_partials = signs((500, powers.size)) * powers
+    return {
+        "wide": signs((4000, 40)) * 10.0 ** rng.uniform(-300.0, 300.0, (4000, 40)),
+        "cancelling": cancelling,
+        "subnormal": signs((2000, 20)) * np.where(
+            rng.random((2000, 20)) < 0.7, rng.integers(1, 2 ** 40, (2000, 20)) * 5e-324,
+            rng.uniform(0.0, 4.0, (2000, 20)) * 2.2250738585072014e-308),
+        # products of weights and node values, as the oracle sums them
+        "oracle-like": rng.uniform(0.0, 1.0, (2000, 64)) * 10.0 ** rng.uniform(-30.0, 0.0,
+                                                                              (2000, 64)),
+        "more-than-32-partials": many_partials,
+        "half-even": np.array([[1e-16, 1.0, 1e16], [1e16, 1.0, 1e-16], [1.0, 1e16, 1e-16],
+                               [-1e-16, -1.0, -1e16], [1e16, 1.0, -1e-16], [1e100, 1.0, -1e100]]),
+        "signed-zeros": np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -1.0]]),
+        "empty": np.empty((3, 0)),
+    }
+
+
+def assert_fsum_bits(got, block):
+    want = np.array([math.fsum(row) for row in block.tolist()], dtype=float)
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
+@needs_compiler
+def test_row_sum_kernel_is_math_fsum_bit_for_bit():
+    assert _clibm.load() is not None
+    blocks = _fsum_blocks()
+    assert sum(len(block) for block in blocks.values()) > 10_000
+    for case, block in blocks.items():
+        got = _clibm.fsum_rows(block)
+        assert got is not None, f"the kernel declined {case}"
+        assert_fsum_bits(got, block)
+        assert_fsum_bits(_fsum_rows(block), block)
+    # a strided view sums what a copy sums
+    block = blocks["wide"][::3, ::2]
+    assert_fsum_bits(_clibm.fsum_rows(block), block)
+    # every other power of two over the whole exponent range, ascending,
+    # holds about 1,000 partials; the kernel declines it and math.fsum redoes it
+    spread = (2.0 ** np.arange(-1074.0, 1024.0, 2.0))[None, :]
+    assert _clibm.fsum_rows(spread) is None
+    assert_fsum_bits(_fsum_rows(spread), spread)
+
+
+@needs_compiler
+def test_row_sum_falls_back_to_what_math_fsum_does():
+    assert _clibm.load() is not None
+    for row, error, match in (([1e308, 1e308, -1e308], OverflowError, "intermediate overflow"),
+                              ([math.inf, -math.inf], ValueError, r"-inf \+ inf")):
+        assert _clibm.fsum_rows(np.array([row])) is None
+        with pytest.raises(error, match=match):
+            math.fsum(row)
+        with pytest.raises(error, match=match):
+            _fsum_rows(np.array([[1.0] * len(row), row]))
+    # a non-finite row among finite ones: the block is redone, each row as math.fsum has it
+    block = np.array([[1.0, 2.0, 3.0], [math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0],
+                      [1.0, 1e308, -math.inf]])
+    assert _clibm.fsum_rows(block) is None
+    got = _fsum_rows(block)
+    assert got[0] == 6.0 and math.isnan(got[1]) and got[2] == math.inf and got[3] == -math.inf
+    assert [math.fsum(row) for row in block[2:].tolist()] == [math.inf, -math.inf]
+
+
+def _oracle_arrays(asymmetric_sweep):
+    # asymmetric axes: m, p, q, alpha and beta differ between the axes
+    op = asymmetric_sweep[100]
+    assert op.axis1.degree != op.axis2.degree
+    xs1, xs2 = np.linspace(0.0, 1.0, 7), np.array([0.0, 0.3, 0.71, 1.0])
+    t1 = nodes(op.axis1)
+    tables = [sample_at_nodes(op, build_catalog(op.axis1.l + 1.0, op.axis2.l + 1.0)["exp_sum"].fn),
+              ((t1 - xs1[:, None]) ** 2)[:, None, :, None]]
+    ops = standard_sweep()[::27] + asymmetric_sweep[::45]
+    # at a tolerance of 1e-16 some checks fail, so the failure lines are compared too
+    res = verify_moments(ops, sweep_grid(5), 1e-16)
+    assert res.failures
+    literal = AxisConfig(n=10, l=3, pq=PQPair(0.9, 0.6))
+    return {
+        "moment_oracle": moment_oracle(op, tables, xs1, xs2),
+        "verify oracle values": np.array([[e.oracle for e in r.entries] for r in res.reports]),
+        "verify points": np.array([r.point for r in res.reports]),
+        "verify failures": np.array(res.failures + [str(res.n_checks)]),
+        "literal factor": np.array([literal_first_moment_factor(literal, x) for x in (0.2, 1.0)]),
+    }
+
+
+@needs_compiler
+def test_oracle_arrays_equal_with_and_without_kernel(monkeypatch, asymmetric_sweep):
+    assert _clibm.load() is not None
+    with_kernel = _oracle_arrays(asymmetric_sweep)
+    monkeypatch.setattr(_clibm, "load", lambda: None)
+    without = _oracle_arrays(asymmetric_sweep)
     for name, arr in with_kernel.items():
         np.testing.assert_array_equal(arr, without[name], err_msg=name)
 
