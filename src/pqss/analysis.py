@@ -84,7 +84,7 @@ def total_modulus_bound_grid(
             f"requires exact total_modulus metadata for {f.name!r}; "
             "grid estimates are not sound in a bound check"
         )
-    s_grid = apply_on_grid(op, f.fn, xs1, xs2)
+    s_grid = apply_on_grid(op, f.factors, xs1, xs2)
     lhs = np.abs(s_grid - tabulate(f.fn, xs1, xs2))
     d1s = delta(op.axis1, np.asarray(xs1, dtype=float))
     d2s = delta(op.axis2, np.asarray(xs2, dtype=float))
@@ -212,5 +212,5 @@ def lipschitz_bound(
             f"|f{a} - f{b}| = {lhs_v:.6g} > {rhs_v:.6g}"
         )
     rhs = spec.rhs(delta(op.axis1, x1), delta(op.axis2, x2), additive)
-    lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
+    lhs = abs(apply_bivariate(op, f.factors, x1, x2) - f.fn(x1, x2))
     return BoundResult(lhs, rhs)

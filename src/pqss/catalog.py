@@ -1,8 +1,19 @@
 """Named test functions with hand-derived metadata for the bound machinery.
 
 Each entry lives on the rectangle [0, width1] x [0, width2] (the operator
-samples f at nodes inside [0, l + 1), so widths are l_i + 1 in practice) and
-may carry:
+samples f at nodes inside [0, l + 1), so widths are l_i + 1 in practice).
+Its fn is the closed form, which the oracle samples; its factors are pairs
+(g, h) of one-axis functions whose sum of products g(t1) h(t2) is fn, which
+the production path contracts one axis at a time:
+
+  const1 (1, 1);  e10 (t, 1);  e01 (1, t);  e11 (t, t);  e20 (t^2, 1);
+  e02 (1, t^2);  sum (t, 1) + (1, t);  exp_sum (e^t, e^t);
+  sinprod (sin(pi t), sin(pi t));  abs_ramp (|t - 1/2|, 1);
+  smooth_abs (g(t - 1/2), 1).
+
+Only exp_sum's factors round differently from fn: e^t1 e^t2 against
+e^(t1 + t2), whose rounded argument costs up to (t1 + t2) eps/2 relative.
+An entry may also carry:
 
   sup_norm        sup |f| over the rectangle
   lipschitz_axis  (M1, M2) with |f(t) - f(s)| <= M1|t1 - s1| + M2|t2 - s2|
@@ -35,8 +46,9 @@ Derivations, with di = min(delta_i, width_i) and u* = width1 - 1/2:
             entry); bound commands must refuse it rather than substitute a
             grid estimate, since grid estimates are lower estimates.
 
-verify_metadata checks every claim against the evaluator on a grid; the
-catalog is only trustworthy because that check is part of the test suite.
+verify_metadata checks every claim, the factors among them, against the
+evaluator on a grid; the catalog is only trustworthy because that check is
+part of the test suite.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import GridFn, tabulate
+from .operators import Factors, GridFn, tabulate
 from .pq_core import _libm
 
 # verify_metadata's grids: points per axis for the sup-norm check, and for
@@ -55,12 +67,17 @@ _METADATA_GRID = 101
 _PAIR_GRID = 26
 # grid_modulus_estimate's points per axis.
 _MODULUS_GRID = 41
+# verify_metadata's tolerance on the factors, relative to |fn| per unit of
+# width1 + width2: exp_sum's fn rounds t1 + t2 before exp, which costs up to
+# (t1 + t2) eps/2, and each side rounds a few times more.
+_FACTOR_ULPS = 4
 
 
 @dataclass(frozen=True)
 class TestFunction:
     name: str
     fn: GridFn
+    factors: Factors
     width1: float
     width2: float
     sup_norm: float | None = None
@@ -92,43 +109,58 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
             return omega(np.minimum(d1, w1), np.minimum(d2, w2))
         return total_modulus
 
+    def one(t):
+        return 1.0
+
+    def identity(t):
+        return t
+
+    def square(t):
+        return t * t
+
+    def exp(t):
+        return _libm(math.exp, t)
+
+    def sin_pi(t):
+        return _libm(math.sin, math.pi * t)
+
     entries = []
 
     entries.append(TestFunction(
-        "const1", lambda t1, t2: 1.0, w1, w2,
+        "const1", lambda t1, t2: 1.0, ((one, one),), w1, w2,
         sup_norm=1.0, lipschitz_axis=(0.0, 0.0), cb2_norm=1.0,
         total_modulus=capped(lambda d1, d2: 0.0),
     ))
     entries.append(TestFunction(
-        "e10", lambda t1, t2: t1, w1, w2,
+        "e10", lambda t1, t2: t1, ((identity, one),), w1, w2,
         sup_norm=w1, lipschitz_axis=(1.0, 0.0), cb2_norm=w1 + 1.0,
         total_modulus=capped(lambda d1, d2: d1),
     ))
     entries.append(TestFunction(
-        "e01", lambda t1, t2: t2, w1, w2,
+        "e01", lambda t1, t2: t2, ((one, identity),), w1, w2,
         sup_norm=w2, lipschitz_axis=(0.0, 1.0), cb2_norm=w2 + 1.0,
         total_modulus=capped(lambda d1, d2: d2),
     ))
     entries.append(TestFunction(
-        "e11", lambda t1, t2: t1 * t2, w1, w2,
+        "e11", lambda t1, t2: t1 * t2, ((identity, identity),), w1, w2,
         sup_norm=w1 * w2, lipschitz_axis=(w2, w1),
         cb2_norm=w1 * w2 + w1 + w2,
         total_modulus=capped(lambda d1, d2: w2 * d1 + w1 * d2 - d1 * d2),
     ))
     entries.append(TestFunction(
-        "e20", lambda t1, t2: t1 * t1, w1, w2,
+        "e20", lambda t1, t2: t1 * t1, ((square, one),), w1, w2,
         sup_norm=w1 * w1, lipschitz_axis=(2.0 * w1, 0.0),
         cb2_norm=w1 * w1 + 2.0 * w1 + 2.0,
         total_modulus=capped(lambda d1, d2: d1 * (2.0 * w1 - d1)),
     ))
     entries.append(TestFunction(
-        "e02", lambda t1, t2: t2 * t2, w1, w2,
+        "e02", lambda t1, t2: t2 * t2, ((one, square),), w1, w2,
         sup_norm=w2 * w2, lipschitz_axis=(0.0, 2.0 * w2),
         cb2_norm=w2 * w2 + 2.0 * w2 + 2.0,
         total_modulus=capped(lambda d1, d2: d2 * (2.0 * w2 - d2)),
     ))
     entries.append(TestFunction(
-        "sum", lambda t1, t2: t1 + t2, w1, w2,
+        "sum", lambda t1, t2: t1 + t2, ((identity, one), (one, identity)), w1, w2,
         sup_norm=w1 + w2, lipschitz_axis=(1.0, 1.0),
         cb2_norm=w1 + w2 + 2.0,
         total_modulus=capped(lambda d1, d2: d1 + d2),
@@ -154,18 +186,20 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
 
         exp_metadata = dict(total_modulus=overflowed)
     entries.append(TestFunction(
-        "exp_sum", lambda t1, t2: _libm(math.exp, t1 + t2), w1, w2, **exp_metadata,
+        "exp_sum", lambda t1, t2: _libm(math.exp, t1 + t2), ((exp, exp),), w1, w2,
+        **exp_metadata,
     ))
     entries.append(TestFunction(
         "sinprod",
-        lambda t1, t2: _libm(math.sin, math.pi * t1) * _libm(math.sin, math.pi * t2), w1, w2,
+        lambda t1, t2: _libm(math.sin, math.pi * t1) * _libm(math.sin, math.pi * t2),
+        ((sin_pi, sin_pi),), w1, w2,
         sup_norm=1.0, lipschitz_axis=(math.pi, math.pi),
         cb2_norm=1.0 + 2.0 * math.pi + 2.0 * math.pi ** 2,
         total_modulus=None,
     ))
     ustar = w1 - 0.5
     entries.append(TestFunction(
-        "abs_ramp", lambda t1, t2: abs(t1 - 0.5), w1, w2,
+        "abs_ramp", lambda t1, t2: abs(t1 - 0.5), ((lambda t: abs(t - 0.5), one),), w1, w2,
         sup_norm=ustar, lipschitz_axis=(1.0, 0.0), cb2_norm=None,
         total_modulus=capped(lambda d1, d2: np.minimum(d1, ustar)),
     ))
@@ -176,13 +210,16 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
         def smooth(t1, t2, w: float = w):
             return g(t1 - 0.5, w)
 
+        def smooth_axis(t, w: float = w):
+            return g(t - 0.5, w)
+
         gstar = math.hypot(ustar, w) - w
 
         def omega(d1, d2, w: float = w, gstar: float = gstar):
             return gstar - g(np.maximum(ustar - d1, 0.0), w)
 
         entries.append(TestFunction(
-            f"smooth_abs_{tag}", smooth, w1, w2,
+            f"smooth_abs_{tag}", smooth, ((smooth_axis, one),), w1, w2,
             sup_norm=gstar,
             lipschitz_axis=(ustar / math.hypot(ustar, w), 0.0),
             cb2_norm=gstar + ustar / math.hypot(ustar, w) + 1.0 / w,
@@ -241,6 +278,22 @@ def verify_metadata(tf: TestFunction) -> list[str]:
     ys = np.linspace(0.0, tf.width2, _METADATA_GRID)
     f_grid = tabulate(tf.fn, xs, ys)
 
+    product_sum = np.zeros_like(f_grid)
+    rtol = _FACTOR_ULPS * np.finfo(float).eps * (tf.width1 + tf.width2)
+    # a factor's inf or NaN is reported below, not raised as a warning here
+    with np.errstate(invalid="ignore", over="ignore"):
+        for g, h in tf.factors:
+            product_sum += tabulate(lambda t1, t2: g(t1) * h(t2), xs, ys)
+        excess = np.abs(product_sum - f_grid) - rtol * np.abs(f_grid)
+    # a NaN fails, an inf - inf among them, and is the point reported
+    if not np.all(excess <= 0.0):
+        worst = np.argmax(np.where(np.isnan(excess), np.inf, excess))
+        i, j = np.unravel_index(worst, excess.shape)
+        problems.append(
+            f"{tf.name}: factors give {product_sum[i, j]!r} against fn {f_grid[i, j]!r} "
+            f"at ({xs[i]}, {ys[j]}), beyond {_FACTOR_ULPS} ulps per unit of width"
+        )
+
     if tf.sup_norm is not None:
         seen = float(np.max(np.abs(f_grid)))
         if seen > tf.sup_norm + 1e-9:
@@ -272,7 +325,15 @@ def verify_metadata(tf: TestFunction) -> list[str]:
             (tf.width1, tf.width2),
         ]
         for d1, d2 in windows:
-            claimed = tf.total_modulus(d1, d2)
+            try:
+                claimed = tf.total_modulus(d1, d2)
+            except ArithmeticError:
+                # exp_sum where its metadata overflows a double: the modulus
+                # refuses, and the entry must claim nothing else
+                if (tf.sup_norm, tf.lipschitz_axis, tf.cb2_norm) != (None, None, None):
+                    problems.append(f"{tf.name}: total_modulus refuses, yet other "
+                                    f"metadata is claimed")
+                break
             seen = grid_modulus_estimate(tf.fn, tf.width1, tf.width2, d1, d2)
             if seen > claimed + 1e-9:
                 problems.append(

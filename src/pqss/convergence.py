@@ -147,7 +147,7 @@ def korovkin_suite(
 
     Both axes share n (the sweep convention); the moment layer itself
     supports n1 != n2.  Errors come from the closed moment forms; the oracle
-    certifies the weights up to m = 8000 (high-degree-weights), but these
+    certifies the weights up to m = 16384 (high-degree-weights), but these
     closed moments only up to m = 28 (`verify`).
     """
     if shape2 is None:
@@ -218,7 +218,7 @@ def convergence_table(
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
         if f.total_modulus is None:
-            errs, rhs = np.abs(apply_on_grid(op, f.fn, xs, xs) - f_grid), None
+            errs, rhs = np.abs(apply_on_grid(op, f.factors, xs, xs) - f_grid), None
         else:
             errs, rhs = total_modulus_bound_grid(op, f, xs, xs)
         flat = int(np.argmax(errs))
@@ -249,7 +249,8 @@ ROUNDOFF_ULPS_PER_DEGREE = 64
 
 
 def empirical_order(pairs: Iterable[tuple[float, float]]) -> float:
-    """Least-squares slope of log(err) against log(n).
+    """Least-squares slope of log(err) against log(n), in closed form with
+    fsum sums rather than a LAPACK fit, whose BLAS order depends on the CPU.
 
     Requires at least three distinct n.  Any error at or below its roundoff
     floor ROUNDOFF_ULPS_PER_DEGREE * n * eps (zero included) short-circuits
@@ -266,5 +267,9 @@ def empirical_order(pairs: Iterable[tuple[float, float]]) -> float:
     eps = np.finfo(float).eps
     if any(e <= ROUNDOFF_ULPS_PER_DEGREE * n * eps for n, e in pts):
         return -math.inf
-    slope = np.polyfit([math.log(n) for n, _ in pts], [math.log(e) for _, e in pts], 1)[0]
-    return float(slope)
+    logs_n = [math.log(n) for n, _ in pts]
+    logs_e = [math.log(e) for _, e in pts]
+    mean_n = math.fsum(logs_n) / len(pts)
+    mean_e = math.fsum(logs_e) / len(pts)
+    return (math.fsum((a - mean_n) * (b - mean_e) for a, b in zip(logs_n, logs_e))
+            / math.fsum((a - mean_n) ** 2 for a in logs_n))

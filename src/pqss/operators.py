@@ -13,8 +13,17 @@ On each axis, with m = n + l,
 for x in [0, 1], 0 < q < p <= 1 and 0 <= alpha <= beta.  The weights form a
 partition of unity and are nonnegative on [0, 1], so the operator is positive
 and reproduces constants up to roundoff.  Functions are only ever sampled at
-the nodes, which live in [0, l + 1); the caller provides an f defined there
-that broadcasts over arrays (GridFn), so the whole node grid is one call.
+the nodes, which live in [0, l + 1).
+
+apply_on_grid takes f in one of two forms.  A factor tuple ((g, h), ...)
+whose sum of products g(t1) h(t2) is f costs O(k m) on a k-point axis of
+degree m: each factor is sampled at one axis's m + 1 nodes, contracted with
+the weight rows in index order (the same sum on every CPU, with any BLAS),
+and the grid is the sum of the outer products.  Every catalog function
+carries its factors, and every CLI report takes this path.  A GridFn, an f
+that broadcasts over arrays, is sampled over the whole node grid in one call
+and contracted by two matrix products, O(k m^2), whose BLAS summation order
+may differ between machines.
 
 Weights are evaluated in log space, for a whole vector of x at once, and
 exponentiated once at the end; the endpoint rows x = 0 and x = 1 are the exact
@@ -51,6 +60,13 @@ Given a column t1 and a row t2, f returns an array that broadcasts to their
 grid; a constant, or a result that depends on one axis only, is stretched by
 tabulate.  Given two floats, f returns a float.
 """
+
+AxisFn = Callable[[np.ndarray], Any]
+"""A function of one axis: g(t) on a float array returns an array of t's shape
+or a constant, which is stretched to it."""
+
+Factors = tuple[tuple[AxisFn, AxisFn], ...]
+"""f(t1, t2) = sum over the pairs (g, h) of g(t1) h(t2), in the tuple's order."""
 
 
 @dataclass(frozen=True)
@@ -178,22 +194,31 @@ def sample_at_nodes(op: BivariateOperator, f: GridFn) -> np.ndarray:
     return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
-def apply_to_samples(op: BivariateOperator, samples: np.ndarray, xs1, xs2) -> np.ndarray:
-    """S(f) on a product grid from f's node samples (sample_at_nodes(op, f)):
-    the two matrix products W1 @ F @ W2.T."""
-    return weight_matrix(op.axis1, xs1) @ samples @ weight_matrix(op.axis2, xs2).T
+def _weighted_sums(w: np.ndarray, v) -> np.ndarray:
+    """w @ v with each row summed from its first term to its last, one rounded
+    product and one rounded sum per term: np.cumsum accumulates left to right,
+    so every CPU and BLAS gives the same bits."""
+    return np.cumsum(w * v, axis=1)[:, -1]
 
 
-def apply_on_grid(op: BivariateOperator, f: GridFn, xs1, xs2) -> np.ndarray:
+def apply_on_grid(op: BivariateOperator, f: GridFn | Factors, xs1, xs2) -> np.ndarray:
     """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]).
 
-    The nodes do not depend on x, so f is sampled once and the grid reduces
-    to two matrix products.
+    A factor tuple is the sum over its pairs of outer(W1 g(t1), W2 h(t2)),
+    each product summed in index order; a GridFn is sampled over the node
+    grid and contracted as W1 @ F @ W2.T.
     """
-    return apply_to_samples(op, sample_at_nodes(op, f), xs1, xs2)
+    w1, w2 = weight_matrix(op.axis1, xs1), weight_matrix(op.axis2, xs2)
+    if callable(f):
+        return w1 @ sample_at_nodes(op, f) @ w2.T
+    t1, t2 = nodes(op.axis1), nodes(op.axis2)
+    out = np.zeros((len(w1), len(w2)))
+    for g, h in f:
+        out += np.outer(_weighted_sums(w1, g(t1)), _weighted_sums(w2, h(t2)))
+    return out
 
 
-def apply_bivariate(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:
+def apply_bivariate(op: BivariateOperator, f: GridFn | Factors, x1: float, x2: float) -> float:
     """S(f; x1, x2) = sum s_nu1(x1) s_nu2(x2) f(t1_nu1, t2_nu2), on a one-point grid."""
     return float(apply_on_grid(op, f, [x1], [x2])[0, 0])
 

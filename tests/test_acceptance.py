@@ -113,7 +113,7 @@ def test_high_degree_weights(verdict):
     start = time.monotonic()
     xs = (0.1, 0.37, 0.5, 0.83, 0.999)
     family = one_minus_c_over_n(0.5, 1.0)
-    axes = [AxisConfig(n=m, l=0, pq=family.pq_at(m)) for m in (500, 2000, 8000)]
+    axes = [AxisConfig(n=m, l=0, pq=family.pq_at(m)) for m in (500, 2000, 8000, 16384)]
     axes.append(AxisConfig(n=2000, l=0, pq=PQPair(0.999, 0.998)))
     worst = 0.0
     for axis in axes:
@@ -124,7 +124,7 @@ def test_high_degree_weights(verdict):
     elapsed = time.monotonic() - start
     verdict(
         "high-degree-weights", worst <= 1e-10,
-        f"weight_matrix vs decimal oracle at m = 500, 2000, 8000 on 1 - c/n and "
+        f"weight_matrix vs decimal oracle at m = 500, 2000, 8000, 16384 on 1 - c/n and "
         f"m = 2000 at (0.999, 0.998), 5 points each, worst relative error "
         f"{worst:.2e} over weights > 1e-200 (tol 1e-10), {elapsed:.1f}s",
     )

@@ -98,16 +98,18 @@ class _Counting:
         self.calls = 0
         self.points = 0
 
-    def __call__(self, a, b):
+    def __call__(self, *args):
         self.calls += 1
-        self.points += np.broadcast(a, b).size
-        return self.fn(a, b)
+        self.points += np.broadcast(*args).size
+        return self.fn(*args)
 
 
 @pytest.mark.parametrize("n,grid", [(4, 3), (60, 25)])
 def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     # per-point callbacks must not come back: each grid costs a fixed number
-    # of calls, whatever the degree and the grid size; weights come from one
+    # of calls, whatever the degree and the grid size; the bound samples fn
+    # on the x grid only and each factor once, at one axis's nodes (the node
+    # grid is never built); weights come from one
     # weight_matrix per axis, never from per-point weight_vector rows, and
     # delta is evaluated once per axis, on that axis's own points.  The two
     # axes differ in every parameter and the two grids in size, so a swap of
@@ -139,9 +141,13 @@ def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     assert f.calls == 1
 
     f, om = _Counting(tf.fn), _Counting(tf.total_modulus)
-    counted = dataclasses.replace(tf, fn=f, total_modulus=om)
+    factors = tuple((_Counting(g), _Counting(h)) for g, h in tf.factors)
+    counted = dataclasses.replace(tf, fn=f, total_modulus=om, factors=factors)
     lhs, rhs = total_modulus_bound_grid(op, counted, xs1, xs2)
-    assert (f.calls, om.calls) == (2, 1)
+    assert (f.calls, f.points, om.calls) == (1, grid * (grid + 2), 1)
+    for g, h in factors:
+        assert (g.calls, g.points, h.calls, h.points) == (
+            1, axis1.degree + 1, 1, axis2.degree + 1)
     assert delta_calls == [(axis1, grid), (axis2, grid + 2)]
     assert lhs.shape == rhs.shape == (grid, grid + 2)
     np.testing.assert_array_equal((lhs, rhs), want)

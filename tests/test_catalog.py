@@ -7,7 +7,8 @@ from pqss.catalog import build_catalog, grid_modulus_estimate, verify_metadata
 from pqss.operators import AxisConfig, nodes, tabulate
 from pqss.pq_core import PQPair
 
-WIDTH_CASES = [(1.0, 1.0), (2.0, 2.0), (4.0, 2.0)]
+# the last two are widths where exp_sum's metadata overflows a double
+WIDTH_CASES = [(1.0, 1.0), (2.0, 2.0), (4.0, 2.0), (708.0, 1.0), (1.0, 708.0)]
 
 EXPECTED_NAMES = {
     "const1", "e10", "e01", "e11", "e20", "e02", "sum", "exp_sum",
@@ -150,6 +151,29 @@ def test_verify_metadata_catches_bad_claims():
     assert any("Lipschitz" in p for p in verify_metadata(bad_lip))
     bad_mod = dataclasses.replace(cat["sum"], total_modulus=lambda d1, d2: 0.25 * (d1 + d2))
     assert any("total_modulus" in p for p in verify_metadata(bad_mod))
+
+    # a wrong factor, a missing pair, a shifted one and one a few ulps off
+    # per unit of width: each is reported by name
+    e10, e11 = cat["e10"].factors[0], cat["e11"].factors[0]
+    exp = cat["exp_sum"].factors[0][0]
+    smooth = cat["smooth_abs_010"].factors[0][0]
+    for name, factors in (
+        ("e10", (e11,)),
+        ("sum", (e10,)),
+        ("smooth_abs_010", ((lambda t: smooth(t + 0.5), e10[1]),)),
+        ("exp_sum", ((lambda t: exp(t) * (1.0 + 16 * 2.0 ** -52), exp),)),
+        # a NaN, or an inf, at one node only
+        ("e11", ((lambda t: np.where(t == 0.5, np.nan, t), e11[1]),)),
+        ("e11", ((lambda t: np.where(t == 0.5, np.inf, t), e11[1]),)),
+    ):
+        bad = dataclasses.replace(cat[name], factors=factors)
+        problems = verify_metadata(bad)
+        assert any(p.startswith(f"{name}: factors give") for p in problems), name
+    # where exp_sum's metadata overflows, its refusing modulus must come alone
+    overflowed = build_catalog(708.0, 1.0)["exp_sum"]
+    assert verify_metadata(overflowed) == []
+    claims_sup = dataclasses.replace(overflowed, sup_norm=math.inf)
+    assert any("refuses" in p for p in verify_metadata(claims_sup))
 
 
 def _scalar_entries(w1, w2):

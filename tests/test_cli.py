@@ -45,7 +45,8 @@ def test_eval_oracle_lines(capsys):
 
 
 def test_eval_oracle_samples_f_once(monkeypatch, capsys):
-    # the value and the oracle share one node-grid sample of f
+    # only the oracle samples f over the node grid, once; the value comes
+    # from f's factors, which tabulate never sees
     from pqss import operators
 
     calls = []
@@ -322,6 +323,16 @@ def test_eval_oracle_refuses_oversized_degrees(tmp_path, monkeypatch, capsys):
     assert out.startswith("value ")
 
 
+def test_converge_builds_no_node_grid(tmp_path, capsys):
+    # at n = 16384 the node grid would hold 16385^2 > 2^28 values; the
+    # factored contraction builds 41 x 16385 weights per axis instead
+    rc, out, err = run(["converge", "--f", "e20", "--n-list", "16384", "--grid", "41",
+                        "--output", str(tmp_path)], capsys)
+    assert (rc, err) == (0, "")
+    assert re.search(r"^ +16384 +\S+ +\S+ +\S+$", out, re.M)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
     # (q - p)/p rounds to -1: the pair is refused with its values, not a
     # bare "math domain error" from the bracket's log1p
@@ -337,7 +348,7 @@ def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
     # the near miss still evaluates
     rc, out, err = run(["eval", *point, "--n1", "3", "--p1", "1", "--q1", "1e-15"], capsys)
-    assert (rc, out) == (0, "value 0.24999999999999994\n")
+    assert (rc, out) == (0, "value 0.24999999999999992\n")
 
 
 def test_bounds_clean(tmp_path, monkeypatch, capsys):
@@ -487,6 +498,56 @@ def test_reports_do_not_follow_numpy_cpu_kernels(tmp_path, argv):
     assert outcomes[0] == outcomes[1]
 
 
+# OpenBLAS picks its kernels by CPU and splits work by thread count, so a
+# report path that contracted through BLAS would write other bytes under
+# another setting.  Each setting is made in the child only; a core type
+# whose instructions this CPU lacks is skipped.
+BLAS_CORETYPES = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+}
+BLAS_COMMANDS = [
+    ["bounds", "--f", "exp_sum", "--n1", "200", "--n2", "200", "--l1", "1", "--q1", "0.8",
+     "--q2", "0.8", "--grid", "101", "--output", "bounds.csv"],
+    ["converge", "--f", "exp_sum", "--n-list", "64,256,1024", "--l1", "1", "--alpha1", "0.5",
+     "--beta1", "1.0", "--l2", "2"],
+    ["eval", "--f", "sinprod", "--x1", "0.3", "--x2", "0.8", "--n1", "300", "--l1", "1",
+     "--p1", "0.99", "--q1", "0.9", "--n2", "200", "--q2", "0.8", "--output", "eval.csv"],
+]
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    return next((set(line.partition(":")[2].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
+
+
+def test_reports_do_not_follow_blas_settings(tmp_path):
+    flags = _cpu_flags()
+    settings = [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}]
+    settings += [{"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": core}
+                 for core, needs in BLAS_CORETYPES.items() if needs <= flags]
+    code = ("import json, sys\nfrom pqss.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    outcomes = []
+    for i, setting in enumerate(settings):
+        work = tmp_path / str(i)
+        work.mkdir()
+        env = {**base, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **setting}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(BLAS_COMMANDS)], cwd=work,
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    assert len(outcomes[0][1]) == 4, "a report is missing"
+    for setting, outcome in zip(settings[1:], outcomes[1:]):
+        assert outcome == outcomes[0], setting
+
+
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -587,19 +648,27 @@ def test_usage_errors(tmp_path, capsys):
 
     # cost bound: refused before any operator is built, naming the size
     for argv, size in (
-        (["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
-          "--n1", "100000", "--n2", "100000"], "node samples (m1+1)(m2+1) = 10000200001"),
-        (["bounds", "--f", "e11", "--n1", "100000", "--n2", "100000"],
-         "node samples (m1+1)(m2+1) = 10000200001"),
+        # only the oracle builds the node table; each oracle row is within 2^16
+        (["eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--oracle",
+          "--n1", "65535", "--n2", "65535"], "node table (m1+1)(m2+1) = 4294967296"),
+        # each axis's weights are priced with weight_matrix's temporaries,
+        # 8 k(m + 1): at --grid 41 an axis is refused past m = 204,599
+        (["eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "70000000"],
+         "axis 1 weight build 8k(m1+1) = 560000008"),
+        (["eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "8388608"],
+         "axis 1 weight build 8k(m1+1) = 67108872"),
+        (["bounds", "--f", "e11", "--n1", "2000000", "--n2", "2000000"],
+         "axis 1 weight build 8k(m1+1) = 656000328"),
+        (["bounds", "--f", "e11", "--n2", "204600"],
+         "axis 2 weight build 8k(m2+1) = 67109128"),
         (["bounds", "--f", "e11", "--grid", "10000"], "grid k^2 = 100000000"),
         (["bounds", "--f", "e11", "--n1", "10000", "--grid", "8000"],
-         "axis 1 weights k(m1+1) = 80008000"),
-        (["converge", "--n-list", "8,16,100000", "--l2", "2"],
-         "node samples (m1+1)(m2+1) = 10000400003"),
+         "axis 1 weight build 8k(m1+1) = 640064000"),
+        (["converge", "--n-list", "8,16,2000000", "--l2", "2"],
+         "axis 1 weight build 8k(m1+1) = 656000328"),
+        (["converge", "--n-list", "8,16,204600"],
+         "axis 1 weight build 8k(m1+1) = 67109128"),
         (["converge", "--n-list", "8,16,32", "--grid", "10000"], "grid k^2 = 100000000"),
-        # each degree passes alone; together they sample 110M node values
-        (["converge", "--n-list", "5000,6000,7000"],
-         "total node samples over --n-list = 110036003"),
         # verify's closed and oracle moment stacks hold 8 k^2 values
         (["verify", "--grid", "2897"], "moment stacks 8k^2 = 67140872"),
         (["verify", "--grid", "100000"], "moment stacks 8k^2 = 80000000000"),

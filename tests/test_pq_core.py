@@ -24,6 +24,8 @@ from pqss.moments import (
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
+    _weighted_sums,
+    apply_on_grid,
     nodes,
     sample_at_nodes,
     weight_matrix,
@@ -370,6 +372,8 @@ def _package_arrays():
         "exp_sum samples": sample_at_nodes(op, cat["exp_sum"].fn),
         "exp_sum modulus": cat["exp_sum"].total_modulus(d[:, None], d[None, :]),
         "sinprod samples": sample_at_nodes(op, cat["sinprod"].fn),
+        "exp_sum contraction": apply_on_grid(op, cat["exp_sum"].factors, d[:21] / 2.0, d / 2.0),
+        "sum contraction": apply_on_grid(op, cat["sum"].factors, [0.0, 0.3, 1.0], [0.7]),
     }
 
 
@@ -462,6 +466,51 @@ def test_row_sum_falls_back_to_what_math_fsum_does():
     assert [math.fsum(row) for row in block[2:].tolist()] == [math.inf, -math.inf]
 
 
+def in_order_matvec(w, v, reverse=False):
+    """Each row of w times v, summed term by term from the first (or from the
+    last) in Python floats."""
+    values = v.tolist()
+    out = []
+    for row in w.tolist():
+        acc = 0.0
+        pairs = list(zip(row, values))
+        for a, b in reversed(pairs) if reverse else pairs:
+            acc += a * b
+        out.append(acc)
+    return np.array(out, dtype=float)
+
+
+def _matvec_cases():
+    """(weights, vector) pairs for the contraction, keyed by case; every row
+    has a term, as every axis has m + 1 >= 2 nodes."""
+    rng = np.random.default_rng(20261020)
+    weights = rng.uniform(0.0, 1.0, (41, 700)) * 10.0 ** rng.uniform(-300.0, 0.0, (41, 700))
+    weights[rng.random(weights.shape) < 0.4] = 0.0
+    values = rng.choice([-1.0, 1.0], 700) * 10.0 ** rng.uniform(-8.0, 8.0, 700)
+    subnormal = rng.integers(1, 2 ** 40, (20, 300)) * 5e-324
+    long_row = rng.uniform(0.0, 1.0, (2, 2 ** 18 + 1)) * (rng.random((2, 2 ** 18 + 1)) < 0.5)
+    wide = rng.uniform(0.0, 1.0, (30, 900))
+    return {
+        "exact zeros": (weights, values),
+        "subnormal weights": (subnormal, rng.uniform(-4.0, 4.0, 300)),
+        "m = 2^18": (long_row, rng.uniform(-2.0, 2.0, 2 ** 18 + 1)),
+        "non-contiguous": (wide[::3, ::2], rng.uniform(-3.0, 3.0, 900)[::2]),
+        "endpoint rows": (np.eye(5)[[0, 4]], np.array([1e-300, 2.0, -3.0, 4.0, 5e300])),
+    }
+
+
+def test_contraction_sums_in_index_order_bit_for_bit():
+    cases = _matvec_cases()
+    for case, (w, v) in cases.items():
+        want = in_order_matvec(w, v)
+        got = _weighted_sums(w, v)
+        assert got.shape == (w.shape[0],), case
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=case)
+    # the cases can see a change of order: summing from the last term differs
+    w, v = cases["exact zeros"]
+    assert np.any(in_order_matvec(w, v) != in_order_matvec(w, v, reverse=True))
+
+
 def _oracle_arrays(asymmetric_sweep):
     # asymmetric axes: m, p, q, alpha and beta differ between the axes
     op = asymmetric_sweep[100]
@@ -513,9 +562,21 @@ def test_kernel_builds_on_a_cold_cache(tmp_path):
     assert left == [Path(results[0][0].strip()).name]
 
 
+_CONTRACTION = (
+    "from pqss.catalog import build_catalog\n"
+    "from pqss.operators import AxisConfig, BivariateOperator, apply_on_grid\n"
+    "from pqss.pq_core import PQPair\n"
+    "axis = AxisConfig(n=300, l=1, pq=PQPair(0.99, 0.95), alpha=0.5, beta=1.0)\n"
+    "op = BivariateOperator(axis, AxisConfig(n=40, l=2, pq=PQPair(0.9, 0.6)))\n"
+    "cat = build_catalog(2.0, 3.0)\n"
+    "xs = [0.0, 0.1, 0.37, 0.5, 0.83, 1.0]\n"
+    "grids = [apply_on_grid(op, cat[f].factors, xs, xs) for f in ('exp_sum', 'sum')]\n"
+)
+
+
 def test_no_compiler_keeps_the_math_path(tmp_path):
-    # with no compiler found nothing is built or written, and _libm still
-    # gives math's values and errors
+    # with no compiler found nothing is built or written, _libm still gives
+    # math's values and errors, and a factored contraction the same bits
     src = Path(_clibm.__file__).resolve().parent
     shutil.copytree(src, tmp_path / "pqss", ignore=shutil.ignore_patterns("__pycache__"))
     code = (
@@ -525,6 +586,8 @@ def test_no_compiler_keeps_the_math_path(tmp_path):
         "from pqss.pq_core import _libm\n"
         "assert k.load() is None\n"
         "assert _libm(math.exp, [0.0, 1.0]).tolist() == [1.0, math.exp(1.0)]\n"
+        + _CONTRACTION +
+        "print(' '.join(v.hex() for grid in grids for v in grid.ravel().tolist()))\n"
         "try:\n"
         "    _libm(math.log, [0.0])\n"
         "except ValueError:\n"
@@ -534,5 +597,10 @@ def test_no_compiler_keeps_the_math_path(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    contraction, ok = proc.stdout.strip().splitlines()
+    assert ok == "ok"
     assert not (tmp_path / "pqss" / "__pycache__").exists()
+    if _clibm.load() is not None:
+        scope: dict = {}
+        exec(_CONTRACTION, scope)
+        assert contraction.split() == [v.hex() for g in scope["grids"] for v in g.ravel().tolist()]

@@ -165,6 +165,9 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         add("eval", "--f", "exp_sum", "--oracle", *POINT, "--output", f"eval.{fmt}", *out)
         add("eval", "--f", "exp_sum", "--oracle", *POINT_P09, "--output", f"eval.{fmt}", *out)
         add("catalog", "--l1", "1", "--l2", "1", "--output", f"catalog.{fmt}", *out)
+    # BLAS wrote other bytes for this contraction under other thread counts and CPUs
+    add("bounds", "--f", "exp_sum", "--n1", "200", "--n2", "200", "--l1", "1", "--q1", "0.8",
+        "--q2", "0.8", "--grid", "101")
     # the convergence table's bound column for every catalog entry
     for f in CATALOG:
         add("converge", "--f", f, "--n-list", "16,64,256,1024", *SHAPE, "--l2", "2")
