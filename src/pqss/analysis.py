@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import TestFunction
 from .moments import delta, first_moment_univariate
-from .operators import BivariateOperator, GridFn, apply_bivariate, apply_on_grid, tabulate
+from .operators import BivariateOperator, Factors, apply_bivariate, apply_on_grid, tabulate
 
 BOUND_SLACK = 1e-11
 
@@ -55,14 +55,16 @@ def shift_point(op: BivariateOperator, x1: float, x2: float) -> tuple[float, flo
     )
 
 
-def auxiliary_apply(op: BivariateOperator, f: GridFn, x1: float, x2: float) -> float:
+def auxiliary_apply(op: BivariateOperator, f: Factors, x1: float, x2: float) -> float:
     """Shift-corrected operator S(f) - f(P1, P2) + f(x1, x2).
 
     Built so that both centered coordinates are annihilated: applying it to
-    t_i - x_i gives 0, and to constants gives the constant back.
+    t_i - x_i gives 0, and to constants gives the constant back.  f(P) and
+    f(x) are summed over f's pairs in the tuple's order, as S(f) is.
     """
     p1, p2 = shift_point(op, x1, x2)
-    return apply_bivariate(op, f, x1, x2) - f(p1, p2) + f(x1, x2)
+    f_p, f_x = (sum(g(a) * h(b) for g, h in f) for a, b in ((p1, p2), (x1, x2)))
+    return apply_bivariate(op, f, x1, x2) - f_p + f_x
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,18 @@ MOMENT_NAMES = (
 )
 
 _VALID_IJ = {(i, j) for _, i, j in MOMENT_NAMES}
+_DEN_LIMIT = math.sqrt(np.finfo(float).max)  # the closed forms divide by ([n] + beta)^2
 
 
 def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float]:
     """(D, [m], [m-1], p^(m-1)) of one axis, with m = n + l and D = [n] + beta."""
     m = axis.degree
+    den = pq_integer(axis.n, axis.pq) + axis.beta
+    if not den <= _DEN_LIMIT:
+        raise ValueError(f"requires [n] + beta <= {_DEN_LIMIT!r}, the square root of the largest "
+                         f"double (got [n] + beta = {den!r} at beta={axis.beta!r})")
     return (
-        pq_integer(axis.n, axis.pq) + axis.beta,
+        den,
         pq_integer(m, axis.pq),
         pq_integer(m - 1, axis.pq),
         axis.pq.p ** (m - 1),

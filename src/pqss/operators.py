@@ -15,15 +15,12 @@ partition of unity and are nonnegative on [0, 1], so the operator is positive
 and reproduces constants up to roundoff.  Functions are only ever sampled at
 the nodes, which live in [0, l + 1).
 
-apply_on_grid takes f in one of two forms.  A factor tuple ((g, h), ...)
-whose sum of products g(t1) h(t2) is f costs O(k m) on a k-point axis of
-degree m: each factor is sampled at one axis's m + 1 nodes, contracted with
-the weight rows in index order (the same sum on every CPU, with any BLAS),
-and the grid is the sum of the outer products.  Every catalog function
-carries its factors, and every CLI report takes this path.  A GridFn, an f
-that broadcasts over arrays, is sampled over the whole node grid in one call
-and contracted by two matrix products, O(k m^2), whose BLAS summation order
-may differ between machines.
+apply_on_grid takes f as a factor tuple ((g, h), ...) whose sum of products
+g(t1) h(t2) is f, and costs O(k m) on a k-point axis of degree m: each factor
+is sampled at one axis's m + 1 nodes, contracted with the weight rows in index
+order (the same sum on every CPU, with any BLAS), and the grid is the sum of
+the outer products.  Every catalog function carries its factors.  The node
+grid itself is built only as the oracle's table (sample_at_nodes).
 
 Weights are evaluated in log space, for a whole vector of x at once, and
 exponentiated once at the end; the endpoint rows x = 0 and x = 1 are the exact
@@ -190,7 +187,7 @@ def tabulate(fn: GridFn, xs, ys) -> np.ndarray:
 
 
 def sample_at_nodes(op: BivariateOperator, f: GridFn) -> np.ndarray:
-    """Matrix F[i, j] = f(t1_i, t2_j) over the node grid."""
+    """Matrix F[i, j] = f(t1_i, t2_j) over the node grid: the oracle's table."""
     return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
@@ -201,16 +198,10 @@ def _weighted_sums(w: np.ndarray, v) -> np.ndarray:
     return np.cumsum(w * v, axis=1)[:, -1]
 
 
-def apply_on_grid(op: BivariateOperator, f: GridFn | Factors, xs1, xs2) -> np.ndarray:
-    """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]).
-
-    A factor tuple is the sum over its pairs of outer(W1 g(t1), W2 h(t2)),
-    each product summed in index order; a GridFn is sampled over the node
-    grid and contracted as W1 @ F @ W2.T.
-    """
+def apply_on_grid(op: BivariateOperator, f: Factors, xs1, xs2) -> np.ndarray:
+    """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]): the sum over
+    f's pairs of outer(W1 g(t1), W2 h(t2)), each product summed in index order."""
     w1, w2 = weight_matrix(op.axis1, xs1), weight_matrix(op.axis2, xs2)
-    if callable(f):
-        return w1 @ sample_at_nodes(op, f) @ w2.T
     t1, t2 = nodes(op.axis1), nodes(op.axis2)
     out = np.zeros((len(w1), len(w2)))
     for g, h in f:
@@ -218,7 +209,7 @@ def apply_on_grid(op: BivariateOperator, f: GridFn | Factors, xs1, xs2) -> np.nd
     return out
 
 
-def apply_bivariate(op: BivariateOperator, f: GridFn | Factors, x1: float, x2: float) -> float:
+def apply_bivariate(op: BivariateOperator, f: Factors, x1: float, x2: float) -> float:
     """S(f; x1, x2) = sum s_nu1(x1) s_nu2(x2) f(t1_nu1, t2_nu2), on a one-point grid."""
     return float(apply_on_grid(op, f, [x1], [x2])[0, 0])
 

@@ -155,8 +155,8 @@ def test_auxiliary_identities(verdict, asymmetric_sweep):
     for op in standard_sweep() + asymmetric_sweep:
         for x1 in pts:
             for x2 in pts:
-                g1 = auxiliary_apply(op, lambda a, b: a - x1, float(x1), float(x2))
-                g2 = auxiliary_apply(op, lambda a, b: b - x2, float(x1), float(x2))
+                g1 = auxiliary_apply(op, ((lambda t: t - x1, lambda t: 1.0),), float(x1), float(x2))
+                g2 = auxiliary_apply(op, ((lambda t: 1.0, lambda t: t - x2),), float(x1), float(x2))
                 worst = max(worst, abs(g1), abs(g2))
     ok = worst <= 1e-11
     verdict(
@@ -246,7 +246,7 @@ def test_family_e10_order(verdict):
     closed_sup = max(max(r.sup_e10, r.sup_e01) for r in default.rows)
     xs = np.linspace(0.0, 1.0, 41)
     op64 = build_operator(spec, 64, AxisShape(), AxisShape())
-    full = apply_on_grid(op64, lambda a, b: a, xs, xs)
+    full = apply_on_grid(op64, ((lambda t: t, lambda t: 1.0),), xs, xs)
     full_sup = float(np.max(np.abs(full - xs[:, None])))
     sq_order = empirical_order([(r.n, r.sup_e20_e02) for r in default.rows])
 
@@ -308,7 +308,11 @@ def test_reductions(verdict):
     ax2 = AxisConfig(n=4, l=1, pq=PQPair(0.95, 0.7), alpha=1.0, beta=1.5)
     base = BivariateOperator(ax1, ax2)
     xs = np.linspace(0.0, 1.0, 21)
-    fns = [lambda a, b: a * b, lambda a, b: np.sin(a) * np.cos(b)]
+    # each function as its factors, for apply_bivariate, and pointwise
+    fns = [
+        (((lambda t: t, lambda t: t),), lambda a, b: a * b),
+        (((np.sin, np.cos),), lambda a, b: np.sin(a) * np.cos(b)),
+    ]
 
     worst = 0.0
     ops = [
@@ -318,10 +322,10 @@ def test_reductions(verdict):
         reduce_operator(base, "pq-bernstein"),
     ]
     for op in ops:
-        for f in fns:
+        for factors, f in fns:
             for x1 in xs:
                 for x2 in xs:
-                    a = apply_bivariate(op, f, float(x1), float(x2))
+                    a = apply_bivariate(op, factors, float(x1), float(x2))
                     b = _direct_apply(op, f, float(x1), float(x2))
                     worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     ok = worst <= 1e-12
@@ -338,11 +342,13 @@ def test_reductions(verdict):
         and (red_b.axis1.l, red_b.axis1.alpha, red_b.axis1.beta) == (0, 0.0, 0.0)
         and red_b.axis2.n == 4
     )
-    g = lambda a, b: np.exp(a - 2.0 * b)
+    # e^(a - 2b) as its one product, so S and g round alike
+    g_factors = ((np.exp, lambda t: np.exp(-2.0 * t)),)
+    g = lambda a, b: np.exp(a) * np.exp(-2.0 * b)
     interp_ok = (
-        apply_bivariate(red_b, g, 0.0, 0.0) == g(0.0, 0.0)
-        and apply_bivariate(red_b, g, 1.0, 1.0) == g(1.0, 1.0)
-        and apply_bivariate(red_b, g, 1.0, 0.0) == g(1.0, 0.0)
+        apply_bivariate(red_b, g_factors, 0.0, 0.0) == g(0.0, 0.0)
+        and apply_bivariate(red_b, g_factors, 1.0, 1.0) == g(1.0, 1.0)
+        and apply_bivariate(red_b, g_factors, 1.0, 0.0) == g(1.0, 0.0)
     )
     verdict(
         "reductions", ok and params_ok and interp_ok,

@@ -18,14 +18,8 @@ from pqss.analysis import (
     total_modulus_bound_grid,
 )
 from pqss.catalog import build_catalog
-from pqss.moments import delta, first_moment_univariate
-from pqss.operators import (
-    AxisConfig,
-    BivariateOperator,
-    apply_bivariate,
-    apply_on_grid,
-    sample_at_nodes,
-)
+from pqss.moments import delta, first_moment_univariate, moment_oracle
+from pqss.operators import AxisConfig, BivariateOperator, sample_at_nodes
 from pqss.pq_core import PQPair
 
 CAT = build_catalog(2.0, 2.0)
@@ -34,8 +28,9 @@ CAT11 = build_catalog(1.0, 1.0)
 
 def total_modulus_bound(op, f, x1, x2):
     """Pointwise reference for total_modulus_bound_grid: |S(f) - f| against
-    4 omega_total(f; delta1(x1), delta2(x2))."""
-    lhs = abs(apply_bivariate(op, f.fn, x1, x2) - f.fn(x1, x2))
+    4 omega_total(f; delta1(x1), delta2(x2)), with S(f) from the oracle."""
+    s = moment_oracle(op, [sample_at_nodes(op, f.fn)], [x1], [x2])[0, 0, 0]
+    lhs = abs(s - f.fn(x1, x2))
     return BoundResult(lhs, 4.0 * f.total_modulus(delta(op.axis1, x1), delta(op.axis2, x2)))
 
 
@@ -47,11 +42,11 @@ def test_shift_point_matches_first_moments(worked_op):
 
 def test_auxiliary_annihilates_centered_coordinates(worked_op):
     for x1, x2 in ((0.0, 0.0), (0.3, 0.8), (1.0, 0.5)):
-        g1 = auxiliary_apply(worked_op, lambda a, b: a - x1, x1, x2)
-        g2 = auxiliary_apply(worked_op, lambda a, b: b - x2, x1, x2)
+        g1 = auxiliary_apply(worked_op, ((lambda t: t - x1, lambda t: 1.0),), x1, x2)
+        g2 = auxiliary_apply(worked_op, ((lambda t: 1.0, lambda t: t - x2),), x1, x2)
         assert abs(g1) <= 1e-14
         assert abs(g2) <= 1e-14
-    assert auxiliary_apply(worked_op, lambda a, b: 4.0, 0.4, 0.6) == pytest.approx(
+    assert auxiliary_apply(worked_op, ((lambda t: 4.0, lambda t: 1.0),), 0.4, 0.6) == pytest.approx(
         4.0, abs=1e-13
     )
 
@@ -135,10 +130,6 @@ def test_grid_paths_call_f_once_per_grid(n, grid, monkeypatch):
     f = _Counting(tf.fn)
     sample_at_nodes(op, f)
     assert f.calls == 1 and f.points == (axis1.degree + 1) * (axis2.degree + 1)
-
-    f = _Counting(tf.fn)
-    apply_on_grid(op, f, xs1, xs2)
-    assert f.calls == 1
 
     f, om = _Counting(tf.fn), _Counting(tf.total_modulus)
     factors = tuple((_Counting(g), _Counting(h)) for g, h in tf.factors)

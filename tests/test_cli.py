@@ -627,6 +627,18 @@ def test_usage_errors(tmp_path, capsys):
     assert rc == 2
     assert "finite 0 <= alpha <= beta" in err
 
+    # the closed moments divide by ([n] + beta)^2, which overflows past
+    # sqrt(largest double); eval uses no closed moment and runs on
+    limit = "[n] + beta <= 1.3407807929942596e+154"
+    for argv in (["bounds", "--f", "e11", "--grid", "3", "--beta1", "1e160"],
+                 ["converge", "--n-list", "8,16,32", "--beta1", "1e160", "--grid", "3"]):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2
+        assert limit in err and "beta=1e+160" in err
+    rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
+                        "--alpha1", "1e308", "--beta1", "1e308"], capsys)
+    assert rc == 0
+
     rc, out, err = run(["frobnicate"], capsys)
     assert rc == 2
 

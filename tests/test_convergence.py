@@ -140,7 +140,7 @@ def test_p_equal_one_reduction_matches_q_closed_forms():
         m = n + 2
         for x in (0.2, 0.7):
             want = (qb(m) * x + 0.5) / (qb(n) + 1.0)
-            got = apply_bivariate(op, lambda a, b: a, x, 0.5)
+            got = apply_bivariate(op, ((lambda t: t, lambda t: 1.0),), x, 0.5)
             assert got == pytest.approx(want, rel=1e-12)
             assert pq_integer(m, op.axis1.pq) == pytest.approx(qb(m), rel=1e-13)
 

@@ -200,11 +200,13 @@ def test_oracle_tensor_factorization(worked_op):
 
 
 def test_oracle_matches_production(worked_op):
-    f = lambda a, b: np.exp(a - b)
+    # e^(a - b) as its one product, sampled by the oracle and factored in production
+    f = lambda a, b: np.exp(a) * np.exp(-b)
+    factors = ((np.exp, lambda t: np.exp(-t)),)
     xs1, xs2 = np.linspace(0.0, 1.0, 4), np.array([0.6, 0.05])
     np.testing.assert_allclose(
         moment_oracle(worked_op, [sample_at_nodes(worked_op, f)], xs1, xs2)[0],
-        apply_on_grid(worked_op, f, xs1, xs2), rtol=0.0, atol=1e-14,
+        apply_on_grid(worked_op, factors, xs1, xs2), rtol=0.0, atol=1e-14,
     )
 
 

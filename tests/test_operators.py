@@ -201,33 +201,35 @@ def test_apply_univariate(worked_axis):
 
 
 def test_apply_bivariate_basics(worked_op):
-    assert apply_bivariate(worked_op, lambda a, b: 1.0, 0.3, 0.8) == pytest.approx(1.0, abs=1e-12)
+    one = ((lambda t: 1.0, lambda t: 1.0),)
+    assert apply_bivariate(worked_op, one, 0.3, 0.8) == pytest.approx(1.0, abs=1e-12)
     fm = lambda x: (1.75 * x + 1.0) / 3.5
-    got = apply_bivariate(worked_op, lambda a, b: a * b, 0.3, 0.8)
+    got = apply_bivariate(worked_op, ((lambda t: t, lambda t: t),), 0.3, 0.8)
     assert got == pytest.approx(fm(0.3) * fm(0.8), rel=1e-12)
 
 
 def test_corner_evaluations_are_exact():
     axis = AxisConfig(n=3, l=1, pq=PQPair(0.9, 0.6))
     op = BivariateOperator(axis, axis)
+    factors = ((np.sin, lambda t: 1.0), (lambda t: 1.0, lambda t: t * t))
     f = lambda a, b: np.sin(a) + b * b
     # alpha=0: the x=0 weight row is the exact e_0 and node 0 is exactly 0
-    assert apply_bivariate(op, f, 0.0, 0.0) == f(0.0, 0.0)
+    assert apply_bivariate(op, factors, 0.0, 0.0) == f(0.0, 0.0)
     # x=1 concentrates at the last node pair
     t_last = nodes(axis)[-1]
-    assert apply_bivariate(op, f, 1.0, 1.0) == f(t_last, t_last)
+    assert apply_bivariate(op, factors, 1.0, 1.0) == f(t_last, t_last)
 
 
 def test_tensor_product_separates(worked_op):
     g = np.sin
     h = lambda t: np.exp(-t)
-    got = apply_bivariate(worked_op, lambda a, b: g(a) * h(b), 0.4, 0.7)
+    got = apply_bivariate(worked_op, ((g, h),), 0.4, 0.7)
     want = apply_univariate(worked_op.axis1, g, 0.4) * apply_univariate(worked_op.axis2, h, 0.7)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_apply_on_grid_matches_pointwise(worked_op):
-    f = lambda a, b: np.exp(a) * np.cos(b)
+    f = ((np.exp, np.cos),)
     xs1 = np.linspace(0.0, 1.0, 5)
     xs2 = np.linspace(0.0, 1.0, 7)
     grid = apply_on_grid(worked_op, f, xs1, xs2)
@@ -241,14 +243,21 @@ def test_positivity_on_nonnegative_samples(worked_op):
     rng = np.random.default_rng(7)
     t1, t2 = nodes(worked_op.axis1), nodes(worked_op.axis2)
     samples = rng.uniform(0.0, 5.0, size=(len(t1), len(t2)))
-    # the sample at node (t1[i], t2[j]) is samples[i, j]; the lookup broadcasts
+    # the sample at node (t1[i], t2[j]) is samples[i, j]: the sum over i of
+    # the indicator of node i on axis 1 times row i looked up on axis 2
     assert np.all(np.diff(t1) > 0.0) and np.all(np.diff(t2) > 0.0)
 
-    def table(a, b):
-        i, j = np.searchsorted(t1, a), np.searchsorted(t2, b)
-        assert np.array_equal(t1[i], a) and np.array_equal(t2[j], b)
-        return samples[i, j]
+    def indicator(i):
+        return lambda a: (a == t1[i]).astype(float)
 
+    def row(i):
+        def lookup(b):
+            j = np.searchsorted(t2, b)
+            assert np.array_equal(t2[j], b)
+            return samples[i, j]
+        return lookup
+
+    table = tuple((indicator(i), row(i)) for i in range(len(t1)))
     for x1 in (0.0, 0.3, 1.0):
         for x2 in (0.1, 0.9):
             assert apply_bivariate(worked_op, table, x1, x2) >= 0.0
@@ -277,11 +286,13 @@ def test_reduce_operator_parameter_cuts():
 def test_bernstein_reduction_interpolates_endpoints():
     axis = AxisConfig(n=6, l=2, pq=PQPair(0.95, 0.7), alpha=0.5, beta=0.9)
     op = reduce_operator(BivariateOperator(axis, axis), "pq-bernstein")
-    f = lambda a, b: np.cos(a + b)
+    # cos(a + b) as its sum of products, so S and f round alike
+    factors = ((np.cos, np.cos), (lambda t: -np.sin(t), np.sin))
+    f = lambda a, b: np.cos(a) * np.cos(b) - np.sin(a) * np.sin(b)
     # l=0, alpha=beta=0: node_m = [n]/[n] = 1 exactly, node_0 = 0 exactly
-    assert apply_bivariate(op, f, 0.0, 0.0) == f(0.0, 0.0)
-    assert apply_bivariate(op, f, 1.0, 1.0) == f(1.0, 1.0)
-    assert apply_bivariate(op, f, 0.0, 1.0) == f(0.0, 1.0)
+    assert apply_bivariate(op, factors, 0.0, 0.0) == f(0.0, 0.0)
+    assert apply_bivariate(op, factors, 1.0, 1.0) == f(1.0, 1.0)
+    assert apply_bivariate(op, factors, 0.0, 1.0) == f(0.0, 1.0)
 
 
 def test_large_degree_weights_stay_normalized():

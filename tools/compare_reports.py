@@ -80,6 +80,10 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     add("eval", "--f", "e11", "--x1", "0.5", "--x2", "0.5", "--n1", "3", "--p1", "1",
         "--q1", "1e-17")
     add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--alpha1", "inf", "--beta1", "inf")
+    # [n] + beta past the square root of the largest double: the closed moments'
+    # squares would overflow
+    add("bounds", "--f", "e11", "--grid", "3", "--beta1", "1e160")
+    add("converge", "--n-list", "8,16,32", "--beta1", "1e160", "--grid", "3")
     add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "100000", "--n2", "100000")
     add("eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
         "--n1", "200", "--p1", "0.9", "--q1", "0.6", "--oracle")
