@@ -9,12 +9,12 @@ canonical node convention; per axis, with m = n + l and D = [n] + beta:
     S(t^2; x) = [m](p^{m-1} + 2 alpha) x / D^2 + q [m][m-1] x^2 / D^2
                 + alpha^2 / D^2
 
-and the second central moment S((t - x)^2; x) expands to the quadratic
-A x^2 + B x + C with
+and, with gap = [m] - D = q^n [l] + (p^l - 1)[n] - beta (from [n + l] =
+p^l [n] + q^n [l], so no nearby values are subtracted), the shift and the
+central moment, a square plus a term that is nonnegative on [0, 1]:
 
-    A = (q [m][m-1] - 2 [m] D + D^2) / D^2
-    B = ([m](p^{m-1} + 2 alpha) - 2 alpha D) / D^2
-    C = alpha^2 / D^2.
+    S(t; x) - x       = (gap x + alpha) / D
+    S((t - x)^2; x)   = (S(t; x) - x)^2 + [m] p^{m-1} x (1 - x) / D^2.
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
@@ -54,30 +54,33 @@ _VALID_IJ = {(i, j) for _, i, j in MOMENT_NAMES}
 _DEN_LIMIT = math.sqrt(np.finfo(float).max)  # the closed forms divide by ([n] + beta)^2
 
 
-def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float]:
-    """(D, [m], [m-1], p^(m-1)) of one axis, with m = n + l and D = [n] + beta."""
-    m = axis.degree
-    den = pq_integer(axis.n, axis.pq) + axis.beta
+def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float, float]:
+    """(D, [m], [m-1], p^(m-1), gap) of one axis, with m = n + l, D = [n] + beta
+    and gap = [m] - D = q^n [l] + expm1(l log p) [n] - beta."""
+    m, p, bn = axis.degree, axis.pq.p, pq_integer(axis.n, axis.pq)
+    den = bn + axis.beta
     if not den <= _DEN_LIMIT:
         raise ValueError(f"requires [n] + beta <= {_DEN_LIMIT!r}, the square root of the largest "
                          f"double (got [n] + beta = {den!r} at beta={axis.beta!r})")
-    return (
-        den,
-        pq_integer(m, axis.pq),
-        pq_integer(m - 1, axis.pq),
-        axis.pq.p ** (m - 1),
-    )
+    gap = axis.pq.q ** axis.n * pq_integer(axis.l, axis.pq) + math.expm1(axis.l * math.log(p)) * bn
+    return den, pq_integer(m, axis.pq), pq_integer(m - 1, axis.pq), p ** (m - 1), gap - axis.beta
 
 
 def first_moment_univariate(axis: AxisConfig, x):
     """([m] x + alpha) / ([n] + beta); accepts scalars or arrays."""
-    den, bm, _, _ = _coefficients(axis)
+    den, bm, _, _, _ = _coefficients(axis)
     return (bm * x + axis.alpha) / den
+
+
+def first_moment_shift(axis: AxisConfig, x):
+    """S(t; x) - x = (gap x + alpha) / D, with no cancellation; scalars or arrays."""
+    den, _, _, _, gap = _coefficients(axis)
+    return (gap * x + axis.alpha) / den
 
 
 def second_moment_univariate(axis: AxisConfig, x):
     """Closed second raw moment; accepts scalars or arrays."""
-    den, bm, bm1, pm1 = _coefficients(axis)
+    den, bm, bm1, pm1, _ = _coefficients(axis)
     return (
         bm * (pm1 + 2.0 * axis.alpha) * x
         + axis.pq.q * bm * bm1 * x * x
@@ -95,12 +98,11 @@ def _raw_moment(axis: AxisConfig, k: int, x):
 
 
 def central_moment(axis: AxisConfig, x):
-    """Closed S((t - x)^2; x) = A x^2 + B x + C on one axis; scalars or arrays."""
-    den, bm, bm1, pm1 = _coefficients(axis)
-    a = (axis.pq.q * bm * bm1 - 2.0 * bm * den + den * den) / den ** 2
-    b = (bm * (pm1 + 2.0 * axis.alpha) - 2.0 * axis.alpha * den) / den ** 2
-    c = axis.alpha ** 2 / den ** 2
-    return (a * x + b) * x + c
+    """Closed S((t - x)^2; x) = shift^2 + [m] p^(m-1) x (1 - x) / D^2 on one axis, with
+    shift = (gap x + alpha) / D; scalars or arrays.  Both terms are >= 0 on [0, 1]."""
+    den, bm, _, pm1, gap = _coefficients(axis)
+    shift = (gap * x + axis.alpha) / den
+    return shift * shift + bm * pm1 * x * (1.0 - x) / den ** 2
 
 
 def moment_closed(op: BivariateOperator, i: int, j: int, x1: float, x2: float) -> float:
@@ -121,18 +123,17 @@ def moment_closed(op: BivariateOperator, i: int, j: int, x1: float, x2: float) -
 
 
 def delta(axis: AxisConfig, x):
-    """sqrt of one axis's second central moment, at a scalar or an array x.
+    """sqrt of one axis's second central moment, at a scalar or an array x in [0, 1].
 
-    The closed quadratic is nonnegative on [0, 1] in exact arithmetic;
-    roundoff dips down to -1e-13 are clamped to zero, anything lower raises.
-    A scalar x gives a float.
+    central_moment's two terms are nonnegative there, so no value needs a
+    clamp; outside [0, 1] (or at nan) it raises, as weight_matrix does.  A
+    scalar x gives a float.
     """
-    c = np.asarray(central_moment(axis, x), dtype=float)
-    if np.any(c < -1e-13):
-        raise ArithmeticError(
-            f"central moment unexpectedly negative ({np.min(c)}); config or closed form is wrong"
-        )
-    d = np.sqrt(np.where(c < 0.0, 0.0, c))
+    xs = np.asarray(x, dtype=float)
+    outside = ~((0.0 <= xs) & (xs <= 1.0))
+    if outside.any():
+        raise ValueError(f"requires x in [0, 1] (got x={xs[outside][0]})")
+    d = np.sqrt(central_moment(axis, xs))
     return float(d) if d.ndim == 0 else d
 
 
@@ -217,7 +218,7 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
     measured = float(_fsum_rows((oracle_weight_vector(lit, x) * nodes(lit))[None, :])[0])
-    den, bm, _, _ = _coefficients(axis)
+    den, bm, _, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den
     return closed_slope / (measured - base)

@@ -7,10 +7,10 @@ library defaults cannot silently relax the gate.
 
 family-e10-order checks the first-moment decay where it exists.  For l = 0,
 alpha = beta = 0 the operator reproduces t exactly ([m] = [n], so
-S(t; x) = [n]x/[n] = x), and the first-moment sup error is roundoff (~1e-16)
-along the whole family: there the check asserts exact reproduction, and the
-first-order decay on shapes where the error is nonzero (l = 1, or
-alpha, beta > 0) and of the square condition.
+S(t; x) = [n]x/[n] = x): the closed shift S(t; x) - x is exactly 0 and the
+full evaluation path's error is roundoff along the whole family.  There the
+check asserts exact reproduction, and the first-order decay on shapes where
+the error is nonzero (l = 1, or alpha, beta > 0) and of the square condition.
 """
 
 import math
@@ -33,7 +33,10 @@ from pqss.convergence import (
 from pqss.moments import (
     SWEEP_AB,
     SWEEP_N,
+    central_moment,
     literal_first_moment_factor,
+    moment_closed,
+    moment_oracle,
     oracle_weight_vector,
     standard_sweep,
     sweep_grid,
@@ -44,6 +47,7 @@ from pqss.operators import (
     BivariateOperator,
     apply_bivariate,
     apply_on_grid,
+    nodes,
     reduce_operator,
     weight_matrix,
     weight_vector,
@@ -127,6 +131,38 @@ def test_high_degree_weights(verdict):
         f"weight_matrix vs decimal oracle at m = 500, 2000, 8000, 16384 on 1 - c/n and "
         f"m = 2000 at (0.999, 0.998), 5 points each, worst relative error "
         f"{worst:.2e} over weights > 1e-200 (tol 1e-10), {elapsed:.1f}s",
+    )
+
+
+def test_high_degree_moments(verdict):
+    # the closed e10, e20 and central moments against the oracle at the degrees
+    # the Korovkin tables reach; the second axis has degree 1 and x2 = 0, where
+    # its weights are exactly (1, 0), so each point costs one decimal row
+    start = time.monotonic()
+    xs = np.array([0.001, 0.1, 0.37, 0.5, 0.83, 0.999])
+    family = one_minus_c_over_n(0.5, 1.0)
+    shapes = (AxisShape(), AxisShape(l=1, alpha=0.5, beta=1.0), AxisShape(l=3, alpha=1.0, beta=2.0))
+    unit = AxisConfig(n=1, l=0, pq=PQPair(1.0, 0.5))
+    worst = {"e10": 0.0, "e20": 0.0, "central": 0.0}
+    for n in (64, 256, 1024, 2048, 8192):
+        for shape in shapes:
+            axis = AxisConfig(n=n, l=shape.l, pq=family.pq_at(n), alpha=shape.alpha,
+                              beta=shape.beta)
+            op = BivariateOperator(axis, unit)
+            t = nodes(axis)
+            tables = [t[:, None], (t ** 2)[:, None], ((t - xs[:, None]) ** 2)[:, None, :, None]]
+            oracle = moment_oracle(op, tables, xs, [0.0])[:, :, 0]
+            closed = [moment_closed(op, 1, 0, xs, 0.0), moment_closed(op, 2, 0, xs, 0.0),
+                      central_moment(axis, xs)]
+            for name, c, o in zip(worst, closed, oracle):
+                worst[name] = max(worst[name], float(np.max(np.abs(c - o) / np.abs(o))))
+    elapsed = time.monotonic() - start
+    ok = worst["central"] <= 1e-11 and worst["e10"] <= 1e-13 and worst["e20"] <= 1e-13
+    verdict(
+        "high-degree-moments", ok,
+        f"closed vs oracle at n = 64..8192 on 1 - c/n, 3 shapes x 6 points, worst relative "
+        f"error e10 {worst['e10']:.2e}, e20 {worst['e20']:.2e} (tol 1e-13), central "
+        f"{worst['central']:.2e} (tol 1e-11), {elapsed:.1f}s",
     )
 
 

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 import pqss.moments as moments
+from pqss.convergence import one_minus_c_over_n
 from pqss.moments import (
     MOMENT_CSV_HEADER,
     MomentEntry,
     MomentReport,
     central_moment,
     delta,
+    first_moment_shift,
     first_moment_univariate,
     literal_first_moment_factor,
     moment_closed,
@@ -82,7 +85,7 @@ def test_central_moment_closed(worked_axis):
     )
 
 
-def test_delta_values_and_clamping(worked_axis, monkeypatch):
+def test_delta_values_and_clamping(worked_axis):
     # exact: sqrt(e20 - 2 x e10 + x^2) at x=0.5
     want = math.sqrt(3.953125 / 12.25 - 1.875 / 3.5 + 0.25)
     assert delta(worked_axis, 0.5) == pytest.approx(want, rel=1e-13)
@@ -97,16 +100,59 @@ def test_delta_values_and_clamping(worked_axis, monkeypatch):
         assert type(delta(axis, 0.5)) is float
         np.testing.assert_array_equal(delta(axis, xs), [delta(axis, float(x)) for x in xs])
 
-    monkeypatch.setattr(moments, "central_moment", lambda *a: -5e-14)
-    assert delta(worked_axis, 0.5) == 0.0
-    monkeypatch.setattr(moments, "central_moment", lambda *a: -1e-3)
-    with pytest.raises(ArithmeticError, match="unexpectedly negative"):
-        delta(worked_axis, 0.5)
-    monkeypatch.setattr(moments, "central_moment", lambda *a: np.array([0.25, -5e-14]))
-    np.testing.assert_array_equal(delta(worked_axis, xs[:2]), [0.5, 0.0])
-    monkeypatch.setattr(moments, "central_moment", lambda *a: np.array([0.25, -1e-3]))
-    with pytest.raises(ArithmeticError, match="unexpectedly negative"):
-        delta(worked_axis, xs[:2])
+    # outside [0, 1] the central moment's x (1 - x) term is negative: refused
+    for bad in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"requires x in \[0, 1\]"):
+            delta(worked_axis, bad)
+        with pytest.raises(ValueError, match=r"requires x in \[0, 1\]"):
+            delta(worked_axis, np.array([0.5, bad]))
+
+
+def _exact_shift_and_central(axis: AxisConfig, x: float) -> tuple[float, float]:
+    """S(t; x) - x and S((t - x)^2; x) from the raw closed moments, in decimal at
+    60 digits from the same doubles, each rounded once."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        p, q, alpha, beta, x = map(decimal.Decimal, (axis.pq.p, axis.pq.q, axis.alpha,
+                                                     axis.beta, x))
+        bracket = lambda k: (p ** k - q ** k) / (p - q)
+        m = axis.degree
+        den = bracket(axis.n) + beta
+        first = (bracket(m) * x + alpha) / den
+        second = (bracket(m) * (p ** (m - 1) + 2 * alpha) * x
+                  + q * bracket(m) * bracket(m - 1) * x * x + alpha ** 2) / den ** 2
+        return float(first - x), float(second - 2 * x * first + x * x)
+
+
+def _exact_cases():
+    for op in standard_sweep():
+        for x in sweep_grid(11):
+            yield op.axis1, float(x)
+    family = one_minus_c_over_n(0.5, 1.0)
+    for n in (16, 64, 256, 1024, 2048, 8192, 65536):
+        for l, alpha, beta in ((0, 0.0, 0.0), (1, 0.5, 1.0), (3, 1.0, 2.0)):
+            axis = AxisConfig(n=n, l=l, pq=family.pq_at(n), alpha=alpha, beta=beta)
+            for x in (0.001, 0.1, 0.37, 0.5, 0.83, 0.999):
+                yield axis, x
+
+
+def test_shift_and_central_match_exact_closed_forms():
+    # relative error against the exact value, absolute where it is 0 (the
+    # reference's own roundoff is near 1e-59, so below 1e-40 it reads 0).  The
+    # expansion A x^2 + B x + C that central_moment replaced missed by 6.5e-14
+    # inside the sweep, by 0.40 at an x = 1 where the moment is 4.4e-16, and by
+    # 5.0e-9 at n = 65536.  The shift changes sign at
+    # x = -alpha/gap, and near there the rounding of gap x alone costs digits:
+    # 3.4e-14 at n=2, l=1, (0.99, 0.95), alpha=1, beta=2, x=0.9, where the
+    # shift is 1.3e-3 and gap x is 1.0; S(t; x) - x by subtraction misses by
+    # 6.4e-12 at n = 65536
+    worst = {"shift": 0.0, "central": 0.0}
+    for axis, x in _exact_cases():
+        want = _exact_shift_and_central(axis, x)
+        got = (first_moment_shift(axis, x), central_moment(axis, x))
+        for name, g, w in zip(worst, got, want):
+            worst[name] = max(worst[name], abs(g - w) / (abs(w) if abs(w) > 1e-40 else 1.0))
+    assert worst["shift"] <= 1e-13, worst
+    assert worst["central"] <= 1e-14, worst
 
 
 def test_oracle_weight_vector_matches_production(worked_axis):

@@ -14,9 +14,8 @@ A command matches when its exit code, stdout, stderr and the files left in
 its directory are equal byte for byte.  The script prints one line per command
 that differs, naming what differs, and exits 1 if any does, 0 otherwise.
 
-Commands whose cost grows with the input (`verify --grid 100000`, an n-list
-of degrees near 8000) are left out: a tree without the cost bounds would try
-to run them.
+Commands whose cost grows past a second or so with the input (`verify --grid
+100000`) are left out: a tree without the cost bounds would try to run them.
 """
 
 from __future__ import annotations
@@ -172,6 +171,10 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     # BLAS wrote other bytes for this contraction under other thread counts and CPUs
     add("bounds", "--f", "exp_sum", "--n1", "200", "--n2", "200", "--l1", "1", "--q1", "0.8",
         "--q2", "0.8", "--grid", "101")
+    # the Korovkin columns up to n = 65536, where an expansion of the central
+    # moment in powers of x would cancel most (the second axis keeps the
+    # default shape, whose shift is exactly 0)
+    add("converge", "--n-list", "4096,16384,65536", *SHAPE, "--grid", "5")
     # the convergence table's bound column for every catalog entry
     for f in CATALOG:
         add("converge", "--f", f, "--n-list", "16,64,256,1024", *SHAPE, "--l2", "2")
