@@ -1,11 +1,12 @@
 """libm's exp, expm1, log, sin and pow over a whole array, in one C loop,
-and math.fsum over each row of a 2-D array.
+and the oracle's weighted sums, each a math.fsum.
 
 pq_core._libm applies math-module functions to arrays.  This module gives it
 a compiled loop that calls the same libm functions as `math`, so every value
 keeps its bits and the Python call per element is gone.  The oracle in
-moments sums its rows with fsum_rows, a port of CPython 3.11's math_fsum
-that gives math.fsum's bits.
+moments sums each table in one call to oracle_sums, which forms every term
+(w1[a, i] * w2[b, j]) * t[a, b, i, j] as it adds it, with no term array, by
+a port of CPython 3.11's math_fsum that gives math.fsum's bits.
 
 The C source below is built with cffi in API mode on first use, into this
 package's __pycache__ directory, under a name keyed by a hash of the source,
@@ -41,7 +42,9 @@ int pqss_expm1(const double *x, double *out, size_t n);
 int pqss_log(const double *x, double *out, size_t n);
 int pqss_sin(const double *x, double *out, size_t n);
 int pqss_pow(double base, const double *x, double *out, size_t n);
-int pqss_fsum_rows(const double *x, double *out, size_t rows, size_t cols);
+int pqss_oracle_sums(const double *w1, const double *w2, const double *t, double *out,
+                     size_t k1, size_t k2, size_t n1, size_t n2,
+                     ptrdiff_t sa, ptrdiff_t sb, ptrdiff_t si, ptrdiff_t sj);
 """
 
 _SOURCE = r"""
@@ -75,61 +78,83 @@ int pqss_pow(double base, const double *x, double *out, size_t n)
     return bad;
 }
 
-/* out[r] = math.fsum(row r of the rows x cols array x), by CPython 3.11's
-   math_fsum: Shewchuk's non-overlapping partials, then the half-even
-   correction across them.  The result is 1 if a term or a partial is not
-   finite, where math.fsum raises or returns inf or nan, or if the partials
-   outgrow the buffer; math.fsum must then redo the rows. */
+/* math.fsum by CPython 3.11's math_fsum: Shewchuk's non-overlapping
+   partials, then the half-even correction across them.  fsum_add returns 1
+   if the term or the new partial is not finite, where math.fsum raises or
+   returns inf or nan, or if the partials outgrow the buffer; math.fsum must
+   then redo the sums. */
 #define PQSS_PARTIALS 128
 
-int pqss_fsum_rows(const double *x, double *out, size_t rows, size_t cols)
+static int fsum_add(double *p, size_t *np, double v)
+{
+    size_t i = 0, n = *np;
+    for (size_t j = 0; j < n; j++) {
+        double y = p[j];
+        if (fabs(v) < fabs(y)) {
+            double t = v;
+            v = y;
+            y = t;
+        }
+        double hi = v + y;
+        double lo = y - (hi - v);
+        if (lo != 0.0)
+            p[i++] = lo;
+        v = hi;
+    }
+    n = i;
+    if (v != 0.0) {
+        if (!isfinite(v) || n == PQSS_PARTIALS)
+            return 1;
+        p[n++] = v;
+    }
+    *np = n;
+    return 0;
+}
+
+static double fsum_finish(const double *p, size_t n)
+{
+    double hi = 0.0;
+    if (n > 0) {
+        double lo = 0.0;
+        hi = p[--n];
+        while (n > 0) {
+            double v = hi, y = p[--n];
+            hi = v + y;
+            lo = y - (hi - v);
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            double y = lo * 2.0;
+            double v = hi + y;
+            if (y == v - hi)
+                hi = v;
+        }
+    }
+    return hi;
+}
+
+/* out[a k2 + b] = math.fsum over i < n1, j < n2 (row-major) of
+   (w1[a n1 + i] * w2[b n2 + j]) * t[a sa + b sb + i si + j sj], strides in
+   elements (0 or negative too); the result is 1 where fsum_add declines. */
+int pqss_oracle_sums(const double *w1, const double *w2, const double *t, double *out,
+                     size_t k1, size_t k2, size_t n1, size_t n2,
+                     ptrdiff_t sa, ptrdiff_t sb, ptrdiff_t si, ptrdiff_t sj)
 {
     double p[PQSS_PARTIALS];
-    for (size_t r = 0; r < rows; r++) {
-        const double *row = x + r * cols;
-        size_t n = 0;
-        for (size_t k = 0; k < cols; k++) {
-            double v = row[k];
-            size_t i = 0;
-            for (size_t j = 0; j < n; j++) {
-                double y = p[j];
-                if (fabs(v) < fabs(y)) {
-                    double t = v;
-                    v = y;
-                    y = t;
-                }
-                double hi = v + y;
-                double lo = y - (hi - v);
-                if (lo != 0.0)
-                    p[i++] = lo;
-                v = hi;
+    for (size_t a = 0; a < k1; a++) {
+        for (size_t b = 0; b < k2; b++) {
+            const double *ta = t + (ptrdiff_t)a * sa + (ptrdiff_t)b * sb;
+            size_t n = 0;
+            for (size_t i = 0; i < n1; i++) {
+                double wi = w1[a * n1 + i];
+                const double *ti = ta + (ptrdiff_t)i * si;
+                for (size_t j = 0; j < n2; j++)
+                    if (fsum_add(p, &n, (wi * w2[b * n2 + j]) * ti[(ptrdiff_t)j * sj]))
+                        return 1;
             }
-            n = i;
-            if (v != 0.0) {
-                if (!isfinite(v) || n == PQSS_PARTIALS)
-                    return 1;
-                p[n++] = v;
-            }
+            out[a * k2 + b] = fsum_finish(p, n);
         }
-        double hi = 0.0;
-        if (n > 0) {
-            double lo = 0.0;
-            hi = p[--n];
-            while (n > 0) {
-                double v = hi, y = p[--n];
-                hi = v + y;
-                lo = y - (hi - v);
-                if (lo != 0.0)
-                    break;
-            }
-            if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-                double y = lo * 2.0;
-                double v = hi + y;
-                if (y == v - hi)
-                    hi = v;
-            }
-        }
-        out[r] = hi;
     }
     return 0;
 }
@@ -242,20 +267,32 @@ def apply(fn, x: np.ndarray) -> np.ndarray | None:
     return None if bad else out
 
 
-def fsum_rows(x: np.ndarray) -> np.ndarray | None:
-    """math.fsum of each row of the 2-D float array x, by the compiled kernel.
+def oracle_sums(w1: np.ndarray, w2: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+    """math.fsum over i, j (row-major) of (w1[a, i] * w2[b, j]) * t[a, b, i, j]
+    for each (a, b), shape (k1, k2), by the compiled kernel: no term is stored.
 
+    w1 is (k1, n1), w2 is (k2, n2) and t is (k1, k2, n1, n2), any strides
+    (a broadcast view passes without a copy); another shape raises ValueError.
     Returns None where the kernel does not serve the call: no kernel here, a
     term or partial that is not finite, or more partials than its buffer
-    holds (a row spread over hundreds of binades).  math.fsum redoes such a
+    holds (a sum spread over hundreds of binades).  math.fsum redoes such a
     call with the same values, and raises the same errors.
     """
     module = load()
     if module is None:
         return None
-    src = np.ascontiguousarray(x, dtype=float)
-    rows, cols = src.shape
-    out = np.empty(rows)
-    bad = module.lib.pqss_fsum_rows(module.ffi.from_buffer("double[]", src),
-                                    module.ffi.from_buffer("double[]", out), rows, cols)
+    w1 = np.ascontiguousarray(w1, dtype=float)
+    w2 = np.ascontiguousarray(w2, dtype=float)
+    t = np.asarray(t)
+    (k1, n1), (k2, n2) = w1.shape, w2.shape
+    if t.shape != (k1, k2, n1, n2):
+        raise ValueError(f"requires a table of shape {(k1, k2, n1, n2)} (got {t.shape})")
+    if t.dtype != float or not t.flags.aligned:
+        t = t.astype(float)
+    out = np.empty((k1, k2))
+    ffi = module.ffi
+    bad = module.lib.pqss_oracle_sums(
+        ffi.from_buffer("double[]", w1), ffi.from_buffer("double[]", w2),
+        ffi.cast("double *", t.ctypes.data), ffi.from_buffer("double[]", out),
+        k1, k2, n1, n2, *(s // t.itemsize for s in t.strides))
     return None if bad else out

@@ -18,10 +18,11 @@ central moment, a square plus a term that is nonnegative on [0, 1]:
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
-overflow at any degree, summed by Shewchuk-exact fsum: the compiled row-sum
-kernel in _clibm, which gives math.fsum's bits, with math.fsum itself as the
-fallback.  It shares no code with the log-space production path in
-operators.py, so agreement between the two is meaningful evidence.
+overflow at any degree, summed by Shewchuk-exact fsum: one call per table to
+the compiled kernel in _clibm, which forms each product term as it adds it
+and gives math.fsum's bits, with math.fsum itself as the fallback.  It
+shares no code with the log-space production path in operators.py, so
+agreement between the two is meaningful evidence.
 moment_oracle sums a stack of node tables over a product grid;
 verify_moments and `pqss eval --oracle` both call it.
 """
@@ -171,13 +172,16 @@ def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     return _oracle_row(axis.degree, axis.pq.p, axis.pq.q, float(x))
 
 
-def _fsum_rows(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D array: one compiled call, or math.fsum
-    row by row where the kernel is missing or declines the call, which gives
-    the same values and raises the same errors."""
-    sums = _clibm.fsum_rows(terms)
+def _oracle_sums(w1s: np.ndarray, w2s: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """fsum of (w1s[a] outer w2s[b]) * table[a, b] for each (a, b): one compiled call, or
+    where the kernel is missing or declines it, math.fsum of terms built one w1s row at a
+    time, which gives the same values and raises the same errors."""
+    sums = _clibm.oracle_sums(w1s, w2s, table)
     if sums is None:
-        sums = np.array([math.fsum(memoryview(row)) for row in terms], dtype=float)
+        sums = np.empty(table.shape[:2])
+        for a, w1 in enumerate(w1s):
+            terms = (w1[None, :, None] * w2s[:, None, :]) * table[a]
+            sums[a] = [math.fsum(memoryview(point.ravel())) for point in terms]
     return sums
 
 
@@ -187,21 +191,18 @@ def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
     Each table broadcasts to (len(xs1), len(xs2), m1 + 1, m2 + 1): a node
     table such as sample_at_nodes(op, f), or a per-point one such as
     ((t1 - xs1[:, None])**2)[:, None, :, None].  Each entry is one fsum of
-    (w1[a] * w2[b]) * T[a, b]; the terms are built one xs1 row at a time and
-    summed by the compiled row-sum kernel, one call per (table, xs1 row), or
-    by math.fsum where the kernel is missing or declines.
+    (w1[a] * w2[b]) * T[a, b], summed by the compiled kernel in one call per
+    table, which forms each term as it adds it, or by math.fsum where the
+    kernel is missing or declines.
     """
     xs1 = np.asarray(xs1, dtype=float)
     xs2 = np.asarray(xs2, dtype=float)
-    w1s = [oracle_weight_vector(op.axis1, x) for x in xs1]
-    w2s = np.array([oracle_weight_vector(op.axis2, x) for x in xs2])
     shape = (xs1.size, xs2.size, op.axis1.degree + 1, op.axis2.degree + 1)
+    w1s = np.reshape([oracle_weight_vector(op.axis1, x) for x in xs1], shape[::2])
+    w2s = np.reshape([oracle_weight_vector(op.axis2, x) for x in xs2], shape[1::2])
     out = np.empty((len(tables), xs1.size, xs2.size))
     for k, table in enumerate(tables):
-        table = np.broadcast_to(table, shape)
-        for a, w1 in enumerate(w1s):
-            terms = (w1[None, :, None] * w2s[:, None, :]) * table[a]
-            out[k, a] = _fsum_rows(terms.reshape(xs2.size, -1))
+        out[k] = _oracle_sums(w1s, w2s, np.broadcast_to(table, shape))
     return out
 
 
@@ -217,7 +218,8 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     if not (0.0 < x <= 1.0):
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
-    measured = float(_fsum_rows((oracle_weight_vector(lit, x) * nodes(lit))[None, :])[0])
+    measured = float(_oracle_sums(oracle_weight_vector(lit, x)[None, :], np.ones((1, 1)),
+                                  nodes(lit)[None, None, :, None])[0, 0])
     den, bm, _, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den

@@ -14,9 +14,10 @@ from hypothesis import given, strategies as st
 from pqss import _clibm
 from pqss.catalog import build_catalog
 from pqss.moments import (
-    _fsum_rows,
+    _oracle_sums,
     literal_first_moment_factor,
     moment_oracle,
+    oracle_weight_vector,
     standard_sweep,
     sweep_grid,
     verify_moments,
@@ -389,7 +390,7 @@ def test_package_arrays_equal_with_and_without_kernel(monkeypatch):
 
 
 def _fsum_blocks():
-    """Row blocks for the row-sum kernel, keyed by case: more than 10,000 rows
+    """Row blocks for the summation kernel, keyed by case: more than 10,000 rows
     spread over the cases where an fsum port goes wrong."""
     rng = np.random.default_rng(20261019)
 
@@ -427,43 +428,131 @@ def assert_fsum_bits(got, block):
     np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
 
 
+def unit_weight_sums(sums, block):
+    """Each row of a 2-D block summed by an oracle_sums-like function, as the
+    table (rows, 1, 1, cols) under unit weights: every product is the term."""
+    rows, cols = block.shape
+    got = sums(np.ones((rows, 1)), np.ones((1, cols)), block[:, None, None, :])
+    return None if got is None else got[:, 0]
+
+
 @needs_compiler
 def test_row_sum_kernel_is_math_fsum_bit_for_bit():
     assert _clibm.load() is not None
     blocks = _fsum_blocks()
     assert sum(len(block) for block in blocks.values()) > 10_000
     for case, block in blocks.items():
-        got = _clibm.fsum_rows(block)
+        got = unit_weight_sums(_clibm.oracle_sums, block)
         assert got is not None, f"the kernel declined {case}"
         assert_fsum_bits(got, block)
-        assert_fsum_bits(_fsum_rows(block), block)
+        assert_fsum_bits(unit_weight_sums(_oracle_sums, block), block)
     # a strided view sums what a copy sums
     block = blocks["wide"][::3, ::2]
-    assert_fsum_bits(_clibm.fsum_rows(block), block)
+    assert_fsum_bits(unit_weight_sums(_clibm.oracle_sums, block), block)
     # every other power of two over the whole exponent range, ascending,
     # holds about 1,000 partials; the kernel declines it and math.fsum redoes it
     spread = (2.0 ** np.arange(-1074.0, 1024.0, 2.0))[None, :]
-    assert _clibm.fsum_rows(spread) is None
-    assert_fsum_bits(_fsum_rows(spread), spread)
+    assert unit_weight_sums(_clibm.oracle_sums, spread) is None
+    assert_fsum_bits(unit_weight_sums(_oracle_sums, spread), spread)
+
+
+def fsum_of_products(w1, w2, t):
+    """math.fsum over i, j (row-major) of (w1[a, i] * w2[b, j]) * t[a, b, i, j],
+    term by term in Python floats."""
+    w1, w2, t = w1.tolist(), w2.tolist(), np.asarray(t).tolist()
+    return np.array([[math.fsum((wa[i] * wb[j]) * t[a][b][i][j]
+                                for i in range(len(wa)) for j in range(len(wb)))
+                      for b, wb in enumerate(w2)] for a, wa in enumerate(w1)], dtype=float)
+
+
+def _oracle_sum_cases():
+    """(w1, w2, table) triples for the kernel, keyed by case."""
+    rng = np.random.default_rng(20261021)
+
+    def weights(k, n):
+        # 30 decades, a quarter exact zeros and a tenth subnormal
+        w = rng.uniform(0.0, 1.0, (k, n)) * 10.0 ** rng.uniform(-30.0, 0.0, (k, n))
+        w[rng.random(w.shape) < 0.25] = 0.0
+        sub = rng.random(w.shape) < 0.1
+        w[sub] = rng.integers(1, 2 ** 30, sub.sum()) * 5e-324
+        return w
+
+    def table(*shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+    w1, w2 = weights(5, 7), weights(4, 6)
+    xs1, xs2 = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
+    t1, t2 = np.linspace(0.0, 2.0, 7), np.linspace(0.0, 3.0, 6)
+    big = table(10, 4, 21, 12)
+    return {
+        "contiguous": (w1, w2, table(5, 4, 7, 6)),
+        # verify's (t1 - x)^2 and (t2 - x)^2 views: stride 0 on two axes each
+        "(t1 - x)^2": (w1, w2, np.broadcast_to(((t1 - xs1[:, None]) ** 2)[:, None, :, None],
+                                               (5, 4, 7, 6))),
+        "(t2 - x)^2": (w1, w2, np.broadcast_to(((t2 - xs2[:, None]) ** 2)[None, :, None, :],
+                                               (5, 4, 7, 6))),
+        "node table": (w1, w2, np.broadcast_to(table(7, 6), (5, 4, 7, 6))),
+        "non-contiguous": (w1, w2, big[::2, :, ::3, 1::2]),
+        "reversed": (w1, w2, table(5, 4, 7, 6)[::-1, :, ::-1, ::-1]),
+        "Fortran order": (w1, w2, np.asfortranarray(table(5, 4, 7, 6))),
+        "k1 = 1": (w1[:1], w2, table(1, 4, 7, 6)),
+        "k2 = 1": (w1, w2[:1], table(5, 1, 7, 6)),
+        "n = 2": (weights(3, 2), weights(2, 2), table(3, 2, 2, 2)),
+    }
+
+
+@needs_compiler
+def test_oracle_sums_is_fsum_of_the_products_bit_for_bit():
+    assert _clibm.load() is not None
+    for case, (w1, w2, t) in _oracle_sum_cases().items():
+        want = fsum_of_products(w1, w2, t)
+        got = _clibm.oracle_sums(w1, w2, t)
+        assert got is not None, f"the kernel declined {case}"
+        assert got.shape == (len(w1), len(w2)), case
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=case)
+    w1, w2, t = _oracle_sum_cases()["contiguous"]
+    # another dtype is converted before the call; another shape is refused
+    got = _clibm.oracle_sums(w1, w2, t.astype(np.float32))
+    np.testing.assert_array_equal(got, fsum_of_products(w1, w2, t.astype(np.float32)))
+    for bad in (t[:, :, :, :5], t[:4], t[..., None], np.broadcast_to(t[:, :1], t.shape)[:, :, 1:]):
+        with pytest.raises(ValueError, match="requires a table of shape"):
+            _clibm.oracle_sums(w1, w2, bad)
 
 
 @needs_compiler
 def test_row_sum_falls_back_to_what_math_fsum_does():
     assert _clibm.load() is not None
-    for row, error, match in (([1e308, 1e308, -1e308], OverflowError, "intermediate overflow"),
-                              ([math.inf, -math.inf], ValueError, r"-inf \+ inf")):
-        assert _clibm.fsum_rows(np.array([row])) is None
+    # degree-1 axes: at (x1, x2) = (0.1, 0.2) the four rounded weight products
+    # sum to more than 1, so a table of the largest double overflows there
+    op = standard_sweep()[0]
+    xs1, xs2 = [0.0, 0.1, 0.5], [0.2, 1.0]
+    w1s = np.array([oracle_weight_vector(op.axis1, x) for x in xs1])
+    w2s = np.array([oracle_weight_vector(op.axis2, x) for x in xs2])
+    assert (np.outer(w1s[1], w2s[0]) > 0.0).all()
+
+    def point_terms(table, a, b):
+        return ((w1s[a][:, None] * w2s[b][None, :]) * table[a, b]).ravel().tolist()
+
+    overflow, inf_minus_inf = np.ones((2, 3, 2, 2, 2))
+    overflow[1, 0] = np.finfo(float).max
+    inf_minus_inf[1, 0, 0, 0], inf_minus_inf[1, 0, 1, 1] = math.inf, -math.inf
+    for table, error, match in ((overflow, OverflowError, "intermediate overflow"),
+                                (inf_minus_inf, ValueError, r"-inf \+ inf")):
+        assert _clibm.oracle_sums(w1s, w2s, table) is None
         with pytest.raises(error, match=match):
-            math.fsum(row)
+            math.fsum(point_terms(table, 1, 0))
         with pytest.raises(error, match=match):
-            _fsum_rows(np.array([[1.0] * len(row), row]))
-    # a non-finite row among finite ones: the block is redone, each row as math.fsum has it
-    block = np.array([[1.0, 2.0, 3.0], [math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0],
-                      [1.0, 1e308, -math.inf]])
-    assert _clibm.fsum_rows(block) is None
-    got = _fsum_rows(block)
-    assert got[0] == 6.0 and math.isnan(got[1]) and got[2] == math.inf and got[3] == -math.inf
-    assert [math.fsum(row) for row in block[2:].tolist()] == [math.inf, -math.inf]
+            moment_oracle(op, [np.ones((2, 2)), table], xs1, xs2)
+    # nan, inf and -inf terms among finite ones: the table is redone, each
+    # point as math.fsum has it
+    table = np.ones((3, 2, 2, 2))
+    table[1, 0, 0, 1], table[2, 0, 1, 0], table[1, 1, 1, 1] = math.nan, math.inf, -math.inf
+    assert _clibm.oracle_sums(w1s, w2s, table) is None
+    got = moment_oracle(op, [table], xs1, xs2)[0]
+    want = np.array([[math.fsum(point_terms(table, a, b)) for b in range(2)] for a in range(3)])
+    np.testing.assert_array_equal(got, want)
+    assert math.isnan(got[1, 0]) and got[2, 0] == math.inf and got[1, 1] == -math.inf
+    assert np.isfinite(got[0]).all() and got[2, 1] == want[2, 1]
 
 
 def in_order_matvec(w, v, reverse=False):
@@ -516,9 +605,11 @@ def _oracle_arrays(asymmetric_sweep):
     op = asymmetric_sweep[100]
     assert op.axis1.degree != op.axis2.degree
     xs1, xs2 = np.linspace(0.0, 1.0, 7), np.array([0.0, 0.3, 0.71, 1.0])
-    t1 = nodes(op.axis1)
-    tables = [sample_at_nodes(op, build_catalog(op.axis1.l + 1.0, op.axis2.l + 1.0)["exp_sum"].fn),
-              ((t1 - xs1[:, None]) ** 2)[:, None, :, None]]
+    t1, t2 = nodes(op.axis1), nodes(op.axis2)
+    cat = build_catalog(op.axis1.l + 1.0, op.axis2.l + 1.0)
+    tables = [sample_at_nodes(op, cat["exp_sum"].fn),
+              ((t1 - xs1[:, None]) ** 2)[:, None, :, None],
+              ((t2 - xs2[:, None]) ** 2)[None, :, None, :]]
     ops = standard_sweep()[::27] + asymmetric_sweep[::45]
     # at a tolerance of 1e-16 some checks fail, so the failure lines are compared too
     res = verify_moments(ops, sweep_grid(5), 1e-16)
@@ -526,6 +617,9 @@ def _oracle_arrays(asymmetric_sweep):
     literal = AxisConfig(n=10, l=3, pq=PQPair(0.9, 0.6))
     return {
         "moment_oracle": moment_oracle(op, tables, xs1, xs2),
+        # eval --oracle: one point, fn's node table
+        "one-point oracle": moment_oracle(op, [sample_at_nodes(op, cat["sinprod"].fn)],
+                                          [0.3], [0.8]),
         "verify oracle values": np.array([[e.oracle for e in r.entries] for r in res.reports]),
         "verify points": np.array([r.point for r in res.reports]),
         "verify failures": np.array(res.failures + [str(res.n_checks)]),
