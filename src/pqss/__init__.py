@@ -20,8 +20,6 @@ from .analysis import (
 from .catalog import TestFunction, build_catalog, grid_modulus_estimate, verify_metadata
 from .convergence import (
     AxisShape,
-    ConvergenceTable,
-    KorovkinTable,
     SequenceSpec,
     convergence_table,
     empirical_order,

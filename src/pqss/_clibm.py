@@ -14,9 +14,9 @@ the cdef, the compile flags and the interpreter's extension suffix.  The
 compile runs in a child process, so its memory never counts against the
 caller's, and writes into a temporary directory beside the target; the file
 is moved into place with os.replace, so processes that build at once all
-succeed.  The flags keep gcc from substituting anything for libm: no
--ffast-math (which would call libmvec's vector kernels) and
--ffp-contract=off.
+succeed, and the builds of other hashes found before it are then deleted.
+The flags keep gcc from substituting anything for libm: no -ffast-math
+(which would call libmvec's vector kernels) and -ffp-contract=off.
 
 Where cffi or a C compiler is missing, or the build fails, load() returns
 None and callers keep the element-by-element math path (math.fsum row by row
@@ -215,6 +215,7 @@ def _build(name: str, target: Path) -> bool:
 def load():
     """The compiled module (with .ffi and .lib), built on first use, or None
     where it cannot be built or loaded here."""
+    import contextlib
     import hashlib
     import importlib.util
     import shutil
@@ -229,8 +230,13 @@ def load():
         compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
         if shutil.which(compiler) is None or importlib.util.find_spec("cffi") is None:
             return None
+        # other hashes' builds; one that lands while ours runs is not listed
+        stale = [p for p in _CACHE.glob(f"_pqss_libm_*{suffix}") if p.is_file() and p != target]
         if not _build(name, target):
             return None
+        for path in stale:
+            with contextlib.suppress(OSError):
+                path.unlink()
     try:
         spec = importlib.util.spec_from_file_location(name, target)
         module = importlib.util.module_from_spec(spec)

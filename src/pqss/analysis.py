@@ -201,8 +201,8 @@ def lipschitz_bound(
 
     rhs = spec.rhs(d1, d2) with d_i = delta(axis_i, x_i), the square roots
     of the second central moments.  additive=True switches predicate and
-    bound to the additive class M(|t1-x1|^g1 + |t2-x2|^g2); experimental
-    extension, not part of the verified bound set.
+    bound to the additive class M(|t1-x1|^g1 + |t2-x2|^g2), which admits sum;
+    ACCEPTANCE lipschitz-collapse checks that sum's bound at (0.4, 0.6).
     """
     viols = lipschitz_violations(f, spec, additive=additive)
     if viols:

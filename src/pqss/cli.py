@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ from .analysis import BOUND_SLACK, total_modulus_bound_grid
 from .catalog import TestFunction, build_catalog
 from .convergence import (
     AxisShape,
+    ConvergenceRow,
+    KorovkinRow,
     build_operator,
     convergence_table,
     empirical_order,
@@ -161,6 +164,13 @@ def _write_report(path, fmt: str, csv_report, json_report) -> None:
     else:
         write_text(path, json_text(json_report()))
     print(f"wrote {path}")
+
+
+def _write_rows(path, fmt: str, row_type, rows: list, head: dict) -> None:
+    """Write row_type dataclasses: CSV columns are its fields, JSON is head + "rows"."""
+    _write_report(path, fmt,
+                  lambda: ([f.name for f in fields(row_type)], [list(astuple(r)) for r in rows]),
+                  lambda: {**head, "rows": [asdict(r) for r in rows]})
 
 
 def _catalog_entry(name: str, width1: float, width2: float) -> TestFunction:
@@ -360,20 +370,20 @@ def cmd_converge(ns) -> int:
 
     print(f"family {spec.name}: p_n^n -> {spec.a:.6g}, q_n^n -> {spec.b:.6g}")
     print("korovkin sup errors (n, e00, e10, e01, e20+e02):")
-    for r in suite.rows:
+    for r in suite:
         print(f"  {r.n:6d}  {r.sup_e00:.3e}  {r.sup_e10:.3e}  {r.sup_e01:.3e}  {r.sup_e20_e02:.3e}")
     print(f"convergence of {f.name} (n, sup_err, bound_at_worst, ratio):")
-    for r in table.rows:
+    for r in table:
         bound = "-" if r.bound_at_worst is None else f"{r.bound_at_worst:.3e}"
         ratio = "-" if r.ratio is None else f"{r.ratio:.3f}"
         print(f"  {r.n:6d}  {r.sup_err:.3e}  {bound}  {ratio}")
 
     if len(n_list) >= 3:
         columns = [
-            ("e10", [r.sup_e10 for r in suite.rows]),
-            ("e01", [r.sup_e01 for r in suite.rows]),
-            ("e20+e02", [r.sup_e20_e02 for r in suite.rows]),
-            (f.name, [r.sup_err for r in table.rows]),
+            ("e10", [r.sup_e10 for r in suite]),
+            ("e01", [r.sup_e01 for r in suite]),
+            ("e20+e02", [r.sup_e20_e02 for r in suite]),
+            (f.name, [r.sup_err for r in table]),
         ]
         for label, errs in columns:
             order = empirical_order(zip(n_list, errs))
@@ -383,12 +393,11 @@ def cmd_converge(ns) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _run_config(ns)
     h = config_hash(cfg)
-    _write_report(out_dir / f"korovkin_{h}.{ns.format}", ns.format,
-                  lambda: (suite.CSV_HEADER, suite.csv_rows()),
-                  lambda: {"config": cfg, **suite.to_json_obj()})
-    _write_report(out_dir / f"convergence_{f.name}_{h}.{ns.format}", ns.format,
-                  lambda: (table.CSV_HEADER, table.csv_rows()),
-                  lambda: {"config": cfg, **table.to_json_obj()})
+    head = {"config": cfg, "family": spec.name, "grid_k": ns.grid,
+            "shape1": asdict(shape1), "shape2": asdict(shape2)}
+    _write_rows(out_dir / f"korovkin_{h}.{ns.format}", ns.format, KorovkinRow, suite, head)
+    _write_rows(out_dir / f"convergence_{f.name}_{h}.{ns.format}", ns.format, ConvergenceRow,
+                table, {**head, "function": f.name})
     return 0
 
 

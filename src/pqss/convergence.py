@@ -6,17 +6,17 @@ then converges for every continuous f as soon as the four test errors
 
     |S(1) - 1|, |S(t1) - x1|, |S(t2) - x2|, |S(t1^2 + t2^2) - (x1^2 + x2^2)|
 
-vanish uniformly.  korovkin_suite tabulates exactly those four sup errors
-(via the verified closed moment forms, so rows for n = 512 cost the same as
-n = 4); convergence_table tracks a single catalog function through the full
-operator evaluation with the 4*omega_total bound alongside; empirical_order
-fits the decay slope of any error column.
+vanish uniformly.  korovkin_suite gives one row per n of exactly those four
+sup errors (via the verified closed moment forms, so rows for n = 512 cost
+the same as n = 4); convergence_table one row per n for a single catalog
+function through the full operator evaluation, with the 4*omega_total bound
+alongside; empirical_order fits the decay slope of any error column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -115,35 +115,14 @@ class KorovkinRow:
     sup_e20_e02: float
 
 
-class _RowTable:
-    """A dataclass table whose `rows` are dataclasses: CSV rows and a JSON object."""
-
-    def csv_rows(self) -> list[list]:
-        return [list(astuple(r)) for r in self.rows]
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class KorovkinTable(_RowTable):
-    family: str
-    grid_k: int
-    shape1: AxisShape
-    shape2: AxisShape
-    rows: list[KorovkinRow] = field(default_factory=list)
-
-    CSV_HEADER = [f.name for f in fields(KorovkinRow)]
-
-
 def korovkin_suite(
     spec: SequenceSpec,
     n_list: Iterable[int],
     shape1: AxisShape = AxisShape(),
     shape2: AxisShape | None = None,
     grid_k: int = 41,
-) -> KorovkinTable:
-    """Sup errors of the four convergence test conditions per n.
+) -> list[KorovkinRow]:
+    """Sup errors of the four convergence test conditions, one row per n.
 
     Both axes share n (the sweep convention); the moment layer itself
     supports n1 != n2.  Errors come from the closed shift S(t) - x and central
@@ -154,13 +133,13 @@ def korovkin_suite(
     if shape2 is None:
         shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
-    table = KorovkinTable(spec.name, grid_k, shape1, shape2)
+    rows = []
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
         s1, s2 = (first_moment_shift(axis, xs) for axis in (op.axis1, op.axis2))
         r1, r2 = (central_moment(a, xs) + 2.0 * xs * s for a, s in ((op.axis1, s1), (op.axis2, s2)))
         # partition of unity: the closed e00 is identically 1, sup error 0
-        table.rows.append(KorovkinRow(
+        rows.append(KorovkinRow(
             n=n,
             p=op.axis1.pq.p,
             q=op.axis1.pq.q,
@@ -169,7 +148,7 @@ def korovkin_suite(
             sup_e01=float(np.max(np.abs(s2))),
             sup_e20_e02=float(np.max(np.abs(r1[:, None] + r2[None, :]))),
         ))
-    return table
+    return rows
 
 
 @dataclass(frozen=True)
@@ -184,18 +163,6 @@ class ConvergenceRow:
     ratio: float | None
 
 
-@dataclass
-class ConvergenceTable(_RowTable):
-    family: str
-    function: str
-    grid_k: int
-    shape1: AxisShape
-    shape2: AxisShape
-    rows: list[ConvergenceRow] = field(default_factory=list)
-
-    CSV_HEADER = [f.name for f in fields(ConvergenceRow)]
-
-
 def convergence_table(
     spec: SequenceSpec,
     f: TestFunction,
@@ -203,8 +170,8 @@ def convergence_table(
     shape1: AxisShape = AxisShape(),
     shape2: AxisShape | None = None,
     grid_k: int = 41,
-) -> ConvergenceTable:
-    """Actual sup error of S_n(f) on [0,1]^2 per n, with the modulus bound alongside.
+) -> list[ConvergenceRow]:
+    """Actual sup error of S_n(f) on [0,1]^2, one row per n, with the modulus bound alongside.
 
     The bound column is 4 omega_total at the worst grid point when f carries
     exact modulus metadata, else empty; ratio = sup_err / bound.
@@ -213,7 +180,7 @@ def convergence_table(
         shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
     f_grid = tabulate(f.fn, xs, xs) if f.total_modulus is None else None
-    table = ConvergenceTable(spec.name, f.name, grid_k, shape1, shape2)
+    rows = []
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
         if f.total_modulus is None:
@@ -225,12 +192,12 @@ def convergence_table(
         sup_err = float(errs[i1, i2])
         bound = None if rhs is None else float(rhs[i1, i2])
         ratio = sup_err / bound if bound and bound > 0.0 else None
-        table.rows.append(ConvergenceRow(
+        rows.append(ConvergenceRow(
             n=n, p=op.axis1.pq.p, q=op.axis1.pq.q, sup_err=sup_err,
             worst_x1=float(xs[i1]), worst_x2=float(xs[i2]),
             bound_at_worst=bound, ratio=ratio,
         ))
-    return table
+    return rows
 
 
 # Largest error that empirical_order treats as exact: 64 ulps per unit of

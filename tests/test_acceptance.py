@@ -240,7 +240,7 @@ def test_family_sup_errors(verdict):
     suite = korovkin_suite(spec, ns, AxisShape(), grid_k=41)
     table = convergence_table(spec, cat["e20"], ns, AxisShape(), grid_k=41)
     elapsed = time.monotonic() - start
-    last = suite.rows[-1]
+    last = suite[-1]
     finals = {
         "e00": last.sup_e00,
         "e10": last.sup_e10,
@@ -248,7 +248,7 @@ def test_family_sup_errors(verdict):
         "e20+e02": last.sup_e20_e02,
     }
     ok = elapsed < 120.0 and all(v < 1e-2 for v in finals.values())
-    sup_512 = table.rows[-1].sup_err
+    sup_512 = table[-1].sup_err
     verdict(
         "family-sup-errors", ok,
         "n=512 sup errors " + ", ".join(f"{k}={v:.2e}" for k, v in finals.items())
@@ -273,18 +273,18 @@ def test_family_e10_order(verdict):
     shifted_orders = {}
     for label, shape in shifted.items():
         suite = korovkin_suite(spec, ns, shape, grid_k=41)
-        shifted_orders[label] = empirical_order([(r.n, r.sup_e10) for r in suite.rows])
+        shifted_orders[label] = empirical_order([(r.n, r.sup_e10) for r in suite])
 
     # l = 0, alpha = beta = 0: [m] = [n], so S(t; x) = [n]x/[n] = x and the
     # first-moment errors are roundoff; check exact reproduction instead, on
     # the closed forms and on the full evaluation path
     default = korovkin_suite(spec, ns, AxisShape(), grid_k=41)
-    closed_sup = max(max(r.sup_e10, r.sup_e01) for r in default.rows)
+    closed_sup = max(max(r.sup_e10, r.sup_e01) for r in default)
     xs = np.linspace(0.0, 1.0, 41)
     op64 = build_operator(spec, 64, AxisShape(), AxisShape())
     full = apply_on_grid(op64, ((lambda t: t, lambda t: 1.0),), xs, xs)
     full_sup = float(np.max(np.abs(full - xs[:, None])))
-    sq_order = empirical_order([(r.n, r.sup_e20_e02) for r in default.rows])
+    sq_order = empirical_order([(r.n, r.sup_e20_e02) for r in default])
 
     ok = (
         all(in_order_band(o) for o in shifted_orders.values())

@@ -130,6 +130,42 @@ def test_converge_default_family(tmp_path, capsys):
     assert kor[0].read_text().splitlines()[0] == "n,p,q,sup_e00,sup_e10,sup_e01,sup_e20_e02"
 
 
+def test_converge_report_layout(tmp_path, capsys):
+    # one report per table and format; sinprod is estimate-only, so its bound
+    # and ratio cells are empty in the CSV and null in the JSON
+    argv = ["converge", "--f", "sinprod", "--n-list", "8,16", "--l1", "1", "--grid", "5"]
+    for fmt in ("csv", "json"):
+        rc, _, _ = run([*argv, "--format", fmt, "--output", str(tmp_path / fmt)], capsys)
+        assert rc == 0
+    headers = {
+        "korovkin": ["n", "p", "q", "sup_e00", "sup_e10", "sup_e01", "sup_e20_e02"],
+        "convergence_sinprod": ["n", "p", "q", "sup_err", "worst_x1", "worst_x2",
+                                "bound_at_worst", "ratio"],
+    }
+    for stem, header in headers.items():
+        (csv_path,) = (tmp_path / "csv").glob(f"{stem}_*.csv")
+        (json_path,) = (tmp_path / "json").glob(f"{stem}_*.json")
+        lines = csv_path.read_bytes().decode().split("\r\n")
+        assert lines[0] == ",".join(header)
+        obj = json.loads(json_path.read_text())
+        keys = {"config", "family", "grid_k", "shape1", "shape2", "rows"}
+        assert set(obj) == (keys | {"function"} if stem != "korovkin" else keys)
+        assert obj["family"] == "one-minus-c-over-n(cp=0.5,cq=1)"
+        assert obj["grid_k"] == 5
+        assert obj["shape1"]["l"] == 1 and obj["shape2"]["l"] == 0
+        assert [r["n"] for r in obj["rows"]] == [8, 16]
+        assert lines[3:] == [""]
+        for line, row in zip(lines[1:3], obj["rows"]):
+            cells = dict(zip(header, line.split(",")))
+            assert cells.keys() == row.keys()
+            assert {k: None if v == "" else float(v) for k, v in cells.items()} == row
+        if stem != "korovkin":
+            assert obj["function"] == "sinprod"
+            for line, row in zip(lines[1:3], obj["rows"]):
+                assert line.endswith(",,") and line.count(",") == 7
+                assert row["bound_at_worst"] is None and row["ratio"] is None
+
+
 def test_converge_degenerate_linear_prints_exact(tmp_path, capsys):
     # default shapes reproduce linears exactly; the orders must say so, on
     # grids whose points round exactly (5) and ones that leave 1-ulp errors (41)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,8 +7,6 @@ from pqss.catalog import build_catalog
 from pqss.convergence import (
     ROUNDOFF_ULPS_PER_DEGREE,
     AxisShape,
-    ConvergenceTable,
-    KorovkinTable,
     SequenceSpec,
     build_operator,
     convergence_table,
@@ -21,7 +18,6 @@ from pqss.convergence import (
 from pqss.moments import first_moment_univariate, second_moment_univariate
 from pqss.operators import apply_bivariate
 from pqss.pq_core import pq_integer
-from pqss.serialize import csv_text
 
 
 def test_one_minus_family_values_and_limits():
@@ -94,10 +90,10 @@ def test_korovkin_rows_match_closed_forms():
     spec = one_minus_c_over_n(0.5, 1.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
     table = korovkin_suite(spec, [4, 16, 64], shape, grid_k=21)
-    assert isinstance(table, KorovkinTable)
-    assert [r.n for r in table.rows] == [4, 16, 64]
+    assert isinstance(table, list)
+    assert [r.n for r in table] == [4, 16, 64]
     xs = np.linspace(0.0, 1.0, 21)
-    for row in table.rows:
+    for row in table:
         op = build_operator(spec, row.n, shape, shape)
         assert row.sup_e00 == 0.0
         want_e10 = float(np.max(np.abs(first_moment_univariate(op.axis1, xs) - xs)))
@@ -111,7 +107,7 @@ def test_korovkin_degenerate_linear_reproduction():
     # l=0, alpha=beta=0 reproduces t exactly; only the square condition decays
     spec = one_minus_c_over_n(0.5, 1.0)
     table = korovkin_suite(spec, [8, 32, 128], AxisShape(), grid_k=21)
-    for row in table.rows:
+    for row in table:
         assert row.sup_e10 <= 1e-14
         assert row.sup_e01 <= 1e-14
         assert row.sup_e20_e02 > 1e-4
@@ -121,8 +117,8 @@ def test_korovkin_errors_shrink_along_family():
     spec = one_minus_c_over_n(0.5, 1.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
     table = korovkin_suite(spec, [16, 32, 64, 128, 256], shape, grid_k=21)
-    e10 = [r.sup_e10 for r in table.rows]
-    sq = [r.sup_e20_e02 for r in table.rows]
+    e10 = [r.sup_e10 for r in table]
+    sq = [r.sup_e20_e02 for r in table]
     assert all(b < a for a, b in zip(e10, e10[1:]))
     assert all(b < a for a, b in zip(sq, sq[1:]))
 
@@ -150,13 +146,13 @@ def test_convergence_table_const_and_bounds():
     cat = build_catalog(2.0, 2.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
     table = convergence_table(spec, cat["const1"], [8, 32], shape, grid_k=11)
-    for row in table.rows:
+    for row in table:
         assert row.sup_err <= 1e-13
 
     table = convergence_table(spec, cat["e20"], [8, 32, 128], shape, grid_k=11)
-    sups = [r.sup_err for r in table.rows]
+    sups = [r.sup_err for r in table]
     assert all(b < a for a, b in zip(sups, sups[1:]))
-    for row in table.rows:
+    for row in table:
         assert row.bound_at_worst is not None
         assert row.ratio is not None
         assert row.ratio <= 1.0
@@ -169,7 +165,7 @@ def test_triangle_inequality_for_sum():
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
     k_table = korovkin_suite(spec, [16, 64], shape, grid_k=21)
     c_table = convergence_table(spec, cat["sum"], [16, 64], shape, grid_k=21)
-    for krow, crow in zip(k_table.rows, c_table.rows):
+    for krow, crow in zip(k_table, c_table):
         assert crow.sup_err <= krow.sup_e10 + krow.sup_e01 + 1e-12
 
 
@@ -200,7 +196,7 @@ def test_empirical_order():
 def test_square_condition_order_is_one():
     spec = one_minus_c_over_n(0.5, 1.0)
     table = korovkin_suite(spec, [16, 32, 64, 128, 256, 512], AxisShape(), grid_k=21)
-    order = empirical_order([(r.n, r.sup_e20_e02) for r in table.rows])
+    order = empirical_order([(r.n, r.sup_e20_e02) for r in table])
     assert -1.3 <= order <= -0.7
 
 
@@ -208,29 +204,5 @@ def test_first_moment_order_with_shift():
     spec = one_minus_c_over_n(0.5, 1.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
     table = korovkin_suite(spec, [16, 32, 64, 128, 256, 512], shape, grid_k=21)
-    order = empirical_order([(r.n, r.sup_e10) for r in table.rows])
+    order = empirical_order([(r.n, r.sup_e10) for r in table])
     assert -1.3 <= order <= -0.7
-
-
-def test_tables_serialize():
-    spec = one_minus_c_over_n(0.5, 1.0)
-    cat = build_catalog(2.0, 2.0)
-    k_table = korovkin_suite(spec, [8, 16], AxisShape(l=1), grid_k=5)
-    obj = json.loads(json.dumps(k_table.to_json_obj()))
-    assert obj["family"] == spec.name
-    assert obj["shape1"]["l"] == 1
-    assert len(obj["rows"]) == 2
-    assert KorovkinTable.CSV_HEADER == [
-        "n", "p", "q", "sup_e00", "sup_e10", "sup_e01", "sup_e20_e02"]
-    assert k_table.csv_rows()[0] == list(obj["rows"][0].values())
-
-    c_table = convergence_table(spec, cat["sinprod"], [8], AxisShape(l=1), grid_k=5)
-    assert ConvergenceTable.CSV_HEADER == [
-        "n", "p", "q", "sup_err", "worst_x1", "worst_x2", "bound_at_worst", "ratio"]
-    # estimate-only function: bound and ratio cells stay empty in the CSV
-    lines = csv_text(c_table.CSV_HEADER, c_table.csv_rows()).split("\r\n")
-    assert lines[1].startswith("8,") and lines[1].endswith(",,")
-    assert lines[1].count(",") == 7
-    obj = json.loads(json.dumps(c_table.to_json_obj()))
-    assert obj["function"] == "sinprod"
-    assert obj["rows"][0]["bound_at_worst"] is None

@@ -640,9 +640,13 @@ def test_oracle_arrays_equal_with_and_without_kernel(monkeypatch, asymmetric_swe
 @needs_compiler
 def test_kernel_builds_on_a_cold_cache(tmp_path):
     # two fresh interpreters race to build the kernel in a copy of the package
-    # with no __pycache__; both load it, and only the built file is left
+    # whose __pycache__ holds only a stale build; both load it, and only the
+    # built file is left
     src = Path(_clibm.__file__).resolve().parent
     shutil.copytree(src, tmp_path / "pqss", ignore=shutil.ignore_patterns("__pycache__"))
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    (tmp_path / "pqss" / "__pycache__").mkdir()
+    (tmp_path / "pqss" / "__pycache__" / f"_pqss_libm_0000000000000000{suffix}").write_bytes(b"")
     code = "import pqss._clibm as k; m = k.load(); assert m is not None; print(m.__file__)"
     env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
     procs = [subprocess.Popen([sys.executable, "-c", code], env=env, cwd=tmp_path,

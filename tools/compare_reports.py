@@ -175,6 +175,8 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     # moment in powers of x would cancel most (the second axis keeps the
     # default shape, whose shift is exactly 0)
     add("converge", "--n-list", "4096,16384,65536", *SHAPE, "--grid", "5")
+    # an estimate-only function: null bound and ratio cells in the convergence JSON
+    add("converge", "--f", "sinprod", "--n-list", "8,16", "--grid", "5", "--format", "json")
     # the convergence table's bound column for every catalog entry
     for f in CATALOG:
         add("converge", "--f", f, "--n-list", "16,64,256,1024", *SHAPE, "--l2", "2")
