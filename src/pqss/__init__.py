@@ -7,11 +7,11 @@ convergence (Korovkin tables over parameter families), cli (pqss command).
 """
 
 from .analysis import (
-    BoundResult,
     LipschitzSpec,
     MembershipError,
     MetadataError,
     auxiliary_apply,
+    error_grid,
     k_functional_upper,
     lipschitz_bound,
     lipschitz_violations,

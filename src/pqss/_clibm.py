@@ -14,7 +14,8 @@ the cdef, the compile flags and the interpreter's extension suffix.  The
 compile runs in a child process, so its memory never counts against the
 caller's, and writes into a temporary directory beside the target; the file
 is moved into place with os.replace, so processes that build at once all
-succeed, and the builds of other hashes found before it are then deleted.
+succeed.  Once a process has loaded its build, found or built, it deletes
+the builds of other hashes.
 The flags keep gcc from substituting anything for libm: no -ffast-math
 (which would call libmvec's vector kernels) and -ffp-contract=off.
 
@@ -230,19 +231,19 @@ def load():
         compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
         if shutil.which(compiler) is None or importlib.util.find_spec("cffi") is None:
             return None
-        # other hashes' builds; one that lands while ours runs is not listed
-        stale = [p for p in _CACHE.glob(f"_pqss_libm_*{suffix}") if p.is_file() and p != target]
         if not _build(name, target):
             return None
-        for path in stale:
-            with contextlib.suppress(OSError):
-                path.unlink()
     try:
         spec = importlib.util.spec_from_file_location(name, target)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     except (ImportError, OSError):
         return None
+    # other hashes' builds, left by earlier versions of the kernel
+    for path in _CACHE.glob(f"_pqss_libm_*{suffix}"):
+        if path.is_file() and path != target:
+            with contextlib.suppress(OSError):
+                path.unlink()
     return module
 
 

@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import TestFunction
+from .catalog import TestFunction, pair_table
 from .moments import delta, first_moment_univariate
-from .operators import BivariateOperator, Factors, apply_bivariate, apply_on_grid, tabulate
+from .operators import BivariateOperator, Factors, GridFn, apply_bivariate, apply_on_grid, tabulate
 
 BOUND_SLACK = 1e-11
 
@@ -47,14 +47,6 @@ class MembershipError(ValueError):
     """A function failed the class-membership check required by a bound."""
 
 
-def shift_point(op: BivariateOperator, x1: float, x2: float) -> tuple[float, float]:
-    """The operator's first-moment image of (x1, x2); stays inside the node rectangle."""
-    return (
-        first_moment_univariate(op.axis1, x1),
-        first_moment_univariate(op.axis2, x2),
-    )
-
-
 def auxiliary_apply(op: BivariateOperator, f: Factors, x1: float, x2: float) -> float:
     """Shift-corrected operator S(f) - f(P1, P2) + f(x1, x2).
 
@@ -62,36 +54,36 @@ def auxiliary_apply(op: BivariateOperator, f: Factors, x1: float, x2: float) -> 
     t_i - x_i gives 0, and to constants gives the constant back.  f(P) and
     f(x) are summed over f's pairs in the tuple's order, as S(f) is.
     """
-    p1, p2 = shift_point(op, x1, x2)
+    p1, p2 = first_moment_univariate(op.axis1, x1), first_moment_univariate(op.axis2, x2)
     f_p, f_x = (sum(g(a) * h(b) for g, h in f) for a, b in ((p1, p2), (x1, x2)))
     return apply_bivariate(op, f, x1, x2) - f_p + f_x
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    lhs: float
-    rhs: float
+def error_grid(op: BivariateOperator, f: TestFunction, xs1, xs2) -> np.ndarray:
+    """|S(f) - f| on the product grid, E[i, j] at (xs1[i], xs2[j])."""
+    return np.abs(apply_on_grid(op, f.factors, xs1, xs2) - tabulate(f.fn, xs1, xs2))
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + BOUND_SLACK
+
+def _bound_grid(
+    op: BivariateOperator, f: TestFunction, xs1, xs2, bound: GridFn
+) -> tuple[np.ndarray, np.ndarray]:
+    """(|S(f) - f|, bound(delta1(x1), delta2(x2))) on the product grid; delta
+    is evaluated once per axis, on that axis's own points."""
+    lhs = error_grid(op, f, xs1, xs2)
+    return lhs, tabulate(bound, delta(op.axis1, xs1), delta(op.axis2, xs2))
 
 
 def total_modulus_bound_grid(
     op: BivariateOperator, f: TestFunction, xs1, xs2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bound comparison on a product grid; returns (lhs, rhs) matrices."""
+    """The 4 omega_total bound on a product grid; returns (lhs, rhs) matrices."""
     if f.total_modulus is None:
         raise MetadataError(
             f"requires exact total_modulus metadata for {f.name!r}; "
             "grid estimates are not sound in a bound check"
         )
-    s_grid = apply_on_grid(op, f.factors, xs1, xs2)
-    lhs = np.abs(s_grid - tabulate(f.fn, xs1, xs2))
-    d1s = delta(op.axis1, np.asarray(xs1, dtype=float))
-    d2s = delta(op.axis2, np.asarray(xs2, dtype=float))
-    rhs = 4.0 * tabulate(f.total_modulus, d1s, d2s)
-    return lhs, rhs
+    lhs, omega = _bound_grid(op, f, xs1, xs2, f.total_modulus)
+    return lhs, 4.0 * omega
 
 
 def k_functional_upper(
@@ -128,16 +120,19 @@ def k_functional_upper(
 
 @dataclass(frozen=True)
 class LipschitzSpec:
-    """Product-form class: |f(t) - f(x)| <= M |t1-x1|^g1 |t2-x2|^g2.
+    """Product-form class: |f(t) - f(x)| <= M |t1-x1|^g1 |t2-x2|^g2, or with
+    additive=True the additive class M (|t1-x1|^g1 + |t2-x2|^g2).
 
-    Taken literally this class contains only constants: pick t2 = x2 and the
-    right side vanishes while t1 roams free.  The membership checker makes
-    that visible instead of papering over it.
+    Taken literally the product class contains only constants: pick t2 = x2
+    and the right side vanishes while t1 roams free.  The membership checker
+    makes that visible instead of papering over it.  The additive class
+    admits sum.
     """
 
     m_const: float
     gamma1: float
     gamma2: float
+    additive: bool = False
 
     def __post_init__(self):
         if not self.m_const > 0.0:
@@ -146,73 +141,51 @@ class LipschitzSpec:
             if not (0.0 < g <= 1.0):
                 raise ValueError(f"requires gamma in (0, 1] (got {g})")
 
-    def rhs(self, d1, d2, additive: bool = False):
+    def rhs(self, d1, d2):
         """M d1^g1 d2^g2, or M (d1^g1 + d2^g2) for the additive class.
 
         Floats go through Python's power and arrays through numpy's, as given.
         """
         g1 = d1 ** self.gamma1
         g2 = d2 ** self.gamma2
-        return self.m_const * (g1 + g2) if additive else self.m_const * g1 * g2
+        return self.m_const * (g1 + g2) if self.additive else self.m_const * g1 * g2
 
 
 def lipschitz_violations(
-    f: TestFunction,
-    spec: LipschitzSpec,
-    additive: bool = False,
+    f: TestFunction, spec: LipschitzSpec
 ) -> list[tuple[tuple[float, float], tuple[float, float], float, float]]:
-    """Membership check over all grid-pair combinations; returns violations.
+    """Membership check over all pairs of catalog.pair_table; returns violations.
 
     The pair grid contains pairs sharing a coordinate by construction, which
     is exactly where the product form collapses.  At most _MAX_VIOLATIONS
     offenders are returned, worst first.
     """
-    xs = np.linspace(0.0, f.width1, _LIPSCHITZ_GRID)
-    ys = np.linspace(0.0, f.width2, _LIPSCHITZ_GRID)
-    px = np.repeat(xs, _LIPSCHITZ_GRID)
-    py = np.tile(ys, _LIPSCHITZ_GRID)
-    vals = tabulate(f.fn, xs, ys).ravel()
-    d1 = np.abs(px[:, None] - px[None, :])
-    d2 = np.abs(py[:, None] - py[None, :])
-    lhs = np.abs(vals[:, None] - vals[None, :])
-    rhs = spec.rhs(d1, d2, additive)
+    points, d1, d2, lhs = pair_table(f, _LIPSCHITZ_GRID)
+    rhs = spec.rhs(d1, d2)
     excess = lhs - rhs
     bad = np.argwhere(excess > 1e-12)
-    found = []
-    for i, j in bad[np.argsort(-excess[tuple(bad.T)])][:_MAX_VIOLATIONS]:
-        found.append((
-            (float(px[i]), float(py[i])),
-            (float(px[j]), float(py[j])),
-            float(lhs[i, j]),
-            float(rhs[i, j]),
-        ))
-    return found
+    worst = bad[np.argsort(-excess[tuple(bad.T)])][:_MAX_VIOLATIONS]
+    return [(tuple(map(float, points[i])), tuple(map(float, points[j])),
+             float(lhs[i, j]), float(rhs[i, j])) for i, j in worst]
 
 
 def lipschitz_bound(
-    op: BivariateOperator,
-    f: TestFunction,
-    spec: LipschitzSpec,
-    x1: float,
-    x2: float,
-    additive: bool = False,
-) -> BoundResult:
-    """Holder-type bound for class members, membership checked first.
+    op: BivariateOperator, f: TestFunction, spec: LipschitzSpec, xs1, xs2
+) -> tuple[np.ndarray, np.ndarray]:
+    """Holder-type bound for class members on a product grid, membership
+    checked first; returns (lhs, rhs) matrices.
 
     rhs = spec.rhs(d1, d2) with d_i = delta(axis_i, x_i), the square roots
-    of the second central moments.  additive=True switches predicate and
-    bound to the additive class M(|t1-x1|^g1 + |t2-x2|^g2), which admits sum;
-    ACCEPTANCE lipschitz-collapse checks that sum's bound at (0.4, 0.6).
+    of the second central moments.  ACCEPTANCE lipschitz-collapse checks the
+    const1 bound and the additive class's sum bound on a grid.
     """
-    viols = lipschitz_violations(f, spec, additive=additive)
+    viols = lipschitz_violations(f, spec)
     if viols:
         a, b, lhs_v, rhs_v = viols[0]
-        form = "additive" if additive else "product"
+        form = "additive" if spec.additive else "product"
         raise MembershipError(
             f"{f.name!r} is not in the {form} Lipschitz class "
             f"(M={spec.m_const}, gammas=({spec.gamma1}, {spec.gamma2})): "
             f"|f{a} - f{b}| = {lhs_v:.6g} > {rhs_v:.6g}"
         )
-    rhs = spec.rhs(delta(op.axis1, x1), delta(op.axis2, x2), additive)
-    lhs = abs(apply_bivariate(op, f.factors, x1, x2) - f.fn(x1, x2))
-    return BoundResult(lhs, rhs)
+    return _bound_grid(op, f, xs1, xs2, spec.rhs)

@@ -266,6 +266,17 @@ def grid_modulus_estimate(
     return best
 
 
+def pair_table(tf: TestFunction, k: int) -> tuple[np.ndarray, ...]:
+    """All ordered pairs (t, s) of the k x k grid on tf's rectangle: the k^2
+    points as rows (t1, t2) in row-major grid order, and the k^2 x k^2
+    matrices |t1 - s1|, |t2 - s2| and |f(t) - f(s)|."""
+    xs = np.linspace(0.0, tf.width1, k)
+    ys = np.linspace(0.0, tf.width2, k)
+    points = np.stack([np.repeat(xs, k), np.tile(ys, k)], axis=1)
+    vals = tabulate(tf.fn, xs, ys).ravel()
+    return points, *(np.abs(v[:, None] - v[None, :]) for v in (*points.T, vals))
+
+
 def verify_metadata(tf: TestFunction) -> list[str]:
     """Check every metadata claim against the evaluator; returns violations.
 
@@ -301,16 +312,8 @@ def verify_metadata(tf: TestFunction) -> list[str]:
 
     if tf.lipschitz_axis is not None:
         m1, m2 = tf.lipschitz_axis
-        cx = np.linspace(0.0, tf.width1, _PAIR_GRID)
-        cy = np.linspace(0.0, tf.width2, _PAIR_GRID)
-        pts_x = np.repeat(cx, _PAIR_GRID)
-        pts_y = np.tile(cy, _PAIR_GRID)
-        vals = tabulate(tf.fn, cx, cy).ravel()
-        lhs = np.abs(vals[:, None] - vals[None, :])
-        rhs = m1 * np.abs(pts_x[:, None] - pts_x[None, :]) + m2 * np.abs(
-            pts_y[:, None] - pts_y[None, :]
-        )
-        worst = float(np.max(lhs - rhs))
+        _, d1, d2, df = pair_table(tf, _PAIR_GRID)
+        worst = float(np.max(df - (m1 * d1 + m2 * d2)))
         if worst > 1e-9:
             problems.append(
                 f"{tf.name}: axis-Lipschitz ({m1}, {m2}) violated by {worst}"

@@ -22,9 +22,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .catalog import TestFunction
-from .analysis import total_modulus_bound_grid
+from .analysis import error_grid, total_modulus_bound_grid
 from .moments import central_moment, first_moment_shift
-from .operators import AxisConfig, BivariateOperator, apply_on_grid, tabulate
+from .operators import AxisConfig, BivariateOperator
 from .pq_core import PQPair
 
 
@@ -179,12 +179,11 @@ def convergence_table(
     if shape2 is None:
         shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
-    f_grid = tabulate(f.fn, xs, xs) if f.total_modulus is None else None
     rows = []
     for n in n_list:
         op = build_operator(spec, n, shape1, shape2)
         if f.total_modulus is None:
-            errs, rhs = np.abs(apply_on_grid(op, f.factors, xs, xs) - f_grid), None
+            errs, rhs = error_grid(op, f, xs, xs), None
         else:
             errs, rhs = total_modulus_bound_grid(op, f, xs, xs)
         flat = int(np.argmax(errs))

@@ -6,7 +6,6 @@ import pytest
 from pqss import analysis, operators
 from pqss.analysis import (
     BOUND_SLACK,
-    BoundResult,
     LipschitzSpec,
     MembershipError,
     MetadataError,
@@ -14,12 +13,11 @@ from pqss.analysis import (
     k_functional_upper,
     lipschitz_bound,
     lipschitz_violations,
-    shift_point,
     total_modulus_bound_grid,
 )
 from pqss.catalog import build_catalog
-from pqss.moments import delta, first_moment_univariate, moment_oracle
-from pqss.operators import AxisConfig, BivariateOperator, sample_at_nodes
+from pqss.moments import delta, moment_oracle
+from pqss.operators import AxisConfig, BivariateOperator, apply_bivariate, sample_at_nodes
 from pqss.pq_core import PQPair
 
 CAT = build_catalog(2.0, 2.0)
@@ -31,13 +29,14 @@ def total_modulus_bound(op, f, x1, x2):
     4 omega_total(f; delta1(x1), delta2(x2)), with S(f) from the oracle."""
     s = moment_oracle(op, [sample_at_nodes(op, f.fn)], [x1], [x2])[0, 0, 0]
     lhs = abs(s - f.fn(x1, x2))
-    return BoundResult(lhs, 4.0 * f.total_modulus(delta(op.axis1, x1), delta(op.axis2, x2)))
+    return lhs, 4.0 * f.total_modulus(delta(op.axis1, x1), delta(op.axis2, x2))
 
 
-def test_shift_point_matches_first_moments(worked_op):
-    p1, p2 = shift_point(worked_op, 0.3, 0.9)
-    assert p1 == first_moment_univariate(worked_op.axis1, 0.3)
-    assert p2 == first_moment_univariate(worked_op.axis2, 0.9)
+def lipschitz_bound_at(op, f, spec, x1, x2):
+    """Pointwise reference for lipschitz_bound: |S(f) - f| from apply_bivariate
+    against spec.rhs at the scalar deltas of the two axes."""
+    lhs = abs(apply_bivariate(op, f.factors, x1, x2) - f.fn(x1, x2))
+    return lhs, spec.rhs(delta(op.axis1, x1), delta(op.axis2, x2))
 
 
 def test_auxiliary_annihilates_centered_coordinates(worked_op):
@@ -51,19 +50,10 @@ def test_auxiliary_annihilates_centered_coordinates(worked_op):
     )
 
 
-def test_bound_result_slack():
-    assert BoundResult(1e-12, 0.0).holds
-    assert not BoundResult(1e-10, 0.0).holds
-    assert BoundResult(2.0, 3.0).holds
-    assert not BoundResult(3.0, 2.0).holds
-
-
 def test_total_modulus_bound_worked(worked_op):
     tf = CAT["e11"]
-    res = total_modulus_bound(worked_op, tf, 0.5, 0.5)
-    assert res.holds
-    assert res.lhs > 0.0
-    assert res.rhs > res.lhs
+    lhs, rhs = total_modulus_bound(worked_op, tf, 0.5, 0.5)
+    assert 0.0 < lhs < rhs
 
 
 def test_total_modulus_bound_refuses_estimate_only(worked_op):
@@ -79,9 +69,9 @@ def test_bound_grid_matches_pointwise(worked_op):
     assert lhs.shape == rhs.shape == (4, 3)
     for i, x1 in enumerate(xs1):
         for j, x2 in enumerate(xs2):
-            res = total_modulus_bound(worked_op, tf, x1, x2)
-            assert lhs[i, j] == pytest.approx(res.lhs, abs=1e-13)
-            assert rhs[i, j] == pytest.approx(res.rhs, rel=1e-13)
+            want_lhs, want_rhs = total_modulus_bound(worked_op, tf, x1, x2)
+            assert lhs[i, j] == pytest.approx(want_lhs, abs=1e-13)
+            assert rhs[i, j] == pytest.approx(want_rhs, rel=1e-13)
     assert np.all(lhs <= rhs + BOUND_SLACK)
 
 
@@ -187,21 +177,53 @@ def test_product_class_collapses_to_constants():
 
 
 def test_additive_class_accepts_sum():
-    spec = LipschitzSpec(1.0, 1.0, 1.0)
-    assert lipschitz_violations(CAT["sum"], spec, additive=True) == []
-    assert lipschitz_violations(CAT["sum"], spec, additive=False)
+    assert lipschitz_violations(CAT["sum"], LipschitzSpec(1.0, 1.0, 1.0, additive=True)) == []
+    assert lipschitz_violations(CAT["sum"], LipschitzSpec(1.0, 1.0, 1.0))
 
 
 def test_lipschitz_bound(worked_op):
+    xs = np.linspace(0.0, 1.0, 5)
     spec = LipschitzSpec(1.0, 0.7, 0.9)
-    res = lipschitz_bound(worked_op, CAT["const1"], spec, 0.4, 0.6)
-    assert res.holds
-    assert res.lhs <= 1e-13
+    lhs, rhs = lipschitz_bound(worked_op, CAT["const1"], spec, xs, xs)
+    assert lhs.shape == rhs.shape == (5, 5)
+    assert np.all(lhs <= 1e-13)
+    assert np.all(lhs <= rhs + BOUND_SLACK)
     with pytest.raises(MembershipError, match="product Lipschitz class"):
-        lipschitz_bound(worked_op, CAT["e11"], spec, 0.4, 0.6)
-    add = LipschitzSpec(1.0, 1.0, 1.0)
-    res = lipschitz_bound(worked_op, CAT["sum"], add, 0.4, 0.6, additive=True)
-    assert res.holds
+        lipschitz_bound(worked_op, CAT["e11"], spec, xs, xs)
+    add = LipschitzSpec(1.0, 1.0, 1.0, additive=True)
+    with pytest.raises(MembershipError, match="additive Lipschitz class"):
+        lipschitz_bound(worked_op, CAT["e11"], add, xs, xs)
+    lhs, rhs = lipschitz_bound(worked_op, CAT["sum"], add, xs, xs)
+    assert np.all(lhs <= rhs + BOUND_SLACK)
+
+
+@pytest.mark.parametrize("additive,name", [(False, "const1"), (True, "sum"), (True, "e10")])
+def test_lipschitz_bound_grid_matches_pointwise(additive, name, monkeypatch):
+    # the grid bound is the pointwise one at every point; the two axes differ
+    # in every parameter and the two grids in size, and delta is evaluated
+    # once per axis on that axis's own points, so a swap of axes or grids
+    # shows in the values and in the recorded delta calls
+    axis1 = AxisConfig(n=7, l=1, pq=PQPair(0.95, 0.7), alpha=0.5, beta=1.0)
+    axis2 = AxisConfig(n=12, l=2, pq=PQPair(0.9, 0.6), alpha=0.25, beta=0.5)
+    op = BivariateOperator(axis1, axis2)
+    xs1 = np.linspace(0.0, 1.0, 4)
+    xs2 = np.array([0.0, 0.15, 0.5, 0.7, 0.95, 1.0])
+    spec = LipschitzSpec(1.5, 0.7, 0.9, additive=additive)
+    tf = build_catalog(2.0, 3.0)[name]
+    delta_calls = []
+    real_delta = analysis.delta
+    monkeypatch.setattr(
+        analysis, "delta", lambda *a: delta_calls.append((a[0], a[1].size)) or real_delta(*a)
+    )
+    lhs, rhs = lipschitz_bound(op, tf, spec, xs1, xs2)
+    assert delta_calls == [(axis1, 4), (axis2, 6)]
+    assert lhs.shape == rhs.shape == (4, 6)
+    for i, x1 in enumerate(xs1):
+        for j, x2 in enumerate(xs2):
+            want_lhs, want_rhs = lipschitz_bound_at(op, tf, spec, x1, x2)
+            assert lhs[i, j] == want_lhs
+            assert rhs[i, j] == pytest.approx(want_rhs, rel=1e-15, abs=0.0)
+    assert np.all(lhs <= rhs + BOUND_SLACK)
 
 
 def test_bound_sweep_over_catalog(worked_op):

@@ -660,6 +660,29 @@ def test_kernel_builds_on_a_cold_cache(tmp_path):
     assert left == [Path(results[0][0].strip()).name]
 
 
+@needs_compiler
+def test_kernel_removes_stale_builds_on_a_warm_cache(tmp_path):
+    # a fresh interpreter finds the current build beside a stale one: it loads
+    # the current build without rebuilding it, and only that build is left
+    built = Path(_clibm.load().__file__)
+    src = Path(_clibm.__file__).resolve().parent
+    shutil.copytree(src, tmp_path / "pqss", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "pqss" / "__pycache__"
+    cache.mkdir()
+    shutil.copy2(built, cache / built.name)
+    inode = (cache / built.name).stat().st_ino
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    (cache / f"_pqss_libm_0000000000000000{suffix}").write_bytes(b"")
+    code = "import pqss._clibm as k; m = k.load(); assert m is not None; print(m.__file__)"
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()) == cache / built.name
+    assert sorted(p.name for p in cache.iterdir()) == [built.name]
+    assert (cache / built.name).stat().st_ino == inode
+
+
 _CONTRACTION = (
     "from pqss.catalog import build_catalog\n"
     "from pqss.operators import AxisConfig, BivariateOperator, apply_on_grid\n"

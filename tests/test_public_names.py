@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "pqss"
 ALLOWED = {
     "verify_metadata": "checks the catalog's hand-derived metadata; the catalog's "
                        "tests run it on every entry, and the bounds rely on it",
-    "k_functional_upper": "the K-functional line check planned in ROADMAP item 6 "
+    "k_functional_upper": "the K-functional line check planned in ROADMAP item 7 "
                           "is built on it",
 }
 
