@@ -3,6 +3,10 @@
 CSV floats use %.17g (round-trip exact); JSON uses Python's shortest
 round-trip repr under sorted keys.  Identical inputs produce byte-identical
 files, which the output-hashing in the CLI depends on.
+
+CSV is formatted a column at a time.  A column of floats formats each
+distinct value once, in one %.17g operation, and maps the texts back to its
+cells; a column of str is searched for quote characters once.
 """
 
 from __future__ import annotations
@@ -32,9 +36,18 @@ def _field(v) -> str:
 
 
 def _column(cells: tuple) -> list[str]:
-    """The fields of one column; a column of floats is one % operation."""
-    if all(issubclass(t, float) for t in set(map(type, cells))):
-        return ((_FLOAT_FORMAT + "\n") * len(cells) % cells).split("\n")[:-1]
+    """The fields of one column."""
+    types = set(map(type, cells))
+    if all(issubclass(t, float) for t in types):
+        distinct = tuple(dict.fromkeys(cells))
+        texts = dict(zip(distinct, ((_FLOAT_FORMAT + "\n") * len(distinct) % distinct).split("\n")))
+        fields = list(map(texts.__getitem__, cells))
+        if 0.0 in texts:
+            # 0.0 and -0.0 are one key but two texts
+            fields = [fmt_float(x) if x == 0.0 else t for x, t in zip(cells, fields)]
+        return fields
+    if types == {str} and _NEEDS_QUOTES.search("".join(cells)) is None:
+        return list(cells)
     return list(map(_field, cells))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -412,6 +414,32 @@ def test_bounds_json_report(tmp_path, capsys):
     assert [(r["point"]["x1"], r["point"]["x2"]) for r in rows] == [
         (x1, x2) for x1 in xs for x2 in xs]
     assert all(r["holds"] is True and r["lhs"] <= r["rhs"] for r in rows)
+
+
+@pytest.mark.parametrize("name", ["e10", "exp_sum"])
+def test_bounds_csv_is_csv_writer_over_the_bound_grid(tmp_path, capsys, name):
+    # e10's columns repeat values and hold zeros; exp_sum's lhs is mostly distinct
+    from pqss.analysis import BOUND_SLACK, total_modulus_bound_grid
+    from pqss.catalog import build_catalog
+    from pqss.operators import AxisConfig, BivariateOperator
+    from pqss.pq_core import PQPair
+
+    report = tmp_path / "b.csv"
+    rc, out, err = run(["bounds", "--f", name, "--grid", "21", *WORKED, "--output", str(report)],
+                       capsys)
+    assert rc == 0
+    axis = AxisConfig(n=2, l=1, pq=PQPair(1.0, 0.5), alpha=1.0, beta=2.0)
+    xs = np.linspace(0.0, 1.0, 21)
+    lhs, rhs = total_modulus_bound_grid(BivariateOperator(axis, axis),
+                                       build_catalog(2.0, 2.0)[name], xs, xs)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["x1", "x2", "lhs", "rhs", "holds"])
+    for i, x1 in enumerate(xs):
+        for j, x2 in enumerate(xs):
+            holds = "true" if lhs[i, j] <= rhs[i, j] + BOUND_SLACK else "false"
+            writer.writerow(["%.17g" % v for v in (x1, x2, lhs[i, j], rhs[i, j])] + [holds])
+    assert report.read_bytes() == buf.getvalue().encode("utf-8")
 
 
 def test_bounds_refuses_estimate_only(capsys):

@@ -27,15 +27,32 @@ FLOATS = st.one_of(
 )
 TEXTS = st.text(alphabet='ab ,"\r\n\t', max_size=5)
 CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.none(), TEXTS)
+# floats that compare equal but print apart (0.0, -0.0), equal values of two
+# types, and NaNs that are separate objects
+REPEATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+    st.sampled_from([0.0, -0.0, 0.5]).map(np.float64),
+    st.builds(float, st.just("nan")),
+    FLOATS,
+)
+
+
+def pooled(cells):
+    """Cells drawn from a pool of at most four, so a column repeats values."""
+    return st.lists(cells, min_size=1, max_size=4).flatmap(st.sampled_from)
+
+
+COLUMNS = [FLOATS, TEXTS, CELLS, pooled(REPEATS), pooled(TEXTS),
+           pooled(st.one_of(st.integers(-2, 2), st.booleans())), pooled(CELLS)]
 
 
 @st.composite
 def tables(draw):
-    """A header and rectangular rows whose columns are all floats, all text or mixed."""
+    """A header and rectangular rows whose columns are all floats, all text,
+    all int or bool, or mixed, some of them drawn from a small pool."""
     width = draw(st.integers(0, 4))
-    n_rows = draw(st.integers(0, 5))
-    columns = [draw(st.lists(draw(st.sampled_from([FLOATS, TEXTS, CELLS])),
-                             min_size=n_rows, max_size=n_rows))
+    n_rows = draw(st.integers(0, 8))
+    columns = [draw(st.lists(draw(st.sampled_from(COLUMNS)), min_size=n_rows, max_size=n_rows))
                for _ in range(width)]
     rows = [list(row) for row in zip(*columns)] if width else [[] for _ in range(n_rows)]
     return draw(st.lists(TEXTS, min_size=width, max_size=width)), rows
@@ -60,6 +77,21 @@ def test_csv_text_shape_and_quoting():
 def test_csv_text_matches_csv_writer(table):
     header, rows = table
     assert csv_text(header, rows) == reference_csv_text(header, rows)
+
+
+def test_csv_text_bounds_shaped_table():
+    # a 21 x 21 grid in bounds' layout: x1 and x2 repeat 21 values, and lhs
+    # is -0.0 at x1 = 0 and 0.0 at x1 = 1: equal values that print apart
+    xs = np.linspace(0.0, 1.0, 21)
+    x1, x2 = np.repeat(xs, 21), np.tile(xs, 21)
+    lhs = (x1 - 0.5) * x1 * (1.0 - x1) * x2
+    rhs = 0.25 * (x1 + x2)
+    holds = np.where(lhs <= rhs, "true", "false").tolist()
+    rows = list(zip(x1.tolist(), x2.tolist(), lhs.tolist(), rhs.tolist(), holds))
+    text = csv_text(["x1", "x2", "lhs", "rhs", "holds"], rows)
+    assert text == reference_csv_text(["x1", "x2", "lhs", "rhs", "holds"], rows)
+    assert {line.split(",")[2] for line in text.split("\r\n")[1:22]} == {"-0"}
+    assert {line.split(",")[2] for line in text.split("\r\n")[-22:-1]} == {"0"}
 
 
 def test_csv_text_one_field_rows_and_ragged_rows():
