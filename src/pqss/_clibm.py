@@ -5,8 +5,11 @@ pq_core._libm applies math-module functions to arrays.  This module gives it
 a compiled loop that calls the same libm functions as `math`, so every value
 keeps its bits and the Python call per element is gone.  The oracle in
 moments sums each table in one call to oracle_sums, which forms every term
-(w1[a, i] * w2[b, j]) * t[a, b, i, j] as it adds it, with no term array, by
-a port of CPython 3.11's math_fsum that gives math.fsum's bits.
+(w1[a, i] * w2[b, j]) * t[a, b, i, j] as it adds it, with no term array, and
+gives math.fsum's bits: each point is summed by Sum2 (a TwoSum chain and its
+error sum), whose rounding is kept only where an error bound certifies it is
+the correctly rounded exact sum; any other point is summed again by a port
+of CPython 3.11's math_fsum.
 
 The C source below is built with cffi in API mode on first use, into this
 package's __pycache__ directory, under a name keyed by a hash of the source,
@@ -82,9 +85,11 @@ int pqss_pow(double base, const double *x, double *out, size_t n)
 /* math.fsum by CPython 3.11's math_fsum: Shewchuk's non-overlapping
    partials, then the half-even correction across them.  fsum_add returns 1
    if the term or the new partial is not finite, where math.fsum raises or
-   returns inf or nan, or if the partials outgrow the buffer; math.fsum must
-   then redo the sums. */
-#define PQSS_PARTIALS 128
+   returns inf or nan; math.fsum must then redo the sums.  Non-overlapping
+   partials occupy disjoint bit positions, and a finite double has 2,098 of
+   them (2^-1074 to 2^1023), so no finite sum needs more partials than
+   PQSS_PARTIALS; the check against it only guards the buffer. */
+#define PQSS_PARTIALS 2098
 
 static int fsum_add(double *p, size_t *np, double v)
 {
@@ -135,26 +140,76 @@ static double fsum_finish(const double *p, size_t n)
     return hi;
 }
 
+/* The sum of one point's N = n1 n2 terms x = (w1[i] * w2[j]) * t[i si + j sj]
+   by Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
+   Sci. Comput. 26(6), 2005): a TwoSum chain gives s, its errors are summed
+   into c and A = sum |x| is summed alongside.  The chain starts from s = 0,
+   so it is Sum2 over N + 1 terms: with u = 2^-53 and
+   g = gamma_N = N u / (1 - N u), the exact sum S has
+   |S - (s + c)| <= g^2 * (exact sum |x|) <= g^2 / (1 - g) * A, as the
+   rounded A is at least (1 - g) times the exact sum |x|.  Then
+   r = fl(s + c), d = (s + c) - r exactly (TwoSum), and if
+   fl(|d| + fl(k A)) < h, half the smaller gap next to r, |S - r| < h: r is
+   S correctly rounded, which is math.fsum's result, stored in *out.
+   - k = (1 + 2^-7) (N u)^2 exceeds g^2 / (1 - g) with room for the
+     roundings of k and k A while N u <= 2^-10; past that no point passes.
+   - |r| >= 2^-960 keeps h at least 2^-1014, so the absolute error of a
+     subnormal k A (at most 2^-1075) cannot close the margin; r = 0 fails.
+   - A <= 2^1020 keeps s, c and the partials of math.fsum, which stay below
+     about 2 A, finite: math.fsum raises nothing on a point that passes.
+   Returns 0 where the test fails (near a midpoint, under heavy cancellation,
+   an exact 0, |r| < 2^-960, a term or sum not finite). */
+static int sum2_certified(const double *w1, const double *w2, const double *t,
+                          size_t n1, size_t n2, ptrdiff_t si, ptrdiff_t sj, double k,
+                          double *out)
+{
+    double s = 0.0, c = 0.0, A = 0.0;
+    for (size_t i = 0; i < n1; i++) {
+        double wi = w1[i];
+        const double *ti = t + (ptrdiff_t)i * si;
+        for (size_t j = 0; j < n2; j++) {
+            double x = (wi * w2[j]) * ti[(ptrdiff_t)j * sj];
+            double sum = s + x, z = sum - s;
+            c += (s - (sum - z)) + (x - z);
+            s = sum;
+            A += fabs(x);
+        }
+    }
+    double r = s + c, z = r - s, d = (s - (r - z)) + (c - z), ar = fabs(r);
+    if (!(A <= 0x1p1020 && ar >= 0x1p-960 && fabs(d) + k * A < 0.5 * (ar - nextafter(ar, 0.0))))
+        return 0;
+    *out = r;
+    return 1;
+}
+
 /* out[a k2 + b] = math.fsum over i < n1, j < n2 (row-major) of
    (w1[a n1 + i] * w2[b n2 + j]) * t[a sa + b sb + i si + j sj], strides in
-   elements (0 or negative too); the result is 1 where fsum_add declines. */
+   elements (0 or negative too): by sum2_certified, or where it fails, by
+   the partials over the same terms.  The result is 1 where fsum_add
+   declines. */
 int pqss_oracle_sums(const double *w1, const double *w2, const double *t, double *out,
                      size_t k1, size_t k2, size_t n1, size_t n2,
                      ptrdiff_t sa, ptrdiff_t sb, ptrdiff_t si, ptrdiff_t sj)
 {
     double p[PQSS_PARTIALS];
+    double nu = (double)n1 * (double)n2 * 0x1p-53;
+    double k = nu <= 0x1p-10 ? 0x1.02p0 * (nu * nu) : INFINITY;
     for (size_t a = 0; a < k1; a++) {
         for (size_t b = 0; b < k2; b++) {
+            const double *wa = w1 + a * n1, *wb = w2 + b * n2;
             const double *ta = t + (ptrdiff_t)a * sa + (ptrdiff_t)b * sb;
+            double *o = out + a * k2 + b;
+            if (sum2_certified(wa, wb, ta, n1, n2, si, sj, k, o))
+                continue;
             size_t n = 0;
             for (size_t i = 0; i < n1; i++) {
-                double wi = w1[a * n1 + i];
+                double wi = wa[i];
                 const double *ti = ta + (ptrdiff_t)i * si;
                 for (size_t j = 0; j < n2; j++)
-                    if (fsum_add(p, &n, (wi * w2[b * n2 + j]) * ti[(ptrdiff_t)j * sj]))
+                    if (fsum_add(p, &n, (wi * wb[j]) * ti[(ptrdiff_t)j * sj]))
                         return 1;
             }
-            out[a * k2 + b] = fsum_finish(p, n);
+            *o = fsum_finish(p, n);
         }
     }
     return 0;
@@ -280,10 +335,9 @@ def oracle_sums(w1: np.ndarray, w2: np.ndarray, t: np.ndarray) -> np.ndarray | N
 
     w1 is (k1, n1), w2 is (k2, n2) and t is (k1, k2, n1, n2), any strides
     (a broadcast view passes without a copy); another shape raises ValueError.
-    Returns None where the kernel does not serve the call: no kernel here, a
-    term or partial that is not finite, or more partials than its buffer
-    holds (a sum spread over hundreds of binades).  math.fsum redoes such a
-    call with the same values, and raises the same errors.
+    Returns None where the kernel does not serve the call: no kernel here, or
+    a term or partial that is not finite.  math.fsum redoes such a call with
+    the same values, and raises the same errors.
     """
     module = load()
     if module is None:

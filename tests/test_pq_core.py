@@ -389,6 +389,31 @@ def test_package_arrays_equal_with_and_without_kernel(monkeypatch):
         np.testing.assert_array_equal(arr, without[name], err_msg=name)
 
 
+def _sum2_error_rows(rng, rows, n=2 ** 20):
+    """Rows of n + 2 terms on which Sum2's own error decides the rounding.
+
+    1 and then n terms in [2^-53, 2^-52), each adding one ulp to the running
+    sum s = 1 + i 2^-52, so s's errors x - 2^-52 are known and their running
+    sum c, about -n 2^-54, rounds at every step.  At n = 2^20 (u = 2^-53),
+    s + c misses the exact sum by about 2^-79: below the certificate's bound
+    (n u)^2 A = 2^-66, but above n u^2 A = 2^-86, a bound linear in n.  The
+    last term, on c's grid, puts s + c at about half that error from a
+    midpoint, and the exact sum on its other side.
+    """
+    out = np.empty((rows, n + 2))
+    for row in out:
+        r = rng.integers(1, 2 ** 52, n)
+        row[0], row[1:-1] = 1.0, (2.0 ** 52 + r) * 2.0 ** -105
+        s, c = 1.0 + n * 2.0 ** -52, float(np.cumsum(row[1:-1] - 2.0 ** -52)[-1])
+        # in units of 2^-105: s + c, its error, and the midpoint next to it
+        sc = int(s * 2 ** 105) + int(c * 2 ** 105)
+        err = 2 ** 105 + n * 2 ** 52 + sum(r.tolist()) - sc
+        mid = (sc >> 53 << 53) + 2 ** 52
+        grid = int(math.ulp(c) * 2 ** 105)
+        row[-1] = round((mid - sc - err // 2) / grid) * grid * 2.0 ** -105
+    return out
+
+
 def _fsum_blocks():
     """Row blocks for the summation kernel, keyed by case: more than 10,000 rows
     spread over the cases where an fsum port goes wrong."""
@@ -403,9 +428,24 @@ def _fsum_blocks():
     cancelling = rng.permuted(np.concatenate([v, np.where(rng.random(v.shape) < 0.5, -v, near)],
                                              axis=1), axis=1)
     # powers of two 25 binades apart, ascending, with random signs: each row
-    # holds 78 partials at its peak, past CPython's 32 and within the kernel's 128
+    # holds 78 partials at its peak, past CPython's 32
     powers = 2.0 ** np.arange(-1000.0, 1000.0, 25.0)
     many_partials = signs((500, powers.size)) * powers
+    # near-midpoint: a + ulp(a)/2 is a tie, and a third term 2^-k ulp(a)
+    # (k >= 55, below the last bit of Sum2's error sum) decides it against
+    # the tie's even neighbour, so fl(s + c) rounds every row the wrong way
+    a = signs(1000) * rng.uniform(1.0, 2.0, 1000) * 2.0 ** rng.integers(-400, 400, 1000)
+    ulp = np.spacing(np.abs(a))
+    odd = (np.abs(a).view(np.int64) & 1) == 1
+    near_midpoint = np.stack([a, np.sign(a) * ulp / 2.0,
+                              np.where(odd, -1.0, 1.0) * np.sign(a) * ulp
+                              * 2.0 ** -rng.integers(55, 600, 1000).astype(float)], axis=1)
+    # 2^20 + 1 terms per row, where the certificate's (N u)^2 factor is large:
+    # two rows of oracle-like terms, and two with random signs, whose sums
+    # cancel to under a hundredth of the sum of magnitudes
+    long_rows = rng.uniform(0.0, 1.0, (4, 2 ** 20 + 1)) * 10.0 ** rng.uniform(-30.0, 0.0,
+                                                                             (4, 2 ** 20 + 1))
+    long_rows[2:] *= signs((2, 2 ** 20 + 1))
     return {
         "wide": signs((4000, 40)) * 10.0 ** rng.uniform(-300.0, 300.0, (4000, 40)),
         "cancelling": cancelling,
@@ -416,6 +456,9 @@ def _fsum_blocks():
         "oracle-like": rng.uniform(0.0, 1.0, (2000, 64)) * 10.0 ** rng.uniform(-30.0, 0.0,
                                                                               (2000, 64)),
         "more-than-32-partials": many_partials,
+        "near-midpoint": near_midpoint,
+        "long": long_rows,
+        "sum2-error": _sum2_error_rows(rng, 2),
         "half-even": np.array([[1e-16, 1.0, 1e16], [1e16, 1.0, 1e-16], [1.0, 1e16, 1e-16],
                                [-1e-16, -1.0, -1e16], [1e16, 1.0, -1e-16], [1e100, 1.0, -1e100]]),
         "signed-zeros": np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -1.0]]),
@@ -426,6 +469,17 @@ def _fsum_blocks():
 def assert_fsum_bits(got, block):
     want = np.array([math.fsum(row) for row in block.tolist()], dtype=float)
     np.testing.assert_array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+
+
+def plain_sum2(row):
+    """fl(s + c) of Sum2 (Ogita, Rump and Oishi 2005), with no certificate."""
+    s = c = 0.0
+    for x in row:
+        t = s + x
+        z = t - s
+        c += (s - (t - z)) + (x - z)
+        s = t
+    return s + c
 
 
 def unit_weight_sums(sums, block):
@@ -446,14 +500,28 @@ def test_row_sum_kernel_is_math_fsum_bit_for_bit():
         assert got is not None, f"the kernel declined {case}"
         assert_fsum_bits(got, block)
         assert_fsum_bits(unit_weight_sums(_oracle_sums, block), block)
+    # Sum2's rounding without the certificate is wrong on every near-midpoint
+    # and sum2-error row
+    for case in ("near-midpoint", "sum2-error"):
+        assert all(plain_sum2(row) != math.fsum(row) for row in blocks[case].tolist()), case
     # a strided view sums what a copy sums
     block = blocks["wide"][::3, ::2]
     assert_fsum_bits(unit_weight_sums(_clibm.oracle_sums, block), block)
-    # every other power of two over the whole exponent range, ascending,
-    # holds about 1,000 partials; the kernel declines it and math.fsum redoes it
-    spread = (2.0 ** np.arange(-1074.0, 1024.0, 2.0))[None, :]
-    assert unit_weight_sums(_clibm.oracle_sums, spread) is None
-    assert_fsum_bits(unit_weight_sums(_oracle_sums, spread), spread)
+    # every other power of two over the whole exponent range, ascending (its
+    # sum passes 2^1020), and then with its negation (its exact sum is 0):
+    # both go to the partials, about 1,000 of them
+    spread = 2.0 ** np.arange(-1074.0, 1024.0, 2.0)
+    for block in (spread[None, :], np.concatenate([spread, -spread])[None, :]):
+        got = unit_weight_sums(_clibm.oracle_sums, block)
+        assert got is not None
+        assert_fsum_bits(got, block)
+    # finite terms whose running sum overflows: the kernel declines, and the
+    # fallback raises as math.fsum does
+    block = np.array([[1e308, 1e308, -1e308]])
+    assert unit_weight_sums(_clibm.oracle_sums, block) is None
+    for sums in (math.fsum, lambda row: unit_weight_sums(_oracle_sums, row[None, :])):
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            sums(block[0])
 
 
 def fsum_of_products(w1, w2, t):
@@ -553,6 +621,22 @@ def test_row_sum_falls_back_to_what_math_fsum_does():
     np.testing.assert_array_equal(got, want)
     assert math.isnan(got[1, 0]) and got[2, 0] == math.inf and got[1, 1] == -math.inf
     assert np.isfinite(got[0]).all() and got[2, 1] == want[2, 1]
+
+
+@needs_compiler
+def test_high_degree_oracle_is_summed_by_the_kernel(monkeypatch):
+    # m = 1024 on both axes: a million terms at the point, whose weights span
+    # hundreds of binades; the kernel sums them, with the fallback's bits
+    n = 1024
+    axis = AxisConfig(n=n, l=0, pq=PQPair(1.0 - 0.5 / n, 1.0 - 1.0 / n), alpha=0.5, beta=1.0)
+    op = BivariateOperator(axis, axis)
+    table = sample_at_nodes(op, build_catalog(1.0, 1.0)["exp_sum"].fn)
+    w1, w2 = (oracle_weight_vector(axis, x)[None, :] for x in (0.3, 0.8))
+    assert _clibm.oracle_sums(w1, w2, table[None, None]) is not None
+    with_kernel = moment_oracle(op, [table], [0.3], [0.8])
+    monkeypatch.setattr(_clibm, "load", lambda: None)
+    without = moment_oracle(op, [table], [0.3], [0.8])
+    np.testing.assert_array_equal(with_kernel.view(np.uint64), without.view(np.uint64))
 
 
 def in_order_matvec(w, v, reverse=False):
