@@ -57,6 +57,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import Factors, GridFn, tabulate
 from .pq_core import _libm
@@ -239,7 +240,9 @@ def grid_modulus_estimate(
     """Lower estimate of the total modulus from a uniform grid.
 
     Takes the max of |f(a) - f(b)| over all grid pairs whose offsets fit in
-    the (delta1, delta2) window.  A lower estimate only: the true sup over
+    the (delta1, delta2) window, as the largest max - min over the sliding
+    boxes that window spans; rounded subtraction is monotone, so that is the
+    largest rounded difference.  A lower estimate only: the true sup over
     the rectangle can exceed it, so this value must never stand in for exact
     metadata inside a bound check.
     """
@@ -252,18 +255,8 @@ def grid_modulus_estimate(
     h2 = width2 / (_MODULUS_GRID - 1)
     max_i = min(int(delta1 / h1 + 1e-9), _MODULUS_GRID - 1)
     max_j = min(int(delta2 / h2 + 1e-9), _MODULUS_GRID - 1)
-    best = 0.0
-    for di in range(max_i + 1):
-        hi_rows = f_grid[di:, :]
-        lo_rows = f_grid[: _MODULUS_GRID - di, :]
-        for dj in range(-max_j, max_j + 1):
-            if dj >= 0:
-                diff = hi_rows[:, dj:] - lo_rows[:, : _MODULUS_GRID - dj]
-            else:
-                diff = hi_rows[:, :dj] - lo_rows[:, -dj:]
-            if diff.size:
-                best = max(best, float(np.max(np.abs(diff))))
-    return best
+    boxes = sliding_window_view(f_grid, (max_i + 1, max_j + 1))
+    return float(np.max(boxes.max(axis=(2, 3)) - boxes.min(axis=(2, 3))))
 
 
 def pair_table(tf: TestFunction, k: int) -> tuple[np.ndarray, ...]:

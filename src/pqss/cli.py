@@ -360,13 +360,15 @@ def cmd_converge(ns) -> int:
     shape1 = AxisShape(ns.l1, ns.alpha1, ns.beta1)
     shape2 = AxisShape(ns.l2, ns.alpha2, ns.beta2)
     # the first operator checks the family and the axis rules, l >= 0 among
-    # them, before the cost and the catalog's widths are computed from l
-    build_operator(spec, n_list[0], shape1, shape2)
+    # them, before the cost and the catalog's widths are computed from l; the
+    # other degrees are built once both checks pass
+    ops = [build_operator(spec, n_list[0], shape1, shape2)]
     _check_cost(max(n_list) + shape1.l, max(n_list) + shape2.l, ns.grid)
     f = _catalog_entry(ns.f, shape1.l + 1.0, shape2.l + 1.0)
+    ops += [build_operator(spec, n, shape1, shape2) for n in n_list[1:]]
 
-    suite = korovkin_suite(spec, n_list, shape1, shape2, grid_k=ns.grid)
-    table = convergence_table(spec, f, n_list, shape1, shape2, grid_k=ns.grid)
+    suite = korovkin_suite(ops, ns.grid)
+    table = convergence_table(ops, f, ns.grid)
 
     print(f"family {spec.name}: p_n^n -> {spec.a:.6g}, q_n^n -> {spec.b:.6g}")
     print("korovkin sup errors (n, e00, e10, e01, e20+e02):")

@@ -6,11 +6,13 @@ then converges for every continuous f as soon as the four test errors
 
     |S(1) - 1|, |S(t1) - x1|, |S(t2) - x2|, |S(t1^2 + t2^2) - (x1^2 + x2^2)|
 
-vanish uniformly.  korovkin_suite gives one row per n of exactly those four
-sup errors (via the verified closed moment forms, so rows for n = 512 cost
-the same as n = 4); convergence_table one row per n for a single catalog
-function through the full operator evaluation, with the 4*omega_total bound
-alongside; empirical_order fits the decay slope of any error column.
+vanish uniformly.  Both tables take the operators they tabulate, which
+build_operator makes from a family at each n.  korovkin_suite gives one row
+per operator of exactly those four sup errors (via the verified closed moment
+forms, so rows for n = 512 cost the same as n = 4); convergence_table one row
+per operator for a single catalog function through the full operator
+evaluation, with the 4*omega_total bound alongside; empirical_order fits the
+decay slope of any error column.
 """
 
 from __future__ import annotations
@@ -115,32 +117,23 @@ class KorovkinRow:
     sup_e20_e02: float
 
 
-def korovkin_suite(
-    spec: SequenceSpec,
-    n_list: Iterable[int],
-    shape1: AxisShape = AxisShape(),
-    shape2: AxisShape | None = None,
-    grid_k: int = 41,
-) -> list[KorovkinRow]:
-    """Sup errors of the four convergence test conditions, one row per n.
+def korovkin_suite(ops: Iterable[BivariateOperator], grid_k: int) -> list[KorovkinRow]:
+    """Sup errors of the four convergence test conditions, one row per operator.
 
-    Both axes share n (the sweep convention); the moment layer itself
-    supports n1 != n2.  Errors come from the closed shift S(t) - x and central
-    moment (S(t^2) - x^2 = central + 2 x shift), so no column cancels; the
-    oracle checks these closed moments up to m = 8195 (high-degree-moments)
-    and the weights up to m = 16384 (high-degree-weights).
+    Each row's n, p and q are axis 1's; e10 reads axis 1 and e01 axis 2, so
+    the two axes may differ in every parameter.  Errors come from the closed
+    shift S(t) - x and central moment (S(t^2) - x^2 = central + 2 x shift), so
+    no column cancels; the oracle checks these closed moments up to m = 8195
+    (high-degree-moments) and the weights up to m = 16384 (high-degree-weights).
     """
-    if shape2 is None:
-        shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
     rows = []
-    for n in n_list:
-        op = build_operator(spec, n, shape1, shape2)
+    for op in ops:
         s1, s2 = (first_moment_shift(axis, xs) for axis in (op.axis1, op.axis2))
         r1, r2 = (central_moment(a, xs) + 2.0 * xs * s for a, s in ((op.axis1, s1), (op.axis2, s2)))
         # partition of unity: the closed e00 is identically 1, sup error 0
         rows.append(KorovkinRow(
-            n=n,
+            n=op.axis1.n,
             p=op.axis1.pq.p,
             q=op.axis1.pq.q,
             sup_e00=0.0,
@@ -164,24 +157,17 @@ class ConvergenceRow:
 
 
 def convergence_table(
-    spec: SequenceSpec,
-    f: TestFunction,
-    n_list: Iterable[int],
-    shape1: AxisShape = AxisShape(),
-    shape2: AxisShape | None = None,
-    grid_k: int = 41,
+    ops: Iterable[BivariateOperator], f: TestFunction, grid_k: int
 ) -> list[ConvergenceRow]:
-    """Actual sup error of S_n(f) on [0,1]^2, one row per n, with the modulus bound alongside.
+    """Actual sup error of S(f) on [0,1]^2, one row per operator, with the modulus bound alongside.
 
-    The bound column is 4 omega_total at the worst grid point when f carries
-    exact modulus metadata, else empty; ratio = sup_err / bound.
+    Each row's n, p and q are axis 1's.  The bound column is 4 omega_total at
+    the worst grid point when f carries exact modulus metadata, else empty;
+    ratio = sup_err / bound.
     """
-    if shape2 is None:
-        shape2 = shape1
     xs = np.linspace(0.0, 1.0, grid_k)
     rows = []
-    for n in n_list:
-        op = build_operator(spec, n, shape1, shape2)
+    for op in ops:
         if f.total_modulus is None:
             errs, rhs = error_grid(op, f, xs, xs), None
         else:
@@ -192,7 +178,7 @@ def convergence_table(
         bound = None if rhs is None else float(rhs[i1, i2])
         ratio = sup_err / bound if bound and bound > 0.0 else None
         rows.append(ConvergenceRow(
-            n=n, p=op.axis1.pq.p, q=op.axis1.pq.q, sup_err=sup_err,
+            n=op.axis1.n, p=op.axis1.pq.p, q=op.axis1.pq.q, sup_err=sup_err,
             worst_x1=float(xs[i1]), worst_x2=float(xs[i2]),
             bound_at_worst=bound, ratio=ratio,
         ))

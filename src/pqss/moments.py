@@ -218,8 +218,9 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     if not (0.0 < x <= 1.0):
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
-    measured = float(_oracle_sums(oracle_weight_vector(lit, x)[None, :], np.ones((1, 1)),
-                                  nodes(lit)[None, None, :, None])[0, 0])
+    # a degree-1 second axis at x2 = 0, whose weights are exactly (1, 0)
+    op = BivariateOperator(lit, AxisConfig(n=1, l=0, pq=PQPair(1.0, 0.5)))
+    measured = float(moment_oracle(op, [nodes(lit)[:, None]], [x], [0.0])[0, 0, 0])
     den, bm, _, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den

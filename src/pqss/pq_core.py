@@ -91,18 +91,14 @@ def pq_integer(k: int, pq: PQPair) -> float:
 def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
     """Logs of the factors p^j - q^j x for j = 0..m-1, one row per x in xs.
 
-    Every x lies in [0, 1) and every factor is > 0.  Factor j is rewritten
+    Every x lies in (0, 1) and every factor is > 0.  Factor j is rewritten
     as p^j * (1 - x (q/p)^j) and the parenthesis taken through expm1, which
     stays accurate when x (q/p)^j is close to 1 (x near 1 with p - q small),
-    exactly where the direct subtraction cancels.  A row for x = 0 is j log p.
+    exactly where the direct subtraction cancels.
     """
-    xs = np.asarray(xs, dtype=float)
     j = np.arange(m, dtype=float)
-    out = np.tile(j * math.log(pq.p), (xs.size, 1))
-    inner = xs > 0.0
-    log_x = _libm(math.log, xs[inner])
-    out[inner] += _libm(math.log, -_libm(math.expm1, j * pq.log_ratio + log_x[:, None]))
-    return out
+    log_x = _libm(math.log, np.asarray(xs, dtype=float))[:, None]
+    return j * math.log(pq.p) + _libm(math.log, -_libm(math.expm1, j * pq.log_ratio + log_x))
 
 
 def compensated_cumsum(values) -> np.ndarray:

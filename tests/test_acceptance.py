@@ -237,8 +237,9 @@ def test_family_sup_errors(verdict):
     ns = (16, 32, 64, 128, 256, 512)
     cat = build_catalog(1.0, 1.0)
     start = time.monotonic()
-    suite = korovkin_suite(spec, ns, AxisShape(), grid_k=41)
-    table = convergence_table(spec, cat["e20"], ns, AxisShape(), grid_k=41)
+    ops = [build_operator(spec, n, AxisShape(), AxisShape()) for n in ns]
+    suite = korovkin_suite(ops, 41)
+    table = convergence_table(ops, cat["e20"], 41)
     elapsed = time.monotonic() - start
     last = suite[-1]
     finals = {
@@ -272,13 +273,13 @@ def test_family_e10_order(verdict):
     }
     shifted_orders = {}
     for label, shape in shifted.items():
-        suite = korovkin_suite(spec, ns, shape, grid_k=41)
+        suite = korovkin_suite([build_operator(spec, n, shape, shape) for n in ns], 41)
         shifted_orders[label] = empirical_order([(r.n, r.sup_e10) for r in suite])
 
     # l = 0, alpha = beta = 0: [m] = [n], so S(t; x) = [n]x/[n] = x and the
     # first-moment errors are roundoff; check exact reproduction instead, on
     # the closed forms and on the full evaluation path
-    default = korovkin_suite(spec, ns, AxisShape(), grid_k=41)
+    default = korovkin_suite([build_operator(spec, n, AxisShape(), AxisShape()) for n in ns], 41)
     closed_sup = max(max(r.sup_e10, r.sup_e01) for r in default)
     xs = np.linspace(0.0, 1.0, 41)
     op64 = build_operator(spec, 64, AxisShape(), AxisShape())

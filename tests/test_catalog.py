@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pqss import catalog
 from pqss.catalog import build_catalog, grid_modulus_estimate, verify_metadata
 from pqss.operators import AxisConfig, nodes, tabulate
 from pqss.pq_core import PQPair
@@ -132,6 +133,36 @@ def test_grid_estimate_never_exceeds_exact():
         for d1, d2 in ((0.15, 0.4), (0.8, 0.0), (2.0, 2.0)):
             est = grid_modulus_estimate(tf.fn, tf.width1, tf.width2, d1, d2)
             assert est <= tf.total_modulus(d1, d2) + 1e-9, (name, d1, d2)
+
+
+def shifted_difference_estimate(fn, width1, width2, delta1, delta2):
+    """grid_modulus_estimate as a loop over every offset (di, dj) in the window:
+    the max of |f(a + offset) - f(a)| over the grid."""
+    k = catalog._MODULUS_GRID
+    f_grid = tabulate(fn, np.linspace(0.0, width1, k), np.linspace(0.0, width2, k))
+    max_i = min(int(delta1 / (width1 / (k - 1)) + 1e-9), k - 1)
+    max_j = min(int(delta2 / (width2 / (k - 1)) + 1e-9), k - 1)
+    best = 0.0
+    for di in range(max_i + 1):
+        hi_rows, lo_rows = f_grid[di:, :], f_grid[: k - di, :]
+        for dj in range(-max_j, max_j + 1):
+            if dj >= 0:
+                diff = hi_rows[:, dj:] - lo_rows[:, : k - dj]
+            else:
+                diff = hi_rows[:, :dj] - lo_rows[:, -dj:]
+            best = max(best, float(np.max(np.abs(diff))))
+    return best
+
+
+@pytest.mark.parametrize("w1,w2", WIDTH_CASES)
+def test_grid_estimate_is_the_shifted_difference_loop(w1, w2):
+    # bit for bit, for every entry at verify_metadata's five windows
+    windows = [(0.15 * w1, 0.2 * w2), (0.5 * w1, 0.1 * w2), (0.07 * w1, 0.0), (0.0, 0.35 * w2),
+               (w1, w2)]
+    for tf in build_catalog(w1, w2).values():
+        for d1, d2 in windows:
+            want = shifted_difference_estimate(tf.fn, w1, w2, d1, d2)
+            assert grid_modulus_estimate(tf.fn, w1, w2, d1, d2) == want, (tf.name, d1, d2)
 
 
 def test_estimate_only_and_non_smooth_entries():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pqss.analysis import error_grid
 from pqss.catalog import build_catalog
 from pqss.convergence import (
     ROUNDOFF_ULPS_PER_DEGREE,
@@ -15,9 +16,14 @@ from pqss.convergence import (
     one_minus_c_over_n,
     tabulated_sequence,
 )
-from pqss.moments import first_moment_univariate, second_moment_univariate
-from pqss.operators import apply_bivariate
-from pqss.pq_core import pq_integer
+from pqss.moments import first_moment_shift, first_moment_univariate, second_moment_univariate
+from pqss.operators import AxisConfig, BivariateOperator, apply_bivariate
+from pqss.pq_core import PQPair, pq_integer
+
+
+def family_ops(spec, ns, shape):
+    # the diagonal of a family, both axes on one shape, as cli's converge builds it
+    return [build_operator(spec, n, shape, shape) for n in ns]
 
 
 def test_one_minus_family_values_and_limits():
@@ -89,7 +95,7 @@ def test_build_operator_shapes():
 def test_korovkin_rows_match_closed_forms():
     spec = one_minus_c_over_n(0.5, 1.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
-    table = korovkin_suite(spec, [4, 16, 64], shape, grid_k=21)
+    table = korovkin_suite(family_ops(spec, [4, 16, 64], shape), 21)
     assert isinstance(table, list)
     assert [r.n for r in table] == [4, 16, 64]
     xs = np.linspace(0.0, 1.0, 21)
@@ -106,7 +112,7 @@ def test_korovkin_rows_match_closed_forms():
 def test_korovkin_degenerate_linear_reproduction():
     # l=0, alpha=beta=0 reproduces t exactly; only the square condition decays
     spec = one_minus_c_over_n(0.5, 1.0)
-    table = korovkin_suite(spec, [8, 32, 128], AxisShape(), grid_k=21)
+    table = korovkin_suite(family_ops(spec, [8, 32, 128], AxisShape()), 21)
     for row in table:
         assert row.sup_e10 <= 1e-14
         assert row.sup_e01 <= 1e-14
@@ -116,7 +122,7 @@ def test_korovkin_degenerate_linear_reproduction():
 def test_korovkin_errors_shrink_along_family():
     spec = one_minus_c_over_n(0.5, 1.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
-    table = korovkin_suite(spec, [16, 32, 64, 128, 256], shape, grid_k=21)
+    table = korovkin_suite(family_ops(spec, [16, 32, 64, 128, 256], shape), 21)
     e10 = [r.sup_e10 for r in table]
     sq = [r.sup_e20_e02 for r in table]
     assert all(b < a for a, b in zip(e10, e10[1:]))
@@ -145,11 +151,11 @@ def test_convergence_table_const_and_bounds():
     spec = one_minus_c_over_n(0.5, 1.0)
     cat = build_catalog(2.0, 2.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
-    table = convergence_table(spec, cat["const1"], [8, 32], shape, grid_k=11)
+    table = convergence_table(family_ops(spec, [8, 32], shape), cat["const1"], 11)
     for row in table:
         assert row.sup_err <= 1e-13
 
-    table = convergence_table(spec, cat["e20"], [8, 32, 128], shape, grid_k=11)
+    table = convergence_table(family_ops(spec, [8, 32, 128], shape), cat["e20"], 11)
     sups = [r.sup_err for r in table]
     assert all(b < a for a, b in zip(sups, sups[1:]))
     for row in table:
@@ -163,10 +169,35 @@ def test_triangle_inequality_for_sum():
     spec = one_minus_c_over_n(0.5, 1.0)
     cat = build_catalog(2.0, 2.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
-    k_table = korovkin_suite(spec, [16, 64], shape, grid_k=21)
-    c_table = convergence_table(spec, cat["sum"], [16, 64], shape, grid_k=21)
+    ops = family_ops(spec, [16, 64], shape)
+    k_table = korovkin_suite(ops, 21)
+    c_table = convergence_table(ops, cat["sum"], 21)
     for krow, crow in zip(k_table, c_table):
         assert crow.sup_err <= krow.sup_e10 + krow.sup_e01 + 1e-12
+
+
+def test_tables_take_operators_whose_axes_differ():
+    # axes that differ in n, l, alpha, beta and (p, q): each row's n, p and q
+    # are axis 1's, e01 reads axis 2, and sup_err is the error grid's maximum
+    ops = [
+        BivariateOperator(
+            AxisConfig(n=n, l=1, pq=PQPair(1.0 - 0.5 / n, 1.0 - 1.0 / n), alpha=0.5, beta=1.0),
+            AxisConfig(n=3 * n, l=2, pq=PQPair(0.99, 0.9), alpha=0.25, beta=2.0),
+        )
+        for n in (8, 32)
+    ]
+    cat = build_catalog(2.0, 3.0)
+    xs = np.linspace(0.0, 1.0, 11)
+    k_rows = korovkin_suite(ops, 11)
+    for name in ("sum", "sinprod"):
+        c_rows = convergence_table(ops, cat[name], 11)
+        for op, krow, crow in zip(ops, k_rows, c_rows, strict=True):
+            for row in (krow, crow):
+                assert (row.n, row.p, row.q) == (op.axis1.n, op.axis1.pq.p, op.axis1.pq.q)
+            assert krow.sup_e10 == float(np.max(np.abs(first_moment_shift(op.axis1, xs))))
+            assert krow.sup_e01 == float(np.max(np.abs(first_moment_shift(op.axis2, xs))))
+            assert krow.sup_e01 != krow.sup_e10
+            assert crow.sup_err == float(np.max(error_grid(op, cat[name], xs, xs)))
 
 
 def test_empirical_order():
@@ -195,7 +226,7 @@ def test_empirical_order():
 
 def test_square_condition_order_is_one():
     spec = one_minus_c_over_n(0.5, 1.0)
-    table = korovkin_suite(spec, [16, 32, 64, 128, 256, 512], AxisShape(), grid_k=21)
+    table = korovkin_suite(family_ops(spec, [16, 32, 64, 128, 256, 512], AxisShape()), 21)
     order = empirical_order([(r.n, r.sup_e20_e02) for r in table])
     assert -1.3 <= order <= -0.7
 
@@ -203,6 +234,6 @@ def test_square_condition_order_is_one():
 def test_first_moment_order_with_shift():
     spec = one_minus_c_over_n(0.5, 1.0)
     shape = AxisShape(l=1, alpha=0.5, beta=1.0)
-    table = korovkin_suite(spec, [16, 32, 64, 128, 256, 512], shape, grid_k=21)
+    table = korovkin_suite(family_ops(spec, [16, 32, 64, 128, 256, 512], shape), 21)
     order = empirical_order([(r.n, r.sup_e10) for r in table])
     assert -1.3 <= order <= -0.7

@@ -144,14 +144,6 @@ def test_rising_product_values():
     assert math.exp(log_rising_sum(2, 0.5, PAIRS[1])) == pytest.approx(0.30, rel=1e-14)
 
 
-def test_rising_product_at_zero_is_power_of_p():
-    # every factor is p^j, so the log of the product is m(m-1)/2 log p
-    for pq in PAIRS:
-        for m in (0, 1, 2, 7, 40):
-            want = m * (m - 1) // 2 * math.log(pq.p)
-            assert log_rising_sum(m, 0.0, pq) == pytest.approx(want, rel=1e-13)
-
-
 def test_log_rising_agrees_with_direct():
     xs = (0.1, 0.5, 0.9)
     for pq in PAIRS:
