@@ -1,10 +1,10 @@
 """libm's exp, expm1, log, sin and pow over a whole array, in one C loop,
 and the oracle's weighted sums, each a math.fsum.
 
-pq_core._libm applies math-module functions to arrays.  This module gives it
-a compiled loop that calls the same libm functions as `math`, so every value
-keeps its bits and the Python call per element is gone.  The oracle in
-moments sums each table in one call to oracle_sums, which forms every term
+libm applies a math-module function to an array.  Its compiled loop calls
+the same libm functions as `math`, so every value keeps its bits and the
+Python call per element is gone.  The oracle in moments sums each table in
+one call to oracle_sums, whose compiled kernel forms every term
 (w1[a, i] * w2[b, j]) * t[a, b, i, j] as it adds it, with no term array, and
 gives math.fsum's bits: each point is summed by Sum2 (a TwoSum chain and its
 error sum), whose rounding is kept only where an error bound certifies it is
@@ -23,9 +23,9 @@ The flags keep gcc from substituting anything for libm: no -ffast-math
 (which would call libmvec's vector kernels) and -ffp-contract=off.
 
 Where cffi or a C compiler is missing, or the build fails, load() returns
-None and callers keep the element-by-element math path (math.fsum row by row
-for the sums), which gives the same values.  A failed build is not retried
-within the process.
+None, and libm and oracle_sums answer by the math module instead (a map of
+the function over the array, math.fsum row by row for the sums), which gives
+the same values and errors.  A failed build is not retried within the process.
 """
 
 from __future__ import annotations
@@ -148,13 +148,21 @@ static double fsum_finish(const double *p, size_t n)
    g = gamma_N = N u / (1 - N u), the exact sum S has
    |S - (s + c)| <= g^2 * (exact sum |x|) <= g^2 / (1 - g) * A, as the
    rounded A is at least (1 - g) times the exact sum |x|.  Then
-   r = fl(s + c), d = (s + c) - r exactly (TwoSum), and if
-   fl(|d| + fl(k A)) < h, half the smaller gap next to r, |S - r| < h: r is
-   S correctly rounded, which is math.fsum's result, stored in *out.
+   r = fl(s + c), d = (s + c) - r exactly (TwoSum), e = sign(r) d (d away
+   from 0 is positive) and E = fl(k A) >= g^2 / (1 - g) A, so sign(r) S lies
+   in [|r| + e - E, |r| + e + E].  The two sides of |r| have their own
+   gaps, which differ where |r| is a power of two: with h_above and h_below
+   half the gaps above and below |r|, if fl(e + E) < h_above and
+   fl(E - e) < h_below, then e + E < h_above and E - e < h_below exactly
+   (rounding is monotone and the h are doubles), so
+   |r| - h_below < sign(r) S < |r| + h_above: S is inside r's rounding
+   interval and not on its ends, so r is S correctly rounded, which is
+   math.fsum's result, stored in *out.  A tie (S on an end) fails the
+   strict test and goes to the partials.
    - k = (1 + 2^-7) (N u)^2 exceeds g^2 / (1 - g) with room for the
      roundings of k and k A while N u <= 2^-10; past that no point passes.
-   - |r| >= 2^-960 keeps h at least 2^-1014, so the absolute error of a
-     subnormal k A (at most 2^-1075) cannot close the margin; r = 0 fails.
+   - |r| >= 2^-960 keeps each h at least 2^-1014, so the absolute error of
+     a subnormal k A (at most 2^-1075) cannot close the margin; r = 0 fails.
    - A <= 2^1020 keeps s, c and the partials of math.fsum, which stay below
      about 2 A, finite: math.fsum raises nothing on a point that passes.
    Returns 0 where the test fails (near a midpoint, under heavy cancellation,
@@ -176,7 +184,9 @@ static int sum2_certified(const double *w1, const double *w2, const double *t,
         }
     }
     double r = s + c, z = r - s, d = (s - (r - z)) + (c - z), ar = fabs(r);
-    if (!(A <= 0x1p1020 && ar >= 0x1p-960 && fabs(d) + k * A < 0.5 * (ar - nextafter(ar, 0.0))))
+    double e = copysign(1.0, r) * d, E = k * A;
+    if (!(A <= 0x1p1020 && ar >= 0x1p-960 && e + E < 0.5 * (nextafter(ar, INFINITY) - ar)
+          && E - e < 0.5 * (ar - nextafter(ar, 0.0))))
         return 0;
     *out = r;
     return 1;
@@ -302,46 +312,46 @@ def load():
     return module
 
 
-def apply(fn, x: np.ndarray) -> np.ndarray | None:
-    """fn applied to each element of the float array x by the compiled loop.
+def libm(fn, x):
+    """fn applied to each element of x, on any shape, with math's bits and errors.
 
-    fn is math.exp, math.expm1, math.log, math.sin or partial(math.pow, base).
-    Returns None where the loop does not serve the call: no kernel here,
-    another function, or a non-finite output.  libm returns inf, -inf or nan
-    where math raises OverflowError or ValueError, so such a call must be
-    left to math, which gives the same finite values and raises the same
-    errors.
+    numpy's own exp/expm1/log/pow/sin/hypot use SIMD kernels that differ
+    from libm in the last bit on some inputs, and which kernel runs depends
+    on the CPU; going through libm keeps every value, and so every report,
+    identical to the scalar evaluation.  math.exp, math.expm1, math.log,
+    math.sin and partial(math.pow, base) run in one compiled loop over the
+    array, which calls the same libm functions as math.  Any other fn, a
+    call with an output that is not finite (libm returns inf, -inf or nan
+    where math raises OverflowError or ValueError, or gives nan itself) and a
+    machine without the kernel map fn over x.flat, which gives the same
+    finite values and raises math's errors; iterating x.flat keeps memory at
+    one float per element.  A 0-d input gives a numpy float, not a 0-d array.
     """
+    x = np.asarray(x, dtype=float, order="C")
     module = load()
-    if module is None:
-        return None
-    if (isinstance(fn, functools.partial) and fn.func is math.pow
-            and len(fn.args) == 1 and not fn.keywords):
-        kernel = functools.partial(module.lib.pqss_pow, float(fn.args[0]))
-    elif fn in _KERNELS:
-        kernel = getattr(module.lib, _KERNELS[fn])
-    else:
-        return None
-    src = np.asarray(x, dtype=float, order="C")
-    out = np.empty_like(src)
-    bad = kernel(module.ffi.from_buffer("double[]", src), module.ffi.from_buffer("double[]", out),
-                 src.size)
-    return None if bad else out
+    is_pow = (isinstance(fn, functools.partial) and fn.func is math.pow
+              and len(fn.args) == 1 and not fn.keywords)
+    if module is not None and (is_pow or fn in _KERNELS):
+        kernel = (functools.partial(module.lib.pqss_pow, float(fn.args[0])) if is_pow
+                  else getattr(module.lib, _KERNELS[fn]))
+        out = np.empty_like(x)
+        ffi = module.ffi
+        if not kernel(ffi.from_buffer("double[]", x), ffi.from_buffer("double[]", out), x.size):
+            return out[()]
+    return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)[()]
 
 
-def oracle_sums(w1: np.ndarray, w2: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+def oracle_sums(w1: np.ndarray, w2: np.ndarray, t: np.ndarray) -> np.ndarray:
     """math.fsum over i, j (row-major) of (w1[a, i] * w2[b, j]) * t[a, b, i, j]
-    for each (a, b), shape (k1, k2), by the compiled kernel: no term is stored.
+    for each (a, b), shape (k1, k2).
 
     w1 is (k1, n1), w2 is (k2, n2) and t is (k1, k2, n1, n2), any strides
     (a broadcast view passes without a copy); another shape raises ValueError.
-    Returns None where the kernel does not serve the call: no kernel here, or
-    a term or partial that is not finite.  math.fsum redoes such a call with
-    the same values, and raises the same errors.
+    The compiled kernel forms each term as it adds it, with no term array.
+    Where there is no kernel, or a term or partial is not finite, the sums
+    are redone by math.fsum over terms built one w1 row at a time, which
+    gives the same values and raises math.fsum's errors.
     """
-    module = load()
-    if module is None:
-        return None
     w1 = np.ascontiguousarray(w1, dtype=float)
     w2 = np.ascontiguousarray(w2, dtype=float)
     t = np.asarray(t)
@@ -351,9 +361,15 @@ def oracle_sums(w1: np.ndarray, w2: np.ndarray, t: np.ndarray) -> np.ndarray | N
     if t.dtype != float or not t.flags.aligned:
         t = t.astype(float)
     out = np.empty((k1, k2))
-    ffi = module.ffi
-    bad = module.lib.pqss_oracle_sums(
-        ffi.from_buffer("double[]", w1), ffi.from_buffer("double[]", w2),
-        ffi.cast("double *", t.ctypes.data), ffi.from_buffer("double[]", out),
-        k1, k2, n1, n2, *(s // t.itemsize for s in t.strides))
-    return None if bad else out
+    module = load()
+    if module is not None:
+        ffi = module.ffi
+        if not module.lib.pqss_oracle_sums(
+                ffi.from_buffer("double[]", w1), ffi.from_buffer("double[]", w2),
+                ffi.cast("double *", t.ctypes.data), ffi.from_buffer("double[]", out),
+                k1, k2, n1, n2, *(s // t.itemsize for s in t.strides)):
+            return out
+    for a, row in enumerate(w1):
+        terms = (row[None, :, None] * w2[:, None, :]) * t[a]
+        out[a] = [math.fsum(memoryview(point.ravel())) for point in terms]
+    return out

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._clibm import libm
 from .operators import Factors, GridFn, tabulate
-from .pq_core import _libm
 
 # verify_metadata's grids: points per axis for the sup-norm check, and for
 # the all-pairs Lipschitz check (26^2 points, so 26^4 pairs).
@@ -120,10 +120,10 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
         return t * t
 
     def exp(t):
-        return _libm(math.exp, t)
+        return libm(math.exp, t)
 
     def sin_pi(t):
-        return _libm(math.sin, math.pi * t)
+        return libm(math.sin, math.pi * t)
 
     entries = []
 
@@ -173,7 +173,7 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
     if math.isfinite(5.0 * top):
         exp_metadata = dict(
             sup_norm=top, lipschitz_axis=(top, top), cb2_norm=5.0 * top,
-            total_modulus=capped(lambda d1, d2: top * -_libm(math.expm1, -(d1 + d2))),
+            total_modulus=capped(lambda d1, d2: top * -libm(math.expm1, -(d1 + d2))),
         )
     else:
         # the values of f stay finite where the nodes do; only a bound
@@ -187,12 +187,12 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
 
         exp_metadata = dict(total_modulus=overflowed)
     entries.append(TestFunction(
-        "exp_sum", lambda t1, t2: _libm(math.exp, t1 + t2), ((exp, exp),), w1, w2,
+        "exp_sum", lambda t1, t2: libm(math.exp, t1 + t2), ((exp, exp),), w1, w2,
         **exp_metadata,
     ))
     entries.append(TestFunction(
         "sinprod",
-        lambda t1, t2: _libm(math.sin, math.pi * t1) * _libm(math.sin, math.pi * t2),
+        lambda t1, t2: libm(math.sin, math.pi * t1) * libm(math.sin, math.pi * t2),
         ((sin_pi, sin_pi),), w1, w2,
         sup_norm=1.0, lipschitz_axis=(math.pi, math.pi),
         cb2_norm=1.0 + 2.0 * math.pi + 2.0 * math.pi ** 2,
@@ -206,7 +206,7 @@ def build_catalog(width1: float = 1.0, width2: float = 1.0) -> dict[str, TestFun
     ))
     for tag, w in (("005", 0.05), ("010", 0.10), ("020", 0.20)):
         def g(u, w: float = w):
-            return _libm(lambda v: math.hypot(v, w), u) - w
+            return libm(lambda v: math.hypot(v, w), u) - w
 
         def smooth(t1, t2, w: float = w):
             return g(t1 - 0.5, w)

@@ -172,28 +172,14 @@ def oracle_weight_vector(axis: AxisConfig, x: float) -> np.ndarray:
     return _oracle_row(axis.degree, axis.pq.p, axis.pq.q, float(x))
 
 
-def _oracle_sums(w1s: np.ndarray, w2s: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """fsum of (w1s[a] outer w2s[b]) * table[a, b] for each (a, b): one compiled call, or
-    where the kernel is missing or declines it, math.fsum of terms built one w1s row at a
-    time, which gives the same values and raises the same errors."""
-    sums = _clibm.oracle_sums(w1s, w2s, table)
-    if sums is None:
-        sums = np.empty(table.shape[:2])
-        for a, w1 in enumerate(w1s):
-            terms = (w1[None, :, None] * w2s[:, None, :]) * table[a]
-            sums[a] = [math.fsum(memoryview(point.ravel())) for point in terms]
-    return sums
-
-
 def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
     """Brute-force S(T; x1, x2), shape (len(tables), len(xs1), len(xs2)).
 
     Each table broadcasts to (len(xs1), len(xs2), m1 + 1, m2 + 1): a node
     table such as sample_at_nodes(op, f), or a per-point one such as
     ((t1 - xs1[:, None])**2)[:, None, :, None].  Each entry is one fsum of
-    (w1[a] * w2[b]) * T[a, b], summed by the compiled kernel in one call per
-    table, which forms each term as it adds it, or by math.fsum where the
-    kernel is missing or declines.
+    (w1[a] * w2[b]) * T[a, b], summed by _clibm.oracle_sums in one call per
+    table.
     """
     xs1 = np.asarray(xs1, dtype=float)
     xs2 = np.asarray(xs2, dtype=float)
@@ -202,7 +188,7 @@ def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
     w2s = np.reshape([oracle_weight_vector(op.axis2, x) for x in xs2], shape[1::2])
     out = np.empty((len(tables), xs1.size, xs2.size))
     for k, table in enumerate(tables):
-        out[k] = _oracle_sums(w1s, w2s, np.broadcast_to(table, shape))
+        out[k] = _clibm.oracle_sums(w1s, w2s, np.broadcast_to(table, shape))
     return out
 
 

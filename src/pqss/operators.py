@@ -39,9 +39,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ._clibm import libm
 from .pq_core import (
     PQPair,
-    _libm,
     _log_rising_terms,
     compensated_cumsum,
     cumulative_log_factorials,
@@ -119,7 +119,7 @@ def nodes(axis: AxisConfig) -> np.ndarray:
     base = m if axis.node_exponent == "canonical" else axis.n
     exps = base - np.arange(m + 1)
     den = pq_integer(axis.n, axis.pq) + axis.beta
-    return (_libm(partial(math.pow, p), exps) * brackets + axis.alpha) / den
+    return (libm(partial(math.pow, p), exps) * brackets + axis.alpha) / den
 
 
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
@@ -154,10 +154,10 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
         -0.5 * m * (m - 1) * log_p
         + log_binom
         + 0.5 * nu * (nu - 1) * log_p
-        + nu * _libm(math.log, x)[:, None]
+        + nu * libm(math.log, x)[:, None]
         + rising_prefix[:, ::-1]
     )
-    out[inner] = _libm(math.exp, log_w)
+    out[inner] = libm(math.exp, log_w)
     return out
 
 
@@ -200,12 +200,25 @@ def _weighted_sums(w: np.ndarray, v) -> np.ndarray:
 
 def apply_on_grid(op: BivariateOperator, f: Factors, xs1, xs2) -> np.ndarray:
     """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]): the sum over
-    f's pairs of outer(W1 g(t1), W2 h(t2)), each product summed in index order."""
+    f's pairs of outer(W1 g(t1), W2 h(t2)), each product summed in index order.
+
+    A grid point where S(f) is not a finite double (f's values at the nodes
+    too large, or not finite) raises ArithmeticError.
+    """
+    xs1, xs2 = np.asarray(xs1, dtype=float), np.asarray(xs2, dtype=float)
     w1, w2 = weight_matrix(op.axis1, xs1), weight_matrix(op.axis2, xs2)
     t1, t2 = nodes(op.axis1), nodes(op.axis2)
     out = np.zeros((len(w1), len(w2)))
-    for g, h in f:
-        out += np.outer(_weighted_sums(w1, g(t1)), _weighted_sums(w2, h(t2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, h in f:
+            out += np.outer(_weighted_sums(w1, g(t1)), _weighted_sums(w2, h(t2)))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ArithmeticError(
+            f"S(f) is not a finite double at {bad.sum()} of {bad.size} grid points: "
+            f"{out[i, j]} at (x1, x2) = ({xs1[i]:g}, {xs2[j]:g})"
+        )
     return out
 
 

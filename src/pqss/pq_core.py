@@ -18,33 +18,10 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
 
 import numpy as np
 
-from . import _clibm
-
-
-def _libm(fn: Callable[[float], float], x):
-    """A math-module function applied element by element, on any shape.
-
-    numpy's own exp/expm1/log/pow/sin/hypot use SIMD kernels that differ
-    from libm in the last bit on some inputs, and which kernel runs depends
-    on the CPU; going through libm keeps every value, and so every report,
-    identical to the scalar evaluation.  exp, expm1, log, sin and
-    partial(math.pow, base) run in one compiled loop over the array
-    (_clibm), which calls the same libm functions as math; any other fn, a
-    call whose output is not finite (math raises there, or gives nan
-    itself) and a machine without the compiled loop go through math.  A
-    0-d input gives a numpy float, not a 0-d array.  Iterating x.flat keeps
-    memory at one float per element; going through x.tolist() is slightly
-    faster but holds a 32-byte Python float for each.
-    """
-    x = np.asarray(x, dtype=float)
-    out = _clibm.apply(fn, x)
-    if out is None:
-        out = np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)
-    return out[()]
+from ._clibm import libm
 
 
 @dataclass(frozen=True)
@@ -97,8 +74,8 @@ def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
     exactly where the direct subtraction cancels.
     """
     j = np.arange(m, dtype=float)
-    log_x = _libm(math.log, np.asarray(xs, dtype=float))[:, None]
-    return j * math.log(pq.p) + _libm(math.log, -_libm(math.expm1, j * pq.log_ratio + log_x))
+    log_x = libm(math.log, np.asarray(xs, dtype=float))[:, None]
+    return j * math.log(pq.p) + libm(math.log, -libm(math.expm1, j * pq.log_ratio + log_x))
 
 
 def compensated_cumsum(values) -> np.ndarray:
@@ -141,14 +118,14 @@ def cumulative_log_factorials(kmax: int, p: float, q: float) -> np.ndarray:
         k = np.arange(2.0, kmax + 1)
         brackets = np.empty(kmax)
         brackets[0] = 1.0
-        p_k = _libm(partial(math.pow, p), k)
-        brackets[1:] = -p_k * _libm(math.expm1, k * pq.log_ratio) / (p - q)
+        p_k = libm(partial(math.pow, p), k)
+        brackets[1:] = -p_k * libm(math.expm1, k * pq.log_ratio) / (p - q)
         if brackets.min() < sys.float_info.min:
             k0 = int(np.argmax(brackets < sys.float_info.min)) + 1
             raise ValueError(
                 f"bracket [{k0}] = {brackets[k0 - 1]:.4g} is below the smallest normal "
                 f"double at p={pq.p}, q={pq.q}"
             )
-        lf[1:] = compensated_cumsum(_libm(math.log, brackets))
+        lf[1:] = compensated_cumsum(libm(math.log, brackets))
     lf.setflags(write=False)
     return lf

@@ -520,6 +520,22 @@ def test_bounds_refuse_overflowing_exp_sum_metadata(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []  # no report carries inf or nan
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_refuses_a_value_that_overflows(tmp_path, monkeypatch, capsys, fmt):
+    # the top nodes are about 401 on each axis, so e^t1 e^t2 is past the
+    # largest double: no inf value, no numpy warning, no report
+    monkeypatch.chdir(tmp_path)
+    axes = ["--n1", "1", "--l1", "400", "--q1", "0.999999",
+            "--n2", "1", "--l2", "400", "--q2", "0.999999"]
+    rc, out, err = run(["eval", "--f", "exp_sum", *axes, "--x1", "1", "--x2", "1",
+                        "--output", f"e.{fmt}", "--format", fmt], capsys)
+    assert rc == 2
+    assert err == ("error: S(f) is not a finite double at 1 of 1 grid points: "
+                   "inf at (x1, x2) = (1, 1)\n")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("cp,cq,message", [
     ("1e7", "2e7", "family 'one-minus-c-over-n(cp=1e+07,cq=2e+07)' invalid at n=8: "
                    "requires 0 < q < p <= 1"),

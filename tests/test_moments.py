@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -168,8 +169,8 @@ def test_oracle_weight_vector_matches_production(worked_axis):
 
 
 def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
-    # oracle independence: no _libm and no weight_matrix, even for a new row
-    from pqss import operators, pq_core
+    # oracle independence: no libm and no weight_matrix, even for a new row
+    from pqss import _clibm, catalog, operators, pq_core
 
     op = BivariateOperator(worked_axis, worked_axis)
     table = sample_at_nodes(op, lambda a, b: a * b)
@@ -178,8 +179,13 @@ def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
     def refuse(*args):
         raise AssertionError("the oracle called a production kernel")
 
-    for module, name in ((pq_core, "_libm"), (operators, "_libm"), (operators, "weight_matrix")):
-        monkeypatch.setattr(module, name, refuse)
+    # libm in its own module and in every module that imports it
+    with_libm = [module for name, module in sys.modules.items()
+                 if name.partition(".")[0] == "pqss" and getattr(module, "libm", None) is _clibm.libm]
+    assert {_clibm, catalog, operators, pq_core} <= set(with_libm)
+    for module in with_libm:
+        monkeypatch.setattr(module, "libm", refuse)
+    monkeypatch.setattr(operators, "weight_matrix", refuse)
     moments._oracle_row.cache_clear()
     np.testing.assert_array_equal(moment_oracle(op, [table], [0.3], [0.8]), want)
 

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import types
 from functools import partial
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from hypothesis import given, strategies as st
 from pqss import _clibm
 from pqss.catalog import build_catalog
 from pqss.moments import (
-    _oracle_sums,
     literal_first_moment_factor,
     moment_oracle,
     oracle_weight_vector,
@@ -34,7 +34,6 @@ from pqss.operators import (
 )
 from pqss.pq_core import (
     PQPair,
-    _libm,
     _log_rising_terms,
     compensated_cumsum,
     cumulative_log_factorials,
@@ -270,14 +269,50 @@ def test_compensated_beats_naive_cumsum():
     assert abs(comp[-1] - exact) < 1e-10
 
 
-# The compiled libm loop (pqss._clibm) behind _libm: it must give math's bits
-# and math's errors, on every shape, and the package must give the same
-# arrays with it and without it.
+# The compiled libm loop behind _clibm.libm: libm must give math's bits and
+# math's errors, on every shape, with the kernel and without it, and the
+# package must give the same arrays either way.
 
+compiler_missing = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is None
 needs_compiler = pytest.mark.skipif(
-    shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) is None,
-    reason="no C compiler, so the libm kernel cannot be built",
+    compiler_missing, reason="no C compiler, so the libm kernel cannot be built",
 )
+
+
+class RecordingLib:
+    """The compiled module's .lib with each call recorded as (name, returned)
+    before its result is handed back."""
+
+    def __init__(self, lib):
+        self._lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        def call(*args):
+            returned = getattr(self._lib, name)(*args)
+            self.calls.append((name, returned))
+            return returned
+        return call
+
+
+def record_kernel(monkeypatch):
+    """Patch load() to give the compiled module with its calls recorded; the
+    list of recorded calls."""
+    module = _clibm.load()
+    assert module is not None
+    stub = types.SimpleNamespace(ffi=module.ffi, lib=RecordingLib(module.lib))
+    monkeypatch.setattr(_clibm, "load", lambda: stub)
+    return stub.lib.calls
+
+
+def both_paths(monkeypatch):
+    """Run a loop body on each path of libm and oracle_sums.  First (where a
+    compiler exists) through the kernel, yielding the list of its calls as
+    (function name, returned); then with load() finding no kernel, yielding
+    None, so math answers every call."""
+    if not compiler_missing:
+        yield record_kernel(monkeypatch)
+    monkeypatch.setattr(_clibm, "load", lambda: None)
+    yield None
 
 
 def math_map(fn, x):
@@ -297,54 +332,67 @@ KERNEL_CASES = {
 }
 
 
-@needs_compiler
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_kernel_is_math_bit_for_bit(case):
+def test_kernel_is_math_bit_for_bit(case, monkeypatch):
     fn, draw = KERNEL_CASES[case]
     x = draw(np.random.default_rng(20261018), 1_000_000)
-    got = _clibm.apply(fn, x)
-    assert got is not None, f"the compiled loop did not run for {case}"
-    np.testing.assert_array_equal(got, math_map(fn, x))
+    want = math_map(fn, x).view(np.uint64)
+    for calls in both_paths(monkeypatch):
+        np.testing.assert_array_equal(_clibm.libm(fn, x).view(np.uint64), want)
+        if calls is not None:
+            assert calls == [(_clibm._KERNELS[fn], 0)], f"the compiled loop did not serve {case}"
 
 
-@needs_compiler
 @pytest.mark.parametrize("p", [0.9, 0.999, 1.0 - 0.3 / 8000, 1.0])
-def test_kernel_pow_is_math_pow_bit_for_bit(p):
+def test_kernel_pow_is_math_pow_bit_for_bit(p, monkeypatch):
     # k = 2..8000 for the bracket table; negative k for literal nodes (n - nu)
     k = np.arange(-8.0, 8001.0)
-    got = _clibm.apply(partial(math.pow, p), k)
-    assert got is not None
-    np.testing.assert_array_equal(got, [math.pow(p, v) for v in k.tolist()])
+    for calls in both_paths(monkeypatch):
+        got = _clibm.libm(partial(math.pow, p), k)
+        np.testing.assert_array_equal(got, [math.pow(p, v) for v in k.tolist()])
+        if calls is not None:
+            assert calls == [("pqss_pow", 0)]
 
 
-@needs_compiler
-def test_kernel_shapes():
-    assert _clibm.load() is not None
+def test_kernel_shapes(monkeypatch):
     x = np.linspace(0.1, 3.0, 24).reshape(4, 6)
-    for fn in (math.exp, math.expm1, math.log, math.sin, partial(math.pow, 0.9)):
-        zero_d = _libm(fn, 0.7)
-        assert type(zero_d) is np.float64 and zero_d == fn(0.7)
-        assert _libm(fn, np.float64(0.7)) == fn(0.7)
-        for empty in (np.empty(0), np.empty((0, 3))):
-            assert _libm(fn, empty).shape == empty.shape
-        for arr in (x, x[:, ::2], x.T, x[1], [0.25, 1.5]):
-            got = _libm(fn, arr)
-            assert got.shape == np.shape(arr)
-            np.testing.assert_array_equal(got, math_map(fn, arr))
+    hypot = partial(math.hypot, 0.3)
+    for calls in both_paths(monkeypatch):
+        for fn in (math.exp, math.expm1, math.log, math.sin, partial(math.pow, 0.9)):
+            zero_d = _clibm.libm(fn, 0.7)
+            assert type(zero_d) is np.float64 and zero_d == fn(0.7)
+            assert _clibm.libm(fn, np.float64(0.7)) == fn(0.7)
+            for empty in (np.empty(0), np.empty((0, 3))):
+                assert _clibm.libm(fn, empty).shape == empty.shape
+            for arr in (x, x[:, ::2], x.T, x[1], [0.25, 1.5]):
+                got = _clibm.libm(fn, arr)
+                assert got.shape == np.shape(arr)
+                np.testing.assert_array_equal(got, math_map(fn, arr))
+        # a function with no compiled loop is mapped by math on either path
+        np.testing.assert_array_equal(_clibm.libm(hypot, x), math_map(hypot, x))
+        if calls is not None:
+            assert len(calls) == 5 * 9 and {returned for _, returned in calls} == {0}
 
 
-@needs_compiler
-def test_kernel_raises_what_math_raises():
-    assert _clibm.load() is not None
+def test_kernel_raises_what_math_raises(monkeypatch):
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="math domain error"):
-            _libm(math.log, [1.0, 2.0, bad])
+            math.log(bad)
     with pytest.raises(OverflowError, match="math range error"):
-        _libm(math.exp, [1.0, 710.0])
-    got = _libm(math.exp, [math.nan, 1.0])
-    assert math.isnan(got[0]) and got[1] == math.exp(1.0)
-    # a lone non-finite result that math returns without raising
-    assert _libm(math.exp, math.inf) == math.inf
+        math.exp(710.0)
+    for calls in both_paths(monkeypatch):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="math domain error"):
+                _clibm.libm(math.log, [1.0, 2.0, bad])
+        with pytest.raises(OverflowError, match="math range error"):
+            _clibm.libm(math.exp, [1.0, 710.0])
+        got = _clibm.libm(math.exp, [math.nan, 1.0])
+        assert math.isnan(got[0]) and got[1] == math.exp(1.0)
+        # a lone non-finite result that math returns without raising
+        assert _clibm.libm(math.exp, math.inf) == math.inf
+        if calls is not None:
+            # the loop ran on each call and declined it, so math answered
+            assert [returned for _, returned in calls] == [1, 1, 1, 1, 1]
 
 
 def _package_arrays():
@@ -438,6 +486,15 @@ def _fsum_blocks():
     long_rows = rng.uniform(0.0, 1.0, (4, 2 ** 20 + 1)) * 10.0 ** rng.uniform(-30.0, 0.0,
                                                                              (4, 2 ** 20 + 1))
     long_rows[2:] *= signs((2, 2 ** 20 + 1))
+    # +-2^k, then a term on either side of it within a few gaps, and a third,
+    # far smaller term that may move the sum off a midpoint
+    k = rng.integers(-900, 900, 2000).astype(float)
+    gap_below = 2.0 ** (k - 53)
+    near_power_of_two = signs(2000)[:, None] * np.stack([
+        2.0 ** k,
+        signs(2000) * gap_below * rng.choice([0.25, 0.5, 0.75, 1.0, 1.5, 2.0], 2000),
+        signs(2000) * gap_below * rng.choice([0.0, 2.0 ** -60, 2.0 ** -20], 2000),
+    ], axis=1)
     return {
         "wide": signs((4000, 40)) * 10.0 ** rng.uniform(-300.0, 300.0, (4000, 40)),
         "cancelling": cancelling,
@@ -451,6 +508,13 @@ def _fsum_blocks():
         "near-midpoint": near_midpoint,
         "long": long_rows,
         "sum2-error": _sum2_error_rows(rng, 2),
+        # sums next to a power of two, where the gap above is twice the gap
+        # below: 1 + 2^-54 is half the gap below 1 and a quarter of the gap
+        # above, so the two sides must be held to their own gaps; 1 - 2^-54
+        # is a tie, which must go to the partials
+        "power-of-two": np.array([[1.0, 2.0 ** -54], [1.0, -2.0 ** -54], [2.0, 2.0 ** -53],
+                                  [-1.0, -2.0 ** -54]]),
+        "near-power-of-two": near_power_of_two,
         "half-even": np.array([[1e-16, 1.0, 1e16], [1e16, 1.0, 1e-16], [1.0, 1e16, 1e-16],
                                [-1e-16, -1.0, -1e16], [1e16, 1.0, -1e-16], [1e100, 1.0, -1e100]]),
         "signed-zeros": np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [1.0, -1.0]]),
@@ -478,42 +542,36 @@ def unit_weight_sums(sums, block):
     """Each row of a 2-D block summed by an oracle_sums-like function, as the
     table (rows, 1, 1, cols) under unit weights: every product is the term."""
     rows, cols = block.shape
-    got = sums(np.ones((rows, 1)), np.ones((1, cols)), block[:, None, None, :])
-    return None if got is None else got[:, 0]
+    return sums(np.ones((rows, 1)), np.ones((1, cols)), block[:, None, None, :])[:, 0]
 
 
-@needs_compiler
-def test_row_sum_kernel_is_math_fsum_bit_for_bit():
-    assert _clibm.load() is not None
+def test_row_sum_kernel_is_math_fsum_bit_for_bit(monkeypatch):
     blocks = _fsum_blocks()
     assert sum(len(block) for block in blocks.values()) > 10_000
-    for case, block in blocks.items():
-        got = unit_weight_sums(_clibm.oracle_sums, block)
-        assert got is not None, f"the kernel declined {case}"
-        assert_fsum_bits(got, block)
-        assert_fsum_bits(unit_weight_sums(_oracle_sums, block), block)
     # Sum2's rounding without the certificate is wrong on every near-midpoint
     # and sum2-error row
     for case in ("near-midpoint", "sum2-error"):
         assert all(plain_sum2(row) != math.fsum(row) for row in blocks[case].tolist()), case
-    # a strided view sums what a copy sums
-    block = blocks["wide"][::3, ::2]
-    assert_fsum_bits(unit_weight_sums(_clibm.oracle_sums, block), block)
     # every other power of two over the whole exponent range, ascending (its
     # sum passes 2^1020), and then with its negation (its exact sum is 0):
     # both go to the partials, about 1,000 of them
     spread = 2.0 ** np.arange(-1074.0, 1024.0, 2.0)
-    for block in (spread[None, :], np.concatenate([spread, -spread])[None, :]):
-        got = unit_weight_sums(_clibm.oracle_sums, block)
-        assert got is not None
-        assert_fsum_bits(got, block)
-    # finite terms whose running sum overflows: the kernel declines, and the
-    # fallback raises as math.fsum does
-    block = np.array([[1e308, 1e308, -1e308]])
-    assert unit_weight_sums(_clibm.oracle_sums, block) is None
-    for sums in (math.fsum, lambda row: unit_weight_sums(_oracle_sums, row[None, :])):
-        with pytest.raises(OverflowError, match="intermediate overflow"):
-            sums(block[0])
+    # a strided view sums what a copy sums
+    blocks.update(strided=blocks["wide"][::3, ::2], spread=spread[None, :],
+                  spread_and_negation=np.concatenate([spread, -spread])[None, :])
+    for calls in both_paths(monkeypatch):
+        for case, block in blocks.items():
+            assert_fsum_bits(unit_weight_sums(_clibm.oracle_sums, block), block)
+            if calls is not None:
+                assert calls.pop() == ("pqss_oracle_sums", 0), f"the kernel declined {case}"
+        # finite terms whose running sum overflows: the kernel declines, and the
+        # math path raises as math.fsum does
+        block = np.array([[1e308, 1e308, -1e308]])
+        for sums in (math.fsum, lambda row: unit_weight_sums(_clibm.oracle_sums, row[None, :])):
+            with pytest.raises(OverflowError, match="intermediate overflow"):
+                sums(block[0])
+        if calls is not None:
+            assert calls == [("pqss_oracle_sums", 1)]
 
 
 def fsum_of_products(w1, w2, t):
@@ -561,27 +619,28 @@ def _oracle_sum_cases():
     }
 
 
-@needs_compiler
-def test_oracle_sums_is_fsum_of_the_products_bit_for_bit():
-    assert _clibm.load() is not None
-    for case, (w1, w2, t) in _oracle_sum_cases().items():
-        want = fsum_of_products(w1, w2, t)
-        got = _clibm.oracle_sums(w1, w2, t)
-        assert got is not None, f"the kernel declined {case}"
-        assert got.shape == (len(w1), len(w2)), case
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=case)
-    w1, w2, t = _oracle_sum_cases()["contiguous"]
-    # another dtype is converted before the call; another shape is refused
-    got = _clibm.oracle_sums(w1, w2, t.astype(np.float32))
-    np.testing.assert_array_equal(got, fsum_of_products(w1, w2, t.astype(np.float32)))
-    for bad in (t[:, :, :, :5], t[:4], t[..., None], np.broadcast_to(t[:, :1], t.shape)[:, :, 1:]):
-        with pytest.raises(ValueError, match="requires a table of shape"):
-            _clibm.oracle_sums(w1, w2, bad)
+def test_oracle_sums_is_fsum_of_the_products_bit_for_bit(monkeypatch):
+    cases = _oracle_sum_cases()
+    for calls in both_paths(monkeypatch):
+        for case, (w1, w2, t) in cases.items():
+            want = fsum_of_products(w1, w2, t)
+            got = _clibm.oracle_sums(w1, w2, t)
+            if calls is not None:
+                assert calls.pop() == ("pqss_oracle_sums", 0), f"the kernel declined {case}"
+            assert got.shape == (len(w1), len(w2)), case
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                          err_msg=case)
+        w1, w2, t = cases["contiguous"]
+        # another dtype is converted before the call; another shape is refused
+        got = _clibm.oracle_sums(w1, w2, t.astype(np.float32))
+        np.testing.assert_array_equal(got, fsum_of_products(w1, w2, t.astype(np.float32)))
+        for bad in (t[:, :, :, :5], t[:4], t[..., None],
+                    np.broadcast_to(t[:, :1], t.shape)[:, :, 1:]):
+            with pytest.raises(ValueError, match="requires a table of shape"):
+                _clibm.oracle_sums(w1, w2, bad)
 
 
-@needs_compiler
-def test_row_sum_falls_back_to_what_math_fsum_does():
-    assert _clibm.load() is not None
+def test_row_sum_falls_back_to_what_math_fsum_does(monkeypatch):
     # degree-1 axes: at (x1, x2) = (0.1, 0.2) the four rounded weight products
     # sum to more than 1, so a table of the largest double overflows there
     op = standard_sweep()[0]
@@ -596,23 +655,28 @@ def test_row_sum_falls_back_to_what_math_fsum_does():
     overflow, inf_minus_inf = np.ones((2, 3, 2, 2, 2))
     overflow[1, 0] = np.finfo(float).max
     inf_minus_inf[1, 0, 0, 0], inf_minus_inf[1, 0, 1, 1] = math.inf, -math.inf
-    for table, error, match in ((overflow, OverflowError, "intermediate overflow"),
-                                (inf_minus_inf, ValueError, r"-inf \+ inf")):
-        assert _clibm.oracle_sums(w1s, w2s, table) is None
-        with pytest.raises(error, match=match):
-            math.fsum(point_terms(table, 1, 0))
-        with pytest.raises(error, match=match):
-            moment_oracle(op, [np.ones((2, 2)), table], xs1, xs2)
-    # nan, inf and -inf terms among finite ones: the table is redone, each
-    # point as math.fsum has it
-    table = np.ones((3, 2, 2, 2))
-    table[1, 0, 0, 1], table[2, 0, 1, 0], table[1, 1, 1, 1] = math.nan, math.inf, -math.inf
-    assert _clibm.oracle_sums(w1s, w2s, table) is None
-    got = moment_oracle(op, [table], xs1, xs2)[0]
-    want = np.array([[math.fsum(point_terms(table, a, b)) for b in range(2)] for a in range(3)])
-    np.testing.assert_array_equal(got, want)
-    assert math.isnan(got[1, 0]) and got[2, 0] == math.inf and got[1, 1] == -math.inf
-    assert np.isfinite(got[0]).all() and got[2, 1] == want[2, 1]
+    # nan, inf and -inf terms among finite ones: each point as math.fsum has it
+    non_finite = np.ones((3, 2, 2, 2))
+    non_finite[1, 0, 0, 1], non_finite[2, 0, 1, 0], non_finite[1, 1, 1, 1] = (
+        math.nan, math.inf, -math.inf)
+    want = np.array([[math.fsum(point_terms(non_finite, a, b)) for b in range(2)]
+                     for a in range(3)])
+    assert math.isnan(want[1, 0]) and want[2, 0] == math.inf and want[1, 1] == -math.inf
+    assert np.isfinite(want[0]).all() and np.isfinite(want[2, 1])
+    for calls in both_paths(monkeypatch):
+        for table, error, match in ((overflow, OverflowError, "intermediate overflow"),
+                                    (inf_minus_inf, ValueError, r"-inf \+ inf")):
+            with pytest.raises(error, match=match):
+                math.fsum(point_terms(table, 1, 0))
+            with pytest.raises(error, match=match):
+                _clibm.oracle_sums(w1s, w2s, table)
+            with pytest.raises(error, match=match):
+                moment_oracle(op, [np.ones((2, 2)), table], xs1, xs2)
+        np.testing.assert_array_equal(moment_oracle(op, [non_finite], xs1, xs2)[0], want)
+        if calls is not None:
+            # the kernel declined each table with a bad point, and served the
+            # all-ones tables
+            assert calls == [("pqss_oracle_sums", r) for r in (1, 0, 1, 1, 0, 1, 1)]
 
 
 @needs_compiler
@@ -623,9 +687,9 @@ def test_high_degree_oracle_is_summed_by_the_kernel(monkeypatch):
     axis = AxisConfig(n=n, l=0, pq=PQPair(1.0 - 0.5 / n, 1.0 - 1.0 / n), alpha=0.5, beta=1.0)
     op = BivariateOperator(axis, axis)
     table = sample_at_nodes(op, build_catalog(1.0, 1.0)["exp_sum"].fn)
-    w1, w2 = (oracle_weight_vector(axis, x)[None, :] for x in (0.3, 0.8))
-    assert _clibm.oracle_sums(w1, w2, table[None, None]) is not None
+    calls = record_kernel(monkeypatch)
     with_kernel = moment_oracle(op, [table], [0.3], [0.8])
+    assert calls == [("pqss_oracle_sums", 0)]
     monkeypatch.setattr(_clibm, "load", lambda: None)
     without = moment_oracle(op, [table], [0.3], [0.8])
     np.testing.assert_array_equal(with_kernel.view(np.uint64), without.view(np.uint64))
@@ -772,7 +836,7 @@ _CONTRACTION = (
 
 
 def test_no_compiler_keeps_the_math_path(tmp_path):
-    # with no compiler found nothing is built or written, _libm still gives
+    # with no compiler found nothing is built or written, libm still gives
     # math's values and errors, and a factored contraction the same bits
     src = Path(_clibm.__file__).resolve().parent
     shutil.copytree(src, tmp_path / "pqss", ignore=shutil.ignore_patterns("__pycache__"))
@@ -780,13 +844,13 @@ def test_no_compiler_keeps_the_math_path(tmp_path):
         "import math, shutil\n"
         "shutil.which = lambda *args, **kwargs: None\n"
         "import pqss._clibm as k\n"
-        "from pqss.pq_core import _libm\n"
+        "from pqss._clibm import libm\n"
         "assert k.load() is None\n"
-        "assert _libm(math.exp, [0.0, 1.0]).tolist() == [1.0, math.exp(1.0)]\n"
+        "assert libm(math.exp, [0.0, 1.0]).tolist() == [1.0, math.exp(1.0)]\n"
         + _CONTRACTION +
         "print(' '.join(v.hex() for grid in grids for v in grid.ravel().tolist()))\n"
         "try:\n"
-        "    _libm(math.log, [0.0])\n"
+        "    libm(math.log, [0.0])\n"
         "except ValueError:\n"
         "    print('ok')\n"
     )

@@ -131,6 +131,9 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     add("bounds", "--f", "e11", "--l1", "800", "--n1", "2", "--grid", "3")
     add("bounds", "--f", "exp_sum", "--l1", "800", "--n1", "2", "--grid", "3")
     add("catalog", "--l1", "800")
+    # a value past the largest double: the top nodes are about 401 on each axis
+    add("eval", "--f", "exp_sum", "--n1", "1", "--l1", "400", "--q1", "0.999999", "--n2", "1",
+        "--l2", "400", "--q2", "0.999999", "--x1", "1", "--x2", "1", "--output", "e.csv")
     add("converge", "--cp", "1e7", "--cq", "2e7", "--n-list", "8,16,32", "--grid", "3")
     add("converge", "--cp", "0.5", "--cq", "inf", "--n-list", "8,16,32", "--grid", "3")
 
