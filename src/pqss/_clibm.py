@@ -3,11 +3,12 @@ and the oracle's weighted sums, each a math.fsum.
 
 libm applies a math-module function to an array.  Its compiled loop calls
 the same libm functions as `math`, so every value keeps its bits and the
-Python call per element is gone.  The oracle in moments sums each table in
-one call to oracle_sums, whose compiled kernel forms every term
-(w1[a, i] * w2[b, j]) * t[a, b, i, j] as it adds it, with no term array, and
+Python call per element is gone.  The oracle in moments sums its whole stack
+of tables in one call to oracle_sums, whose compiled kernel forms every term
+(w1[a, i] * w2[b, j]) * T[a, b, i, j] as it adds it, with no term array, and
 gives math.fsum's bits: each point is summed by Sum2 (a TwoSum chain and its
-error sum), whose rounding is kept only where an error bound certifies it is
+error sum), two tables at a time in the two lanes of a vector of doubles,
+and each lane's rounding is kept only where an error bound certifies it is
 the correctly rounded exact sum; any other point is summed again by a port
 of CPython 3.11's math_fsum.
 
@@ -20,12 +21,15 @@ is moved into place with os.replace, so processes that build at once all
 succeed.  Once a process has loaded its build, found or built, it deletes
 the builds of other hashes.
 The flags keep gcc from substituting anything for libm: no -ffast-math
-(which would call libmvec's vector kernels) and -ffp-contract=off.
+(which would call libmvec's vector kernels) and -ffp-contract=off.  They
+name no target CPU: the two-lane loop uses GCC's and Clang's vector
+extension, which compiles to the architecture's baseline (SSE2 on x86-64).
 
-Where cffi or a C compiler is missing, or the build fails, load() returns
-None, and libm and oracle_sums answer by the math module instead (a map of
-the function over the array, math.fsum row by row for the sums), which gives
-the same values and errors.  A failed build is not retried within the process.
+Where cffi or a C compiler is missing (or is neither GCC nor Clang), or the
+build fails, load() returns None, and libm and oracle_sums answer by the
+math module instead (a map of the function over the array, math.fsum row by
+row for the sums), which gives the same values and errors.  A failed build
+is not retried within the process.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ int pqss_expm1(const double *x, double *out, size_t n);
 int pqss_log(const double *x, double *out, size_t n);
 int pqss_sin(const double *x, double *out, size_t n);
 int pqss_pow(double base, const double *x, double *out, size_t n);
-int pqss_oracle_sums(const double *w1, const double *w2, const double *t, double *out,
-                     size_t k1, size_t k2, size_t n1, size_t n2,
-                     ptrdiff_t sa, ptrdiff_t sb, ptrdiff_t si, ptrdiff_t sj);
+int pqss_oracle_sums(const double *w1, const double *w2, const double *const *tables,
+                     const ptrdiff_t *strides, double *out, size_t nt,
+                     size_t k1, size_t k2, size_t n1, size_t n2);
 """
 
 _SOURCE = r"""
@@ -140,14 +144,46 @@ static double fsum_finish(const double *p, size_t n)
     return hi;
 }
 
-/* The sum of one point's N = n1 n2 terms x = (w1[i] * w2[j]) * t[i si + j sj]
-   by Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
-   Sci. Comput. 26(6), 2005): a TwoSum chain gives s, its errors are summed
-   into c and A = sum |x| is summed alongside.  The chain starts from s = 0,
-   so it is Sum2 over N + 1 terms: with u = 2^-53 and
-   g = gamma_N = N u / (1 - N u), the exact sum S has
-   |S - (s + c)| <= g^2 * (exact sum |x|) <= g^2 / (1 - g) * A, as the
-   rounded A is at least (1 - g) times the exact sum |x|.  Then
+/* Two lanes of doubles: GCC's and Clang's vector extension, which runs each
+   lane's +, - and * as the scalar operation (SSE2 on x86-64, NEON on
+   AArch64, and scalar code elsewhere), so every lane keeps scalar bits. */
+typedef double pqss_v2 __attribute__((vector_size(16)));
+typedef long long pqss_v2i __attribute__((vector_size(16)));
+
+/* Sum2 (Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+   Comput. 26(6), 2005) over one point's N = n1 n2 terms
+   x = (w1[i] * w2[j]) * t[i si + j sj] of two tables at once, one lane per
+   table: the product w1[i] * w2[j] is formed once for both lanes, and each
+   lane then runs a TwoSum chain into s, sums its errors into c and
+   A = sum |x| alongside, with the scalar operations in the same order.  The
+   chain starts from s = 0, so it is Sum2 over N + 1 terms. */
+static void sum2_pair(const double *w1, const double *w2, const double *t0,
+                      const double *t1, const ptrdiff_t *st0, const ptrdiff_t *st1,
+                      size_t n1, size_t n2, pqss_v2 *s_out, pqss_v2 *c_out, pqss_v2 *a_out)
+{
+    const pqss_v2i sign = (pqss_v2i)(pqss_v2){-0.0, -0.0};
+    pqss_v2 s = {0.0, 0.0}, c = s, A = s;
+    ptrdiff_t sj0 = st0[3], sj1 = st1[3];
+    for (size_t i = 0; i < n1; i++) {
+        double wi = w1[i];
+        const double *r0 = t0 + (ptrdiff_t)i * st0[2], *r1 = t1 + (ptrdiff_t)i * st1[2];
+        for (size_t j = 0; j < n2; j++) {
+            double w = wi * w2[j];
+            pqss_v2 x = (pqss_v2){w, w} * (pqss_v2){r0[(ptrdiff_t)j * sj0], r1[(ptrdiff_t)j * sj1]};
+            pqss_v2 sum = s + x, z = sum - s;
+            c += (s - (sum - z)) + (x - z);
+            s = sum;
+            A += (pqss_v2)((pqss_v2i)x & ~sign);
+        }
+    }
+    *s_out = s;
+    *c_out = c;
+    *a_out = A;
+}
+
+/* One lane's certificate.  With u = 2^-53 and g = gamma_N = N u / (1 - N u),
+   the exact sum S has |S - (s + c)| <= g^2 * (exact sum |x|) <= g^2 / (1 - g) * A,
+   as the rounded A is at least (1 - g) times the exact sum |x|.  Then
    r = fl(s + c), d = (s + c) - r exactly (TwoSum), e = sign(r) d (d away
    from 0 is positive) and E = fl(k A) >= g^2 / (1 - g) A, so sign(r) S lies
    in [|r| + e - E, |r| + e + E].  The two sides of |r| have their own
@@ -167,22 +203,8 @@ static double fsum_finish(const double *p, size_t n)
      about 2 A, finite: math.fsum raises nothing on a point that passes.
    Returns 0 where the test fails (near a midpoint, under heavy cancellation,
    an exact 0, |r| < 2^-960, a term or sum not finite). */
-static int sum2_certified(const double *w1, const double *w2, const double *t,
-                          size_t n1, size_t n2, ptrdiff_t si, ptrdiff_t sj, double k,
-                          double *out)
+static int sum2_certified(double s, double c, double A, double k, double *out)
 {
-    double s = 0.0, c = 0.0, A = 0.0;
-    for (size_t i = 0; i < n1; i++) {
-        double wi = w1[i];
-        const double *ti = t + (ptrdiff_t)i * si;
-        for (size_t j = 0; j < n2; j++) {
-            double x = (wi * w2[j]) * ti[(ptrdiff_t)j * sj];
-            double sum = s + x, z = sum - s;
-            c += (s - (sum - z)) + (x - z);
-            s = sum;
-            A += fabs(x);
-        }
-    }
     double r = s + c, z = r - s, d = (s - (r - z)) + (c - z), ar = fabs(r);
     double e = copysign(1.0, r) * d, E = k * A;
     if (!(A <= 0x1p1020 && ar >= 0x1p-960 && e + E < 0.5 * (nextafter(ar, INFINITY) - ar)
@@ -192,14 +214,33 @@ static int sum2_certified(const double *w1, const double *w2, const double *t,
     return 1;
 }
 
-/* out[a k2 + b] = math.fsum over i < n1, j < n2 (row-major) of
-   (w1[a n1 + i] * w2[b n2 + j]) * t[a sa + b sb + i si + j sj], strides in
-   elements (0 or negative too): by sum2_certified, or where it fails, by
-   the partials over the same terms.  The result is 1 where fsum_add
-   declines. */
-int pqss_oracle_sums(const double *w1, const double *w2, const double *t, double *out,
-                     size_t k1, size_t k2, size_t n1, size_t n2,
-                     ptrdiff_t sa, ptrdiff_t sb, ptrdiff_t si, ptrdiff_t sj)
+/* One point of one table summed by the partials, over the terms sum2_pair
+   forms, in the same order; 1 where fsum_add declines. */
+static int fsum_products(const double *w1, const double *w2, const double *t,
+                         const ptrdiff_t *st, size_t n1, size_t n2, double *p, double *out)
+{
+    size_t n = 0;
+    for (size_t i = 0; i < n1; i++) {
+        double wi = w1[i];
+        const double *ti = t + (ptrdiff_t)i * st[2];
+        for (size_t j = 0; j < n2; j++)
+            if (fsum_add(p, &n, (wi * w2[j]) * ti[(ptrdiff_t)j * st[3]]))
+                return 1;
+    }
+    *out = fsum_finish(p, n);
+    return 0;
+}
+
+/* out[(u k1 + a) k2 + b] = math.fsum over i < n1, j < n2 (row-major) of
+   (w1[a n1 + i] * w2[b n2 + j]) * T_u[a sa + b sb + i si + j sj] for each of
+   the nt tables T_u, whose addresses are tables[u] and whose strides, in
+   elements (0 or negative too), are strides[4 u .. 4 u + 3] = sa, sb, si, sj.
+   The tables run two at a time through sum2_pair (the last of an odd stack
+   in both lanes); a lane that sum2_certified does not pass is summed again
+   by the partials on its own.  The result is 1 where fsum_add declines. */
+int pqss_oracle_sums(const double *w1, const double *w2, const double *const *tables,
+                     const ptrdiff_t *strides, double *out, size_t nt,
+                     size_t k1, size_t k2, size_t n1, size_t n2)
 {
     double p[PQSS_PARTIALS];
     double nu = (double)n1 * (double)n2 * 0x1p-53;
@@ -207,19 +248,24 @@ int pqss_oracle_sums(const double *w1, const double *w2, const double *t, double
     for (size_t a = 0; a < k1; a++) {
         for (size_t b = 0; b < k2; b++) {
             const double *wa = w1 + a * n1, *wb = w2 + b * n2;
-            const double *ta = t + (ptrdiff_t)a * sa + (ptrdiff_t)b * sb;
-            double *o = out + a * k2 + b;
-            if (sum2_certified(wa, wb, ta, n1, n2, si, sj, k, o))
-                continue;
-            size_t n = 0;
-            for (size_t i = 0; i < n1; i++) {
-                double wi = wa[i];
-                const double *ti = ta + (ptrdiff_t)i * si;
-                for (size_t j = 0; j < n2; j++)
-                    if (fsum_add(p, &n, (wi * wb[j]) * ti[(ptrdiff_t)j * sj]))
+            for (size_t u = 0; u < nt; u += 2) {
+                /* the tables in the two lanes; an odd stack's last is in both */
+                size_t lane[2] = {u, u + 1 < nt ? u + 1 : u};
+                const ptrdiff_t *st[2];
+                const double *t[2];
+                for (size_t v = 0; v < 2; v++) {
+                    st[v] = strides + 4 * lane[v];
+                    t[v] = tables[lane[v]] + (ptrdiff_t)a * st[v][0] + (ptrdiff_t)b * st[v][1];
+                }
+                pqss_v2 s, c, A;
+                sum2_pair(wa, wb, t[0], t[1], st[0], st[1], n1, n2, &s, &c, &A);
+                for (size_t v = 0; v < (lane[1] > lane[0] ? 2 : 1); v++) {
+                    double *o = out + (lane[v] * k1 + a) * k2 + b;
+                    if (!sum2_certified(s[v], c[v], A[v], k, o)
+                            && fsum_products(wa, wb, t[v], st[v], n1, n2, p, o))
                         return 1;
+                }
             }
-            *o = fsum_finish(p, n);
         }
     }
     return 0;
@@ -341,35 +387,51 @@ def libm(fn, x):
     return np.fromiter(map(fn, x.flat), float, count=x.size).reshape(x.shape)[()]
 
 
-def oracle_sums(w1: np.ndarray, w2: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """math.fsum over i, j (row-major) of (w1[a, i] * w2[b, j]) * t[a, b, i, j]
-    for each (a, b), shape (k1, k2).
+def oracle_sums(w1: np.ndarray, w2: np.ndarray, tables) -> np.ndarray:
+    """math.fsum over i, j (row-major) of (w1[a, i] * w2[b, j]) * T[a, b, i, j]
+    for each table T of the sequence tables and each (a, b), shape
+    (len(tables), k1, k2).
 
-    w1 is (k1, n1), w2 is (k2, n2) and t is (k1, k2, n1, n2), any strides
-    (a broadcast view passes without a copy); another shape raises ValueError.
-    The compiled kernel forms each term as it adds it, with no term array.
+    w1 is (k1, n1) and w2 is (k2, n2); each table broadcasts to
+    (k1, k2, n1, n2), with any strides (a view such as t[:, None] or a 0-d
+    1.0 passes as it is, its strides worked out here); another shape raises
+    ValueError.  The whole stack is one call to the compiled kernel, which
+    forms each term as it adds it, with no term array, two tables at a time.
     Where there is no kernel, or a term or partial is not finite, the sums
-    are redone by math.fsum over terms built one w1 row at a time, which
-    gives the same values and raises math.fsum's errors.
+    are redone table by table by math.fsum over terms built one w1 row at a
+    time, which gives the same values and raises math.fsum's errors, for the
+    first table in order that has one.
     """
     w1 = np.ascontiguousarray(w1, dtype=float)
     w2 = np.ascontiguousarray(w2, dtype=float)
-    t = np.asarray(t)
     (k1, n1), (k2, n2) = w1.shape, w2.shape
-    if t.shape != (k1, k2, n1, n2):
-        raise ValueError(f"requires a table of shape {(k1, k2, n1, n2)} (got {t.shape})")
-    if t.dtype != float or not t.flags.aligned:
-        t = t.astype(float)
-    out = np.empty((k1, k2))
+    shape = (k1, k2, n1, n2)
+    arrays, strides = [], []
+    for t in tables:
+        t = np.asarray(t)
+        if t.dtype != float or not t.flags.aligned:
+            t = t.astype(float)
+        pad = len(shape) - t.ndim
+        strides += [0] * pad
+        for d, want, stride in zip(t.shape, shape[pad:], t.strides):
+            if pad < 0 or d != want and d != 1:
+                raise ValueError(f"requires a table of shape {shape}, or one that broadcasts "
+                                 f"to it (got {t.shape})")
+            # a length-1 axis is read at index 0 whatever its length in shape
+            strides.append(stride // t.itemsize if d != 1 else 0)
+        arrays.append(t)
+    out = np.empty((len(arrays), k1, k2))
     module = load()
     if module is not None:
         ffi = module.ffi
+        pointers = [ffi.cast("double *", t.ctypes.data) for t in arrays]
         if not module.lib.pqss_oracle_sums(
-                ffi.from_buffer("double[]", w1), ffi.from_buffer("double[]", w2),
-                ffi.cast("double *", t.ctypes.data), ffi.from_buffer("double[]", out),
-                k1, k2, n1, n2, *(s // t.itemsize for s in t.strides)):
+                ffi.from_buffer("double[]", w1), ffi.from_buffer("double[]", w2), pointers,
+                strides, ffi.from_buffer("double[]", out), len(arrays), k1, k2, n1, n2):
             return out
-    for a, row in enumerate(w1):
-        terms = (row[None, :, None] * w2[:, None, :]) * t[a]
-        out[a] = [math.fsum(memoryview(point.ravel())) for point in terms]
+    for t, sums in zip(arrays, out):
+        t = np.broadcast_to(t, shape)
+        for a, row in enumerate(w1):
+            terms = (row[None, :, None] * w2[:, None, :]) * t[a]
+            sums[a] = [math.fsum(memoryview(point.ravel())) for point in terms]
     return out

@@ -58,7 +58,7 @@ from .moments import (
     sweep_grid,
     verify_moments,
 )
-from .operators import AxisConfig, BivariateOperator, apply_bivariate, sample_at_nodes
+from .operators import AxisConfig, BivariateOperator, apply_bivariate, nodes, sample_at_nodes
 from .pq_core import PQPair
 from .serialize import config_hash, csv_text, fmt_float, json_text, write_text
 
@@ -235,7 +235,15 @@ def cmd_eval(ns) -> int:
     value = apply_bivariate(op, f.factors, ns.x1, ns.x2)
     record["value"] = value
     if ns.oracle:
-        oracle = float(moment_oracle(op, [sample_at_nodes(op, f.fn)], [ns.x1], [ns.x2])[0, 0, 0])
+        try:
+            table = sample_at_nodes(op, f.fn)
+        except ArithmeticError as exc:
+            t1, t2 = nodes(op.axis1), nodes(op.axis2)
+            raise ArithmeticError(
+                f"{f.name} has no double value on the oracle's node table f(t1, t2), "
+                f"t1 in [{fmt_float(t1.min())}, {fmt_float(t1.max())}], "
+                f"t2 in [{fmt_float(t2.min())}, {fmt_float(t2.max())}] ({exc})") from exc
+        oracle = float(moment_oracle(op, [table], [ns.x1], [ns.x2])[0, 0, 0])
         record["oracle"] = oracle
         record["absdiff"] = abs(value - oracle)
     for key in ("value", "oracle", "absdiff"):
@@ -363,7 +371,12 @@ def cmd_converge(ns) -> int:
     # them, before the cost and the catalog's widths are computed from l; the
     # other degrees are built once both checks pass
     ops = [build_operator(spec, n_list[0], shape1, shape2)]
-    _check_cost(max(n_list) + shape1.l, max(n_list) + shape2.l, ns.grid)
+    # every degree builds and evaluates its own operator, so each axis's
+    # weight builds are priced over the whole list as well
+    builds = [(f"axis {i} weight builds over --n-list, sum of 8k(m{i}+1)",
+               sum(8 * ns.grid * (n + l + 1) for n in n_list))
+              for i, l in ((1, shape1.l), (2, shape2.l))]
+    _check_cost(max(n_list) + shape1.l, max(n_list) + shape2.l, ns.grid, *builds)
     f = _catalog_entry(ns.f, shape1.l + 1.0, shape2.l + 1.0)
     ops += [build_operator(spec, n, shape1, shape2) for n in n_list[1:]]
 

@@ -18,9 +18,9 @@ central moment, a square plus a term that is nonnegative on [0, 1]:
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
-overflow at any degree, summed by Shewchuk-exact fsum: one call per table to
-the compiled kernel in _clibm, which forms each product term as it adds it
-and gives math.fsum's bits, with math.fsum itself as the fallback.  It
+overflow at any degree, summed by Shewchuk-exact fsum: one call per stack of
+tables to the compiled kernel in _clibm, which forms each product term as it
+adds it and gives math.fsum's bits, with math.fsum itself as the fallback.  It
 shares no code with the log-space production path in operators.py, so
 agreement between the two is meaningful evidence.
 moment_oracle sums a stack of node tables over a product grid;
@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import decimal
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,17 +53,25 @@ MOMENT_NAMES = (
 )
 
 _VALID_IJ = {(i, j) for _, i, j in MOMENT_NAMES}
-_DEN_LIMIT = math.sqrt(np.finfo(float).max)  # the closed forms divide by ([n] + beta)^2
+# The closed forms divide by D^2 = ([n] + beta)^2, which must be a normal double
+_DEN_LIMIT = math.sqrt(np.finfo(float).max)
+_DEN_MIN = math.sqrt(sys.float_info.min)
 
 
+@lru_cache(maxsize=256)  # the sweep's 135 axes fit
 def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float, float]:
     """(D, [m], [m-1], p^(m-1), gap) of one axis, with m = n + l, D = [n] + beta
-    and gap = [m] - D = q^n [l] + expm1(l log p) [n] - beta."""
+    and gap = [m] - D = q^n [l] + expm1(l log p) [n] - beta; cached, as every
+    closed form of an axis starts from them."""
     m, p, bn = axis.degree, axis.pq.p, pq_integer(axis.n, axis.pq)
     den = bn + axis.beta
     if not den <= _DEN_LIMIT:
         raise ValueError(f"requires [n] + beta <= {_DEN_LIMIT!r}, the square root of the largest "
                          f"double (got [n] + beta = {den!r} at beta={axis.beta!r})")
+    if den < _DEN_MIN:
+        raise ValueError(f"requires [n] + beta >= {_DEN_MIN!r}, the square root of the smallest "
+                         f"normal double (got [n] + beta = {den!r} at n={axis.n}, p={axis.pq.p}, "
+                         f"q={axis.pq.q}, beta={axis.beta!r})")
     gap = axis.pq.q ** axis.n * pq_integer(axis.l, axis.pq) + math.expm1(axis.l * math.log(p)) * bn
     return den, pq_integer(m, axis.pq), pq_integer(m - 1, axis.pq), p ** (m - 1), gap - axis.beta
 
@@ -176,20 +185,16 @@ def moment_oracle(op: BivariateOperator, tables, xs1, xs2) -> np.ndarray:
     """Brute-force S(T; x1, x2), shape (len(tables), len(xs1), len(xs2)).
 
     Each table broadcasts to (len(xs1), len(xs2), m1 + 1, m2 + 1): a node
-    table such as sample_at_nodes(op, f), or a per-point one such as
-    ((t1 - xs1[:, None])**2)[:, None, :, None].  Each entry is one fsum of
-    (w1[a] * w2[b]) * T[a, b], summed by _clibm.oracle_sums in one call per
-    table.
+    table such as sample_at_nodes(op, f) or t1[:, None], a per-point one such
+    as ((t1 - xs1[:, None])**2)[:, None, :, None], or a 0-d 1.0.  Each entry
+    is one fsum of (w1[a] * w2[b]) * T[a, b]; the whole stack is one call to
+    _clibm.oracle_sums.
     """
     xs1 = np.asarray(xs1, dtype=float)
     xs2 = np.asarray(xs2, dtype=float)
-    shape = (xs1.size, xs2.size, op.axis1.degree + 1, op.axis2.degree + 1)
-    w1s = np.reshape([oracle_weight_vector(op.axis1, x) for x in xs1], shape[::2])
-    w2s = np.reshape([oracle_weight_vector(op.axis2, x) for x in xs2], shape[1::2])
-    out = np.empty((len(tables), xs1.size, xs2.size))
-    for k, table in enumerate(tables):
-        out[k] = _clibm.oracle_sums(w1s, w2s, np.broadcast_to(table, shape))
-    return out
+    w1s, w2s = (np.array([oracle_weight_vector(axis, x) for x in xs])
+                .reshape(xs.size, axis.degree + 1) for axis, xs in ((op.axis1, xs1), (op.axis2, xs2)))
+    return _clibm.oracle_sums(w1s, w2s, tables)
 
 
 def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
@@ -333,13 +338,15 @@ def verify_moments(
     x1s, x2s = xs[:, None], xs[None, :]
     names = [name for name, _, _ in MOMENT_NAMES] + ["central1", "central2"]
     for op in ops:
-        t1 = nodes(op.axis1)
-        t2 = nodes(op.axis2)
-        closed = np.array(np.broadcast_arrays(
-            *[moment_closed(op, i, j, x1s, x2s) for _, i, j in MOMENT_NAMES],
-            central_moment(op.axis1, x1s), central_moment(op.axis2, x2s),
-        ))
-        tables = [np.outer(t1 ** i, t2 ** j) for _, i, j in MOMENT_NAMES] + [
+        closed = np.empty((len(names), xs.size, xs.size))
+        values = [moment_closed(op, i, j, x1s, x2s) for _, i, j in MOMENT_NAMES] + [
+            central_moment(op.axis1, x1s), central_moment(op.axis2, x2s)]
+        for row, value in zip(closed, values):
+            row[...] = value
+        # t1^i t2^j broadcast from each axis's powers: only e11's spans both axes
+        t1, t2 = nodes(op.axis1), nodes(op.axis2)
+        powers1, powers2 = (1.0, t1[:, None], (t1 ** 2)[:, None]), (1.0, t2, t2 ** 2)
+        tables = [powers1[i] * powers2[j] for _, i, j in MOMENT_NAMES] + [
             ((t1 - xs[:, None]) ** 2)[:, None, :, None],
             ((t2 - xs[:, None]) ** 2)[None, :, None, :],
         ]

@@ -536,6 +536,70 @@ def test_eval_refuses_a_value_that_overflows(tmp_path, monkeypatch, capsys, fmt)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eval_oracle_names_the_node_table_that_overflows(tmp_path, monkeypatch, capsys):
+    # at (0, 0) the value is finite, but the oracle's table exp(t1 + t2)
+    # reaches e^802 at the top nodes
+    monkeypatch.chdir(tmp_path)
+    axes = ["--n1", "1", "--l1", "400", "--q1", "0.999999",
+            "--n2", "1", "--l2", "400", "--q2", "0.999999"]
+    rc, out, err = run(["eval", "--f", "exp_sum", *axes, "--x1", "0", "--x2", "0", "--oracle",
+                        "--output", "e.csv"], capsys)
+    assert rc == 2
+    assert re.fullmatch(r"error: exp_sum has no double value on the oracle's node table "
+                        r"f\(t1, t2\), t1 in \[0, 400\.9\d*\], t2 in \[0, 400\.9\d*\] "
+                        r"\(math range error\)\n", err), err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+SUBNORMAL_SQUARE = ["--p1", "0.5", "--q1", "0.25", "--f", "e10", "--grid", "5"]
+
+
+@pytest.mark.parametrize("argv,n", [
+    # [n] + beta is about 2^-(n - 2) at (p, q) = (0.5, 0.25): its square was
+    # 0 at n = 600, which gave nan and false violations, and subnormal at
+    # n = 520, which lost bits with no warning
+    (["bounds", "--n1", "600", *SUBNORMAL_SQUARE], 600),
+    (["bounds", "--n1", "520", *SUBNORMAL_SQUARE], 520),
+    # p_n = 1 - 400/n and q_n = 1 - 500/n; the nan came at exit 0
+    (["converge", "--cp", "400", "--cq", "500", "--n-list", "1000,2000,4000", "--f", "e20",
+      "--grid", "5"], 1000),
+])
+def test_closed_moments_refuse_a_square_below_the_normal_range(tmp_path, capsys, argv, n):
+    rc, out, err = run([*argv, "--output", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert re.fullmatch(r"error: requires \[n\] \+ beta >= 1\.4916681462400413e-154, the "
+                        r"square root of the smallest normal double \(got \[n\] \+ beta = "
+                        rf"\S+ at n={n}, p=\S+, q=\S+, beta=0\.0\)\n", err), err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+    # a degree whose square is normal still runs
+    if argv[0] == "bounds":
+        rc, out, err = run(["bounds", "--n1", "500", *SUBNORMAL_SQUARE,
+                            "--output", str(tmp_path / "ok.csv")], capsys)
+        assert rc == 0 and "violations 0" in out and "nan" not in out
+
+
+def test_converge_prices_every_degree_before_any_work(monkeypatch, tmp_path, capsys):
+    # each degree alone is under the limit at --grid 41; eight of them are not
+    def priced(*args):
+        raise ValueError("the cost check passed")
+
+    monkeypatch.setattr(cli, "korovkin_suite", priced)
+    degrees = ",".join(str(200000 + i) for i in range(8))
+    rc, out, err = run(["converge", "--n-list", degrees, "--grid", "41",
+                        "--output", str(tmp_path)], capsys)
+    assert rc == 2
+    assert err == ("error: axis 1 weight builds over --n-list, sum of 8k(m1+1) = 524811808 "
+                   "elements exceeds the limit of 67108864 (2^26) at m1=200007, m2=200007, "
+                   "k=41\n")
+    assert out == "" and list(tmp_path.iterdir()) == []
+    # one of those degrees, and the default list, pass the check
+    for argv in (["--n-list", "200000", "--grid", "41"], []):
+        rc, out, err = run(["converge", *argv, "--output", str(tmp_path)], capsys)
+        assert (rc, err) == (2, "error: the cost check passed\n")
+
+
 @pytest.mark.parametrize("cp,cq,message", [
     ("1e7", "2e7", "family 'one-minus-c-over-n(cp=1e+07,cq=2e+07)' invalid at n=8: "
                    "requires 0 < q < p <= 1"),

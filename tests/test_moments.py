@@ -76,6 +76,21 @@ def test_moment_closed_names(worked_op):
         moment_closed(worked_op, 2, 1, 0.5, 0.5)
 
 
+def test_closed_moments_refuse_a_subnormal_square():
+    # D = [n] is about 2^-(n - 2) at (p, q) = (0.5, 0.25): D^2 is subnormal
+    # from n = 514 and 0 from n = 540, where the central moment was nan and
+    # delta at a scalar raised ZeroDivisionError
+    for n in (514, 539, 540, 600):
+        axis = AxisConfig(n=n, l=0, pq=PQPair(0.5, 0.25))
+        for fn in (second_moment_univariate, central_moment, delta):
+            with pytest.raises(ValueError, match=rf"requires \[n\] \+ beta >= 1\.49\S+, the "
+                                                 rf"square root of the smallest normal double "
+                                                 rf"\(got \[n\] \+ beta = \S+ at n={n}, "):
+                fn(axis, 0.5)
+    axis = AxisConfig(n=512, l=0, pq=PQPair(0.5, 0.25))
+    assert 0.0 < delta(axis, 0.5) < math.inf
+
+
 def test_central_moment_closed(worked_axis):
     want = 3.953125 / 12.25 - 2.0 * 0.5 * (1.875 / 3.5) + 0.25
     assert central_moment(worked_axis, 0.5) == pytest.approx(want, abs=1e-15)

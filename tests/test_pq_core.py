@@ -538,11 +538,13 @@ def plain_sum2(row):
     return s + c
 
 
-def unit_weight_sums(sums, block):
-    """Each row of a 2-D block summed by an oracle_sums-like function, as the
-    table (rows, 1, 1, cols) under unit weights: every product is the term."""
-    rows, cols = block.shape
-    return sums(np.ones((rows, 1)), np.ones((1, cols)), block[:, None, None, :])[:, 0]
+def unit_weight_sums(sums, *blocks):
+    """Each row of each 2-D block, all of one shape, summed by an
+    oracle_sums-like function as one stack of tables (rows, 1, 1, cols) under
+    unit weights, so every product is the term; shape (len(blocks), rows)."""
+    rows, cols = blocks[0].shape
+    return sums(np.ones((rows, 1)), np.ones((1, cols)),
+                [block[:, None, None, :] for block in blocks])[:, :, 0]
 
 
 def test_row_sum_kernel_is_math_fsum_bit_for_bit(monkeypatch):
@@ -561,7 +563,12 @@ def test_row_sum_kernel_is_math_fsum_bit_for_bit(monkeypatch):
                   spread_and_negation=np.concatenate([spread, -spread])[None, :])
     for calls in both_paths(monkeypatch):
         for case, block in blocks.items():
-            assert_fsum_bits(unit_weight_sums(_clibm.oracle_sums, block), block)
+            # one stack of three: the block and its rows reversed share the
+            # two lanes, and the block with its columns reversed (a new order
+            # for Sum2, the same sum for fsum) runs alone
+            stack = (block, block[::-1], block[:, ::-1])
+            for got, table in zip(unit_weight_sums(_clibm.oracle_sums, *stack), stack):
+                assert_fsum_bits(got, table)
             if calls is not None:
                 assert calls.pop() == ("pqss_oracle_sums", 0), f"the kernel declined {case}"
         # finite terms whose running sum overflows: the kernel declines, and the
@@ -584,7 +591,8 @@ def fsum_of_products(w1, w2, t):
 
 
 def _oracle_sum_cases():
-    """(w1, w2, table) triples for the kernel, keyed by case."""
+    """(w1, w2, {case: table}) for the kernel: every table broadcasts to
+    (len(w1), len(w2), n1, n2), and the tables mix layouts."""
     rng = np.random.default_rng(20261021)
 
     def weights(k, n):
@@ -598,46 +606,93 @@ def _oracle_sum_cases():
     def table(*shape):
         return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
-    w1, w2 = weights(5, 7), weights(4, 6)
     xs1, xs2 = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4)
     t1, t2 = np.linspace(0.0, 2.0, 7), np.linspace(0.0, 3.0, 6)
     big = table(10, 4, 21, 12)
-    return {
-        "contiguous": (w1, w2, table(5, 4, 7, 6)),
+    return weights(5, 7), weights(4, 6), {
+        "contiguous": table(5, 4, 7, 6),
         # verify's (t1 - x)^2 and (t2 - x)^2 views: stride 0 on two axes each
-        "(t1 - x)^2": (w1, w2, np.broadcast_to(((t1 - xs1[:, None]) ** 2)[:, None, :, None],
-                                               (5, 4, 7, 6))),
-        "(t2 - x)^2": (w1, w2, np.broadcast_to(((t2 - xs2[:, None]) ** 2)[None, :, None, :],
-                                               (5, 4, 7, 6))),
-        "node table": (w1, w2, np.broadcast_to(table(7, 6), (5, 4, 7, 6))),
-        "non-contiguous": (w1, w2, big[::2, :, ::3, 1::2]),
-        "reversed": (w1, w2, table(5, 4, 7, 6)[::-1, :, ::-1, ::-1]),
-        "Fortran order": (w1, w2, np.asfortranarray(table(5, 4, 7, 6))),
-        "k1 = 1": (w1[:1], w2, table(1, 4, 7, 6)),
-        "k2 = 1": (w1, w2[:1], table(5, 1, 7, 6)),
-        "n = 2": (weights(3, 2), weights(2, 2), table(3, 2, 2, 2)),
+        "(t1 - x)^2": ((t1 - xs1[:, None]) ** 2)[:, None, :, None],
+        "(t2 - x)^2": ((t2 - xs2[:, None]) ** 2)[None, :, None, :],
+        "node table": table(7, 6),
+        "non-contiguous": big[::2, :, ::3, 1::2],
+        "reversed": table(5, 4, 7, 6)[::-1, :, ::-1, ::-1],
+        "Fortran order": np.asfortranarray(table(5, 4, 7, 6)),
+        # verify's one-axis node powers, t1^i[:, None] and t2^j
+        "axis-1 column": table(7, 1),
+        "axis-2 row": table(6),
+        "per-point, 3-d": table(4, 1, 6),
+        "stride-0 view": np.broadcast_to(table(5, 1, 7, 6), (5, 4, 7, 6)),
+        "0-d": 1.0,
     }
 
 
 def test_oracle_sums_is_fsum_of_the_products_bit_for_bit(monkeypatch):
-    cases = _oracle_sum_cases()
+    w1, w2, tables = _oracle_sum_cases()
+    shape = (len(w1), len(w2), w1.shape[1], w2.shape[1])
+    want = {case: fsum_of_products(w1, w2, np.broadcast_to(t, shape))
+            for case, t in tables.items()}
+    cases = list(tables)
+    # stacks of 1, 2, 3, 8 and 9 tables, each starting at every case in turn,
+    # so every case takes each lane and an odd stack's last place
+    stacks = [[cases[(start + i) % len(cases)] for i in range(size)]
+              for size in (1, 2, 3, 8, 9) for start in range(len(cases))]
+    # axes of one weight row or of one or two terms, on slices of the same weights
+    rng = np.random.default_rng(20261022)
+    small = [(w1[:1], w2, (1, 4, 7, 6)), (w1, w2[:1], (5, 1, 7, 6)),
+             (w1[:3, :2], w2[:2, :2], (3, 2, 2, 2)), (w1[:3, :1], w2[:2, :1], (3, 2, 1, 1))]
     for calls in both_paths(monkeypatch):
-        for case, (w1, w2, t) in cases.items():
-            want = fsum_of_products(w1, w2, t)
-            got = _clibm.oracle_sums(w1, w2, t)
+        for stack in stacks:
+            got = _clibm.oracle_sums(w1, w2, [tables[case] for case in stack])
             if calls is not None:
-                assert calls.pop() == ("pqss_oracle_sums", 0), f"the kernel declined {case}"
-            assert got.shape == (len(w1), len(w2)), case
-            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
-                                          err_msg=case)
-        w1, w2, t = cases["contiguous"]
-        # another dtype is converted before the call; another shape is refused
-        got = _clibm.oracle_sums(w1, w2, t.astype(np.float32))
-        np.testing.assert_array_equal(got, fsum_of_products(w1, w2, t.astype(np.float32)))
-        for bad in (t[:, :, :, :5], t[:4], t[..., None],
+                assert calls.pop() == ("pqss_oracle_sums", 0), f"the kernel declined {stack}"
+            assert got.shape == (len(stack), len(w1), len(w2)), stack
+            for case, sums in zip(stack, got):
+                np.testing.assert_array_equal(sums.view(np.uint64), want[case].view(np.uint64),
+                                              err_msg=f"{case} in {stack}")
+        for v1, v2, table_shape in small:
+            t = rng.uniform(-2.0, 2.0, table_shape)
+            got = _clibm.oracle_sums(v1, v2, [t, t[::-1], 1.0])
+            if calls is not None:
+                assert calls.pop() == ("pqss_oracle_sums", 0), f"the kernel declined {table_shape}"
+            want_small = [fsum_of_products(v1, v2, x) for x in (t, t[::-1], np.ones(table_shape))]
+            np.testing.assert_array_equal(got.view(np.uint64), np.array(want_small).view(np.uint64),
+                                          err_msg=str(table_shape))
+        assert _clibm.oracle_sums(w1, w2, []).shape == (0, len(w1), len(w2))
+        if calls is not None:
+            assert calls.pop() == ("pqss_oracle_sums", 0)
+        t = tables["contiguous"]
+        # another dtype is converted before the call; another shape is refused,
+        # at any place in the stack, before any sum
+        got = _clibm.oracle_sums(w1, w2, [t.astype(np.float32)])
+        if calls is not None:
+            assert calls.pop() == ("pqss_oracle_sums", 0)
+        np.testing.assert_array_equal(
+            got[0].view(np.uint64), fsum_of_products(w1, w2, t.astype(np.float32)).view(np.uint64))
+        for bad in (t[:, :, :, :5], t[:4], t[..., None], t[0, 0, 0, :, None],
                     np.broadcast_to(t[:, :1], t.shape)[:, :, 1:]):
-            with pytest.raises(ValueError, match="requires a table of shape"):
-                _clibm.oracle_sums(w1, w2, bad)
+            for stack in ([bad], [t, bad], [t, 1.0, bad]):
+                with pytest.raises(ValueError, match="requires a table of shape"):
+                    _clibm.oracle_sums(w1, w2, stack)
+        assert not calls
+
+
+def test_oracle_sums_lanes_certify_on_their_own(monkeypatch):
+    # Sum2's rounding is wrong on every near-midpoint row, so only the
+    # partials give its sums; a plain block in the other lane passes the
+    # certificate.  Either lane's redo by the partials must leave its
+    # partner's sums, and the other tables of the stack, as they are.
+    near = _fsum_blocks()["near-midpoint"]
+    assert all(plain_sum2(row) != math.fsum(row) for row in near.tolist())
+    plain = np.random.default_rng(20261023).uniform(1.0, 2.0, near.shape)
+    assert all(plain_sum2(row) == math.fsum(row) for row in plain.tolist())
+    for calls in both_paths(monkeypatch):
+        for stack in ((near, plain), (plain, near), (plain, near, plain[::-1]),
+                      (near, plain, near[::-1], plain[::-1])):
+            for got, block in zip(unit_weight_sums(_clibm.oracle_sums, *stack), stack):
+                assert_fsum_bits(got, block)
+        if calls is not None:
+            assert calls == [("pqss_oracle_sums", 0)] * 4
 
 
 def test_row_sum_falls_back_to_what_math_fsum_does(monkeypatch):
@@ -663,20 +718,26 @@ def test_row_sum_falls_back_to_what_math_fsum_does(monkeypatch):
                      for a in range(3)])
     assert math.isnan(want[1, 0]) and want[2, 0] == math.inf and want[1, 1] == -math.inf
     assert np.isfinite(want[0]).all() and np.isfinite(want[2, 1])
+    errors = ((overflow, OverflowError, "intermediate overflow"),
+              (inf_minus_inf, ValueError, r"-inf \+ inf"))
     for calls in both_paths(monkeypatch):
-        for table, error, match in ((overflow, OverflowError, "intermediate overflow"),
-                                    (inf_minus_inf, ValueError, r"-inf \+ inf")):
+        for table, error, match in errors:
             with pytest.raises(error, match=match):
                 math.fsum(point_terms(table, 1, 0))
             with pytest.raises(error, match=match):
-                _clibm.oracle_sums(w1s, w2s, table)
+                _clibm.oracle_sums(w1s, w2s, [table])
             with pytest.raises(error, match=match):
                 moment_oracle(op, [np.ones((2, 2)), table], xs1, xs2)
+        # a later table's error, after tables that sum: the first table in
+        # order that has an error raises it
+        ones = np.ones((2, 2))
+        for first, second in (errors, errors[::-1]):
+            with pytest.raises(first[1], match=first[2]):
+                moment_oracle(op, [ones, 1.0, first[0], second[0], ones], xs1, xs2)
         np.testing.assert_array_equal(moment_oracle(op, [non_finite], xs1, xs2)[0], want)
         if calls is not None:
-            # the kernel declined each table with a bad point, and served the
-            # all-ones tables
-            assert calls == [("pqss_oracle_sums", r) for r in (1, 0, 1, 1, 0, 1, 1)]
+            # one call per stack, which the kernel declined: each has a bad point
+            assert calls == [("pqss_oracle_sums", 1)] * 7
 
 
 @needs_compiler
@@ -693,6 +754,29 @@ def test_high_degree_oracle_is_summed_by_the_kernel(monkeypatch):
     monkeypatch.setattr(_clibm, "load", lambda: None)
     without = moment_oracle(op, [table], [0.3], [0.8])
     np.testing.assert_array_equal(with_kernel.view(np.uint64), without.view(np.uint64))
+
+
+@needs_compiler
+def test_moment_oracle_is_one_kernel_call(monkeypatch, asymmetric_sweep):
+    op = asymmetric_sweep[100]
+    t1, t2 = nodes(op.axis1), nodes(op.axis2)
+    xs1, xs2 = sweep_grid(5), sweep_grid(3)
+    tables = [1.0, t1[:, None], t2, np.outer(t1, t2), ((t1 - xs1[:, None]) ** 2)[:, None, :, None],
+              ((t2 - xs2[:, None]) ** 2)[None, :, None, :], (t2 ** 2)[None, None], t1[:, None] ** 2]
+    calls = record_kernel(monkeypatch)
+    for k in range(len(tables) + 1):
+        assert moment_oracle(op, tables[:k], xs1, xs2).shape == (k, 5, 3)
+        assert calls == [("pqss_oracle_sums", 0)], k
+        calls.clear()
+    # verify's nodes call the pow kernel too
+    assert verify_moments([op], xs1).ok
+    assert [call for call in calls if call[0] == "pqss_oracle_sums"] == [("pqss_oracle_sums", 0)]
+    calls.clear()
+    # the axes' degrees differ, so an axis-1 row or an axis-2 column is refused
+    for bad in (t1, t2[:, None], np.ones((5, 3, 1, 1, 1)), np.ones((3, 5, 1, 1))):
+        with pytest.raises(ValueError, match="requires a table of shape"):
+            moment_oracle(op, [1.0, bad], xs1, xs2)
+    assert not calls
 
 
 def in_order_matvec(w, v, reverse=False):

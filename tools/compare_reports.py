@@ -136,6 +136,18 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         "--l2", "400", "--q2", "0.999999", "--x1", "1", "--x2", "1", "--output", "e.csv")
     add("converge", "--cp", "1e7", "--cq", "2e7", "--n-list", "8,16,32", "--grid", "3")
     add("converge", "--cp", "0.5", "--cq", "inf", "--n-list", "8,16,32", "--grid", "3")
+    # [n] + beta whose square is 0 (n1 = 600, nan in every rhs) or subnormal
+    # (n1 = 520, bits lost), and a family whose first degree is there
+    for n1 in ("600", "520"):
+        add("bounds", "--n1", n1, "--p1", "0.5", "--q1", "0.25", "--f", "e10", "--grid", "5")
+    add("converge", "--cp", "400", "--cq", "500", "--n-list", "1000,2000,4000", "--f", "e20",
+        "--grid", "5")
+    # six degrees near 4e4 at --grid 41: each passes the cost check, their sum
+    # does not (about 2 s in a tree that prices only the largest degree)
+    add("converge", "--n-list", ",".join(str(40000 + i) for i in range(6)), "--grid", "41")
+    # the value at (0, 0) is finite, the oracle's node table exp(t1 + t2) is not
+    add("eval", "--f", "exp_sum", "--n1", "1", "--l1", "400", "--q1", "0.999999", "--n2", "1",
+        "--l2", "400", "--q2", "0.999999", "--x1", "0", "--x2", "0", "--oracle")
 
     # config files
     add("--config", "run.cfg", "eval", "--f", "e11", files={"run.cfg": WORKED_CFG})
