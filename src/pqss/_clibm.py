@@ -1,5 +1,6 @@
-"""libm's exp, expm1, log, sin and pow over a whole array, in one C loop,
-and the oracle's weighted sums, each a math.fsum.
+"""libm's exp, expm1, log, sin and pow over a whole array, in one C loop;
+the oracle's weighted sums, each a math.fsum; and the weight path's two
+sequential sums, Neumaier prefix sums and index-order row sums.
 
 libm applies a math-module function to an array.  Its compiled loop calls
 the same libm functions as `math`, so every value keeps its bits and the
@@ -10,7 +11,10 @@ gives math.fsum's bits: each point is summed by Sum2 (a TwoSum chain and its
 error sum), two tables at a time in the two lanes of a vector of doubles,
 and each lane's rounding is kept only where an error bound certifies it is
 the correctly rounded exact sum; any other point is summed again by a port
-of CPython 3.11's math_fsum.
+of CPython 3.11's math_fsum.  compensated_cumsum (the log-factorial table
+and the rising-factor prefix) and weighted_sums (every factor of
+apply_on_grid) run their rows through one C loop each, with the operations
+of the numpy code they replace in the same order, so they keep its bits.
 
 The C source below is built with cffi in API mode on first use, into this
 package's __pycache__ directory, under a name keyed by a hash of the source,
@@ -21,14 +25,16 @@ is moved into place with os.replace, so processes that build at once all
 succeed.  Once a process has loaded its build, found or built, it deletes
 the builds of other hashes.
 The flags keep gcc from substituting anything for libm: no -ffast-math
-(which would call libmvec's vector kernels) and -ffp-contract=off.  They
+(which would call libmvec's vector kernels, and reassociate the sums) and
+-ffp-contract=off (no fused multiply-add in a row sum).  They
 name no target CPU: the two-lane loop uses GCC's and Clang's vector
 extension, which compiles to the architecture's baseline (SSE2 on x86-64).
 
 Where cffi or a C compiler is missing (or is neither GCC nor Clang), or the
 build fails, load() returns None, and libm and oracle_sums answer by the
 math module instead (a map of the function over the array, math.fsum row by
-row for the sums), which gives the same values and errors.  A failed build
+row for the sums), which gives the same values and errors; the two sequential
+sums answer by np.cumsum, which accumulates left to right.  A failed build
 is not retried within the process.
 """
 
@@ -53,6 +59,8 @@ int pqss_pow(double base, const double *x, double *out, size_t n);
 int pqss_oracle_sums(const double *w1, const double *w2, const double *const *tables,
                      const ptrdiff_t *strides, double *out, size_t nt,
                      size_t k1, size_t k2, size_t n1, size_t n2);
+void pqss_neumaier(const double *v, double *out, size_t rows, size_t n);
+void pqss_weighted_sums(const double *w, const double *v, double *out, size_t rows, size_t n);
 """
 
 _SOURCE = r"""
@@ -84,6 +92,34 @@ int pqss_pow(double base, const double *x, double *out, size_t n)
         bad |= !isfinite(out[i]);
     }
     return bad;
+}
+
+/* compensated_cumsum's loop over each row of n values, in which s and c
+   start from their first terms as np.cumsum's do (s = v[0], not 0.0 + v[0]). */
+void pqss_neumaier(const double *v, double *out, size_t rows, size_t n)
+{
+    for (size_t r = 0; r < rows; r++, v += n, out += n) {
+        double s = 0.0, c = 0.0;
+        for (size_t i = 0; i < n; i++) {
+            double x = v[i], t = i ? s + x : x;
+            double e = fabs(s) >= fabs(x) ? (s - t) + x : (x - t) + s;
+            c = i ? c + e : e;
+            s = t;
+            out[i] = s + c;
+        }
+    }
+}
+
+/* out[r] = row r of w (rows n apart) times v, added from the first product,
+   as np.cumsum adds (so a row of -0.0 products sums to -0.0). */
+void pqss_weighted_sums(const double *w, const double *v, double *out, size_t rows, size_t n)
+{
+    for (size_t r = 0; r < rows; r++, w += n) {
+        double s = w[0] * v[0];
+        for (size_t i = 1; i < n; i++)
+            s += w[i] * v[i];
+        out[r] = s;
+    }
 }
 
 /* math.fsum by CPython 3.11's math_fsum: Shewchuk's non-overlapping
@@ -435,3 +471,49 @@ def oracle_sums(w1: np.ndarray, w2: np.ndarray, tables) -> np.ndarray:
             terms = (row[None, :, None] * w2[:, None, :]) * t[a]
             sums[a] = [math.fsum(memoryview(point.ravel())) for point in terms]
     return out
+
+
+def compensated_cumsum(values) -> np.ndarray:
+    """Running prefix sums with Neumaier compensation, along the last axis.
+
+    Naive cumulative sums of ~2000 log-factorial terms drift around 1e-10;
+    the compensated version keeps every prefix near 1e-13, which the long
+    partition-of-unity checks rely on.  Each row is the sequential loop
+
+        t = s + v;  c += (s - t) + v if |s| >= |v| else (v - t) + s;  s = t;
+        out = s + c
+
+    run by the compiled kernel, one call for all rows, or without it by
+    np.cumsum, which accumulates left to right (each error term depends only
+    on its own s, v and t): the same bits either way, inf and nan included.
+    """
+    v = np.ascontiguousarray(values, dtype=float)
+    module = load()
+    if module is not None:
+        out, buf = np.empty_like(v), functools.partial(module.ffi.from_buffer, "double[]")
+        module.lib.pqss_neumaier(buf(v), buf(out), v.size // max(v.shape[-1], 1), v.shape[-1])
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.cumsum(v, axis=-1)
+        prev = np.zeros_like(s)
+        prev[..., 1:] = s[..., :-1]
+        err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
+        return s + np.cumsum(err, axis=-1)
+
+
+def weighted_sums(w: np.ndarray, v) -> np.ndarray:
+    """w @ v for w of shape (k, n >= 1) and v of n values or one (for all n),
+    each row summed from its first term to its last, one rounded product and
+    one rounded add per term, so every CPU and BLAS gives the same bits: the
+    compiled kernel, one call for all rows, or without it
+    np.cumsum(w * v, axis=1)[:, -1], which accumulates left to right."""
+    w = np.ascontiguousarray(w, dtype=float)
+    k, n = w.shape
+    module = load()
+    if module is not None and n:
+        out, buf = np.empty(k), functools.partial(module.ffi.from_buffer, "double[]")
+        v = np.ascontiguousarray(np.broadcast_to(v, (n,)), dtype=float)
+        module.lib.pqss_weighted_sums(buf(w), buf(v), buf(out), k, n)
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(w * v, axis=1)[:, -1]

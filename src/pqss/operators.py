@@ -18,8 +18,8 @@ the nodes, which live in [0, l + 1).
 apply_on_grid takes f as a factor tuple ((g, h), ...) whose sum of products
 g(t1) h(t2) is f, and costs O(k m) on a k-point axis of degree m: each factor
 is sampled at one axis's m + 1 nodes, contracted with the weight rows in index
-order (the same sum on every CPU, with any BLAS), and the grid is the sum of
-the outer products.  Every catalog function carries its factors.  The node
+order (_clibm.weighted_sums: the same sum on every CPU, with any BLAS), and
+the grid is the sum of the outer products.  Every catalog function carries its factors.  The node
 grid itself is built only as the oracle's table (sample_at_nodes).
 
 Weights are evaluated in log space, for a whole vector of x at once, and
@@ -39,11 +39,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._clibm import libm
+from ._clibm import compensated_cumsum, libm, weighted_sums
 from .pq_core import (
     PQPair,
     _log_rising_terms,
-    compensated_cumsum,
     cumulative_log_factorials,
     pq_integer,
 )
@@ -191,13 +190,6 @@ def sample_at_nodes(op: BivariateOperator, f: GridFn) -> np.ndarray:
     return tabulate(f, nodes(op.axis1), nodes(op.axis2))
 
 
-def _weighted_sums(w: np.ndarray, v) -> np.ndarray:
-    """w @ v with each row summed from its first term to its last, one rounded
-    product and one rounded sum per term: np.cumsum accumulates left to right,
-    so every CPU and BLAS gives the same bits."""
-    return np.cumsum(w * v, axis=1)[:, -1]
-
-
 def apply_on_grid(op: BivariateOperator, f: Factors, xs1, xs2) -> np.ndarray:
     """S(f) on a product grid, M[i, j] = S(f; xs1[i], xs2[j]): the sum over
     f's pairs of outer(W1 g(t1), W2 h(t2)), each product summed in index order.
@@ -211,7 +203,7 @@ def apply_on_grid(op: BivariateOperator, f: Factors, xs1, xs2) -> np.ndarray:
     out = np.zeros((len(w1), len(w2)))
     with np.errstate(over="ignore", invalid="ignore"):
         for g, h in f:
-            out += np.outer(_weighted_sums(w1, g(t1)), _weighted_sums(w2, h(t2)))
+            out += np.outer(weighted_sums(w1, g(t1)), weighted_sums(w2, h(t2)))
     bad = ~np.isfinite(out)
     if bad.any():
         i, j = np.argwhere(bad)[0]

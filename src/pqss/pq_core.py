@@ -7,9 +7,9 @@ the bracket numbers
 
 their log-factorials, and the logs of the rising-product factors
 p^j - q^j x that appear in the operator weights.  A single bracket is plain
-double precision; the tables are built in log space (compensated sums of log
-magnitudes), so they stay finite where the direct products under- or
-overflow.
+double precision; the tables are built in log space (Neumaier prefix sums of
+log magnitudes, _clibm.compensated_cumsum), so they stay finite where the
+direct products under- or overflow.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._clibm import libm
+from ._clibm import compensated_cumsum, libm
 
 
 @dataclass(frozen=True)
@@ -76,28 +76,6 @@ def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
     j = np.arange(m, dtype=float)
     log_x = libm(math.log, np.asarray(xs, dtype=float))[:, None]
     return j * math.log(pq.p) + libm(math.log, -libm(math.expm1, j * pq.log_ratio + log_x))
-
-
-def compensated_cumsum(values) -> np.ndarray:
-    """Running prefix sums with Neumaier compensation, along the last axis.
-
-    Naive cumulative sums of ~2000 log-factorial terms drift around 1e-10;
-    the compensated version keeps every prefix near 1e-13, which the long
-    partition-of-unity checks rely on.  This is the sequential loop
-
-        t = s + v;  c += (s - t) + v if |s| >= |v| else (v - t) + s;  s = t;
-        out = s + c
-
-    with the same operations in the same order: np.cumsum accumulates left
-    to right, and each error term depends only on its own s, v and t, so
-    every row gets the loop's bits.
-    """
-    v = np.asarray(values, dtype=float)
-    s = np.cumsum(v, axis=-1)
-    prev = np.zeros_like(s)
-    prev[..., 1:] = s[..., :-1]
-    err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
-    return s + np.cumsum(err, axis=-1)
 
 
 @lru_cache(maxsize=512)

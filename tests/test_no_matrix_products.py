@@ -1,7 +1,8 @@
 """No matrix product in src/pqss, so no report path can call BLAS.
 
-Every contraction sums in index order (operators._weighted_sums), which gives
-the same bits on every CPU and under every BLAS setting.  A matrix product
+Every contraction sums in index order (_clibm.weighted_sums, a compiled loop
+with np.cumsum as its fallback), which gives the same bits on every CPU and
+under every BLAS setting.  A matrix product
 hands the summation order to the BLAS in use, so none may come back: no `@`,
 no call named dot, matmul, einsum, tensordot, inner or vdot, and nothing
 reached through `linalg`.

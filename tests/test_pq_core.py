@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqss import _clibm
+from pqss._clibm import compensated_cumsum, weighted_sums
 from pqss.catalog import build_catalog
 from pqss.moments import (
     literal_first_moment_factor,
@@ -25,7 +26,6 @@ from pqss.moments import (
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
-    _weighted_sums,
     apply_on_grid,
     nodes,
     sample_at_nodes,
@@ -35,7 +35,6 @@ from pqss.operators import (
 from pqss.pq_core import (
     PQPair,
     _log_rising_terms,
-    compensated_cumsum,
     cumulative_log_factorials,
     pq_integer,
 )
@@ -167,7 +166,7 @@ def test_log_rising_against_mpmath():
 
 
 def neumaier_loop(values):
-    """The scalar Neumaier prefix sum that compensated_cumsum vectorizes."""
+    """The scalar Neumaier prefix sum that compensated_cumsum runs on each row."""
     out = np.empty(len(values))
     s = 0.0
     c = 0.0
@@ -192,19 +191,38 @@ def test_compensated_cumsum_matches_fsum_prefixes():
         assert out[i] == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
-def test_compensated_cumsum_is_the_scalar_loop_bit_for_bit():
+def assert_same_bits(got, want, err_msg=""):
+    """Equal shapes and uint64 bits, where any nan matches any nan: the sign
+    and payload of a nan made by inf - inf are the CPU's."""
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    assert got.dtype == float and got.shape == want.shape, err_msg
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan, err_msg=err_msg)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64),
+                                  err_msg=err_msg)
+
+
+def test_compensated_cumsum_is_the_scalar_loop_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(20)
     mixed = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-20, 20, 3000)
     logs = [math.log(pq_integer(j, PQPair(0.999, 0.998))) for j in range(1, 2001)]
-    for vals in (ADVERSARIAL, mixed, logs, [2.5], []):
-        np.testing.assert_array_equal(compensated_cumsum(vals), neumaier_loop(vals))
-    # along the last axis of 2-D input, each row is its own loop
+    zeros = [-0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0]
+    not_finite = [1.0, 2.0, math.inf, 3.0, -math.inf, 1.0, math.nan, 2.0]
+    # along the last axis of 2-D and 3-D input, each row is its own loop
     rows = rng.choice([-1.0, 1.0], (7, 500)) * 10.0 ** rng.uniform(-12, 12, (7, 500))
     rows[3, : len(ADVERSARIAL)] = ADVERSARIAL
-    got = compensated_cumsum(rows)
-    assert got.shape == rows.shape
-    for row, want in zip(got, rows):
-        np.testing.assert_array_equal(row, neumaier_loop(want))
+    rows[5, :8], rows[6, -8:] = not_finite, not_finite
+    inputs = [ADVERSARIAL, mixed, logs, zeros, not_finite, [math.nan, 1.0], [2.5], [],
+              rows, rows.reshape(7, 5, 100), rows.T, rows[:, ::-3], np.empty((3, 0))]
+    for calls in both_paths(monkeypatch):
+        for vals in inputs:
+            arr = np.asarray(vals, dtype=float)
+            flat = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+            want = np.array([neumaier_loop(row.tolist()) for row in flat])
+            assert_same_bits(compensated_cumsum(vals), want.reshape(arr.shape))
+        if calls is not None:
+            # one compiled call per compensated_cumsum call, for all its rows
+            assert calls == [("pqss_neumaier", None)] * len(inputs)
 
 
 def test_cumulative_log_factorials_values_and_caching():
@@ -305,10 +323,11 @@ def record_kernel(monkeypatch):
 
 
 def both_paths(monkeypatch):
-    """Run a loop body on each path of libm and oracle_sums.  First (where a
-    compiler exists) through the kernel, yielding the list of its calls as
-    (function name, returned); then with load() finding no kernel, yielding
-    None, so math answers every call."""
+    """Run a loop body on each path of libm, oracle_sums, compensated_cumsum
+    and weighted_sums.  First (where a compiler exists) through the kernel,
+    yielding the list of its calls as (function name, returned); then with
+    load() finding no kernel, yielding None, so math and numpy answer every
+    call."""
     if not compiler_missing:
         yield record_kernel(monkeypatch)
     monkeypatch.setattr(_clibm, "load", lambda: None)
@@ -403,6 +422,13 @@ def _package_arrays():
     op = BivariateOperator(axis, literal)
     cat = build_catalog(axis.l + 1.0, literal.l + 1.0)
     d = np.linspace(0.0, 2.0, 41)
+    high = AxisConfig(n=7998, l=2, pq=PQPair(1.0 - 0.6 / 8000, 1.0 - 1.4 / 8000), alpha=0.3,
+                      beta=0.9)
+    conv_axis = AxisConfig(n=2048, l=1, pq=PQPair(1.0 - 0.4 / 2048, 1.0 - 1.3 / 2048),
+                           alpha=0.5, beta=1.0)
+    converge = BivariateOperator(conv_axis, conv_axis)
+    high_cat = build_catalog(2.0, 2.0)
+    grid = np.linspace(0.0, 1.0, 41)
     return {
         "weight_matrix": weight_matrix(axis, np.linspace(0.0, 1.0, 21)),
         "cumulative_log_factorials": cumulative_log_factorials(6000, 0.9, 0.6),
@@ -415,6 +441,11 @@ def _package_arrays():
         "sinprod samples": sample_at_nodes(op, cat["sinprod"].fn),
         "exp_sum contraction": apply_on_grid(op, cat["exp_sum"].factors, d[:21] / 2.0, d / 2.0),
         "sum contraction": apply_on_grid(op, cat["sum"].factors, [0.0, 0.3, 1.0], [0.7]),
+        # the benchmark's heavy shapes: a cold m = 8000 weight build, and
+        # converge's contraction at n = 2048 on a 41-point grid
+        "m = 8000 weight matrix": weight_matrix(high, grid),
+        "n = 2048 exp_sum contraction": apply_on_grid(converge, high_cat["exp_sum"].factors,
+                                                      grid, grid),
     }
 
 
@@ -426,7 +457,7 @@ def test_package_arrays_equal_with_and_without_kernel(monkeypatch):
     without = _package_arrays()
     cumulative_log_factorials.cache_clear()
     for name, arr in with_kernel.items():
-        np.testing.assert_array_equal(arr, without[name], err_msg=name)
+        assert_same_bits(arr, without[name], err_msg=name)
 
 
 def _sum2_error_rows(rng, rows, n=2 ** 20):
@@ -780,15 +811,19 @@ def test_moment_oracle_is_one_kernel_call(monkeypatch, asymmetric_sweep):
 
 
 def in_order_matvec(w, v, reverse=False):
-    """Each row of w times v, summed term by term from the first (or from the
-    last) in Python floats."""
-    values = v.tolist()
+    """Each row of w times v (n values, or one for all n), summed term by term
+    from the first (or from the last) in Python floats, starting from that
+    term's product, as np.cumsum does."""
+    w = np.asarray(w, dtype=float)
+    values = np.broadcast_to(np.asarray(v, dtype=float), w.shape[1:]).tolist()
     out = []
     for row in w.tolist():
-        acc = 0.0
-        pairs = list(zip(row, values))
-        for a, b in reversed(pairs) if reverse else pairs:
-            acc += a * b
+        products = [a * b for a, b in zip(row, values)]
+        if reverse:
+            products.reverse()
+        acc = products[0]
+        for x in products[1:]:
+            acc += x
         out.append(acc)
     return np.array(out, dtype=float)
 
@@ -809,16 +844,30 @@ def _matvec_cases():
         "m = 2^18": (long_row, rng.uniform(-2.0, 2.0, 2 ** 18 + 1)),
         "non-contiguous": (wide[::3, ::2], rng.uniform(-3.0, 3.0, 900)[::2]),
         "endpoint rows": (np.eye(5)[[0, 4]], np.array([1e-300, 2.0, -3.0, 4.0, 5e300])),
+        # -0.0 products: a row of them sums to -0.0, not to 0.0 + -0.0
+        "-0.0 products": (np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+                          np.array([-1.0, -2.0, -0.0])),
+        "transposed": (wide[:12, :40].T, rng.uniform(-3.0, 3.0, 12)),
+        # a catalog constant: an int or a 0-d value stands for every node
+        "int factor": (weights[:5], 3),
+        "0-d factor": (weights[5:9], np.float64(-0.7)),
+        "0-d array factor": (subnormal[:3], np.array(2.0)),
+        "not finite": (np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 1.0],
+                                 [1.0, 0.0, 0.0, 1.0], [1e308, 1e308, -1e308, 1.0]]),
+                       np.array([1.0, math.inf, -math.inf, math.nan])),
+        "overflow": (np.array([[1e308, 1e308, -1e308], [1.0, 2.0, 3.0]]),
+                     np.array([10.0, 10.0, 1.0])),
     }
 
 
-def test_contraction_sums_in_index_order_bit_for_bit():
+def test_contraction_sums_in_index_order_bit_for_bit(monkeypatch):
     cases = _matvec_cases()
-    for case, (w, v) in cases.items():
-        want = in_order_matvec(w, v)
-        got = _weighted_sums(w, v)
-        assert got.shape == (w.shape[0],), case
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), err_msg=case)
+    for calls in both_paths(monkeypatch):
+        for case, (w, v) in cases.items():
+            assert_same_bits(weighted_sums(w, v), in_order_matvec(w, v), err_msg=case)
+        if calls is not None:
+            # one compiled call per weighted_sums call, for all its rows
+            assert calls == [("pqss_weighted_sums", None)] * len(cases)
     # the cases can see a change of order: summing from the last term differs
     w, v = cases["exact zeros"]
     assert np.any(in_order_matvec(w, v) != in_order_matvec(w, v, reverse=True))

@@ -190,6 +190,12 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     # BLAS wrote other bytes for this contraction under other thread counts and CPUs
     add("bounds", "--f", "exp_sum", "--n1", "200", "--n2", "200", "--l1", "1", "--q1", "0.8",
         "--q2", "0.8", "--grid", "101")
+    # the benchmark's heavy shapes: converge's contraction at n = 2048 and a
+    # cold weight build at m = 8002, each on a 41-point grid
+    add("converge", "--cp", "0.4", "--cq", "1.3", "--n-list", "2048", *SHAPE, "--f", "exp_sum",
+        "--grid", "41")
+    add("bounds", "--n1", "8000", "--p1", "0.9999", "--q1", "0.9998", "--l1", "2",
+        "--alpha1", "0.5", "--beta1", "1.0", "--n2", "3", "--f", "e20", "--grid", "41")
     # the Korovkin columns up to n = 65536, where an expansion of the central
     # moment in powers of x would cancel most (the second axis keeps the
     # default shape, whose shift is exactly 0)
