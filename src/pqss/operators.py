@@ -23,7 +23,8 @@ the grid is the sum of the outer products.  Every catalog function carries its f
 grid itself is built only as the oracle's table (sample_at_nodes).
 
 Weights are evaluated in log space, for a whole vector of x at once, and
-exponentiated once at the end; the endpoint rows x = 0 and x = 1 are the exact
+exponentiated once at the end, every interior row in one call to the compiled
+kernel (_clibm.weight_rows); the endpoint rows x = 0 and x = 1 are the exact
 unit vectors e_0 and e_m, so endpoint evaluations are exact.
 """
 
@@ -39,13 +40,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._clibm import compensated_cumsum, libm, weighted_sums
-from .pq_core import (
-    PQPair,
-    _log_rising_terms,
-    cumulative_log_factorials,
-    pq_integer,
-)
+from ._clibm import libm, weight_rows, weighted_sums
+from .pq_core import PQPair, cumulative_log_factorials, pq_integer
 
 NODE_EXPONENTS = ("canonical", "literal")
 
@@ -124,11 +120,12 @@ def nodes(axis: AxisConfig) -> np.ndarray:
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     """Weights s_0(x)..s_m(x) for every x in xs, one row per x.
 
-    Log-space evaluation: log binomials come from compensated cumulative
-    log-factorials, the rising products from expm1-stabilized factor logs
-    summed along each row, and the matrix is exponentiated once.  Rows for
-    x = 0 and x = 1 are the exact unit vectors e_0 and e_m (the weight mass
-    concentrates at nu = 0 and nu = m).
+    Log-space evaluation (_clibm.weight_rows): log binomials come from the
+    compensated log-factorial table, the rising products from
+    expm1-stabilized factor logs summed along each row, and each weight is
+    one exp; the compiled kernel makes every interior row in one C loop, in
+    one call.  Rows for x = 0 and x = 1 are the exact unit vectors e_0 and
+    e_m (the weight mass concentrates at nu = 0 and nu = m).
     """
     xs = np.asarray(xs, dtype=float)
     outside = ~((0.0 <= xs) & (xs <= 1.0))
@@ -139,24 +136,9 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, m] = 1.0
     inner = (0.0 < xs) & (xs < 1.0)
-    if not inner.any():
-        return out
-    x = xs[inner]
-    p, q = axis.pq.p, axis.pq.q
-    log_p = math.log(p)
-    lf = cumulative_log_factorials(m, p, q)
-    log_binom = lf[m] - lf - lf[::-1]
-    rising_prefix = np.zeros((x.size, m + 1))
-    rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, x, axis.pq))
-    nu = np.arange(m + 1.0)
-    log_w = (
-        -0.5 * m * (m - 1) * log_p
-        + log_binom
-        + 0.5 * nu * (nu - 1) * log_p
-        + nu * libm(math.log, x)[:, None]
-        + rising_prefix[:, ::-1]
-    )
-    out[inner] = libm(math.exp, log_w)
+    if inner.any():
+        lf = cumulative_log_factorials(m, axis.pq.p, axis.pq.q)
+        out[inner] = weight_rows(lf, xs[inner], axis.pq)
     return out
 
 

@@ -5,23 +5,21 @@ the bracket numbers
 
     [k] = (p^k - q^k) / (p - q),      [0] = 0,
 
-their log-factorials, and the logs of the rising-product factors
-p^j - q^j x that appear in the operator weights.  A single bracket is plain
-double precision; the tables are built in log space (Neumaier prefix sums of
-log magnitudes, _clibm.compensated_cumsum), so they stay finite where the
+and their log-factorials.  A single bracket is plain double precision; the
+log-factorial table is the Neumaier prefix sum (_clibm.compensated_cumsum)
+of the bracket logs (_clibm.bracket_logs), so it stays finite where the
 direct products under- or overflow.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._clibm import compensated_cumsum, libm
+from ._clibm import bracket_logs, compensated_cumsum
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,11 @@ class PQPair:
                 f"(got p={self.p}, q={self.q})"
             )
 
-    @property
+    @cached_property
     def log_ratio(self) -> float:
-        """log(q/p), taken as log1p((q - p)/p) so that nearby p and q do not cancel."""
+        """log(q/p), taken as log1p((q - p)/p) so that nearby p and q do not
+        cancel; computed once per pair (the fields, ==, hash and asdict do
+        not see the cached value)."""
         return math.log1p((self.q - self.p) / self.p)
 
 
@@ -65,45 +65,19 @@ def pq_integer(k: int, pq: PQPair) -> float:
     return -(p ** k) * math.expm1(k * pq.log_ratio) / (p - q)
 
 
-def _log_rising_terms(m: int, xs, pq: PQPair) -> np.ndarray:
-    """Logs of the factors p^j - q^j x for j = 0..m-1, one row per x in xs.
-
-    Every x lies in (0, 1) and every factor is > 0.  Factor j is rewritten
-    as p^j * (1 - x (q/p)^j) and the parenthesis taken through expm1, which
-    stays accurate when x (q/p)^j is close to 1 (x near 1 with p - q small),
-    exactly where the direct subtraction cancels.
-    """
-    j = np.arange(m, dtype=float)
-    log_x = libm(math.log, np.asarray(xs, dtype=float))[:, None]
-    return j * math.log(pq.p) + libm(math.log, -libm(math.expm1, j * pq.log_ratio + log_x))
-
-
 @lru_cache(maxsize=512)
 def cumulative_log_factorials(kmax: int, p: float, q: float) -> np.ndarray:
     """Array lf with lf[k] = log([k]!) for k = 0..kmax, compensated sums.
 
     Keyed on raw floats for caching; construct the PQPair internally so the
-    usual validation still applies.  The brackets [1..kmax] are pq_integer's
-    formula on a whole array, with the same libm calls, so the table has the
-    bits of summing log(pq_integer(j)).  A bracket below the smallest normal
-    double raises: at 0 it has no log, and a subnormal one keeps too few bits
-    for its log to be right (at p = 0.9, q = 0.6 a table over the subnormal
-    brackets is off by 2.8e-4 at k = 7000).  The returned array is read-only.
+    usual validation still applies.  The bracket logs come from
+    _clibm.bracket_logs, which has the bits of log(pq_integer(k)) and raises
+    on a bracket below the smallest normal double.  The returned array is
+    read-only.
     """
     pq = PQPair(p, q)
     lf = np.zeros(kmax + 1)
     if kmax >= 1:
-        k = np.arange(2.0, kmax + 1)
-        brackets = np.empty(kmax)
-        brackets[0] = 1.0
-        p_k = libm(partial(math.pow, p), k)
-        brackets[1:] = -p_k * libm(math.expm1, k * pq.log_ratio) / (p - q)
-        if brackets.min() < sys.float_info.min:
-            k0 = int(np.argmax(brackets < sys.float_info.min)) + 1
-            raise ValueError(
-                f"bracket [{k0}] = {brackets[k0 - 1]:.4g} is below the smallest normal "
-                f"double at p={pq.p}, q={pq.q}"
-            )
-        lf[1:] = compensated_cumsum(libm(math.log, brackets))
+        lf[1:] = compensated_cumsum(bracket_logs(kmax, pq))
     lf.setflags(write=False)
     return lf

@@ -184,7 +184,8 @@ def test_oracle_weight_vector_matches_production(worked_axis):
 
 
 def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
-    # oracle independence: no libm and no weight_matrix, even for a new row
+    # oracle independence: no libm, no log-factorial kernel and no
+    # weight_matrix, even for a new row
     from pqss import _clibm, catalog, operators, pq_core
 
     op = BivariateOperator(worked_axis, worked_axis)
@@ -197,9 +198,11 @@ def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
     # libm in its own module and in every module that imports it
     with_libm = [module for name, module in sys.modules.items()
                  if name.partition(".")[0] == "pqss" and getattr(module, "libm", None) is _clibm.libm]
-    assert {_clibm, catalog, operators, pq_core} <= set(with_libm)
+    assert {_clibm, catalog, operators} <= set(with_libm)
     for module in with_libm:
         monkeypatch.setattr(module, "libm", refuse)
+    for module in (_clibm, pq_core):
+        monkeypatch.setattr(module, "bracket_logs", refuse)
     monkeypatch.setattr(operators, "weight_matrix", refuse)
     moments._oracle_row.cache_clear()
     np.testing.assert_array_equal(moment_oracle(op, [table], [0.3], [0.8]), want)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqss import _clibm
-from pqss._clibm import compensated_cumsum, weighted_sums
+from pqss._clibm import _log_rising_terms, compensated_cumsum, weighted_sums
 from pqss.catalog import build_catalog
 from pqss.moments import (
     literal_first_moment_factor,
@@ -32,12 +32,7 @@ from pqss.operators import (
     weight_matrix,
     weight_vector,
 )
-from pqss.pq_core import (
-    PQPair,
-    _log_rising_terms,
-    cumulative_log_factorials,
-    pq_integer,
-)
+from pqss.pq_core import PQPair, cumulative_log_factorials, pq_integer
 
 PAIRS = [PQPair(1.0, 0.5), PQPair(0.9, 0.6), PQPair(0.99, 0.95)]
 
@@ -323,11 +318,11 @@ def record_kernel(monkeypatch):
 
 
 def both_paths(monkeypatch):
-    """Run a loop body on each path of libm, oracle_sums, compensated_cumsum
-    and weighted_sums.  First (where a compiler exists) through the kernel,
-    yielding the list of its calls as (function name, returned); then with
-    load() finding no kernel, yielding None, so math and numpy answer every
-    call."""
+    """Run a loop body on each path of libm, oracle_sums, compensated_cumsum,
+    weighted_sums, bracket_logs and weight_rows.  First (where a compiler
+    exists) through the kernel, yielding the list of its calls as (function
+    name, returned); then with load() finding no kernel, yielding None, so
+    math and numpy answer every call."""
     if not compiler_missing:
         yield record_kernel(monkeypatch)
     monkeypatch.setattr(_clibm, "load", lambda: None)
@@ -871,6 +866,94 @@ def test_contraction_sums_in_index_order_bit_for_bit(monkeypatch):
     # the cases can see a change of order: summing from the last term differs
     w, v = cases["exact zeros"]
     assert np.any(in_order_matvec(w, v) != in_order_matvec(w, v, reverse=True))
+
+
+def scalar_weight_rows(lf, xs, pq):
+    """weight_rows written out with Python floats, one x at a time: the terms,
+    their Neumaier prefix (0 first), each log weight in the kernel's order
+    and its exp."""
+    lf, m = lf.tolist(), len(lf) - 1
+    log_p = math.log(pq.p)
+    c0 = -0.5 * m * (m - 1) * log_p
+    rows = []
+    for x in xs:
+        log_x = math.log(x)
+        terms = [j * log_p + math.log(-math.expm1(j * pq.log_ratio + log_x)) for j in range(m)]
+        pre = [0.0, *neumaier_loop(terms).tolist()]
+        rows.append([math.exp((((c0 + ((lf[m] - lf[nu]) - lf[m - nu]))
+                                 + ((0.5 * nu) * (nu - 1)) * log_p) + nu * log_x) + pre[m - nu])
+                     for nu in range(m + 1)])
+    return np.array(rows)
+
+
+def _weight_row_cases():
+    """(m, pq, xs) on random axes: 1 - c/m pairs, p = 1 (log p = 0), and
+    (0.5, 0.25) below its bracket underflow, each with the edge x values."""
+    rng = np.random.default_rng(2028)
+    edge = [5e-324, 1e-300, 1.0 - 2.0 ** -53]
+    cases = []
+    for m in (1, 2, 28, 257, 2049, 8000, 16384):
+        c = max(m, 8)
+        cp = float(rng.uniform(0.1, 1.0))
+        cq = cp + float(rng.uniform(0.3, 1.5))
+        pairs = [PQPair(1.0 - cp / c, 1.0 - cq / c), PQPair(1.0, 1.0 - cq / c)]
+        if m <= 257:
+            pairs.append(PQPair(0.5, 0.25))
+        for pq in pairs:
+            cases.append((m, pq, np.concatenate((edge, rng.uniform(0.0, 1.0, 3)))))
+    return cases
+
+
+def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
+    cases = []
+    for m, pq, xs in _weight_row_cases():
+        logs = [math.log(pq_integer(k, pq)) for k in range(1, m + 1)]
+        lf = np.concatenate(([0.0], neumaier_loop(logs)))
+        cases.append((f"m={m} p={pq.p} q={pq.q}", m, pq, xs, logs, lf,
+                      scalar_weight_rows(lf, xs, pq)))
+    for calls in both_paths(monkeypatch):
+        for name, m, pq, xs, logs, lf, rows in cases:
+            assert_same_bits(_clibm.bracket_logs(m, pq), logs, err_msg=name)
+            assert_same_bits(_clibm.weight_rows(lf, xs, pq), rows, err_msg=name)
+        if calls is not None:
+            # one compiled call per call, for the whole table and all rows
+            assert calls == [("pqss_bracket_logs", 0), ("pqss_weight_rows", 0)] * len(cases)
+
+
+@needs_compiler
+def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
+    calls = record_kernel(monkeypatch)
+    cumulative_log_factorials.cache_clear()
+    axis = AxisConfig(n=300, l=2, pq=PQPair(0.99, 0.95), alpha=0.5, beta=1.0)
+    xs = np.linspace(0.0, 1.0, 41)
+    weight_matrix(axis, xs)
+    # a cache miss builds the table: its bracket logs and their prefix sums
+    assert calls == [("pqss_bracket_logs", 0), ("pqss_neumaier", None), ("pqss_weight_rows", 0)]
+    calls.clear()
+    weight_matrix(axis, xs[::-1])
+    weight_vector(axis, 0.3)
+    assert calls == [("pqss_weight_rows", 0)] * 2
+    calls.clear()
+    # the endpoint rows are the unit vectors, with no table and no kernel
+    weight_matrix(axis, [0.0, 1.0, 0.0])
+    assert calls == []
+
+
+def test_declined_weight_loops_raise_what_the_numpy_path_raises(monkeypatch):
+    pq = PQPair(0.9, 0.6)
+    lf = cumulative_log_factorials(300, 0.9, 0.6)
+    for calls in both_paths(monkeypatch):
+        # [6735] is the first bracket below the smallest normal double
+        with pytest.raises(ValueError, match=r"bracket \[6735\] = 2\.219e-308 is below "
+                                             r"the smallest normal double at p=0\.9, q=0\.6"):
+            _clibm.bracket_logs(7000, pq)
+        # at x = 1 the first rising factor is 0, whose log math refuses
+        with pytest.raises(ValueError, match="math domain error"):
+            _clibm.weight_rows(lf, [0.5, 1.0], pq)
+        if calls is not None:
+            # each loop ran and declined, so the numpy path answered
+            declined = [c for c in calls if c[0] in ("pqss_bracket_logs", "pqss_weight_rows")]
+            assert declined == [("pqss_bracket_logs", 1), ("pqss_weight_rows", 1)]
 
 
 def _oracle_arrays(asymmetric_sweep):

@@ -196,6 +196,13 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         "--grid", "41")
     add("bounds", "--n1", "8000", "--p1", "0.9999", "--q1", "0.9998", "--l1", "2",
         "--alpha1", "0.5", "--beta1", "1.0", "--n2", "3", "--f", "e20", "--grid", "41")
+    # the compiled weight rows at their edges: the smallest x (log x = -744.4)
+    # and the largest below 1 on m = 8000 axes with p near q, and p = 1 (log p = 0)
+    add("eval", "--f", "exp_sum", "--n1", "8000", "--p1", "0.99995", "--q1", "0.9999",
+        "--n2", "8000", "--p2", "0.99995", "--q2", "0.9999", "--x1", "5e-324",
+        "--x2", "0.9999999999999999", "--output", "eval.csv")
+    add("eval", "--f", "exp_sum", "--n1", "2000", "--p1", "1", "--q1", "0.999", "--x1", "0.3",
+        "--x2", "0.8")
     # the Korovkin columns up to n = 65536, where an expansion of the central
     # moment in powers of x would cancel most (the second axis keeps the
     # default shape, whose shift is exactly 0)
