@@ -40,7 +40,7 @@ math module instead (a map of the function over the array, math.fsum row by
 row for the sums), which gives the same values and errors; the two sequential
 sums answer by np.cumsum, which accumulates left to right, and bracket_logs
 and weight_rows by numpy arithmetic, libm and compensated_cumsum, which is
-also what they run where their loop declines.  A failed build is not
+also what weight_rows runs where its loop declines.  A failed build is not
 retried within the process.
 """
 
@@ -68,13 +68,12 @@ int pqss_oracle_sums(const double *w1, const double *w2, const double *const *ta
                      size_t k1, size_t k2, size_t n1, size_t n2);
 void pqss_neumaier(const double *v, double *out, size_t rows, size_t n);
 void pqss_weighted_sums(const double *w, const double *v, double *out, size_t rows, size_t n);
-int pqss_bracket_logs(double p, double q, double lam, double *out, size_t n);
+void pqss_bracket_logs(double lam, double *out, size_t n);
 int pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
-                     double c0, double log_p, double lam);
+                     double lam);
 """
 
 _SOURCE = r"""
-#include <float.h>
 #include <math.h>
 #include <stddef.h>
 
@@ -323,42 +322,37 @@ int pqss_oracle_sums(const double *w1, const double *w2, const double *const *ta
    oracle's code: placed before it, they moved its loops in the binary, and
    one verify item (all oracle) measured about 2% slower. */
 
-/* bracket_logs: out[k - 1] = log [k] for k = 1..n, with [1] = 1 and
-   [k] = ((-p^k) expm1(k lam)) / (p - q), pq_integer's formula.  The result
-   is 1 if a bracket is below DBL_MIN, where its log is missing or wrong. */
-int pqss_bracket_logs(double p, double q, double lam, double *out, size_t n)
+/* bracket_logs: out[k - 1] = log [k]_r = log(expm1(k lam) / expm1(lam)) for
+   k = 1..n, r = e^lam.  Each [k]_r = 1 + r + ... + r^(k-1) is at least 1,
+   so every log is finite. */
+void pqss_bracket_logs(double lam, double *out, size_t n)
 {
-    int bad = 0;
-    for (size_t i = 1; i < n; i++)
-        out[i] = pow(p, (double)(i + 1));
-    for (size_t i = 1; i < n; i++) {
-        out[i] = ((-out[i]) * expm1((double)(i + 1) * lam)) / (p - q);
-        bad |= !(out[i] >= DBL_MIN);
-    }
-    for (size_t i = 1; i < n; i++)
-        out[i] = log(out[i]);
-    if (n)
-        out[0] = 0.0;
-    return bad;
+    double d = expm1(lam);
+    for (size_t i = 0; i < n; i++)
+        out[i] = expm1((double)(i + 1) * lam);
+    for (size_t i = 0; i < n; i++)
+        out[i] = log(out[i] / d);
 }
 
-/* weight_rows: row r (m + 1 values) holds the weights at x = xs[r], with
-   out[nu] = exp(lw), i = m - nu and
-   lw = (((c0 + ((lf[m] - lf[nu]) - lf[i])) + (((0.5 nu)(nu - 1)) log_p)) + nu log x) + pre[i],
+/* weight_rows: row r (m + 1 values) holds the weights at x = xs[r] if
+   0 < x < 1, and is left as it is otherwise; out[nu] = exp(lw), i = m - nu,
+   lw = (((lf[m] - lf[nu]) - lf[i]) + nu log x) + pre[i],
    where pre[0] = 0 and pre[i] is the Neumaier prefix, seeded as in
-   pqss_neumaier, of the terms (j log_p) + log(-expm1((j lam) + log x)),
-   j < i.  Term j is kept in out[m - 1 - j] until pre[j + 1] takes its
-   place.  The result is 1 if a term or a weight is not finite. */
+   pqss_neumaier, of the terms log(-expm1((j lam) + log x)), j < i.  Term j
+   is kept in out[m - 1 - j] until pre[j + 1] takes its place.  The result
+   is 1 if a term or a weight is not finite. */
 int pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
-                     double c0, double log_p, double lam)
+                     double lam)
 {
     int bad = 0;
     for (size_t r = 0; r < rows; r++, out += m + 1) {
+        if (!(xs[r] > 0.0 && xs[r] < 1.0))
+            continue;
         double log_x = log(xs[r]), s = 0.0, c = 0.0;
         for (size_t j = 0; j < m; j++)
             out[m - 1 - j] = -expm1(((double)j * lam) + log_x);
         for (size_t j = 0; j < m; j++) {
-            out[m - 1 - j] = ((double)j * log_p) + log(out[m - 1 - j]);
+            out[m - 1 - j] = log(out[m - 1 - j]);
             bad |= !isfinite(out[m - 1 - j]);
         }
         out[m] = 0.0;
@@ -370,9 +364,7 @@ int pqss_weight_rows(const double *lf, const double *xs, double *out, size_t row
             out[m - i] = s + c;
         }
         for (size_t nu = 0; nu <= m; nu++) {
-            double v = (double)nu;
-            out[nu] = exp((((c0 + ((lf[m] - lf[nu]) - lf[m - nu])) + ((0.5 * v) * (v - 1.0)) * log_p)
-                           + v * log_x) + out[nu]);
+            out[nu] = exp((((lf[m] - lf[nu]) - lf[m - nu]) + (double)nu * log_x) + out[nu]);
             bad |= !isfinite(out[nu]);
         }
     }
@@ -590,85 +582,64 @@ def weighted_sums(w: np.ndarray, v) -> np.ndarray:
         return np.cumsum(w * v, axis=1)[:, -1]
 
 
-def bracket_logs(kmax: int, pq) -> np.ndarray:
-    """log [k] for k = 1..kmax (kmax >= 1) of pq, a PQPair: [1] = 1 and
-    [k] = -p^k expm1(k log_ratio) / (p - q), pq_integer's formula with its
-    libm calls, so each log has the bits of log(pq_integer(k, pq)).
-
-    A bracket below the smallest normal double raises ValueError naming it:
-    at 0 it has no log, and a subnormal one keeps too few bits for its log
-    to be right (at p = 0.9, q = 0.6 a table over the subnormal brackets is
-    off by 2.8e-4 at k = 7000).  The compiled kernel makes the whole array in
-    one call; where it is missing or declines (at such a bracket), the
-    brackets are made as a numpy array, which raises.
+def bracket_logs(kmax: int, lam: float) -> np.ndarray:
+    """log [k]_r = log(expm1(k lam) / expm1(lam)) for k = 1..kmax (kmax >= 1),
+    the brackets of r = e^lam, with lam = PQPair.log_ratio < 0 (r = q/p is
+    never rounded).  Each [k]_r = 1 + r + ... + r^(k-1) is at least 1, so
+    every log is finite.  The compiled kernel makes the whole array in one
+    call, and numpy with libm does without it, with the same bits.
     """
-    p, q = pq.p, pq.q
     module = load()
     if module is not None:
         out = np.empty(kmax)
-        if not module.lib.pqss_bracket_logs(p, q, pq.log_ratio,
-                                            module.ffi.from_buffer("double[]", out), kmax):
-            return out
-    k = np.arange(2.0, kmax + 1)
-    brackets = np.empty(kmax)
-    brackets[0] = 1.0
-    p_k = libm(functools.partial(math.pow, p), k)
-    brackets[1:] = -p_k * libm(math.expm1, k * pq.log_ratio) / (p - q)
-    if brackets.min() < sys.float_info.min:
-        k0 = int(np.argmax(brackets < sys.float_info.min)) + 1
-        raise ValueError(
-            f"bracket [{k0}] = {brackets[k0 - 1]:.4g} is below the smallest normal "
-            f"double at p={p}, q={q}"
-        )
-    return libm(math.log, brackets)
+        module.lib.pqss_bracket_logs(lam, module.ffi.from_buffer("double[]", out), kmax)
+        return out
+    return libm(math.log, libm(math.expm1, np.arange(1.0, kmax + 1) * lam) / math.expm1(lam))
 
 
-def _log_rising_terms(m: int, xs, pq) -> np.ndarray:
-    """Logs of the factors p^j - q^j x for j = 0..m-1, one row per x in xs.
+def _log_rising_terms(m: int, xs, lam: float) -> np.ndarray:
+    """Logs of the factors 1 - r^j x for j = 0..m-1, r = e^lam, one row per x
+    in xs.
 
-    Every x lies in (0, 1) and every factor is > 0.  Factor j is rewritten
-    as p^j * (1 - x (q/p)^j) and the parenthesis taken through expm1, which
-    stays accurate when x (q/p)^j is close to 1 (x near 1 with p - q small),
-    exactly where the direct subtraction cancels.
+    Every x lies in (0, 1) and every factor is > 0.  Factor j is taken as
+    -expm1(j lam + log x), which stays accurate when r^j x is close to 1
+    (x near 1 with r near 1), exactly where the direct subtraction cancels.
     """
     j = np.arange(m, dtype=float)
     log_x = libm(math.log, np.asarray(xs, dtype=float))[:, None]
-    return j * math.log(pq.p) + libm(math.log, -libm(math.expm1, j * pq.log_ratio + log_x))
+    return libm(math.log, -libm(math.expm1, j * lam + log_x))
 
 
-def weight_rows(lf: np.ndarray, xs, pq) -> np.ndarray:
-    """The weights s_0(x)..s_m(x) of pq, a PQPair, one row per x in xs, each
-    0 < x < 1, from lf = cumulative_log_factorials(m, p, q), in log space:
+def weight_rows(lf: np.ndarray, xs, lam: float, out: np.ndarray) -> np.ndarray:
+    """The weights s_0(x)..s_m(x) at r = e^lam, written into the rows of out,
+    shape (len(xs), m + 1), whose x is in (0, 1) (the other rows are left as
+    they are), from lf = cumulative_log_factorials(m, lam), in log space:
 
-        log s_nu(x) = -m(m-1)/2 log p + log binom + nu(nu-1)/2 log p
-                      + nu log x + (sum of the last m - nu rising-factor logs)
+        log s_nu(x) = log binom + nu log x + (sum of the last m - nu rising-factor logs)
 
     with log binom = (lf[m] - lf[nu]) - lf[m - nu], the rising-factor logs
-    from _log_rising_terms summed by compensated_cumsum, and one exp.  The
-    compiled kernel makes every row in one call, with the operations of the
-    numpy code in the same order, so it has its bits; where the kernel is
-    missing or declines (a term or a weight not finite), the numpy code
-    runs, which gives the same values and raises math's errors.
+    from _log_rising_terms summed by compensated_cumsum, and one exp; out is
+    returned.  The compiled kernel makes every row in place in one call, with
+    the operations of the numpy code in the same order, so it has its bits;
+    where the kernel is missing or declines (a term or a weight not finite),
+    the numpy code runs, which gives the same values and raises math's errors.
     """
     lf = np.ascontiguousarray(lf, dtype=float)
     xs = np.ascontiguousarray(xs, dtype=float)
     m = lf.size - 1
-    log_p = math.log(pq.p)
-    c0 = -0.5 * m * (m - 1) * log_p
+    if out.shape != (xs.size, m + 1) or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"requires a C-contiguous float out of shape {(xs.size, m + 1)} "
+                         f"(got {out.dtype} {out.shape})")
     module = load()
     if module is not None:
-        out, buf = np.empty((xs.size, m + 1)), functools.partial(module.ffi.from_buffer, "double[]")
-        if not module.lib.pqss_weight_rows(buf(lf), buf(xs), buf(out), xs.size, m, c0, log_p,
-                                           pq.log_ratio):
+        buf = functools.partial(module.ffi.from_buffer, "double[]")
+        if not module.lib.pqss_weight_rows(buf(lf), buf(xs), buf(out), xs.size, m, lam):
             return out
-    rising_prefix = np.zeros((xs.size, m + 1))
-    rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, xs, pq))
+    inner = (0.0 < xs) & (xs < 1.0)
+    rising_prefix = np.zeros((inner.sum(), m + 1))
+    rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, xs[inner], lam))
     nu = np.arange(m + 1.0)
-    log_w = (
-        c0
-        + (lf[m] - lf - lf[::-1])
-        + 0.5 * nu * (nu - 1) * log_p
-        + nu * libm(math.log, xs)[:, None]
-        + rising_prefix[:, ::-1]
-    )
-    return libm(math.exp, log_w)
+    log_x = libm(math.log, xs[inner])[:, None]
+    log_w = (lf[m] - lf - lf[::-1]) + nu * log_x + rising_prefix[:, ::-1]
+    out[inner] = libm(math.exp, log_w)
+    return out

@@ -205,9 +205,10 @@ def _check_cost(m1: int, m2: int, k: int, *more: tuple[str, int]) -> None:
 
     m1, m2 are the largest degrees the command builds on each axis and k the
     points per axis of its grid; the arrays are each axis's weights, priced
-    with the temporaries weight_matrix holds while it runs (2.3 float arrays
-    of k(m + 1) at its peak, by tracemalloc on a cold cache, k = 41, m = 2000
-    and 16384), and the grid itself, then the command's own `more` sizes.
+    with the temporaries weight_matrix holds while it runs (1.1 float arrays
+    of k(m + 1) at its peak, 1.4 where the call also loads the kernel, by
+    tracemalloc on a cold cache, k = 41, m = 2000 and 16384), and the grid
+    itself, then the command's own `more` sizes.
     Each axis's nodes and factor values, m + 1 each, never outgrow its weights.
     """
     sizes = (

@@ -151,9 +151,9 @@ _ORACLE_DIGITS = 60  # the sweep's rows round to the same doubles at twice as ma
 _ORACLE_CONTEXT = decimal.Context(prec=_ORACLE_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-@lru_cache(maxsize=512)
-def _oracle_row(m: int, p: float, q: float, x: float) -> np.ndarray:
-    """s_0(x)..s_m(x) by the direct formula in decimal, each rounded once by float().
+def _decimal_row(m: int, p, q, x) -> list[decimal.Decimal]:
+    """s_0(x)..s_m(x) by the direct formula in decimal, with p, q and x (floats
+    or Decimals) taken exactly.
 
     [k]! = prod (p^j - q^j)/(p - q); the rising factors p^j - q^j x and the
     powers x^nu, p^(nu(nu-1)/2) are running products (decimal 0 ** 0 raises)."""
@@ -168,8 +168,14 @@ def _oracle_row(m: int, p: float, q: float, x: float) -> np.ndarray:
             p_j, q_j = p_j * p, q_j * q
             fact.append(fact[-1] * (p_j - q_j) / (p - q))
         lead = fact[m] / p_pow[m]
-        row = np.array([float(lead / (fact[nu] * fact[m - nu]) * p_pow[nu] * x_pow[nu]
-                              * rising[m - nu]) for nu in range(m + 1)])
+        return [lead / (fact[nu] * fact[m - nu]) * p_pow[nu] * x_pow[nu] * rising[m - nu]
+                for nu in range(m + 1)]
+
+
+@lru_cache(maxsize=512)
+def _oracle_row(m: int, p: float, q: float, x: float) -> np.ndarray:
+    """_decimal_row with each weight rounded once by float(), read-only."""
+    row = np.array([float(w) for w in _decimal_row(m, p, q, x)])
     row.setflags(write=False)
     return row
 

@@ -10,10 +10,19 @@ On each axis, with m = n + l,
 
     t_nu = (p^{m-nu} [nu] + alpha) / ([n] + beta),
 
-for x in [0, 1], 0 < q < p <= 1 and 0 <= alpha <= beta.  The weights form a
-partition of unity and are nonnegative on [0, 1], so the operator is positive
-and reproduces constants up to roundoff.  Functions are only ever sampled at
-the nodes, which live in [0, l + 1).
+for x in [0, 1], 0 < q < p <= 1 and 0 <= alpha <= beta, with binom the
+(p,q)-binomial [m]! / ([nu]! [m-nu]!).  With r = q/p, [k] = p^(k-1) [k]_r,
+so binom = p^(nu(m-nu)) binom_r, and p^j - q^j x = p^j (1 - r^j x).  The
+powers of p then add up to (-m(m-1) + 2 nu(m-nu) + nu(nu-1) + (m-nu)(m-nu-1))/2
+= 0, and the weights are the q-Bernstein basis at r:
+
+    s_nu(x) = binom_r(m, nu) x^nu prod_{j=0}^{m-nu-1} (1 - r^j x).
+
+p is left only in the nodes, whose powers of p AxisConfig keeps normal
+doubles (it refuses p^m below the smallest normal double).  The weights form
+a partition of unity and are nonnegative on [0, 1], so the operator is
+positive and reproduces constants up to roundoff.  Functions are only ever
+sampled at the nodes, which live in [0, l + 1).
 
 apply_on_grid takes f as a factor tuple ((g, h), ...) whose sum of products
 g(t1) h(t2) is f, and costs O(k m) on a k-point axis of degree m: each factor
@@ -22,10 +31,11 @@ order (_clibm.weighted_sums: the same sum on every CPU, with any BLAS), and
 the grid is the sum of the outer products.  Every catalog function carries its factors.  The node
 grid itself is built only as the oracle's table (sample_at_nodes).
 
-Weights are evaluated in log space, for a whole vector of x at once, and
-exponentiated once at the end, every interior row in one call to the compiled
-kernel (_clibm.weight_rows); the endpoint rows x = 0 and x = 1 are the exact
-unit vectors e_0 and e_m, so endpoint evaluations are exact.
+Weights are evaluated from (m, log r) alone in log space, for a whole vector
+of x at once, and exponentiated once at the end, every interior row in one
+call to the compiled kernel (_clibm.weight_rows); the endpoint rows x = 0 and
+x = 1 are the exact unit vectors e_0 and e_m, so endpoint evaluations are
+exact.
 """
 
 from __future__ import annotations
@@ -100,6 +110,14 @@ class AxisConfig:
                 f"requires [n] to be a normal double (got [n] = {bracket_n!r} at n={self.n}, "
                 f"p={self.pq.p}, q={self.pq.q})"
             )
+        # the nodes take p^(m-nu) [nu] in (p,q) form, and pq_integer takes p^nu,
+        # for nu <= m: all normal doubles while p^m is
+        scale = self.pq.p ** self.degree
+        if scale < sys.float_info.min:
+            raise ValueError(
+                f"requires the node scale p^m to be a normal double (got p^m = {scale!r} at "
+                f"m={self.degree}, p={self.pq.p}, q={self.pq.q})"
+            )
 
     @property
     def degree(self) -> int:
@@ -120,25 +138,24 @@ def nodes(axis: AxisConfig) -> np.ndarray:
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     """Weights s_0(x)..s_m(x) for every x in xs, one row per x.
 
-    Log-space evaluation (_clibm.weight_rows): log binomials come from the
-    compensated log-factorial table, the rising products from
-    expm1-stabilized factor logs summed along each row, and each weight is
-    one exp; the compiled kernel makes every interior row in one C loop, in
-    one call.  Rows for x = 0 and x = 1 are the exact unit vectors e_0 and
-    e_m (the weight mass concentrates at nu = 0 and nu = m).
+    Log-space evaluation at r = q/p (_clibm.weight_rows): log binomials come
+    from the compensated log-factorial table of the r-brackets, the rising
+    products from expm1-stabilized factor logs summed along each row, and
+    each weight is one exp; the compiled kernel writes every interior row
+    into the returned matrix in one C loop, in one call.  Rows for x = 0 and
+    x = 1 are the exact unit vectors e_0 and e_m (the weight mass
+    concentrates at nu = 0 and nu = m).
     """
     xs = np.asarray(xs, dtype=float)
     outside = ~((0.0 <= xs) & (xs <= 1.0))
     if outside.any():
         raise ValueError(f"requires x in [0, 1] (got x={xs[outside][0]})")
-    m = axis.degree
+    m, lam = axis.degree, axis.pq.log_ratio
     out = np.zeros((xs.size, m + 1))
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, m] = 1.0
-    inner = (0.0 < xs) & (xs < 1.0)
-    if inner.any():
-        lf = cumulative_log_factorials(m, axis.pq.p, axis.pq.q)
-        out[inner] = weight_rows(lf, xs[inner], axis.pq)
+    if ((0.0 < xs) & (xs < 1.0)).any():
+        weight_rows(cumulative_log_factorials(m, lam), xs, lam, out)
     return out
 
 

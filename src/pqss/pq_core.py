@@ -3,12 +3,12 @@
 Everything downstream (basis weights, moments, convergence tables) reduces to
 the bracket numbers
 
-    [k] = (p^k - q^k) / (p - q),      [0] = 0,
+    [k] = (p^k - q^k) / (p - q) = p^(k-1) [k]_r,      [0] = 0,
 
-and their log-factorials.  A single bracket is plain double precision; the
-log-factorial table is the Neumaier prefix sum (_clibm.compensated_cumsum)
-of the bracket logs (_clibm.bracket_logs), so it stays finite where the
-direct products under- or overflow.
+with r = q/p and [k]_r = 1 + r + ... + r^(k-1).  The nodes and the closed
+moments use [k]; the weights use only [k]_r, through the log-factorial
+table: the Neumaier prefix sum (_clibm.compensated_cumsum) of the bracket
+logs log [k]_r (_clibm.bracket_logs), finite for every k.
 """
 
 from __future__ import annotations
@@ -66,18 +66,14 @@ def pq_integer(k: int, pq: PQPair) -> float:
 
 
 @lru_cache(maxsize=512)
-def cumulative_log_factorials(kmax: int, p: float, q: float) -> np.ndarray:
-    """Array lf with lf[k] = log([k]!) for k = 0..kmax, compensated sums.
-
-    Keyed on raw floats for caching; construct the PQPair internally so the
-    usual validation still applies.  The bracket logs come from
-    _clibm.bracket_logs, which has the bits of log(pq_integer(k)) and raises
-    on a bracket below the smallest normal double.  The returned array is
-    read-only.
+def cumulative_log_factorials(kmax: int, lam: float) -> np.ndarray:
+    """Array lf with lf[k] = log([k]_r!) for k = 0..kmax, r = e^lam, with
+    lam = PQPair.log_ratio: compensated sums of _clibm.bracket_logs, cached
+    on (kmax, lam), so pairs with the same lam share a table.  The returned
+    array is read-only.
     """
-    pq = PQPair(p, q)
     lf = np.zeros(kmax + 1)
     if kmax >= 1:
-        lf[1:] = compensated_cumsum(bracket_logs(kmax, pq))
+        lf[1:] = compensated_cumsum(bracket_logs(kmax, lam))
     lf.setflags(write=False)
     return lf

@@ -13,12 +13,14 @@ check asserts exact reproduction, and the first-order decay on shapes where
 the error is nonzero (l = 1, or alpha, beta > 0) and of the square condition.
 """
 
+import decimal
 import math
 import time
 
 import numpy as np
 import pytest
 
+from pqss import moments
 from pqss.analysis import BOUND_SLACK, auxiliary_apply, total_modulus_bound_grid
 from pqss.catalog import build_catalog
 from pqss.cli import main as cli_main
@@ -131,6 +133,60 @@ def test_high_degree_weights(verdict):
         f"weight_matrix vs decimal oracle at m = 500, 2000, 8000, 16384 on 1 - c/n and "
         f"m = 2000 at (0.999, 0.998), 5 points each, worst relative error "
         f"{worst:.2e} over weights > 1e-200 (tol 1e-10), {elapsed:.1f}s",
+    )
+
+
+def test_pq_weights_are_q_weights(verdict):
+    # With r = q/p, [k] = p^(k-1) [k]_r and p^j - q^j x = p^j (1 - r^j x), and the
+    # powers of p in s_nu cancel: the (p,q)-weights are the q-Bernstein weights at
+    # r, which is all the production path computes.  (i) The oracle's decimal rows
+    # at (p, q) and at (1, q/p), with q/p formed at 90 digits, agree; (ii) pairs
+    # with one log_ratio have the same production weights; (iii) with p a power of
+    # two, q/p is exact in binary, and the operator at (p, q) equals the one at
+    # (1, q/p) for l = 0, alpha = beta = 0, nodes included.
+    start = time.monotonic()
+    keys = sorted({(op.axis1.degree, op.axis1.pq.p, op.axis1.pq.q) for op in standard_sweep()})
+    rows = [(key, float(x)) for key in keys for x in sweep_grid(11)]
+    rows += [((1024, 0.999, 0.998), x) for x in (0.1, 0.37, 0.5, 0.83, 0.999)]
+    decimal_worst = 0.0
+    for (m, p, q), x in rows:
+        with decimal.localcontext(decimal.Context(prec=90)):
+            r = decimal.Decimal(q) / decimal.Decimal(p)
+        pq_row = moments._decimal_row(m, p, q, x)
+        r_row = moments._decimal_row(m, 1, r, x)
+        decimal_worst = max([decimal_worst, *(float(abs(a - b) / b)
+                                              for a, b in zip(pq_row, r_row) if b)])
+
+    # whatever n, l, alpha and beta; 0.5^m is a normal double up to m = 1021
+    xs = sweep_grid(11)
+    edge_xs = np.concatenate(([0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0], np.linspace(0, 1, 41)))
+    same_bits = PQPair(0.5, 0.25).log_ratio == PQPair(1.0, 0.5).log_ratio and all(
+        np.array_equal(weight_matrix(AxisConfig(n=n, l=m - n, pq=PQPair(0.5, 0.25),
+                                                alpha=0.5, beta=1.0), edge_xs).view(np.uint64),
+                       weight_matrix(AxisConfig(n=m, l=0, pq=PQPair(1.0, 0.5)), edge_xs)
+                       .view(np.uint64))
+        for n, m in ((1, 1), (28, 28), (600, 600), (600, 1000)))
+
+    cat = build_catalog(1.0, 1.0)
+    worst_ulps = 0.0
+    for p, q in ((0.5, 0.25), (0.25, 0.2), (0.125, 0.1)):
+        for n1, n2 in ((7, 28), (28, 300)):
+            ops = [BivariateOperator(AxisConfig(n=n1, l=0, pq=pair), AxisConfig(n=n2, l=0, pq=pair))
+                   for pair in (PQPair(p, q), PQPair(1.0, q / p))]
+            for entry in cat.values():
+                a, b = (apply_on_grid(op, entry.factors, xs, xs) for op in ops)
+                ulps = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+                worst_ulps = max(worst_ulps, float(ulps.max()))
+    elapsed = time.monotonic() - start
+    ok = decimal_worst <= 1e-50 and same_bits and worst_ulps <= 4.0
+    verdict(
+        "pq-weights-are-q-weights", ok,
+        f"decimal rows at (p, q) and (1, q/p) on the sweep's {len(keys)} (m, p, q) and "
+        f"m = 1024 at (0.999, 0.998), {len(rows)} rows, worst relative difference "
+        f"{decimal_worst:.2e} (tol 1e-50); production rows of (0.5, 0.25) and (1.0, 0.5) "
+        f"bit-identical at m = 1, 28, 600, 1000: {same_bits}; operators at p = 0.5, 0.25, "
+        f"0.125 and at p = 1 on every catalog entry, worst {worst_ulps:g} ulps (tol 4), "
+        f"{elapsed:.1f}s",
     )
 
 

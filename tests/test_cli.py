@@ -849,15 +849,17 @@ def test_usage_errors(tmp_path, capsys):
         assert "distinct degrees" in err
         assert "order[" not in out
 
-    # brackets leave the normal range at k = 6735: with [n] normal but
-    # m = n + l past it, the bracket table names the first subnormal bracket
-    for l1 in ("300", "400"):
-        rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
+    # [n] is normal at n = 6700, and the weights see only the r-brackets, which
+    # are at least 1; but the nodes take p^nu up to nu = m in (p,q) form, and
+    # 0.9^m is subnormal from m = 6724, so m = n + l past it is refused, also
+    # at x1 = 0, where no table is built
+    for l1, x1, got in (("24", "0", "2.12"), ("300", ".5", "4.98"), ("400", ".5", "0.0")):
+        rc, out, err = run(["eval", "--f", "e11", "--x1", x1, "--x2", ".5", "--oracle",
                             "--n1", "6700", "--l1", l1, "--p1", "0.9", "--q1", "0.6"], capsys)
         assert rc == 2
         assert "value" not in out
-        assert "bracket [6735] = 2.219e-308 is below the smallest normal double" in err
-        assert "at p=0.9, q=0.6" in err
+        assert f"requires the node scale p^m to be a normal double (got p^m = {got}" in err
+        assert f"at m={6700 + int(l1)}, p=0.9, q=0.6" in err
 
     # p^(-m(m-1)/2) overflows a double at m = 200, p = 0.9, but not the
     # oracle's decimal rows: a finite oracle value next to the value

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqss.moments import SWEEP_AB, SWEEP_L, SWEEP_N, SWEEP_PQ, standard_sweep
+from pqss.moments import (
+    SWEEP_AB,
+    SWEEP_L,
+    SWEEP_N,
+    SWEEP_PQ,
+    oracle_weight_vector,
+    standard_sweep,
+)
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
@@ -58,10 +65,16 @@ def test_axis_config_validation():
         AxisConfig(n=8000, l=0, pq=pq)
     with pytest.raises(ValueError, match=r"normal double \(got \[n\] = 1\.66\d*e-320 at n=7000, p=0.9"):
         AxisConfig(n=7000, l=0, pq=pq)
-    # [6734] is the last normal bracket at (0.9, 0.6)
-    assert AxisConfig(n=6734, l=0, pq=pq).n == 6734
+    # [6734] is the last normal bracket at (0.9, 0.6), but the nodes also take
+    # p^nu for nu <= m, and 0.9^m is normal only up to m = 6723, whatever n and l
+    assert AxisConfig(n=6723, l=0, pq=pq).n == 6723
+    assert AxisConfig(n=6700, l=23, pq=pq).degree == 6723
     with pytest.raises(ValueError, match="n=6735"):
         AxisConfig(n=6735, l=0, pq=pq)
+    for n, l in ((6724, 0), (6734, 0), (6700, 24)):
+        with pytest.raises(ValueError, match=r"node scale p\^m to be a normal double \(got p\^m = "
+                                             rf"\S+e-3\d\d at m={n + l}, p=0.9, q=0.6\)"):
+            AxisConfig(n=n, l=l, pq=pq)
 
 
 def test_endpoint_weights_are_exact_unit_vectors(worked_axis):
@@ -97,9 +110,7 @@ def scalar_weight_vector(axis, x):
     if x == 1.0:
         out[m] = 1.0
         return out
-    p, q = axis.pq.p, axis.pq.q
-    log_p = math.log(p)
-    log_ratio = math.log1p((q - p) / p)
+    lam = math.log1p((axis.pq.q - axis.pq.p) / axis.pq.p)   # log r, r = q/p
 
     def neumaier(values):
         acc = np.zeros(len(values) + 1)
@@ -111,20 +122,13 @@ def scalar_weight_vector(axis, x):
             acc[i + 1] = s + c
         return acc
 
-    lf = neumaier([math.log(pq_integer(j, axis.pq)) for j in range(1, m + 1)])
+    # the r-brackets [j]_r = (1 - r^j) / (1 - r) and the factors 1 - r^j x
+    lf = neumaier([math.log(math.expm1(j * lam) / math.expm1(lam)) for j in range(1, m + 1)])
     log_binom = lf[m] - lf - lf[::-1]
     log_x = math.log(x)
-    rising = neumaier([
-        j * log_p + math.log(-math.expm1(j * log_ratio + log_x)) for j in range(m)
-    ])
+    rising = neumaier([math.log(-math.expm1(j * lam + log_x)) for j in range(m)])
     nu = np.arange(m + 1)
-    log_w = (
-        -0.5 * m * (m - 1) * log_p
-        + log_binom
-        + 0.5 * nu * (nu - 1) * log_p
-        + nu * log_x
-        + rising[::-1]
-    )
+    log_w = log_binom + nu * log_x + rising[::-1]
     return np.array([math.exp(v) for v in log_w])
 
 
@@ -140,6 +144,22 @@ def test_weight_matrix_rows_are_the_scalar_weights_bit_for_bit(m):
         for row, x in zip(w, xs):
             np.testing.assert_array_equal(row, scalar_weight_vector(axis, float(x)))
         np.testing.assert_array_equal(weight_vector(axis, 0.3), scalar_weight_vector(axis, 0.3))
+
+
+def test_small_p_weights_against_the_decimal_rows():
+    # the weights are computed at r = q/p, so a small p costs no accuracy: the
+    # log-space (p,q) form read 3.61e-11 at m = 600 on (0.5, 0.25) and 8.2e-13 at
+    # m = 200 on (0.9, 0.6); relative error over weights > 1e-200
+    xs = (0.1, 0.37, 0.5, 0.83, 0.999)
+    for n, l, p, q, tol in ((600, 0, 0.5, 0.25, 1e-12), (200, 0, 0.9, 0.6, 1e-12),
+                            # the largest degree whose node scale 0.9^m is normal
+                            (6700, 23, 0.9, 0.6, 1e-11)):
+        axis = AxisConfig(n=n, l=l, pq=PQPair(p, q))
+        for x, w in zip(xs, weight_matrix(axis, xs)):
+            ref = oracle_weight_vector(axis, x)
+            big = ref > 1e-200
+            worst = float(np.max(np.abs(w[big] - ref[big]) / ref[big]))
+            assert worst <= tol, (n, l, p, q, x, worst)
 
 
 @settings(max_examples=60)

@@ -43,18 +43,26 @@ def bracket_sum_form(k, pq):
 
 
 def bracket_factorial(k, pq):
-    # [k]! = [1][2]...[k] as a plain product, empty product 1
-    return math.prod(pq_integer(j, pq) for j in range(1, k + 1))
+    # [k]_r! = [1]_r [2]_r ... [k]_r with r = q/p and [j]_r = [j] / p^(j - 1),
+    # as a plain product, empty product 1
+    return math.prod(pq_integer(j, pq) / pq.p ** (j - 1) for j in range(1, k + 1))
 
 
 def rising_product(m, x, pq):
-    # direct product prod_{j<m} (p^j - q^j x) in plain double precision
-    return math.prod(pq.p ** j - pq.q ** j * x for j in range(m))
+    # direct product prod_{j<m} (1 - r^j x) = prod_{j<m} (p^j - q^j x) / p^j,
+    # in plain double precision
+    return math.prod((pq.p ** j - pq.q ** j * x) / pq.p ** j for j in range(m))
 
 
 def log_rising_sum(m, x, pq):
     # log of the rising product: the fsum of one _log_rising_terms row
-    return math.fsum(_log_rising_terms(m, [x], pq)[0].tolist())
+    return math.fsum(_log_rising_terms(m, [x], pq.log_ratio)[0].tolist())
+
+
+def r_bracket_logs(m, pq):
+    # log [k]_r = log(expm1(k lam) / expm1(lam)) for k = 1..m, in scalar libm
+    lam = pq.log_ratio
+    return [math.log(math.expm1(k * lam) / math.expm1(lam)) for k in range(1, m + 1)]
 
 
 def test_pqpair_rejects_bad_parameters():
@@ -124,24 +132,24 @@ def test_pq_integer_positive_and_bounded(p, frac, k):
 
 
 def test_pq_factorial_values():
-    # the log-factorial table of p = 1, q = 0.5: [2]! = 1.5, [3]! = 1 * 1.5 * 1.75
-    lf = cumulative_log_factorials(3, 1.0, 0.5)
+    # the log-factorial table of r = 0.5: [2]_r! = 1.5, [3]_r! = 1 * 1.5 * 1.75
+    lf = cumulative_log_factorials(3, PQPair(1.0, 0.5).log_ratio)
     assert lf[0] == 0.0 and lf[1] == 0.0
     assert math.exp(lf[2]) == pytest.approx(1.5, rel=1e-15)
     assert math.exp(lf[3]) == pytest.approx(2.625, rel=1e-15)
 
 
 def test_rising_product_values():
-    assert _log_rising_terms(0, [0.7], PAIRS[1]).shape == (1, 0)    # empty product 1
-    # (1 - 0.5)(0.9 - 0.6*0.5) = 0.5 * 0.6
-    assert math.exp(log_rising_sum(2, 0.5, PAIRS[1])) == pytest.approx(0.30, rel=1e-14)
+    assert _log_rising_terms(0, [0.7], PAIRS[1].log_ratio).shape == (1, 0)  # empty product 1
+    # r = 0.6/0.9: (1 - 0.5)(1 - r 0.5) = 0.5 * 0.6 / 0.9
+    assert math.exp(log_rising_sum(2, 0.5, PAIRS[1])) == pytest.approx(0.30 / 0.9, rel=1e-14)
 
 
 def test_log_rising_agrees_with_direct():
     xs = (0.1, 0.5, 0.9)
     for pq in PAIRS:
         for m in (1, 5, 50, 200):
-            rows = _log_rising_terms(m, xs, pq)
+            rows = _log_rising_terms(m, xs, pq.log_ratio)
             for x, row in zip(xs, rows):
                 got = math.exp(math.fsum(row.tolist()))
                 assert got == pytest.approx(rising_product(m, x, pq), rel=1e-12)
@@ -154,7 +162,7 @@ def test_log_rising_against_mpmath():
         p, q, x, m = mp.mpf("0.99"), mp.mpf("0.98"), mp.mpf("0.5"), 200
         prod = mp.mpf(1)
         for j in range(m):
-            prod *= p ** j - (q ** j) * x
+            prod *= 1 - (q / p) ** j * x
         want = float(mp.log(prod))
     got = log_rising_sum(200, 0.5, PQPair(0.99, 0.98))
     assert got == pytest.approx(want, abs=1e-10)
@@ -221,54 +229,50 @@ def test_compensated_cumsum_is_the_scalar_loop_bit_for_bit(monkeypatch):
 
 
 def test_cumulative_log_factorials_values_and_caching():
-    lf = cumulative_log_factorials(50, 0.9, 0.6)
+    lf = cumulative_log_factorials(50, PAIRS[1].log_ratio)
     assert lf[0] == 0.0
     for k in (1, 7, 50):
         want = math.log(bracket_factorial(k, PAIRS[1]))
         assert lf[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert lf.flags.writeable is False
     # cache returns the same object for identical keys
-    assert cumulative_log_factorials(50, 0.9, 0.6) is lf
+    assert cumulative_log_factorials(50, PAIRS[1].log_ratio) is lf
+
+
+def test_cumulative_log_factorials_are_shared_by_pairs_with_one_ratio():
+    # (0.5, 0.25) and (1.0, 0.5) have the same log_ratio, so two axes of one
+    # degree read one table: the second is a cache hit
+    cumulative_log_factorials.cache_clear()
+    a, b = PQPair(0.5, 0.25), PQPair(1.0, 0.5)
+    assert a.log_ratio == b.log_ratio
+    weight_vector(AxisConfig(n=600, l=0, pq=a), 0.3)
+    weight_vector(AxisConfig(n=600, l=0, pq=b), 0.3)
+    info = cumulative_log_factorials.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_cumulative_log_factorials_is_the_compensated_sum_of_bracket_logs():
-    # the array bracket table keeps pq_integer's bits, hence the sum's bits
+    # the array bracket table keeps the scalar bracket logs' bits, hence the
+    # sum's bits; at (0.9, 0.6) the (p,q)-brackets leave the normal range at
+    # k = 6735, and the r-brackets never do
     for m, p, q in ((1, 0.9, 0.6), (2, 1.0, 0.5), (28, 0.99, 0.95),
                     (2049, 0.999, 0.998), (4000, 1.0 - 0.3 / 4000, 1.0 - 1.1 / 4000),
-                    (700, 0.9, 0.6)):
+                    (700, 0.9, 0.6), (8000, 0.9, 0.6), (3000, 0.5, 0.25)):
         pq = PQPair(p, q)
-        want = neumaier_loop([math.log(pq_integer(j, pq)) for j in range(1, m + 1)])
-        np.testing.assert_array_equal(cumulative_log_factorials(m, p, q)[1:], want)
-    assert list(cumulative_log_factorials(0, 0.9, 0.6)) == [0.0]
-
-
-def test_cumulative_log_factorials_rejects_underflowed_brackets():
-    # [6735] is the first bracket below the smallest normal double at
-    # p = 0.9, q = 0.6; [7073] = 0 has no log, and the subnormal brackets
-    # between them keep too few bits for their logs
-    pq = PQPair(0.9, 0.6)
-    assert pq_integer(6734, pq) >= sys.float_info.min > pq_integer(6735, pq) > 0.0
-    assert pq_integer(7073, pq) == 0.0
-    for kmax in (6735, 7000, 8000):
-        with pytest.raises(ValueError, match=r"bracket \[6735\] = 2\.219e-308 is below "
-                                             r"the smallest normal double at p=0\.9, q=0\.6"):
-            cumulative_log_factorials(kmax, 0.9, 0.6)
-    assert cumulative_log_factorials(6734, 0.9, 0.6)[-1] < 0.0
-    # an axis with a normal [n] and m past the normal range: its weights
-    # summed to 1.0001255 before the check
-    with pytest.raises(ValueError, match=r"bracket \[6735\]"):
-        weight_vector(AxisConfig(n=6700, l=300, pq=pq), 0.5)
+        want = neumaier_loop(r_bracket_logs(m, pq))
+        np.testing.assert_array_equal(cumulative_log_factorials(m, pq.log_ratio)[1:], want)
+    assert list(cumulative_log_factorials(0, PAIRS[1].log_ratio)) == [0.0]
 
 
 def test_cumulative_log_factorials_long_run_precision():
     import mpmath as mp
 
-    lf = cumulative_log_factorials(2000, 0.999, 0.998)
+    lf = cumulative_log_factorials(2000, PQPair(0.999, 0.998).log_ratio)
     with mp.workdps(50):
         p, q = mp.mpf("0.999"), mp.mpf("0.998")
         acc = mp.mpf(0)
         for j in range(1, 2001):
-            acc += mp.log((p ** j - q ** j) / (p - q))
+            acc += mp.log((p ** j - q ** j) / (p - q) / p ** (j - 1))
         want = float(acc)
     assert lf[2000] == pytest.approx(want, abs=5e-11)
 
@@ -426,9 +430,9 @@ def _package_arrays():
     grid = np.linspace(0.0, 1.0, 41)
     return {
         "weight_matrix": weight_matrix(axis, np.linspace(0.0, 1.0, 21)),
-        "cumulative_log_factorials": cumulative_log_factorials(6000, 0.9, 0.6),
-        "high-degree log-factorials": cumulative_log_factorials(8000, 1.0 - 0.3 / 8000,
-                                                                1.0 - 1.0 / 8000),
+        "cumulative_log_factorials": cumulative_log_factorials(8000, PAIRS[1].log_ratio),
+        "high-degree log-factorials": cumulative_log_factorials(
+            8000, PQPair(1.0 - 0.3 / 8000, 1.0 - 1.0 / 8000).log_ratio),
         "nodes": nodes(axis),
         "literal nodes": nodes(literal),
         "exp_sum samples": sample_at_nodes(op, cat["exp_sum"].fn),
@@ -868,56 +872,57 @@ def test_contraction_sums_in_index_order_bit_for_bit(monkeypatch):
     assert np.any(in_order_matvec(w, v) != in_order_matvec(w, v, reverse=True))
 
 
-def scalar_weight_rows(lf, xs, pq):
+def scalar_weight_rows(lf, xs, lam, fill):
     """weight_rows written out with Python floats, one x at a time: the terms,
     their Neumaier prefix (0 first), each log weight in the kernel's order
-    and its exp."""
+    and its exp; a row whose x is not in (0, 1) is all fill."""
     lf, m = lf.tolist(), len(lf) - 1
-    log_p = math.log(pq.p)
-    c0 = -0.5 * m * (m - 1) * log_p
     rows = []
     for x in xs:
+        if not 0.0 < x < 1.0:
+            rows.append([fill] * (m + 1))
+            continue
         log_x = math.log(x)
-        terms = [j * log_p + math.log(-math.expm1(j * pq.log_ratio + log_x)) for j in range(m)]
+        terms = [math.log(-math.expm1(j * lam + log_x)) for j in range(m)]
         pre = [0.0, *neumaier_loop(terms).tolist()]
-        rows.append([math.exp((((c0 + ((lf[m] - lf[nu]) - lf[m - nu]))
-                                 + ((0.5 * nu) * (nu - 1)) * log_p) + nu * log_x) + pre[m - nu])
+        rows.append([math.exp((((lf[m] - lf[nu]) - lf[m - nu]) + nu * log_x) + pre[m - nu])
                      for nu in range(m + 1)])
     return np.array(rows)
 
 
 def _weight_row_cases():
-    """(m, pq, xs) on random axes: 1 - c/m pairs, p = 1 (log p = 0), and
-    (0.5, 0.25) below its bracket underflow, each with the edge x values."""
+    """(m, pq, xs) on random axes: 1 - c/m pairs, p = 1 and (0.5, 0.25), each
+    with the edge x values, and the endpoints, whose rows are left as they are."""
     rng = np.random.default_rng(2028)
-    edge = [5e-324, 1e-300, 1.0 - 2.0 ** -53]
+    edge = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]
     cases = []
     for m in (1, 2, 28, 257, 2049, 8000, 16384):
         c = max(m, 8)
         cp = float(rng.uniform(0.1, 1.0))
         cq = cp + float(rng.uniform(0.3, 1.5))
-        pairs = [PQPair(1.0 - cp / c, 1.0 - cq / c), PQPair(1.0, 1.0 - cq / c)]
-        if m <= 257:
-            pairs.append(PQPair(0.5, 0.25))
-        for pq in pairs:
+        for pq in (PQPair(1.0 - cp / c, 1.0 - cq / c), PQPair(1.0, 1.0 - cq / c),
+                   PQPair(0.5, 0.25)):
             cases.append((m, pq, np.concatenate((edge, rng.uniform(0.0, 1.0, 3)))))
     return cases
 
 
 def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
+    fill = -2.5
     cases = []
     for m, pq, xs in _weight_row_cases():
-        logs = [math.log(pq_integer(k, pq)) for k in range(1, m + 1)]
+        logs = r_bracket_logs(m, pq)
         lf = np.concatenate(([0.0], neumaier_loop(logs)))
-        cases.append((f"m={m} p={pq.p} q={pq.q}", m, pq, xs, logs, lf,
-                      scalar_weight_rows(lf, xs, pq)))
+        cases.append((f"m={m} p={pq.p} q={pq.q}", m, pq.log_ratio, xs, logs, lf,
+                      scalar_weight_rows(lf, xs, pq.log_ratio, fill)))
     for calls in both_paths(monkeypatch):
-        for name, m, pq, xs, logs, lf, rows in cases:
-            assert_same_bits(_clibm.bracket_logs(m, pq), logs, err_msg=name)
-            assert_same_bits(_clibm.weight_rows(lf, xs, pq), rows, err_msg=name)
+        for name, m, lam, xs, logs, lf, rows in cases:
+            assert_same_bits(_clibm.bracket_logs(m, lam), logs, err_msg=name)
+            out = np.full((xs.size, m + 1), fill)
+            assert _clibm.weight_rows(lf, xs, lam, out) is out
+            assert_same_bits(out, rows, err_msg=name)
         if calls is not None:
             # one compiled call per call, for the whole table and all rows
-            assert calls == [("pqss_bracket_logs", 0), ("pqss_weight_rows", 0)] * len(cases)
+            assert calls == [("pqss_bracket_logs", None), ("pqss_weight_rows", 0)] * len(cases)
 
 
 @needs_compiler
@@ -928,7 +933,8 @@ def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
     xs = np.linspace(0.0, 1.0, 41)
     weight_matrix(axis, xs)
     # a cache miss builds the table: its bracket logs and their prefix sums
-    assert calls == [("pqss_bracket_logs", 0), ("pqss_neumaier", None), ("pqss_weight_rows", 0)]
+    assert calls == [("pqss_bracket_logs", None), ("pqss_neumaier", None),
+                     ("pqss_weight_rows", 0)]
     calls.clear()
     weight_matrix(axis, xs[::-1])
     weight_vector(axis, 0.3)
@@ -940,20 +946,19 @@ def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
 
 
 def test_declined_weight_loops_raise_what_the_numpy_path_raises(monkeypatch):
-    pq = PQPair(0.9, 0.6)
-    lf = cumulative_log_factorials(300, 0.9, 0.6)
+    lf = cumulative_log_factorials(300, PAIRS[1].log_ratio)
     for calls in both_paths(monkeypatch):
-        # [6735] is the first bracket below the smallest normal double
-        with pytest.raises(ValueError, match=r"bracket \[6735\] = 2\.219e-308 is below "
-                                             r"the smallest normal double at p=0\.9, q=0\.6"):
-            _clibm.bracket_logs(7000, pq)
-        # at x = 1 the first rising factor is 0, whose log math refuses
+        # at lam = 1 (r = e > 1) the factor 1 - r x is below 0 at x = 0.5,
+        # and math refuses its log
         with pytest.raises(ValueError, match="math domain error"):
-            _clibm.weight_rows(lf, [0.5, 1.0], pq)
+            _clibm.weight_rows(lf, [0.3, 0.5], 1.0, np.zeros((2, 301)))
         if calls is not None:
-            # each loop ran and declined, so the numpy path answered
-            declined = [c for c in calls if c[0] in ("pqss_bracket_logs", "pqss_weight_rows")]
-            assert declined == [("pqss_bracket_logs", 1), ("pqss_weight_rows", 1)]
+            # the loop ran and declined, so the numpy path answered
+            assert [c for c in calls if c[0] == "pqss_weight_rows"] == [("pqss_weight_rows", 1)]
+    # the kernel writes m + 1 values per x into out, so its shape is checked first
+    for out in (np.zeros((2, 300)), np.zeros((301, 2)).T, np.zeros((2, 301), dtype=np.float32)):
+        with pytest.raises(ValueError, match=r"C-contiguous float out of shape \(2, 301\)"):
+            _clibm.weight_rows(lf, [0.3, 0.5], PAIRS[1].log_ratio, out)
 
 
 def _oracle_arrays(asymmetric_sweep):

@@ -203,6 +203,14 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         "--x2", "0.9999999999999999", "--output", "eval.csv")
     add("eval", "--f", "exp_sum", "--n1", "2000", "--p1", "1", "--q1", "0.999", "--x1", "0.3",
         "--x2", "0.8")
+    # at (0.9, 0.6) with [n] normal: the node scale 0.9^m is normal up to
+    # m = 6723 and the (p,q)-brackets up to k = 6734; past either, refused
+    for l1 in ("23", "24", "30", "300"):
+        add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "6700", "--l1", l1,
+            "--p1", "0.9", "--q1", "0.6", "--oracle")
+    # a small p: m = 600 on (0.5, 0.25), where the weights are those of (1, 0.5)
+    add("eval", "--f", "exp_sum", "--n1", "600", "--p1", "0.5", "--q1", "0.25", "--x1", "0.3",
+        "--x2", "0.8", "--oracle")
     # the Korovkin columns up to n = 65536, where an expansion of the central
     # moment in powers of x would cancel most (the second axis keeps the
     # default shape, whose shift is exactly 0)
