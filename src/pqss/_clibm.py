@@ -1,4 +1,4 @@
-"""libm's exp, expm1, log, sin and pow over a whole array, in one C loop;
+"""libm's exp, expm1, sin and pow over a whole array, in one C loop;
 the oracle's weighted sums, each a math.fsum; the weight path's two
 sequential sums, Neumaier prefix sums and index-order row sums; and the
 weight path itself, the bracket logs of the log-factorial table and the
@@ -39,9 +39,8 @@ build fails, load() returns None, and libm and oracle_sums answer by the
 math module instead (a map of the function over the array, math.fsum row by
 row for the sums), which gives the same values and errors; the two sequential
 sums answer by np.cumsum, which accumulates left to right, and bracket_logs
-and weight_rows by numpy arithmetic, libm and compensated_cumsum, which is
-also what weight_rows runs where its loop declines.  A failed build is not
-retried within the process.
+and weight_rows by numpy arithmetic, libm and compensated_cumsum.  A failed
+build is not retried within the process.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ import numpy as np
 _CDEF = """
 int pqss_exp(const double *x, double *out, size_t n);
 int pqss_expm1(const double *x, double *out, size_t n);
-int pqss_log(const double *x, double *out, size_t n);
 int pqss_sin(const double *x, double *out, size_t n);
 int pqss_pow(double base, const double *x, double *out, size_t n);
 int pqss_oracle_sums(const double *w1, const double *w2, const double *const *tables,
@@ -69,8 +67,8 @@ int pqss_oracle_sums(const double *w1, const double *w2, const double *const *ta
 void pqss_neumaier(const double *v, double *out, size_t rows, size_t n);
 void pqss_weighted_sums(const double *w, const double *v, double *out, size_t rows, size_t n);
 void pqss_bracket_logs(double lam, double *out, size_t n);
-int pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
-                     double lam);
+void pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
+                      double lam);
 """
 
 _SOURCE = r"""
@@ -91,7 +89,6 @@ _SOURCE = r"""
 
 PQSS_MAP(pqss_exp, exp)
 PQSS_MAP(pqss_expm1, expm1)
-PQSS_MAP(pqss_log, log)
 PQSS_MAP(pqss_sin, sin)
 
 int pqss_pow(double base, const double *x, double *out, size_t n)
@@ -339,22 +336,20 @@ void pqss_bracket_logs(double lam, double *out, size_t n)
    lw = (((lf[m] - lf[nu]) - lf[i]) + nu log x) + pre[i],
    where pre[0] = 0 and pre[i] is the Neumaier prefix, seeded as in
    pqss_neumaier, of the terms log(-expm1((j lam) + log x)), j < i.  Term j
-   is kept in out[m - 1 - j] until pre[j + 1] takes its place.  The result
-   is 1 if a term or a weight is not finite. */
-int pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
-                     double lam)
+   is kept in out[m - 1 - j] until pre[j + 1] takes its place.  With
+   lam < 0 every factor 1 - r^j x is in (0, 1], so every term, and so every
+   weight, is finite. */
+void pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
+                      double lam)
 {
-    int bad = 0;
     for (size_t r = 0; r < rows; r++, out += m + 1) {
         if (!(xs[r] > 0.0 && xs[r] < 1.0))
             continue;
         double log_x = log(xs[r]), s = 0.0, c = 0.0;
         for (size_t j = 0; j < m; j++)
             out[m - 1 - j] = -expm1(((double)j * lam) + log_x);
-        for (size_t j = 0; j < m; j++) {
+        for (size_t j = 0; j < m; j++)
             out[m - 1 - j] = log(out[m - 1 - j]);
-            bad |= !isfinite(out[m - 1 - j]);
-        }
         out[m] = 0.0;
         for (size_t i = 1; i <= m; i++) {
             double x = out[m - i], t = i > 1 ? s + x : x;
@@ -363,12 +358,9 @@ int pqss_weight_rows(const double *lf, const double *xs, double *out, size_t row
             s = t;
             out[m - i] = s + c;
         }
-        for (size_t nu = 0; nu <= m; nu++) {
+        for (size_t nu = 0; nu <= m; nu++)
             out[nu] = exp((((lf[m] - lf[nu]) - lf[m - nu]) + (double)nu * log_x) + out[nu]);
-            bad |= !isfinite(out[nu]);
-        }
     }
-    return bad;
 }
 """
 
@@ -390,7 +382,6 @@ ffi.compile(tmpdir=spec["tmpdir"])
 _KERNELS = {
     math.exp: "pqss_exp",
     math.expm1: "pqss_expm1",
-    math.log: "pqss_log",
     math.sin: "pqss_sin",
 }
 
@@ -463,14 +454,14 @@ def libm(fn, x):
     numpy's own exp/expm1/log/pow/sin/hypot use SIMD kernels that differ
     from libm in the last bit on some inputs, and which kernel runs depends
     on the CPU; going through libm keeps every value, and so every report,
-    identical to the scalar evaluation.  math.exp, math.expm1, math.log,
-    math.sin and partial(math.pow, base) run in one compiled loop over the
-    array, which calls the same libm functions as math.  Any other fn, a
-    call with an output that is not finite (libm returns inf, -inf or nan
-    where math raises OverflowError or ValueError, or gives nan itself) and a
-    machine without the kernel map fn over x.flat, which gives the same
-    finite values and raises math's errors; iterating x.flat keeps memory at
-    one float per element.  A 0-d input gives a numpy float, not a 0-d array.
+    identical to the scalar evaluation.  math.exp, math.expm1, math.sin and
+    partial(math.pow, base) run in one compiled loop over the array, which
+    calls the same libm functions as math.  Any other fn (math.log among
+    them), a call with an output that is not finite (libm returns inf, -inf
+    or nan where math raises OverflowError or ValueError, or gives nan
+    itself) and a machine without the kernel map fn over x.flat, which gives
+    the same finite values and raises math's errors; iterating x.flat keeps
+    memory at one float per element.  A 0-d input gives a numpy float, not a 0-d array.
     """
     x = np.asarray(x, dtype=float, order="C")
     module = load()
@@ -583,7 +574,7 @@ def weighted_sums(w: np.ndarray, v) -> np.ndarray:
 
 
 def bracket_logs(kmax: int, lam: float) -> np.ndarray:
-    """log [k]_r = log(expm1(k lam) / expm1(lam)) for k = 1..kmax (kmax >= 1),
+    """log [k]_r = log(expm1(k lam) / expm1(lam)) for k = 1..kmax (kmax >= 0),
     the brackets of r = e^lam, with lam = PQPair.log_ratio < 0 (r = q/p is
     never rounded).  Each [k]_r = 1 + r + ... + r^(k-1) is at least 1, so
     every log is finite.  The compiled kernel makes the whole array in one
@@ -619,10 +610,12 @@ def weight_rows(lf: np.ndarray, xs, lam: float, out: np.ndarray) -> np.ndarray:
 
     with log binom = (lf[m] - lf[nu]) - lf[m - nu], the rising-factor logs
     from _log_rising_terms summed by compensated_cumsum, and one exp; out is
-    returned.  The compiled kernel makes every row in place in one call, with
-    the operations of the numpy code in the same order, so it has its bits;
-    where the kernel is missing or declines (a term or a weight not finite),
-    the numpy code runs, which gives the same values and raises math's errors.
+    returned.  lam must be below 0 (PQPair.log_ratio always is): then every
+    factor 1 - r^j x is in (0, 1] and every weight is finite, and any other
+    lam raises ValueError on either path.  The compiled kernel makes every
+    row in place in one call, with the operations of the numpy code in the
+    same order, so it has its bits; the numpy code runs where the kernel is
+    missing.
     """
     lf = np.ascontiguousarray(lf, dtype=float)
     xs = np.ascontiguousarray(xs, dtype=float)
@@ -630,11 +623,13 @@ def weight_rows(lf: np.ndarray, xs, lam: float, out: np.ndarray) -> np.ndarray:
     if out.shape != (xs.size, m + 1) or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"requires a C-contiguous float out of shape {(xs.size, m + 1)} "
                          f"(got {out.dtype} {out.shape})")
+    if not lam < 0.0:
+        raise ValueError(f"requires lam = log(q/p) < 0 (got lam={lam})")
     module = load()
     if module is not None:
         buf = functools.partial(module.ffi.from_buffer, "double[]")
-        if not module.lib.pqss_weight_rows(buf(lf), buf(xs), buf(out), xs.size, m, lam):
-            return out
+        module.lib.pqss_weight_rows(buf(lf), buf(xs), buf(out), xs.size, m, lam)
+        return out
     inner = (0.0 < xs) & (xs < 1.0)
     rising_prefix = np.zeros((inner.sum(), m + 1))
     rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, xs[inner], lam))

@@ -210,14 +210,13 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     so the first moment picks up exactly that factor.  The constant alpha
     offset is removed by differencing against x = 0 (where both conventions
     give alpha/D exactly), then the slopes are compared.  The literal moment
-    is measured with the oracle path, not assumed.
+    is measured as the fsum of the oracle's weights times the literal nodes,
+    not assumed.
     """
     if not (0.0 < x <= 1.0):
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
-    # a degree-1 second axis at x2 = 0, whose weights are exactly (1, 0)
-    op = BivariateOperator(lit, AxisConfig(n=1, l=0, pq=PQPair(1.0, 0.5)))
-    measured = float(moment_oracle(op, [nodes(lit)[:, None]], [x], [0.0])[0, 0, 0])
+    measured = math.fsum((oracle_weight_vector(lit, x) * nodes(lit)).tolist())
     den, bm, _, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den

@@ -360,6 +360,79 @@ def test_family_e10_order(verdict):
     )
 
 
+# Voronovskaja's limit, which extends the paper (its abstract claims upper
+# rates only).  On p_n = 1 - c_p/n, q_n = 1 - c_q/n put a = e^-c_p, b = e^-c_q
+# and kappa = lim [n]/n = (a - b)/(c_q - c_p).  From gap and the central
+# moment, each axis has
+#     n (S(t; x) - x)   -> A(x) = (((b - c_p kappa) l - beta) x + alpha) / kappa
+#     n S((t - x)^2; x) -> B(x) = a x (1 - x) / kappa
+# and so n (S_n f - f)(x1, x2) -> V = A1 f_1 + A2 f_2 + (B1 f_11 + B2 f_22) / 2.
+VORONOVSKAJA_CP, VORONOVSKAJA_CQ = 0.5, 1.0
+# (g, g', g'') of the one factor g(t1) g(t2) of each checked function
+VORONOVSKAJA_FACTORS = {
+    "exp_sum": (math.exp, math.exp, math.exp),
+    "sinprod": (lambda t: math.sin(math.pi * t), lambda t: math.pi * math.cos(math.pi * t),
+                lambda t: -math.pi ** 2 * math.sin(math.pi * t)),
+}
+
+
+def _voronovskaja_axis_limits(shape: AxisShape, x: float) -> tuple[float, float]:
+    """(A(x), B(x)) of one axis on the 1 - c/n family."""
+    c_p, c_q = VORONOVSKAJA_CP, VORONOVSKAJA_CQ
+    a, b = math.exp(-c_p), math.exp(-c_q)
+    kappa = (a - b) / (c_q - c_p)
+    return ((((b - c_p * kappa) * shape.l - shape.beta) * x + shape.alpha) / kappa,
+            a * x * (1.0 - x) / kappa)
+
+
+def _voronovskaja_limit(name: str, shape1: AxisShape, shape2: AxisShape, xs) -> np.ndarray:
+    """V(x1, x2) on the product grid xs x xs."""
+    g, g1, g2 = VORONOVSKAJA_FACTORS[name]
+    out = np.empty((len(xs), len(xs)))
+    for i, x1 in enumerate(xs):
+        a1, b1 = _voronovskaja_axis_limits(shape1, x1)
+        for j, x2 in enumerate(xs):
+            a2, b2 = _voronovskaja_axis_limits(shape2, x2)
+            out[i, j] = (a1 * g1(x1) * g(x2) + a2 * g(x1) * g1(x2)
+                         + (b1 * g2(x1) * g(x2) + b2 * g(x1) * g2(x2)) / 2.0)
+    return out
+
+
+def test_voronovskaja(verdict):
+    spec = one_minus_c_over_n(VORONOVSKAJA_CP, VORONOVSKAJA_CQ)
+    ns = (64, 256, 1024, 4096, 16384)
+    xs = np.array([0.1, 0.37, 0.5, 0.83])
+    shifted = (AxisShape(l=1, alpha=0.5, beta=1.0), AxisShape(l=3, alpha=1.0, beta=2.0))
+    # C per row: the largest n * max|n (S f - f) - V| over n, times about 1.25
+    rows = [
+        ("default", (AxisShape(), AxisShape()), "exp_sum", 0.48),
+        ("default", (AxisShape(), AxisShape()), "sinprod", 6.5),
+        ("(1,0.5,1),(3,1,2)", shifted, "exp_sum", 27.0),
+        ("(1,0.5,1),(3,1,2)", shifted, "sinprod", 47.0),
+    ]
+    start = time.monotonic()
+    ok, details = True, []
+    for label, (shape1, shape2), name, c in rows:
+        cat = build_catalog(shape1.l + 1.0, shape2.l + 1.0)
+        f_grid = cat[name].fn(xs[:, None], xs[None, :])
+        limit = _voronovskaja_limit(name, shape1, shape2, xs)
+        devs = []
+        for n in ns:
+            op = build_operator(spec, n, shape1, shape2)
+            err = apply_on_grid(op, cat[name].factors, xs, xs) - f_grid
+            devs.append((n, float(np.max(np.abs(n * err - limit)))))
+        worst = max(n * d for n, d in devs)
+        order = empirical_order(devs)
+        ok = ok and worst <= c and -1.1 <= order <= -0.9
+        details.append(f"{label} {name}: max n*dev {worst:.3g} (C {c:g}), order {order:.3f}")
+    elapsed = time.monotonic() - start
+    verdict(
+        "voronovskaja", ok,
+        "; ".join(details) + f" (order required [-1.1, -0.9]; n=64..16384, 4x4 interior "
+        f"points), {elapsed:.2f}s",
+    )
+
+
 def _bracket_sum(k: int, p: float, q: float) -> float:
     return math.fsum(p ** (k - 1 - i) * q ** i for i in range(k))
 

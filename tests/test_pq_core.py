@@ -251,7 +251,7 @@ def test_cumulative_log_factorials_are_shared_by_pairs_with_one_ratio():
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
-def test_cumulative_log_factorials_is_the_compensated_sum_of_bracket_logs():
+def test_cumulative_log_factorials_is_the_compensated_sum_of_bracket_logs(monkeypatch):
     # the array bracket table keeps the scalar bracket logs' bits, hence the
     # sum's bits; at (0.9, 0.6) the (p,q)-brackets leave the normal range at
     # k = 6735, and the r-brackets never do
@@ -261,7 +261,10 @@ def test_cumulative_log_factorials_is_the_compensated_sum_of_bracket_logs():
         pq = PQPair(p, q)
         want = neumaier_loop(r_bracket_logs(m, pq))
         np.testing.assert_array_equal(cumulative_log_factorials(m, pq.log_ratio)[1:], want)
-    assert list(cumulative_log_factorials(0, PAIRS[1].log_ratio)) == [0.0]
+    # kmax = 0 takes no guard: both paths sum an empty bracket array
+    for _ in both_paths(monkeypatch):
+        cumulative_log_factorials.cache_clear()
+        assert list(cumulative_log_factorials(0, PAIRS[1].log_ratio)) == [0.0]
 
 
 def test_cumulative_log_factorials_long_run_precision():
@@ -344,8 +347,6 @@ KERNEL_CASES = {
     "exp-samples": (math.exp, lambda rng, n: rng.uniform(0.0, 8.0, n)),
     "expm1": (math.expm1, lambda rng, n: rng.uniform(-40.0, 1.0, n)),
     "expm1-tiny": (math.expm1, lambda rng, n: -(10.0 ** rng.uniform(-300.0, -1.0, n))),
-    "log-unit": (math.log, lambda rng, n: 1.0 - rng.uniform(0.0, 1.0, n)),
-    "log-wide": (math.log, lambda rng, n: np.exp(rng.uniform(-700.0, 700.0, n))),
     "sin": (math.sin, lambda rng, n: rng.uniform(0.0, 4.0 * math.pi, n)),
 }
 
@@ -386,10 +387,10 @@ def test_kernel_shapes(monkeypatch):
                 got = _clibm.libm(fn, arr)
                 assert got.shape == np.shape(arr)
                 np.testing.assert_array_equal(got, math_map(fn, arr))
-        # a function with no compiled loop is mapped by math on either path
+        # a function with no compiled loop (log, hypot) is mapped by math on either path
         np.testing.assert_array_equal(_clibm.libm(hypot, x), math_map(hypot, x))
         if calls is not None:
-            assert len(calls) == 5 * 9 and {returned for _, returned in calls} == {0}
+            assert len(calls) == 4 * 9 and {returned for _, returned in calls} == {0}
 
 
 def test_kernel_raises_what_math_raises(monkeypatch):
@@ -409,8 +410,9 @@ def test_kernel_raises_what_math_raises(monkeypatch):
         # a lone non-finite result that math returns without raising
         assert _clibm.libm(math.exp, math.inf) == math.inf
         if calls is not None:
-            # the loop ran on each call and declined it, so math answered
-            assert [returned for _, returned in calls] == [1, 1, 1, 1, 1]
+            # log has no compiled loop; the exp loop ran on each call and
+            # declined it, so math answered
+            assert calls == [("pqss_exp", 1)] * 3
 
 
 def _package_arrays():
@@ -890,9 +892,15 @@ def scalar_weight_rows(lf, xs, lam, fill):
     return np.array(rows)
 
 
+# the two ends of the ratios PQPair admits: q/p = 2^-53 (lam about -36.7)
+# and q/p = 1 - 2^-53 (lam about -1.1e-16)
+EXTREME_RATIOS = (PQPair(1.0, 2.0 ** -53), PQPair(1.0, 1.0 - 2.0 ** -53))
+
+
 def _weight_row_cases():
-    """(m, pq, xs) on random axes: 1 - c/m pairs, p = 1 and (0.5, 0.25), each
-    with the edge x values, and the endpoints, whose rows are left as they are."""
+    """(m, pq, xs) on random axes: 1 - c/m pairs, p = 1 and (0.5, 0.25), and
+    up to m = 8000 the extreme ratios, each with the edge x values, and the
+    endpoints, whose rows are left as they are."""
     rng = np.random.default_rng(2028)
     edge = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]
     cases = []
@@ -900,8 +908,8 @@ def _weight_row_cases():
         c = max(m, 8)
         cp = float(rng.uniform(0.1, 1.0))
         cq = cp + float(rng.uniform(0.3, 1.5))
-        for pq in (PQPair(1.0 - cp / c, 1.0 - cq / c), PQPair(1.0, 1.0 - cq / c),
-                   PQPair(0.5, 0.25)):
+        pairs = (PQPair(1.0 - cp / c, 1.0 - cq / c), PQPair(1.0, 1.0 - cq / c), PQPair(0.5, 0.25))
+        for pq in pairs + (EXTREME_RATIOS if m <= 8000 else ()):
             cases.append((m, pq, np.concatenate((edge, rng.uniform(0.0, 1.0, 3)))))
     return cases
 
@@ -922,7 +930,21 @@ def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
             assert_same_bits(out, rows, err_msg=name)
         if calls is not None:
             # one compiled call per call, for the whole table and all rows
-            assert calls == [("pqss_bracket_logs", None), ("pqss_weight_rows", 0)] * len(cases)
+            assert calls == [("pqss_bracket_logs", None), ("pqss_weight_rows", None)] * len(cases)
+
+
+def test_weight_matrix_rows_are_finite_and_nonnegative(monkeypatch):
+    # lam < 0 puts every factor 1 - r^j x in (0, 1], so no row can hold an
+    # inf or a nan, down to the extreme ratios and edge x values; the axes
+    # with p = 1 keep the node scale normal at every m
+    axes = [(AxisConfig(n=m, l=0, pq=pq), xs) for m, pq, xs in _weight_row_cases()
+            if pq.p == 1.0]
+    assert {axis.pq for axis, _ in axes} >= set(EXTREME_RATIOS)
+    for _ in both_paths(monkeypatch):
+        cumulative_log_factorials.cache_clear()
+        for axis, xs in axes:
+            w = weight_matrix(axis, xs)
+            assert np.isfinite(w).all() and (w >= 0.0).all(), axis
 
 
 @needs_compiler
@@ -934,27 +956,28 @@ def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
     weight_matrix(axis, xs)
     # a cache miss builds the table: its bracket logs and their prefix sums
     assert calls == [("pqss_bracket_logs", None), ("pqss_neumaier", None),
-                     ("pqss_weight_rows", 0)]
+                     ("pqss_weight_rows", None)]
     calls.clear()
     weight_matrix(axis, xs[::-1])
     weight_vector(axis, 0.3)
-    assert calls == [("pqss_weight_rows", 0)] * 2
+    assert calls == [("pqss_weight_rows", None)] * 2
     calls.clear()
     # the endpoint rows are the unit vectors, with no table and no kernel
     weight_matrix(axis, [0.0, 1.0, 0.0])
     assert calls == []
 
 
-def test_declined_weight_loops_raise_what_the_numpy_path_raises(monkeypatch):
+def test_weight_rows_refuses_lam_not_below_zero_on_both_paths(monkeypatch):
     lf = cumulative_log_factorials(300, PAIRS[1].log_ratio)
     for calls in both_paths(monkeypatch):
-        # at lam = 1 (r = e > 1) the factor 1 - r x is below 0 at x = 0.5,
-        # and math refuses its log
-        with pytest.raises(ValueError, match="math domain error"):
-            _clibm.weight_rows(lf, [0.3, 0.5], 1.0, np.zeros((2, 301)))
+        # r = e^lam must be below 1: at lam = 1 the factor 1 - r x would be
+        # below 0 at x = 0.5; lam = 0 and nan are refused alike
+        for lam in (1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match=r"requires lam = log\(q/p\) < 0"):
+                _clibm.weight_rows(lf, [0.3, 0.5], lam, np.zeros((2, 301)))
         if calls is not None:
-            # the loop ran and declined, so the numpy path answered
-            assert [c for c in calls if c[0] == "pqss_weight_rows"] == [("pqss_weight_rows", 1)]
+            # refused before the compiled loop
+            assert calls == []
     # the kernel writes m + 1 values per x into out, so its shape is checked first
     for out in (np.zeros((2, 300)), np.zeros((301, 2)).T, np.zeros((2, 301), dtype=np.float32)):
         with pytest.raises(ValueError, match=r"C-contiguous float out of shape \(2, 301\)"):

@@ -211,6 +211,15 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     # a small p: m = 600 on (0.5, 0.25), where the weights are those of (1, 0.5)
     add("eval", "--f", "exp_sum", "--n1", "600", "--p1", "0.5", "--q1", "0.25", "--x1", "0.3",
         "--x2", "0.8", "--oracle")
+    # the weight rows at both ends of lam = log(q/p): q/p about 1e-15 on both
+    # axes (lam about -34.5) with x2 = 5e-324, then q/p = 1 - 2^-53 (lam about
+    # -1.1e-16) against q/p = 1e-16 (lam about -36.7)
+    add("eval", "--f", "exp_sum", "--x1", "0.999999", "--x2", "5e-324", "--n1", "2000", "--p1",
+        "1", "--q1", "1e-15", "--n2", "3000", "--l2", "2", "--p2", "0.9999", "--q2", "1e-15",
+        "--oracle")
+    add("eval", "--f", "exp_sum", "--x1", "0.999999", "--x2", "0.5", "--n1", "2000", "--p1", "1",
+        "--q1", "0.9999999999999999", "--n2", "900", "--l2", "2", "--p2", "0.5", "--q2", "5e-17",
+        "--oracle")
     # the Korovkin columns up to n = 65536, where an expansion of the central
     # moment in powers of x would cancel most (the second axis keeps the
     # default shape, whose shift is exactly 0)
