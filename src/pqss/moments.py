@@ -211,7 +211,8 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     offset is removed by differencing against x = 0 (where both conventions
     give alpha/D exactly), then the slopes are compared.  The literal moment
     is measured as the fsum of the oracle's weights times the literal nodes,
-    not assumed.
+    not assumed.  Where the literal slope is below one ulp of alpha/D, there
+    is no slope to compare, and the axis is refused.
     """
     if not (0.0 < x <= 1.0):
         raise ValueError(f"requires x in (0, 1] (got x={x})")
@@ -220,6 +221,9 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
     den, bm, _, _, _ = _coefficients(axis)
     base = axis.alpha / den
     closed_slope = bm * x / den
+    if measured == base:
+        raise ValueError(f"requires a literal first moment that differs from alpha/D at x={x} "
+                         f"(both are {base!r} on {axis})")
     return closed_slope / (measured - base)
 
 

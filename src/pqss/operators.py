@@ -110,8 +110,8 @@ class AxisConfig:
                 f"requires [n] to be a normal double (got [n] = {bracket_n!r} at n={self.n}, "
                 f"p={self.pq.p}, q={self.pq.q})"
             )
-        # the nodes take p^(m-nu) [nu] in (p,q) form, and pq_integer takes p^nu,
-        # for nu <= m: all normal doubles while p^m is
+        # the nodes take p^(base-nu) [nu] in (p,q) form, and [nu] takes p^nu: powers
+        # p^k for k from -l (literal nodes) to m, all normal doubles while p^m is
         scale = self.pq.p ** self.degree
         if scale < sys.float_info.min:
             raise ValueError(
@@ -125,14 +125,22 @@ class AxisConfig:
 
 
 def nodes(axis: AxisConfig) -> np.ndarray:
-    """All nodes t_0..t_m as an array; increasing, contained in [0, l + 1)."""
-    m = axis.degree
-    p = axis.pq.p
-    brackets = np.array([pq_integer(nu, axis.pq) for nu in range(m + 1)])
-    base = m if axis.node_exponent == "canonical" else axis.n
-    exps = base - np.arange(m + 1)
-    den = pq_integer(axis.n, axis.pq) + axis.beta
-    return (libm(partial(math.pow, p), exps) * brackets + axis.alpha) / den
+    """All nodes t_0..t_m as an array; increasing, contained in [0, l + 1).
+
+    pq_integer's own formula on whole arrays, so every node has its bits:
+    one libm pow over the exponents base - m..m (base is m, or n for the
+    literal nodes) gives both p^nu (its tail) and p^(base - nu) (its head,
+    reversed), and one libm expm1 gives the brackets
+    [nu] = -p^nu expm1(nu lam) / (p - q), with [0] = 0 and [1] = 1 exact.
+    """
+    m, n = axis.degree, axis.n
+    p, q = axis.pq.p, axis.pq.q
+    base = m if axis.node_exponent == "canonical" else n
+    powers = libm(partial(math.pow, p), np.arange(base - m, m + 1.0))
+    nu = np.arange(m + 1.0)
+    brackets = -powers[m - base:] * libm(math.expm1, nu * axis.pq.log_ratio) / (p - q)
+    brackets[:2] = 0.0, 1.0
+    return (powers[m::-1] * brackets + axis.alpha) / (brackets[n] + axis.beta)
 
 
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:

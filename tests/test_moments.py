@@ -290,6 +290,14 @@ def test_literal_factor_is_p_to_l():
         literal_first_moment_factor(axis, 0.0)
 
 
+def test_literal_factor_refuses_a_slope_below_one_ulp():
+    # p^(m-nu) [nu] is below 1e-29 at (0.5, 0.25), n = 100, so every node rounds
+    # to alpha / D = 0.5 and the measured slope is 0: nothing to divide by
+    axis = AxisConfig(n=100, l=0, pq=PQPair(0.5, 0.25), alpha=1, beta=2)
+    with pytest.raises(ValueError, match=r"differs from alpha/D at x=0\.5 .*n=100, l=0"):
+        literal_first_moment_factor(axis, 0.5)
+
+
 def test_verify_moments_clean_subset():
     ops = standard_sweep()[:6]
     res = verify_moments(ops, sweep_grid(3), tolerance=1e-10)

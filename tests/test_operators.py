@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqss.convergence import one_minus_c_over_n
 from pqss.moments import (
     SWEEP_AB,
     SWEEP_L,
@@ -181,6 +182,38 @@ def test_node_values(worked_axis):
     # [0]=0, [1]=1, [2]=1.5, [3]=1.75; D=3.5; p=1 so powers drop out
     t = nodes(worked_axis)
     assert t == pytest.approx([1.0 / 3.5, 2.0 / 3.5, 2.5 / 3.5, 2.75 / 3.5], rel=1e-14)
+
+
+def _node_reference(axis):
+    """(p^(base-nu) [nu] + alpha) / ([n] + beta), one pq_integer call per node."""
+    m, p = axis.degree, axis.pq.p
+    base = m if axis.node_exponent == "canonical" else axis.n
+    den = pq_integer(axis.n, axis.pq) + axis.beta
+    return np.array([(math.pow(p, base - nu) * pq_integer(nu, axis.pq) + axis.alpha) / den
+                     for nu in range(m + 1)])
+
+
+def _node_bit_cases():
+    family = one_minus_c_over_n()
+    for exponent in ("canonical", "literal"):
+        yield from sweep_axes(exponent)
+        yield AxisConfig(n=1, l=0, pq=PQPair(0.9, 0.6), node_exponent=exponent)
+        # pairs where -p expm1(lam) / (p - q) rounds to 1 + 2^-52 and 1 - 2^-53, not [1] = 1
+        for p, q in ((1.0, 0.766), (0.872, 0.386)):
+            yield AxisConfig(n=3, l=1, pq=PQPair(p, q), node_exponent=exponent)
+        for n in (2048, 8000, 65536):
+            yield AxisConfig(n=n, l=1, pq=family.pq_at(n), alpha=0.5, beta=1.0,
+                             node_exponent=exponent)
+    # p^(n - nu) down to p^-30
+    yield AxisConfig(n=20, l=30, pq=PQPair(0.9, 0.6), alpha=0.5, beta=1.0,
+                     node_exponent="literal")
+
+
+def test_nodes_are_the_per_node_formula_bit_for_bit():
+    # the array form runs pq_integer's operations in its order, so no node
+    # moves by an ulp; [0] = 0 and [1] = 1 are exact, as in pq_integer
+    for axis in _node_bit_cases():
+        assert nodes(axis).tobytes() == _node_reference(axis).tobytes(), axis
 
 
 def test_nodes_monotone_for_both_conventions():

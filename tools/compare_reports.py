@@ -208,6 +208,12 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
     for l1 in ("23", "24", "30", "300"):
         add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "6700", "--l1", l1,
             "--p1", "0.9", "--q1", "0.6", "--oracle")
+    # literal nodes, whose powers p^(n - nu) run down to p^-l: the contraction at
+    # m = 8003 and the oracle's node table at m = 305
+    add("eval", "--f", "exp_sum", "--x1", "0.3", "--x2", "0.8", "--node-exponent",
+        "paper-literal", "--n1", "8000", "--l1", "3", "--p1", "0.9999", "--q1", "0.9998")
+    add("eval", "--f", "exp_sum", "--x1", "0.3", "--x2", "0.8", "--oracle", "--node-exponent",
+        "paper-literal", "--n1", "300", "--l1", "5", "--p1", "0.99", "--q1", "0.95")
     # a small p: m = 600 on (0.5, 0.25), where the weights are those of (1, 0.5)
     add("eval", "--f", "exp_sum", "--n1", "600", "--p1", "0.5", "--q1", "0.25", "--x1", "0.3",
         "--x2", "0.8", "--oracle")
