@@ -1,4 +1,4 @@
-"""libm's exp, expm1, sin and pow over a whole array, in one C loop;
+"""libm's exp, expm1 and sin over a whole array, in one C loop;
 the oracle's weighted sums, each a math.fsum; the weight path's two
 sequential sums, Neumaier prefix sums and index-order row sums; and the
 weight path itself, the bracket logs of the log-factorial table and the
@@ -60,7 +60,6 @@ _CDEF = """
 int pqss_exp(const double *x, double *out, size_t n);
 int pqss_expm1(const double *x, double *out, size_t n);
 int pqss_sin(const double *x, double *out, size_t n);
-int pqss_pow(double base, const double *x, double *out, size_t n);
 int pqss_oracle_sums(const double *w1, const double *w2, const double *const *tables,
                      const ptrdiff_t *strides, double *out, size_t nt,
                      size_t k1, size_t k2, size_t n1, size_t n2);
@@ -90,16 +89,6 @@ _SOURCE = r"""
 PQSS_MAP(pqss_exp, exp)
 PQSS_MAP(pqss_expm1, expm1)
 PQSS_MAP(pqss_sin, sin)
-
-int pqss_pow(double base, const double *x, double *out, size_t n)
-{
-    int bad = 0;
-    for (size_t i = 0; i < n; i++) {
-        out[i] = pow(base, x[i]);
-        bad |= !isfinite(out[i]);
-    }
-    return bad;
-}
 
 /* compensated_cumsum's loop over each row of n values, in which s and c
    start from their first terms as np.cumsum's do (s = v[0], not 0.0 + v[0]). */
@@ -454,22 +443,19 @@ def libm(fn, x):
     numpy's own exp/expm1/log/pow/sin/hypot use SIMD kernels that differ
     from libm in the last bit on some inputs, and which kernel runs depends
     on the CPU; going through libm keeps every value, and so every report,
-    identical to the scalar evaluation.  math.exp, math.expm1, math.sin and
-    partial(math.pow, base) run in one compiled loop over the array, which
-    calls the same libm functions as math.  Any other fn (math.log among
-    them), a call with an output that is not finite (libm returns inf, -inf
-    or nan where math raises OverflowError or ValueError, or gives nan
-    itself) and a machine without the kernel map fn over x.flat, which gives
-    the same finite values and raises math's errors; iterating x.flat keeps
-    memory at one float per element.  A 0-d input gives a numpy float, not a 0-d array.
+    identical to the scalar evaluation.  math.exp, math.expm1 and math.sin
+    run in one compiled loop over the array, which calls the same libm
+    functions as math.  Any other fn (math.log among them), a call with an
+    output that is not finite (libm returns inf, -inf or nan where math
+    raises OverflowError or ValueError, or gives nan itself) and a machine
+    without the kernel map fn over x.flat, which gives the same finite
+    values and raises math's errors; iterating x.flat keeps memory at one
+    float per element.  A 0-d input gives a numpy float, not a 0-d array.
     """
     x = np.asarray(x, dtype=float, order="C")
     module = load()
-    is_pow = (isinstance(fn, functools.partial) and fn.func is math.pow
-              and len(fn.args) == 1 and not fn.keywords)
-    if module is not None and (is_pow or fn in _KERNELS):
-        kernel = (functools.partial(module.lib.pqss_pow, float(fn.args[0])) if is_pow
-                  else getattr(module.lib, _KERNELS[fn]))
+    if module is not None and fn in _KERNELS:
+        kernel = getattr(module.lib, _KERNELS[fn])
         out = np.empty_like(x)
         ffi = module.ffi
         if not kernel(ffi.from_buffer("double[]", x), ffi.from_buffer("double[]", out), x.size):

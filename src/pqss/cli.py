@@ -209,10 +209,10 @@ def _check_cost(m1: int, m2: int, k: int, *more: tuple[str, int]) -> None:
     of k(m + 1) at its peak, 1.4 where the call also loads the kernel, by
     tracemalloc on a cold cache, k = 41, m = 2000 and 16384), and the grid
     itself, then the command's own `more` sizes.
-    Each axis's nodes peak at 5.0 float arrays of m + 1 (tracemalloc,
+    Each axis's nodes peak at 2.0 float arrays of m + 1 (tracemalloc,
     m = 65537, both node exponents), more than weight_matrix itself at k = 1
     but below the 8k(m + 1) each axis is priced at; eval's whole peak there
-    is 10.0 such arrays against its price of 16.
+    is 6.4 such arrays against its price of 16.
     """
     sizes = (
         ("axis 1 weight build 8k(m1+1)", 8 * k * (m1 + 1)),

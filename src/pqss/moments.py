@@ -2,19 +2,24 @@
 
 The six monomial moments e_ij(t1, t2) = t1^i t2^j for (i, j) in
 {(0,0), (1,0), (0,1), (1,1), (2,0), (0,2)} have closed forms under the
-canonical node convention; per axis, with m = n + l and D = [n] + beta:
+canonical node convention.  Each axis is the q-Bernstein operator at r = q/p
+composed with t = A u + B (operators._affine), and that operator reproduces
+linear functions and maps u^2 to x^2 + x (1 - x) / [m]_r (Phillips 1997);
+per axis, with m = n + l, D = [n] + beta, A = p^(m-1) [m]_r / D and B = alpha / D:
 
     S(1; x)   = 1
-    S(t; x)   = ([m] x + alpha) / D
-    S(t^2; x) = [m](p^{m-1} + 2 alpha) x / D^2 + q [m][m-1] x^2 / D^2
-                + alpha^2 / D^2
+    S(t; x)   = A x + B = ([m] x + alpha) / D
+    S(t^2; x) = A^2 (x^2 + x (1 - x) / [m]_r) + 2 A B x + B^2
 
 and, with gap = [m] - D = q^n [l] + (p^l - 1)[n] - beta (from [n + l] =
 p^l [n] + q^n [l], so no nearby values are subtracted), the shift and the
 central moment, a square plus a term that is nonnegative on [0, 1]:
 
     S(t; x) - x       = (gap x + alpha) / D
-    S((t - x)^2; x)   = (S(t; x) - x)^2 + [m] p^{m-1} x (1 - x) / D^2.
+    S((t - x)^2; x)   = (S(t; x) - x)^2 + A^2 x (1 - x) / [m]_r.
+
+Only the shift divides by D, and it refuses a D that is not a normal double
+(beta = 0 with [n] below the normal range).
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
@@ -39,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _clibm
-from .operators import AxisConfig, BivariateOperator, nodes
+from .operators import AxisConfig, BivariateOperator, _affine, nodes
 from .pq_core import PQPair, pq_integer
 from .serialize import fmt_float
 
@@ -53,49 +58,43 @@ MOMENT_NAMES = (
 )
 
 _VALID_IJ = {(i, j) for _, i, j in MOMENT_NAMES}
-# The closed forms divide by D^2 = ([n] + beta)^2, which must be a normal double
-_DEN_LIMIT = math.sqrt(np.finfo(float).max)
-_DEN_MIN = math.sqrt(sys.float_info.min)
 
 
 @lru_cache(maxsize=256)  # the sweep's 135 axes fit
 def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float, float]:
-    """(D, [m], [m-1], p^(m-1), gap) of one axis, with m = n + l, D = [n] + beta
-    and gap = [m] - D = q^n [l] + expm1(l log p) [n] - beta; cached, as every
-    closed form of an axis starts from them."""
-    m, p, bn = axis.degree, axis.pq.p, pq_integer(axis.n, axis.pq)
-    den = bn + axis.beta
-    if not den <= _DEN_LIMIT:
-        raise ValueError(f"requires [n] + beta <= {_DEN_LIMIT!r}, the square root of the largest "
-                         f"double (got [n] + beta = {den!r} at beta={axis.beta!r})")
-    if den < _DEN_MIN:
-        raise ValueError(f"requires [n] + beta >= {_DEN_MIN!r}, the square root of the smallest "
-                         f"normal double (got [n] + beta = {den!r} at n={axis.n}, p={axis.pq.p}, "
-                         f"q={axis.pq.q}, beta={axis.beta!r})")
-    gap = axis.pq.q ** axis.n * pq_integer(axis.l, axis.pq) + math.expm1(axis.l * math.log(p)) * bn
-    return den, pq_integer(m, axis.pq), pq_integer(m - 1, axis.pq), p ** (m - 1), gap - axis.beta
+    """(A, B, [m]_r, gap, D) of one axis's canonical nodes t = A u + B, with
+    m = n + l, D = [n] + beta and gap = [m] - D = q^n [l] + expm1(l log p) [n]
+    - beta; cached, as every closed form of an axis starts from them."""
+    a, b, bm = _affine(dataclasses.replace(axis, node_exponent="canonical"))
+    p, q, bn = axis.pq.p, axis.pq.q, pq_integer(axis.n, axis.pq)
+    gap = q ** axis.n * pq_integer(axis.l, axis.pq) + math.expm1(axis.l * math.log(p)) * bn
+    return a, b, bm, gap - axis.beta, bn + axis.beta
 
 
 def first_moment_univariate(axis: AxisConfig, x):
-    """([m] x + alpha) / ([n] + beta); accepts scalars or arrays."""
-    den, bm, _, _, _ = _coefficients(axis)
-    return (bm * x + axis.alpha) / den
+    """A x + B = ([m] x + alpha) / ([n] + beta); accepts scalars or arrays."""
+    a, b, _, _, _ = _coefficients(axis)
+    return a * x + b
 
 
 def first_moment_shift(axis: AxisConfig, x):
-    """S(t; x) - x = (gap x + alpha) / D, with no cancellation; scalars or arrays."""
-    den, _, _, _, gap = _coefficients(axis)
+    """S(t; x) - x = (gap x + alpha) / D, with no cancellation; scalars or arrays.
+
+    The one closed form that divides by D = [n] + beta: it refuses a D that is
+    not a normal double, which takes beta = 0 (or below the normal range) and
+    [n] below the normal range, where gap would lose its bits too.
+    """
+    _, _, _, gap, den = _coefficients(axis)
+    if not den >= sys.float_info.min:
+        raise ValueError(f"requires [n] + beta to be a normal double (got [n] + beta = {den!r} "
+                         f"at n={axis.n}, p={axis.pq.p}, q={axis.pq.q}, beta={axis.beta!r})")
     return (gap * x + axis.alpha) / den
 
 
 def second_moment_univariate(axis: AxisConfig, x):
-    """Closed second raw moment; accepts scalars or arrays."""
-    den, bm, bm1, pm1, _ = _coefficients(axis)
-    return (
-        bm * (pm1 + 2.0 * axis.alpha) * x
-        + axis.pq.q * bm * bm1 * x * x
-        + axis.alpha ** 2
-    ) / den ** 2
+    """A^2 (x^2 + x (1 - x) / [m]_r) + 2 A B x + B^2; accepts scalars or arrays."""
+    a, b, bm, _, _ = _coefficients(axis)
+    return a * a * (x * x + x * (1.0 - x) / bm) + 2.0 * a * b * x + b * b
 
 
 def _raw_moment(axis: AxisConfig, k: int, x):
@@ -108,11 +107,11 @@ def _raw_moment(axis: AxisConfig, k: int, x):
 
 
 def central_moment(axis: AxisConfig, x):
-    """Closed S((t - x)^2; x) = shift^2 + [m] p^(m-1) x (1 - x) / D^2 on one axis, with
-    shift = (gap x + alpha) / D; scalars or arrays.  Both terms are >= 0 on [0, 1]."""
-    den, bm, _, pm1, gap = _coefficients(axis)
-    shift = (gap * x + axis.alpha) / den
-    return shift * shift + bm * pm1 * x * (1.0 - x) / den ** 2
+    """Closed S((t - x)^2; x) = shift^2 + A^2 x (1 - x) / [m]_r on one axis, with
+    shift = first_moment_shift; scalars or arrays.  Both terms are >= 0 on [0, 1]."""
+    a, _, bm, _, _ = _coefficients(axis)
+    shift = first_moment_shift(axis, x)
+    return shift * shift + a * a * x * (1.0 - x) / bm
 
 
 def moment_closed(op: BivariateOperator, i: int, j: int, x1: float, x2: float) -> float:
@@ -218,9 +217,8 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
     measured = math.fsum((oracle_weight_vector(lit, x) * nodes(lit)).tolist())
-    den, bm, _, _, _ = _coefficients(axis)
-    base = axis.alpha / den
-    closed_slope = bm * x / den
+    a, base, _, _, _ = _coefficients(axis)
+    closed_slope = a * x
     if measured == base:
         raise ValueError(f"requires a literal first moment that differs from alpha/D at x={x} "
                          f"(both are {base!r} on {axis})")

@@ -18,11 +18,14 @@ powers of p then add up to (-m(m-1) + 2 nu(m-nu) + nu(nu-1) + (m-nu)(m-nu-1))/2
 
     s_nu(x) = binom_r(m, nu) x^nu prod_{j=0}^{m-nu-1} (1 - r^j x).
 
-p is left only in the nodes, whose powers of p AxisConfig keeps normal
-doubles (it refuses p^m below the smallest normal double).  The weights form
-a partition of unity and are nonnegative on [0, 1], so the operator is
-positive and reproduces constants up to roundoff.  Functions are only ever
-sampled at the nodes, which live in [0, l + 1).
+The nodes are an affine map of that basis's own nodes u_nu = [nu]_r / [m]_r:
+p^(m-nu) [nu] = p^(m-1) [nu]_r, so t_nu = A u_nu + B with A = p^(m-1) [m]_r / D,
+B = alpha / D and D = [n] + beta, and each axis is Phillips' q-Bernstein
+operator at r composed with phi(u) = A u + B.  _affine computes (A, B, [m]_r)
+in ratio form, with no power p^m, so no axis is refused for a small p^m or
+[n].  The weights form a partition of unity and are nonnegative on [0, 1], so
+the operator is positive and reproduces constants up to roundoff.  Functions
+are only ever sampled at the nodes, which live in [0, l + 1).
 
 apply_on_grid takes f as a factor tuple ((g, h), ...) whose sum of products
 g(t1) h(t2) is f, and costs O(k m) on a k-point axis of degree m: each factor
@@ -43,9 +46,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -104,43 +106,44 @@ class AxisConfig:
             raise ValueError(
                 f"requires node_exponent in {NODE_EXPONENTS} (got {self.node_exponent!r})"
             )
-        bracket_n = pq_integer(self.n, self.pq)
-        if bracket_n < sys.float_info.min:
-            raise ValueError(
-                f"requires [n] to be a normal double (got [n] = {bracket_n!r} at n={self.n}, "
-                f"p={self.pq.p}, q={self.pq.q})"
-            )
-        # the nodes take p^(base-nu) [nu] in (p,q) form, and [nu] takes p^nu: powers
-        # p^k for k from -l (literal nodes) to m, all normal doubles while p^m is
-        scale = self.pq.p ** self.degree
-        if scale < sys.float_info.min:
-            raise ValueError(
-                f"requires the node scale p^m to be a normal double (got p^m = {scale!r} at "
-                f"m={self.degree}, p={self.pq.p}, q={self.pq.q})"
-            )
 
     @property
     def degree(self) -> int:
         return self.n + self.l
 
 
+@lru_cache(maxsize=256)  # the sweep's 135 axes fit
+def _affine(axis: AxisConfig) -> tuple[float, float, float]:
+    """(A, B, [m]_r) of the axis's nodes t_nu = A u_nu + B, u_nu = [nu]_r / [m]_r.
+
+    With [k] = p^(k-1) [k]_r and D = [n] + beta, t_nu = (p^(base-nu) [nu] + alpha) / D
+    gives A = p^(base-1) [m]_r / D and B = alpha / D (base is m, or n for the
+    literal nodes).  A is taken as p^(base-n) [m]_r / ([n]_r + beta / h / h) with
+    h = p^((n-1)/2): it is 1 exactly at l = 0, alpha = beta = 0, and h stays a
+    normal double far past where p^(n-1) underflows; where h rounds to 0, A is
+    0, against a true A below m 1.3e-324.
+    """
+    n, lam, p = axis.n, axis.pq.log_ratio, axis.pq.p
+    unit = math.expm1(lam)
+    bracket_n, bracket_m = math.expm1(n * lam) / unit, math.expm1(axis.degree * lam) / unit
+    den, b = bracket_n, 0.0
+    if axis.beta:
+        half = p ** ((n - 1) / 2)
+        den += axis.beta / half / half if half else math.inf
+        b = axis.alpha / (pq_integer(n, axis.pq) + axis.beta)
+    lead = p ** axis.l if axis.node_exponent == "canonical" else 1.0
+    return lead * bracket_m / den, b, bracket_m
+
+
 def nodes(axis: AxisConfig) -> np.ndarray:
     """All nodes t_0..t_m as an array; increasing, contained in [0, l + 1).
 
-    pq_integer's own formula on whole arrays, so every node has its bits:
-    one libm pow over the exponents base - m..m (base is m, or n for the
-    literal nodes) gives both p^nu (its tail) and p^(base - nu) (its head,
-    reversed), and one libm expm1 gives the brackets
-    [nu] = -p^nu expm1(nu lam) / (p - q), with [0] = 0 and [1] = 1 exact.
+    t_nu = A u_nu + B with (A, B) from _affine, and u_nu = expm1(nu lam) /
+    expm1(m lam) from one libm call: u_0 = 0 and u_m = 1 exactly.
     """
-    m, n = axis.degree, axis.n
-    p, q = axis.pq.p, axis.pq.q
-    base = m if axis.node_exponent == "canonical" else n
-    powers = libm(partial(math.pow, p), np.arange(base - m, m + 1.0))
-    nu = np.arange(m + 1.0)
-    brackets = -powers[m - base:] * libm(math.expm1, nu * axis.pq.log_ratio) / (p - q)
-    brackets[:2] = 0.0, 1.0
-    return (powers[m::-1] * brackets + axis.alpha) / (brackets[n] + axis.beta)
+    a, b, _ = _affine(axis)
+    u = libm(math.expm1, np.arange(axis.degree + 1.0) * axis.pq.log_ratio)
+    return a * (u / u[-1]) + b
 
 
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:

@@ -5,8 +5,9 @@ the bracket numbers
 
     [k] = (p^k - q^k) / (p - q) = p^(k-1) [k]_r,      [0] = 0,
 
-with r = q/p and [k]_r = 1 + r + ... + r^(k-1).  The nodes and the closed
-moments use [k]; the weights use only [k]_r, through the log-factorial
+with r = q/p and [k]_r = 1 + r + ... + r^(k-1).  The closed moments' D and
+gap, and the nodes' offset B = alpha / D, use [k]; the nodes' map otherwise
+takes [k]_r, and the weights use only [k]_r, through the log-factorial
 table: the Neumaier prefix sum (_clibm.compensated_cumsum) of the bracket
 logs log [k]_r (_clibm.bracket_logs), finite for every k.
 """

@@ -13,6 +13,7 @@ check asserts exact reproduction, and the first-order decay on shapes where
 the error is nonzero (l = 1, or alpha, beta > 0) and of the square condition.
 """
 
+import dataclasses
 import decimal
 import math
 import time
@@ -187,6 +188,125 @@ def test_pq_weights_are_q_weights(verdict):
         f"bit-identical at m = 1, 28, 600, 1000: {same_bits}; operators at p = 0.5, 0.25, "
         f"0.125 and at p = 1 on every catalog entry, worst {worst_ulps:g} ulps (tol 4), "
         f"{elapsed:.1f}s",
+    )
+
+
+_DECIMAL = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _decimal_nodes(axis: AxisConfig) -> np.ndarray:
+    """(p^(base-nu) [nu] + alpha) / ([n] + beta) in decimal at 60 digits, with
+    [k] = (p^k - q^k) / (p - q) and base = m (or n for the literal nodes),
+    each node rounded once."""
+    with decimal.localcontext(_DECIMAL):
+        p, q, alpha, beta = map(decimal.Decimal, (axis.pq.p, axis.pq.q, axis.alpha, axis.beta))
+        m = axis.degree
+        base = m if axis.node_exponent == "canonical" else axis.n
+        brackets = [(p ** k - q ** k) / (p - q) for k in range(m + 1)]
+        den = brackets[axis.n] + beta
+        return np.array([float((p ** (base - nu) * b + alpha) / den)
+                         for nu, b in enumerate(brackets)])
+
+
+def _phillips_moments(axis: AxisConfig, x: float) -> list[float]:
+    """S(t), S(t^2) and S((t - x)^2) through phi(u) = A u + B from the q-Bernstein
+    moments at r = q/p, 1, x and x^2 + x (1 - x) / [m]_r (Phillips 1997), with
+    A = p^(m-1) [m]_r / D and B = alpha / D, in decimal at 60 digits."""
+    with decimal.localcontext(_DECIMAL):
+        p, q, alpha, beta, x = map(decimal.Decimal, (axis.pq.p, axis.pq.q, axis.alpha,
+                                                     axis.beta, x))
+        r, m = q / p, axis.degree
+        den = (p ** axis.n - q ** axis.n) / (p - q) + beta
+        bracket_m = (1 - r ** m) / (1 - r)
+        a, b = p ** (m - 1) * bracket_m / den, alpha / den
+        first = a * x + b
+        second = a * a * (x * x + x * (1 - x) / bracket_m) + 2 * a * b * x + b * b
+        central = (first - x) ** 2 + a * a * x * (1 - x) / bracket_m
+        return [float(first), float(second), float(central)]
+
+
+def test_affine_q_bernstein(verdict):
+    # Each axis is Phillips' q-Bernstein operator at r = q/p composed with
+    # phi(u) = A u + B: t_nu = A [nu]_r / [m]_r + B, as [k] = p^(k-1) [k]_r.
+    # (i) The production nodes are the direct (p,q) formula in decimal, on the
+    # sweep and above m = 8000, with both node exponents; (ii) Phillips' moments
+    # hold on the decimal q-Bernstein rows at r, and through phi they are the
+    # closed moments; (iii) on axes whose [n], p^m or D^2 left the range the
+    # (p,q) form needed, S(e0), S(t) and the central moment are the oracle's.
+    # Dropping p^l from A, or [m-1]_r for [m]_r, fails (i) or (ii).
+    start = time.monotonic()
+    family = one_minus_c_over_n(0.5, 1.0)
+    high = [AxisConfig(n=8192, l=1, pq=family.pq_at(8192), alpha=0.5, beta=1.0),
+            AxisConfig(n=8192, l=3, pq=family.pq_at(8192)),
+            AxisConfig(n=8000, l=2, pq=PQPair(0.9, 0.6), alpha=0.5, beta=1.0)]
+    # and axes the (p,q) form refused: p^(n-1) 0 with a tiny beta, [n] 0 with
+    # beta = 0, and literal nodes whose p^l is 0
+    edge = [AxisConfig(n=1100, l=0, pq=PQPair(0.5, 0.25), beta=1e-320),
+            AxisConfig(n=1100, l=0, pq=PQPair(0.5, 0.4999), beta=1e-300),
+            AxisConfig(n=1000, l=2, pq=PQPair(0.3, 0.2)),
+            AxisConfig(n=2, l=1100, pq=PQPair(0.5, 0.25), node_exponent="literal")]
+    node_ulps = 0.0
+    for exponent in ("canonical", "literal"):
+        axes = [op.axis1 for op in standard_sweep(exponent)]
+        axes += [dataclasses.replace(axis, node_exponent=exponent) for axis in high]
+        for axis in axes + edge * (exponent == "canonical"):
+            want = _decimal_nodes(axis)
+            ulps = np.abs(nodes(axis) - want) / np.spacing(np.abs(want))
+            node_ulps = max(node_ulps, float(ulps.max()))
+
+    phillips_worst = 0.0
+    for m, p, q in sorted({(op.axis1.degree, op.axis1.pq.p, op.axis1.pq.q)
+                           for op in standard_sweep()}):
+        for x in sweep_grid(11):
+            with decimal.localcontext(_DECIMAL):
+                r = decimal.Decimal(q) / decimal.Decimal(p)
+                u = [(1 - r ** nu) / (1 - r ** m) for nu in range(m + 1)]
+                w = moments._decimal_row(m, 1, r, x)
+                xd = decimal.Decimal(x)
+                residuals = (sum(w) - 1, sum(a * b for a, b in zip(w, u)) - xd,
+                             sum(a * b * b for a, b in zip(w, u))
+                             - (xd * xd + xd * (1 - xd) * (1 - r) / (1 - r ** m)))
+            phillips_worst = max(phillips_worst, *(float(abs(d)) for d in residuals))
+    # relative error, absolute where the value is 0: the decimal moments' own
+    # roundoff is near 1e-59, so below 1e-40 they read 0
+    moment_worst = [0.0, 0.0, 0.0]
+    for axis in [op.axis1 for op in standard_sweep()] + high:
+        for x in sweep_grid(11):
+            got = (moments.first_moment_univariate(axis, x),
+                   moments.second_moment_univariate(axis, x), central_moment(axis, x))
+            for k, (g, w) in enumerate(zip(got, _phillips_moments(axis, float(x)))):
+                err = abs(g - w) / (abs(w) if abs(w) > 1e-40 else 1.0)
+                moment_worst[k] = max(moment_worst[k], err)
+
+    xs = np.array([0.1, 0.5, 0.9])
+    unit = AxisConfig(n=1, l=0, pq=PQPair(1.0, 0.5))
+    opened = [AxisConfig(n=600, l=1, pq=PQPair(0.5, 0.25)),  # D^2 subnormal
+              AxisConfig(n=6700, l=24, pq=PQPair(0.9, 0.6)),  # p^m subnormal
+              AxisConfig(n=1000, l=2, pq=PQPair(0.3, 0.2), alpha=0.5, beta=1.0),  # p^m, [n] 0
+              AxisConfig(n=8, l=0, pq=PQPair(1.0, 0.5), alpha=1e159, beta=1e160)]  # D^2 inf
+    oracle_worst = 0.0
+    for axis in opened:
+        t = nodes(axis)
+        tables = [np.float64(1.0), t[:, None], ((t - xs[:, None]) ** 2)[:, None, :, None]]
+        oracle = moment_oracle(BivariateOperator(axis, unit), tables, xs, [0.0])[:, :, 0]
+        closed = [np.ones_like(xs), moments.first_moment_univariate(axis, xs),
+                  central_moment(axis, xs)]
+        for c, o in zip(closed, oracle):
+            oracle_worst = max(oracle_worst,
+                               float(np.max(np.abs(c - o) / np.maximum(1.0, np.abs(o)))))
+    elapsed = time.monotonic() - start
+    ok = (node_ulps <= 6.0 and phillips_worst <= 1e-50 and max(moment_worst) <= 1e-14
+          and oracle_worst <= 1e-10)
+    verdict(
+        "affine-q-bernstein", ok,
+        f"nodes vs decimal (p,q) formula on the sweep and m = 8002, 8193, 8195, both exponents, "
+        f"and {len(edge)} axes the (p,q) form refused, "
+        f"worst {node_ulps:g} ulps (tol 6); Phillips' moments on the decimal rows at r, "
+        f"worst {phillips_worst:.2e} (tol 1e-50); closed S(t), S(t^2), central vs "
+        f"Phillips through phi, worst relative error {moment_worst[0]:.2e}, {moment_worst[1]:.2e}, "
+        f"{moment_worst[2]:.2e} (tol 1e-14); S(e0), S(t), central "
+        f"vs oracle on {len(opened)} axes the (p,q) form refused, worst {oracle_worst:.2e} "
+        f"(tol 1e-10), {elapsed:.1f}s",
     )
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqss import cli, moments
+from pqss.pq_core import PQPair, pq_integer
 
 WORKED = [
     "--n1", "2", "--l1", "1", "--q1", "0.5", "--alpha1", "1.0", "--beta1", "2.0",
@@ -384,9 +385,10 @@ def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
         assert err == (f"error: requires a finite log(q/p), but (q - p)/p rounds to -1 "
                        f"(got p={p}, q={q})\n")
     assert list(tmp_path.iterdir()) == []
-    # the near miss still evaluates
+    # the near miss still evaluates, to 1 ulp below the exact 0.25 (the operator
+    # reproduces t at l = 0, alpha = beta = 0); the (p,q) node form read 3 ulps below
     rc, out, err = run(["eval", *point, "--n1", "3", "--p1", "1", "--q1", "1e-15"], capsys)
-    assert (rc, out) == (0, "value 0.24999999999999992\n")
+    assert (rc, out) == (0, "value 0.24999999999999997\n")
 
 
 def test_bounds_clean(tmp_path, monkeypatch, capsys):
@@ -555,29 +557,83 @@ def test_eval_oracle_names_the_node_table_that_overflows(tmp_path, monkeypatch, 
 SUBNORMAL_SQUARE = ["--p1", "0.5", "--q1", "0.25", "--f", "e10", "--grid", "5"]
 
 
+def _no_nan_or_inf(tmp_path: Path, out: str) -> bool:
+    """No nan or inf on stdout or in any file under tmp_path (csv or json)."""
+    texts = [out, *(p.read_text() for p in tmp_path.rglob("*") if p.is_file())]
+    return not any(re.search(r"(?i)\b(nan|inf|infinity)\b", text) for text in texts)
+
+
 @pytest.mark.parametrize("argv,n", [
-    # [n] + beta is about 2^-(n - 2) at (p, q) = (0.5, 0.25): its square was
-    # 0 at n = 600, which gave nan and false violations, and subnormal at
-    # n = 520, which lost bits with no warning
+    # [n] + beta is about 2^-(n - 2) at (p, q) = (0.5, 0.25): its square is 0
+    # at n = 600 and subnormal at n = 520, where the closed forms that divided
+    # by it gave nan (at exit 0), lost bits, and then refused it
     (["bounds", "--n1", "600", *SUBNORMAL_SQUARE], 600),
     (["bounds", "--n1", "520", *SUBNORMAL_SQUARE], 520),
-    # p_n = 1 - 400/n and q_n = 1 - 500/n; the nan came at exit 0
+    # p_n = 1 - 400/n and q_n = 1 - 500/n
     (["converge", "--cp", "400", "--cq", "500", "--n-list", "1000,2000,4000", "--f", "e20",
       "--grid", "5"], 1000),
 ])
 def test_closed_moments_refuse_a_square_below_the_normal_range(tmp_path, capsys, argv, n):
+    # D^2 = [n]^2 (beta = 0) at the first degree is below the normal range, but
+    # nothing divides by D^2 any more: these run, with every number finite
+    # (RuntimeWarning is an error here), and the bounds hold
+    pq = PQPair(0.5, 0.25) if argv[0] == "bounds" else PQPair(1 - 400 / n, 1 - 500 / n)
+    assert pq_integer(n, pq) ** 2 < sys.float_info.min
     rc, out, err = run([*argv, "--output", str(tmp_path / "out")], capsys)
-    assert rc == 2
-    assert re.fullmatch(r"error: requires \[n\] \+ beta >= 1\.4916681462400413e-154, the "
-                        r"square root of the smallest normal double \(got \[n\] \+ beta = "
-                        rf"\S+ at n={n}, p=\S+, q=\S+, beta=0\.0\)\n", err), err
-    assert out == ""
-    assert not (tmp_path / "out").exists()
-    # a degree whose square is normal still runs
+    assert (rc, err) == (0, "")
+    assert (tmp_path / "out").exists() and _no_nan_or_inf(tmp_path, out)
     if argv[0] == "bounds":
-        rc, out, err = run(["bounds", "--n1", "500", *SUBNORMAL_SQUARE,
-                            "--output", str(tmp_path / "ok.csv")], capsys)
-        assert rc == 0 and "violations 0" in out and "nan" not in out
+        assert "violations 0" in out
+        # the shift (gap x + alpha) / D still needs D itself, which is 0 from
+        # n = 1077: refused, naming it, before any report is written
+        rc, out, err = run(["bounds", "--n1", "1100", *SUBNORMAL_SQUARE,
+                            "--output", str(tmp_path / "refused.csv")], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("error: requires [n] + beta to be a normal double (got [n] + beta = 0.0 "
+                       "at n=1100, p=0.5, q=0.25, beta=0.0)\n")
+        assert not (tmp_path / "refused.csv").exists()
+
+
+# Commands that the (p,q) node form refused at exit 2, and the affine form runs:
+# [n] + beta past the square root of the largest double (the closed moments
+# squared it), p^m below the normal range (at (0.9, 0.6) from m = 6724), and
+# [n] below it or 0 with beta = 0, which eval, reading no closed moment, never needs
+OPENED = {
+    "beta-1e160-bounds": ["bounds", "--f", "e11", "--grid", "3", "--beta1", "1e160"],
+    "beta-1e160-converge": ["converge", "--n-list", "8,16,32", "--beta1", "1e160", "--grid", "3"],
+    **{f"pm-subnormal-l{l1}": ["eval", "--f", "e11", "--x1", x1, "--x2", ".5", "--oracle",
+                               "--n1", "6700", "--l1", l1, "--p1", "0.9", "--q1", "0.6"]
+       for l1, x1 in (("24", "0"), ("300", ".5"), ("400", ".5"))},
+    **{f"bracket-n-{n1}": ["eval", "--f", f, "--x1", x1, "--x2", ".5", "--n1", n1,
+                           "--p1", "0.9", "--q1", "0.6"]
+       for n1, x1, f in (("8000", "0", "e11"), ("7000", "1", "e10"))},
+    "pm-and-bracket-n-0": ["eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "1000",
+                           "--p1", "0.3", "--q1", "0.2"],
+    # with beta > 0, D >= beta: A is about p^(m-1) [m]_r / beta, and the shift runs
+    "pm-0-beta-1-oracle": ["eval", "--f", "exp_sum", "--x1", ".3", "--x2", ".8", "--n1", "1000",
+                           "--l1", "2", "--p1", "0.3", "--q1", "0.2", "--alpha1", "0.5",
+                           "--beta1", "1.0", "--oracle"],
+    "pm-0-beta-1-bounds": ["bounds", "--n1", "1100", "--p1", "0.5", "--q1", "0.25", "--l1", "1",
+                           "--alpha1", "0.5", "--beta1", "1.0", "--f", "exp_sum", "--grid", "5"],
+    # literal nodes where p^l is 0: their A takes no power of p
+    "literal-pl-0": ["eval", "--f", "exp_sum", "--x1", ".3", "--x2", ".8", "--n1", "2", "--l1",
+                     "1100", "--p1", "0.5", "--q1", "0.25", "--node-exponent", "paper-literal",
+                     "--oracle"],
+}
+
+
+@pytest.mark.parametrize("argv", OPENED.values(), ids=OPENED.keys())
+def test_commands_past_the_pq_node_form_run_with_finite_values(tmp_path, monkeypatch, capsys,
+                                                              argv):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(argv, capsys)
+    assert (rc, err) == (0, "")
+    assert _no_nan_or_inf(tmp_path, out)
+    if "--oracle" in argv:
+        values = dict(line.split(" ", 1) for line in out.splitlines())
+        assert float(values["absdiff"]) <= 1e-10 * max(1.0, abs(float(values["oracle"])))
+    if argv[0] == "bounds":
+        assert "violations 0" in out
 
 
 def test_converge_prices_every_degree_before_any_work(monkeypatch, tmp_path, capsys):
@@ -771,14 +827,7 @@ def test_usage_errors(tmp_path, capsys):
     assert rc == 2
     assert "finite 0 <= alpha <= beta" in err
 
-    # the closed moments divide by ([n] + beta)^2, which overflows past
-    # sqrt(largest double); eval uses no closed moment and runs on
-    limit = "[n] + beta <= 1.3407807929942596e+154"
-    for argv in (["bounds", "--f", "e11", "--grid", "3", "--beta1", "1e160"],
-                 ["converge", "--n-list", "8,16,32", "--beta1", "1e160", "--grid", "3"]):
-        rc, out, err = run(argv, capsys)
-        assert rc == 2
-        assert limit in err and "beta=1e+160" in err
+    # eval with D = 1e308: the nodes are alpha / D = 1 plus A u, A about 2e-308
     rc, out, err = run(["eval", "--f", "e11", "--x1", ".5", "--x2", ".5",
                         "--alpha1", "1e308", "--beta1", "1e308"], capsys)
     assert rc == 0
@@ -849,18 +898,6 @@ def test_usage_errors(tmp_path, capsys):
         assert "distinct degrees" in err
         assert "order[" not in out
 
-    # [n] is normal at n = 6700, and the weights see only the r-brackets, which
-    # are at least 1; but the nodes take p^nu up to nu = m in (p,q) form, and
-    # 0.9^m is subnormal from m = 6724, so m = n + l past it is refused, also
-    # at x1 = 0, where no table is built
-    for l1, x1, got in (("24", "0", "2.12"), ("300", ".5", "4.98"), ("400", ".5", "0.0")):
-        rc, out, err = run(["eval", "--f", "e11", "--x1", x1, "--x2", ".5", "--oracle",
-                            "--n1", "6700", "--l1", l1, "--p1", "0.9", "--q1", "0.6"], capsys)
-        assert rc == 2
-        assert "value" not in out
-        assert f"requires the node scale p^m to be a normal double (got p^m = {got}" in err
-        assert f"at m={6700 + int(l1)}, p=0.9, q=0.6" in err
-
     # p^(-m(m-1)/2) overflows a double at m = 200, p = 0.9, but not the
     # oracle's decimal rows: a finite oracle value next to the value
     rc, out, err = run(["eval", "--f", "exp_sum", "--x1", ".5", "--x2", ".5",
@@ -869,17 +906,6 @@ def test_usage_errors(tmp_path, capsys):
     values = dict(line.split(" ", 1) for line in out.splitlines())
     assert set(values) == {"value", "oracle", "absdiff"}
     assert float(values["absdiff"]) <= 1e-11 * float(values["oracle"])
-
-    # [n] itself underflows to 0 or is subnormal: the axis is refused before
-    # any evaluation, also at x1 = 0 or 1 where the weight row is a unit
-    # vector and no table is built
-    for n1, x1, f, got in (("8000", "0", "e11", "0.0"), ("7000", "1", "e10", "1.66")):
-        rc, out, err = run(["eval", "--f", f, "--x1", x1, "--x2", ".5",
-                            "--n1", n1, "--p1", "0.9", "--q1", "0.6"], capsys)
-        assert rc == 2
-        assert "value" not in out
-        assert f"requires [n] to be a normal double (got [n] = {got}" in err
-        assert f"at n={n1}, p=0.9, q=0.6" in err
 
 
 AXIS_FLAGS = [f"--{key}{i}" for i in (1, 2) for key in ("n", "l", "p", "q", "alpha", "beta")]

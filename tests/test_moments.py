@@ -77,18 +77,26 @@ def test_moment_closed_names(worked_op):
 
 
 def test_closed_moments_refuse_a_subnormal_square():
-    # D = [n] is about 2^-(n - 2) at (p, q) = (0.5, 0.25): D^2 is subnormal
-    # from n = 514 and 0 from n = 540, where the central moment was nan and
-    # delta at a scalar raised ZeroDivisionError
-    for n in (514, 539, 540, 600):
-        axis = AxisConfig(n=n, l=0, pq=PQPair(0.5, 0.25))
-        for fn in (second_moment_univariate, central_moment, delta):
-            with pytest.raises(ValueError, match=rf"requires \[n\] \+ beta >= 1\.49\S+, the "
-                                                 rf"square root of the smallest normal double "
-                                                 rf"\(got \[n\] \+ beta = \S+ at n={n}, "):
+    # D = [n] = 2^(2 - n) at (p, q) = (0.5, 0.25).  The closed forms once
+    # divided by D^2, which is subnormal from n = 514 and 0 from n = 540, and
+    # refused it; in the affine form nothing divides by D^2, so they run there,
+    # to the exact values.  The shift still divides by D itself, which is
+    # subnormal from n = 1025 and 0 from n = 1077: that is refused, naming D
+    for n in (514, 540, 600, 1024):
+        axis = AxisConfig(n=n, l=1, pq=PQPair(0.5, 0.25))
+        want = _exact_shift_and_central(axis, 0.5)
+        got = (first_moment_shift(axis, 0.5), central_moment(axis, 0.5))
+        assert got == pytest.approx(want, rel=1e-14), n
+        assert delta(axis, 0.5) == math.sqrt(got[1])
+    for n, den in ((1025, r"1\.11\d*e-308"), (1100, r"0\.0")):
+        axis = AxisConfig(n=n, l=1, pq=PQPair(0.5, 0.25))
+        for fn in (first_moment_shift, central_moment, delta):
+            with pytest.raises(ValueError, match=rf"requires \[n\] \+ beta to be a normal double "
+                                                 rf"\(got \[n\] \+ beta = {den} at n={n}, "):
                 fn(axis, 0.5)
-    axis = AxisConfig(n=512, l=0, pq=PQPair(0.5, 0.25))
-    assert 0.0 < delta(axis, 0.5) < math.inf
+        # the raw moments read only (A, B, [m]_r)
+        assert first_moment_univariate(axis, 0.5) == pytest.approx(0.25, rel=1e-15)
+        assert math.isfinite(second_moment_univariate(axis, 0.5))
 
 
 def test_central_moment_closed(worked_axis):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqss.convergence import one_minus_c_over_n
 from pqss.moments import (
     SWEEP_AB,
     SWEEP_L,
@@ -58,24 +57,14 @@ def test_axis_config_validation():
         AxisConfig(n=1, l=0, pq=pq, alpha=math.inf, beta=math.inf)
     with pytest.raises(ValueError, match="finite 0 <= alpha <= beta"):
         AxisConfig(n=1, l=0, pq=pq, alpha=0.0, beta=math.inf)
-    # 0.9^8000 underflows, so [n] = 0 and the nodes would divide by [n] + beta;
-    # at n = 7000, [n] is subnormal and the nodes would keep about a dozen bits
+    # the nodes t = A u + B take no [n] and no p^m: with beta = 0, A = p^l [m]_r / [n]_r,
+    # so axes whose [n] (0 at n = 8000, subnormal at 7000) or p^m (subnormal from
+    # m = 6724) leave the normal range build, with every node in [0, l + 1]
     assert pq_integer(8000, pq) == 0.0
     assert 0.0 < pq_integer(7000, pq) < sys.float_info.min
-    with pytest.raises(ValueError, match=r"normal double \(got \[n\] = 0\.0 at n=8000, p=0.9, q=0.6"):
-        AxisConfig(n=8000, l=0, pq=pq)
-    with pytest.raises(ValueError, match=r"normal double \(got \[n\] = 1\.66\d*e-320 at n=7000, p=0.9"):
-        AxisConfig(n=7000, l=0, pq=pq)
-    # [6734] is the last normal bracket at (0.9, 0.6), but the nodes also take
-    # p^nu for nu <= m, and 0.9^m is normal only up to m = 6723, whatever n and l
-    assert AxisConfig(n=6723, l=0, pq=pq).n == 6723
-    assert AxisConfig(n=6700, l=23, pq=pq).degree == 6723
-    with pytest.raises(ValueError, match="n=6735"):
-        AxisConfig(n=6735, l=0, pq=pq)
-    for n, l in ((6724, 0), (6734, 0), (6700, 24)):
-        with pytest.raises(ValueError, match=r"node scale p\^m to be a normal double \(got p\^m = "
-                                             rf"\S+e-3\d\d at m={n + l}, p=0.9, q=0.6\)"):
-            AxisConfig(n=n, l=l, pq=pq)
+    for n, l in ((8000, 0), (7000, 0), (6735, 0), (6700, 24), (6700, 400)):
+        t = nodes(AxisConfig(n=n, l=l, pq=pq))
+        assert t[0] == 0.0 and np.all(np.diff(t) >= 0.0) and t[-1] <= l + 1.0, (n, l)
 
 
 def test_endpoint_weights_are_exact_unit_vectors(worked_axis):
@@ -153,7 +142,6 @@ def test_small_p_weights_against_the_decimal_rows():
     # m = 200 on (0.9, 0.6); relative error over weights > 1e-200
     xs = (0.1, 0.37, 0.5, 0.83, 0.999)
     for n, l, p, q, tol in ((600, 0, 0.5, 0.25, 1e-12), (200, 0, 0.9, 0.6, 1e-12),
-                            # the largest degree whose node scale 0.9^m is normal
                             (6700, 23, 0.9, 0.6, 1e-11)):
         axis = AxisConfig(n=n, l=l, pq=PQPair(p, q))
         for x, w in zip(xs, weight_matrix(axis, xs)):
@@ -182,38 +170,6 @@ def test_node_values(worked_axis):
     # [0]=0, [1]=1, [2]=1.5, [3]=1.75; D=3.5; p=1 so powers drop out
     t = nodes(worked_axis)
     assert t == pytest.approx([1.0 / 3.5, 2.0 / 3.5, 2.5 / 3.5, 2.75 / 3.5], rel=1e-14)
-
-
-def _node_reference(axis):
-    """(p^(base-nu) [nu] + alpha) / ([n] + beta), one pq_integer call per node."""
-    m, p = axis.degree, axis.pq.p
-    base = m if axis.node_exponent == "canonical" else axis.n
-    den = pq_integer(axis.n, axis.pq) + axis.beta
-    return np.array([(math.pow(p, base - nu) * pq_integer(nu, axis.pq) + axis.alpha) / den
-                     for nu in range(m + 1)])
-
-
-def _node_bit_cases():
-    family = one_minus_c_over_n()
-    for exponent in ("canonical", "literal"):
-        yield from sweep_axes(exponent)
-        yield AxisConfig(n=1, l=0, pq=PQPair(0.9, 0.6), node_exponent=exponent)
-        # pairs where -p expm1(lam) / (p - q) rounds to 1 + 2^-52 and 1 - 2^-53, not [1] = 1
-        for p, q in ((1.0, 0.766), (0.872, 0.386)):
-            yield AxisConfig(n=3, l=1, pq=PQPair(p, q), node_exponent=exponent)
-        for n in (2048, 8000, 65536):
-            yield AxisConfig(n=n, l=1, pq=family.pq_at(n), alpha=0.5, beta=1.0,
-                             node_exponent=exponent)
-    # p^(n - nu) down to p^-30
-    yield AxisConfig(n=20, l=30, pq=PQPair(0.9, 0.6), alpha=0.5, beta=1.0,
-                     node_exponent="literal")
-
-
-def test_nodes_are_the_per_node_formula_bit_for_bit():
-    # the array form runs pq_integer's operations in its order, so no node
-    # moves by an ulp; [0] = 0 and [1] = 1 are exact, as in pq_integer
-    for axis in _node_bit_cases():
-        assert nodes(axis).tobytes() == _node_reference(axis).tobytes(), axis
 
 
 def test_nodes_monotone_for_both_conventions():

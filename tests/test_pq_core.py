@@ -362,22 +362,11 @@ def test_kernel_is_math_bit_for_bit(case, monkeypatch):
             assert calls == [(_clibm._KERNELS[fn], 0)], f"the compiled loop did not serve {case}"
 
 
-@pytest.mark.parametrize("p", [0.9, 0.999, 1.0 - 0.3 / 8000, 1.0])
-def test_kernel_pow_is_math_pow_bit_for_bit(p, monkeypatch):
-    # k = 2..8000 for the bracket table; negative k for literal nodes (n - nu)
-    k = np.arange(-8.0, 8001.0)
-    for calls in both_paths(monkeypatch):
-        got = _clibm.libm(partial(math.pow, p), k)
-        np.testing.assert_array_equal(got, [math.pow(p, v) for v in k.tolist()])
-        if calls is not None:
-            assert calls == [("pqss_pow", 0)]
-
-
 def test_kernel_shapes(monkeypatch):
     x = np.linspace(0.1, 3.0, 24).reshape(4, 6)
     hypot = partial(math.hypot, 0.3)
     for calls in both_paths(monkeypatch):
-        for fn in (math.exp, math.expm1, math.log, math.sin, partial(math.pow, 0.9)):
+        for fn in (math.exp, math.expm1, math.log, math.sin):
             zero_d = _clibm.libm(fn, 0.7)
             assert type(zero_d) is np.float64 and zero_d == fn(0.7)
             assert _clibm.libm(fn, np.float64(0.7)) == fn(0.7)
@@ -390,7 +379,7 @@ def test_kernel_shapes(monkeypatch):
         # a function with no compiled loop (log, hypot) is mapped by math on either path
         np.testing.assert_array_equal(_clibm.libm(hypot, x), math_map(hypot, x))
         if calls is not None:
-            assert len(calls) == 4 * 9 and {returned for _, returned in calls} == {0}
+            assert len(calls) == 3 * 9 and {returned for _, returned in calls} == {0}
 
 
 def test_kernel_raises_what_math_raises(monkeypatch):
@@ -935,10 +924,8 @@ def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
 
 def test_weight_matrix_rows_are_finite_and_nonnegative(monkeypatch):
     # lam < 0 puts every factor 1 - r^j x in (0, 1], so no row can hold an
-    # inf or a nan, down to the extreme ratios and edge x values; the axes
-    # with p = 1 keep the node scale normal at every m
-    axes = [(AxisConfig(n=m, l=0, pq=pq), xs) for m, pq, xs in _weight_row_cases()
-            if pq.p == 1.0]
+    # inf or a nan, down to the extreme ratios and edge x values
+    axes = [(AxisConfig(n=m, l=0, pq=pq), xs) for m, pq, xs in _weight_row_cases()]
     assert {axis.pq for axis, _ in axes} >= set(EXTREME_RATIOS)
     for _ in both_paths(monkeypatch):
         cumulative_log_factorials.cache_clear()

@@ -7,9 +7,14 @@ acceptance checks (tests/test_acceptance.py) or in the benchmark (bench/).
 The package __init__ does not count: its imports are the export list, not a
 use.  Unit tests do not count either: a name that only its own tests call is
 dead code with tests.  ALLOWED holds the exceptions, each with its reason.
+
+The benchmark's tracer (bench/tracer.py) looks pqss functions up by name, so
+each of its targets must exist.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +88,14 @@ def test_every_public_name_has_a_user():
     # the allowlist holds only names that exist and really need the exception
     assert set(ALLOWED) <= defined
     assert sorted(ALLOWED) == sorted(q.rpartition(".")[2] for q in unused)
+
+
+def test_every_traced_name_resolves():
+    # `bench/run.py --trace 1` wraps each TARGETS entry by name; a deleted or
+    # renamed function fails only there, outside these tests
+    spec = importlib.util.spec_from_file_location("pqss_bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{name}" for mod, name in tracer.TARGETS
+               if not callable(getattr(importlib.import_module(f"pqss.{mod}"), name, None))]
+    assert tracer.TARGETS and missing == []

@@ -142,6 +142,22 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         add("bounds", "--n1", n1, "--p1", "0.5", "--q1", "0.25", "--f", "e10", "--grid", "5")
     add("converge", "--cp", "400", "--cq", "500", "--n-list", "1000,2000,4000", "--f", "e20",
         "--grid", "5")
+    # [n] + beta itself subnormal (n1 = 1030) or 0 (n1 = 1100), where the shift
+    # (gap x + alpha) / D has no value; with beta > 0, D >= beta and it runs
+    for n1 in ("1030", "1100"):
+        add("bounds", "--n1", n1, "--p1", "0.5", "--q1", "0.25", "--l1", "1", "--f", "e10",
+            "--grid", "5")
+    add("bounds", "--n1", "1100", "--p1", "0.5", "--q1", "0.25", "--l1", "1", "--alpha1", "0.5",
+        "--beta1", "1.0", "--f", "exp_sum", "--grid", "5")
+    # p^m and [n] below the normal range: the nodes take neither (A = p^l [m]_r / [n]_r
+    # at beta = 0, and A is about p^(m-1) [m]_r / beta with beta > 0)
+    add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "1000", "--p1", "0.3",
+        "--q1", "0.2")
+    add("eval", "--f", "exp_sum", "--x1", ".3", "--x2", ".8", "--n1", "1000", "--l1", "2",
+        "--p1", "0.3", "--q1", "0.2", "--alpha1", "0.5", "--beta1", "1.0", "--oracle")
+    # literal nodes where p^l is 0: their A takes no p^l
+    add("eval", "--f", "exp_sum", "--x1", ".3", "--x2", ".8", "--n1", "2", "--l1", "1100",
+        "--p1", "0.5", "--q1", "0.25", "--node-exponent", "paper-literal", "--oracle")
     # six degrees near 4e4 at --grid 41: each passes the cost check, their sum
     # does not (about 2 s in a tree that prices only the largest degree)
     add("converge", "--n-list", ",".join(str(40000 + i) for i in range(6)), "--grid", "41")
@@ -203,8 +219,8 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         "--x2", "0.9999999999999999", "--output", "eval.csv")
     add("eval", "--f", "exp_sum", "--n1", "2000", "--p1", "1", "--q1", "0.999", "--x1", "0.3",
         "--x2", "0.8")
-    # at (0.9, 0.6) with [n] normal: the node scale 0.9^m is normal up to
-    # m = 6723 and the (p,q)-brackets up to k = 6734; past either, refused
+    # at (0.9, 0.6): 0.9^m is normal up to m = 6723 and the (p,q)-brackets up
+    # to k = 6734, the limits of the (p,q) node form
     for l1 in ("23", "24", "30", "300"):
         add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "6700", "--l1", l1,
             "--p1", "0.9", "--q1", "0.6", "--oracle")
