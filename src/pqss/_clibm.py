@@ -1,8 +1,6 @@
 """libm's exp, expm1 and sin over a whole array, in one C loop;
-the oracle's weighted sums, each a math.fsum; the weight path's two
-sequential sums, Neumaier prefix sums and index-order row sums; and the
-weight path itself, the bracket logs of the log-factorial table and the
-weight rows.
+the oracle's weighted sums, each a math.fsum; the contraction's index-order
+row sums; and the weight rows, by ratios outward from each row's largest.
 
 libm applies a math-module function to an array.  Its compiled loop calls
 the same libm functions as `math`, so every value keeps its bits and the
@@ -13,12 +11,10 @@ gives math.fsum's bits: each point is summed by Sum2 (a TwoSum chain and its
 error sum), two tables at a time in the two lanes of a vector of doubles,
 and each lane's rounding is kept only where an error bound certifies it is
 the correctly rounded exact sum; any other point is summed again by a port
-of CPython 3.11's math_fsum.  compensated_cumsum (the log-factorial table)
-and weighted_sums (every factor of apply_on_grid) run their rows through one
-C loop each, and bracket_logs (the table's bracket logs) and weight_rows
-(every interior row of weight_matrix) make their whole array in one call,
-each with the operations of its numpy code in the same order, so they keep
-its bits.
+of CPython 3.11's math_fsum.  weighted_sums (every factor of apply_on_grid)
+and weight_ratio_rows (every interior row of weight_matrix) run all their
+rows in one call each, with the operations of their numpy code in the same
+order, so they keep its bits.
 
 The C source below is built with cffi in API mode on first use, into this
 package's __pycache__ directory, under a name keyed by a hash of the source,
@@ -37,10 +33,10 @@ extension, which compiles to the architecture's baseline (SSE2 on x86-64).
 Where cffi or a C compiler is missing (or is neither GCC nor Clang), or the
 build fails, load() returns None, and libm and oracle_sums answer by the
 math module instead (a map of the function over the array, math.fsum row by
-row for the sums), which gives the same values and errors; the two sequential
-sums answer by np.cumsum, which accumulates left to right, and bracket_logs
-and weight_rows by numpy arithmetic, libm and compensated_cumsum.  A failed
-build is not retried within the process.
+row for the sums), which gives the same values and errors; weighted_sums
+answers by np.cumsum, which accumulates left to right, and weight_ratio_rows
+by numpy.  compensated_cumsum and bracket_logs (the uncalled log-factorial
+table's) are numpy code alone.  A failed build is not retried in-process.
 """
 
 from __future__ import annotations
@@ -63,16 +59,16 @@ int pqss_sin(const double *x, double *out, size_t n);
 int pqss_oracle_sums(const double *w1, const double *w2, const double *const *tables,
                      const ptrdiff_t *strides, double *out, size_t nt,
                      size_t k1, size_t k2, size_t n1, size_t n2);
-void pqss_neumaier(const double *v, double *out, size_t rows, size_t n);
 void pqss_weighted_sums(const double *w, const double *v, double *out, size_t rows, size_t n);
-void pqss_bracket_logs(double lam, double *out, size_t n);
-void pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
-                      double lam);
+void pqss_weight_ratio_rows(const double *e, const double *xs, double *out, size_t rows,
+                            size_t m, size_t chunk);
 """
 
 _SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 /* out[i] = fn(x[i]); the result is 1 if any output is not finite. */
 #define PQSS_MAP(name, fn)                                  \
@@ -89,22 +85,6 @@ _SOURCE = r"""
 PQSS_MAP(pqss_exp, exp)
 PQSS_MAP(pqss_expm1, expm1)
 PQSS_MAP(pqss_sin, sin)
-
-/* compensated_cumsum's loop over each row of n values, in which s and c
-   start from their first terms as np.cumsum's do (s = v[0], not 0.0 + v[0]). */
-void pqss_neumaier(const double *v, double *out, size_t rows, size_t n)
-{
-    for (size_t r = 0; r < rows; r++, v += n, out += n) {
-        double s = 0.0, c = 0.0;
-        for (size_t i = 0; i < n; i++) {
-            double x = v[i], t = i ? s + x : x;
-            double e = fabs(s) >= fabs(x) ? (s - t) + x : (x - t) + s;
-            c = i ? c + e : e;
-            s = t;
-            out[i] = s + c;
-        }
-    }
-}
 
 /* out[r] = row r of w (rows n apart) times v, added from the first product,
    as np.cumsum adds (so a row of -0.0 products sums to -0.0). */
@@ -303,52 +283,75 @@ int pqss_oracle_sums(const double *w1, const double *w2, const double *const *ta
     return 0;
 }
 
-/* The two loops below run stage by stage over the whole row, so that the
-   libm calls of a stage do not wait on one another.  They come after the
-   oracle's code: placed before it, they moved its loops in the binary, and
-   one verify item (all oracle) measured about 2% slower. */
+/* After the oracle's code: weight loops placed before it moved its loops in
+   the binary, and one verify item (all oracle) measured about 2% slower. */
 
-/* bracket_logs: out[k - 1] = log [k]_r = log(expm1(k lam) / expm1(lam)) for
-   k = 1..n, r = e^lam.  Each [k]_r = 1 + r + ... + r^(k-1) is at least 1,
-   so every log is finite. */
-void pqss_bracket_logs(double lam, double *out, size_t n)
+/* frexp for v > 0: v's mantissa in [0.5, 1), its exponent added to *ex. */
+static double pqss_frexp(double v, int64_t *ex)
 {
-    double d = expm1(lam);
-    for (size_t i = 0; i < n; i++)
-        out[i] = expm1((double)(i + 1) * lam);
-    for (size_t i = 0; i < n; i++)
-        out[i] = log(out[i] / d);
+    uint64_t b;
+    if (v < 0x1p-1022) {
+        v *= 0x1p64;
+        *ex -= 64;
+    }
+    memcpy(&b, &v, sizeof b);
+    *ex += (int64_t)(b >> 52) - 1022;
+    b = (b & 0xfffffffffffffULL) | 0x3fe0000000000000ULL;
+    memcpy(&v, &b, sizeof v);
+    return v;
 }
 
-/* weight_rows: row r (m + 1 values) holds the weights at x = xs[r] if
-   0 < x < 1, and is left as it is otherwise; out[nu] = exp(lw), i = m - nu,
-   lw = (((lf[m] - lf[nu]) - lf[i]) + nu log x) + pre[i],
-   where pre[0] = 0 and pre[i] is the Neumaier prefix, seeded as in
-   pqss_neumaier, of the terms log(-expm1((j lam) + log x)), j < i.  Term j
-   is kept in out[m - 1 - j] until pre[j + 1] takes its place.  With
-   lam < 0 every factor 1 - r^j x is in (0, 1], so every term, and so every
-   weight, is finite. */
-void pqss_weight_rows(const double *lf, const double *xs, double *out, size_t rows, size_t m,
-                      double lam)
+/* weight_ratio_rows: row r (m + 1 values) holds the weights at x = xs[r] if
+   0 < x < 1, and is left as it is otherwise.  With e[j] = expm1(j lam) and
+   y = 1 - x, the ratio s_(k+1) / s_k is
+       rho_k = (e[m - k] x) / (e[k + 1] (y - x e[m - 1 - k])),
+   whose factor y - x e[j] = 1 - r^j x adds two terms >= 0.  The anchor a is
+   the first index of the largest term of 1, rho_0, rho_0 rho_1, ..., keyed
+   by (exponent, mantissa): f multiplies the rho_k's mantissas and is scaled
+   back to [0.5, 1) every `chunk` factors, lead sums the exponents, so
+   nothing overflows or underflows.  From s_a = 1 the row is the product of
+   the inverse ratios, formed directly, to the left and of the rho_k (kept in
+   out[k + 1]) to the right, divided by its sum in index order. */
+void pqss_weight_ratio_rows(const double *e, const double *xs, double *out, size_t rows,
+                            size_t m, size_t chunk)
 {
     for (size_t r = 0; r < rows; r++, out += m + 1) {
-        if (!(xs[r] > 0.0 && xs[r] < 1.0))
+        double x = xs[r], y = 1.0 - x, f = 0.5, w = 1.0, s;
+        int64_t lead = 1, top_x = 1;
+        uint64_t top_f = 0, b;
+        size_t a = 0;
+        if (!(x > 0.0 && x < 1.0))
             continue;
-        double log_x = log(xs[r]), s = 0.0, c = 0.0;
-        for (size_t j = 0; j < m; j++)
-            out[m - 1 - j] = -expm1(((double)j * lam) + log_x);
-        for (size_t j = 0; j < m; j++)
-            out[m - 1 - j] = log(out[m - 1 - j]);
-        out[m] = 0.0;
-        for (size_t i = 1; i <= m; i++) {
-            double x = out[m - i], t = i > 1 ? s + x : x;
-            double e = fabs(s) >= fabs(x) ? (s - t) + x : (x - t) + s;
-            c = i > 1 ? c + e : e;
-            s = t;
-            out[m - i] = s + c;
+        for (size_t k = 0; k < m; k++)
+            out[k + 1] = (e[m - k] * x) / (e[k + 1] * (y - x * e[m - 1 - k]));
+        for (size_t k0 = 0; k0 < m; k0 += chunk) {
+            for (size_t k = k0; k < m && k < k0 + chunk; k++) {
+                double rho = out[k + 1];
+                f *= rho > 0.0 ? pqss_frexp(rho, &lead) : 0.0;
+                memcpy(&b, &f, sizeof b);
+                int64_t kx = lead + (int64_t)(b >> 52) - 1022;
+                b &= 0xfffffffffffffULL;
+                if (f > 0.0 && (kx > top_x || (kx == top_x && b > top_f))) {
+                    top_x = kx;
+                    top_f = b;
+                    a = k + 1;
+                }
+            }
+            if (f > 0.0)
+                f = pqss_frexp(f, &lead);
         }
-        for (size_t nu = 0; nu <= m; nu++)
-            out[nu] = exp((((lf[m] - lf[nu]) - lf[m - nu]) + (double)nu * log_x) + out[nu]);
+        for (size_t k = a; k-- > 0;)
+            out[k] = w = w * ((e[k + 1] * (y - x * e[m - 1 - k])) / (e[m - k] * x));
+        out[a] = w = 1.0;
+        s = out[0];
+        for (size_t k = 1; k <= a; k++)
+            s += out[k];
+        for (size_t k = a; k < m; k++) {
+            out[k + 1] = w = w * out[k + 1];
+            s += w;
+        }
+        for (size_t k = 0; k <= m; k++)
+            out[k] /= s;
     }
 }
 """
@@ -514,25 +517,18 @@ def oracle_sums(w1: np.ndarray, w2: np.ndarray, tables) -> np.ndarray:
 
 
 def compensated_cumsum(values) -> np.ndarray:
-    """Running prefix sums with Neumaier compensation, along the last axis.
-
-    Naive cumulative sums of ~2000 log-factorial terms drift around 1e-10;
-    the compensated version keeps every prefix near 1e-13, which the long
-    partition-of-unity checks rely on.  Each row is the sequential loop
+    """Running prefix sums with Neumaier compensation, along the last axis
+    (naive sums of ~2000 log-factorial terms drift around 1e-10, these stay
+    near 1e-13).  Each row is the sequential loop
 
         t = s + v;  c += (s - t) + v if |s| >= |v| else (v - t) + s;  s = t;
         out = s + c
 
-    run by the compiled kernel, one call for all rows, or without it by
-    np.cumsum, which accumulates left to right (each error term depends only
-    on its own s, v and t): the same bits either way, inf and nan included.
+    run by np.cumsum, which accumulates left to right (each error term
+    depends only on its own s, v and t), with the loop's bits, inf and nan
+    included.
     """
     v = np.ascontiguousarray(values, dtype=float)
-    module = load()
-    if module is not None:
-        out, buf = np.empty_like(v), functools.partial(module.ffi.from_buffer, "double[]")
-        module.lib.pqss_neumaier(buf(v), buf(out), v.size // max(v.shape[-1], 1), v.shape[-1])
-        return out
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.cumsum(v, axis=-1)
         prev = np.zeros_like(s)
@@ -561,66 +557,65 @@ def weighted_sums(w: np.ndarray, v) -> np.ndarray:
 
 def bracket_logs(kmax: int, lam: float) -> np.ndarray:
     """log [k]_r = log(expm1(k lam) / expm1(lam)) for k = 1..kmax (kmax >= 0),
-    the brackets of r = e^lam, with lam = PQPair.log_ratio < 0 (r = q/p is
-    never rounded).  Each [k]_r = 1 + r + ... + r^(k-1) is at least 1, so
-    every log is finite.  The compiled kernel makes the whole array in one
-    call, and numpy with libm does without it, with the same bits.
-    """
-    module = load()
-    if module is not None:
-        out = np.empty(kmax)
-        module.lib.pqss_bracket_logs(lam, module.ffi.from_buffer("double[]", out), kmax)
-        return out
+    the brackets of r = e^lam, with lam = PQPair.log_ratio < 0; each [k]_r is
+    at least 1, so every log is finite."""
     return libm(math.log, libm(math.expm1, np.arange(1.0, kmax + 1) * lam) / math.expm1(lam))
 
 
-def _log_rising_terms(m: int, xs, lam: float) -> np.ndarray:
-    """Logs of the factors 1 - r^j x for j = 0..m-1, r = e^lam, one row per x
-    in xs.
-
-    Every x lies in (0, 1) and every factor is > 0.  Factor j is taken as
-    -expm1(j lam + log x), which stays accurate when r^j x is close to 1
-    (x near 1 with r near 1), exactly where the direct subtraction cancels.
-    """
-    j = np.arange(m, dtype=float)
-    log_x = libm(math.log, np.asarray(xs, dtype=float))[:, None]
-    return libm(math.log, -libm(math.expm1, j * lam + log_x))
+# Products of this many mantissas in [0.5, 1) stay normal doubles.
+_CHUNK = 512
 
 
-def weight_rows(lf: np.ndarray, xs, lam: float, out: np.ndarray) -> np.ndarray:
+def _anchors(ratio: np.ndarray) -> np.ndarray:
+    """Per row of ratio (rows, m), the kernel's anchor: the first index of the
+    largest term of 1, ratio[0], ratio[0] ratio[1], ..., each term keyed by
+    (exponent, mantissa) from np.frexp of the ratios and of the products of
+    their mantissas, _CHUNK at a time; a term that reaches 0 is never chosen."""
+    mant, lead = np.frexp(ratio)
+    rows, m = ratio.shape
+    key_x, key_f = np.ones((rows, m + 1), np.int64), np.full((rows, m + 1), 0.5)
+    for s in range(0, m, _CHUNK):
+        prod = np.cumprod(np.column_stack((key_f[:, s], mant[:, s:s + _CHUNK])), axis=1)[:, 1:]
+        f, x = np.frexp(prod)
+        x = x + key_x[:, s, None] + np.cumsum(lead[:, s:s + _CHUNK], axis=1, dtype=np.int64)
+        key_f[:, s + 1:s + 1 + f.shape[1]] = f
+        key_x[:, s + 1:s + 1 + f.shape[1]] = np.where(f > 0.0, x, -(2 ** 62))
+    top = key_x == key_x.max(axis=1, keepdims=True)
+    return np.argmax(np.where(top, key_f, -1.0), axis=1)
+
+
+def weight_ratio_rows(e, xs, out: np.ndarray) -> np.ndarray:
     """The weights s_0(x)..s_m(x) at r = e^lam, written into the rows of out,
     shape (len(xs), m + 1), whose x is in (0, 1) (the other rows are left as
-    they are), from lf = cumulative_log_factorials(m, lam), in log space:
+    they are); out is returned.
 
-        log s_nu(x) = log binom + nu log x + (sum of the last m - nu rising-factor logs)
-
-    with log binom = (lf[m] - lf[nu]) - lf[m - nu], the rising-factor logs
-    from _log_rising_terms summed by compensated_cumsum, and one exp; out is
-    returned.  lam must be below 0 (PQPair.log_ratio always is): then every
-    factor 1 - r^j x is in (0, 1] and every weight is finite, and any other
-    lam raises ValueError on either path.  The compiled kernel makes every
-    row in place in one call, with the operations of the numpy code in the
-    same order, so it has its bits; the numpy code runs where the kernel is
-    missing.
+    From e = expm1(nu lam), nu = 0..m, by ratios outward from each row's
+    largest weight (C. Loader, "Fast and accurate computation of binomial
+    probabilities", 2000), as pqss_weight_ratio_rows describes.  An e[1]
+    above -2^-54 (no PQPair.log_ratio gives one) raises ValueError, so every
+    ratio is finite.  The kernel makes every row in one call; its numpy
+    fallback does the same operations in the same order, so has its bits.
     """
-    lf = np.ascontiguousarray(lf, dtype=float)
-    xs = np.ascontiguousarray(xs, dtype=float)
-    m = lf.size - 1
+    e, xs = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(xs, dtype=float)
+    m = e.size - 1
     if out.shape != (xs.size, m + 1) or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"requires a C-contiguous float out of shape {(xs.size, m + 1)} "
                          f"(got {out.dtype} {out.shape})")
-    if not lam < 0.0:
-        raise ValueError(f"requires lam = log(q/p) < 0 (got lam={lam})")
+    if m and not e[1] <= -2.0 ** -54:
+        raise ValueError(f"requires e[1] = expm1(lam) at most -2^-54, lam = log(q/p) < 0 (got {e[1]})")
     module = load()
     if module is not None:
         buf = functools.partial(module.ffi.from_buffer, "double[]")
-        module.lib.pqss_weight_rows(buf(lf), buf(xs), buf(out), xs.size, m, lam)
+        module.lib.pqss_weight_ratio_rows(buf(e), buf(xs), buf(out), xs.size, m, _CHUNK)
         return out
-    inner = (0.0 < xs) & (xs < 1.0)
-    rising_prefix = np.zeros((inner.sum(), m + 1))
-    rising_prefix[:, 1:] = compensated_cumsum(_log_rising_terms(m, xs[inner], lam))
-    nu = np.arange(m + 1.0)
-    log_x = libm(math.log, xs[inner])[:, None]
-    log_w = (lf[m] - lf - lf[::-1]) + nu * log_x + rising_prefix[:, ::-1]
-    out[inner] = libm(math.exp, log_w)
+    inner = np.flatnonzero((0.0 < xs) & (xs < 1.0))
+    x, k = xs[inner, None], np.arange(m)
+    num, den = e[m - k] * x, e[k + 1] * ((1.0 - x) - x * e[m - 1 - k])
+    ratio = num / den
+    for i, row, a in zip(inner, range(inner.size), _anchors(ratio)):
+        w = out[i]
+        w[a] = 1.0
+        w[a + 1:] = np.cumprod(ratio[row, a:])
+        w[:a] = np.cumprod(den[row, a - 1::-1] / num[row, a - 1::-1])[::-1] if a else []
+        w /= np.cumsum(w)[-1]
     return out

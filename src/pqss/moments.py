@@ -18,15 +18,15 @@ central moment, a square plus a term that is nonnegative on [0, 1]:
     S(t; x) - x       = (gap x + alpha) / D
     S((t - x)^2; x)   = (S(t; x) - x)^2 + A^2 x (1 - x) / [m]_r.
 
-Only the shift divides by D, and it refuses a D that is not a normal double
-(beta = 0 with [n] below the normal range).
+Only the shift divides by D; a D that is not a normal double it takes in a
+form without D at beta = 0, and refuses at beta > 0.
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
 overflow at any degree, summed by Shewchuk-exact fsum: one call per stack of
 tables to the compiled kernel in _clibm, which forms each product term as it
 adds it and gives math.fsum's bits, with math.fsum itself as the fallback.  It
-shares no code with the log-space production path in operators.py, so
+shares no code with the ratio-form production path in operators.py, so
 agreement between the two is meaningful evidence.
 moment_oracle sums a stack of node tables over a product grid;
 verify_moments and `pqss eval --oracle` both call it.
@@ -80,12 +80,16 @@ def first_moment_univariate(axis: AxisConfig, x):
 def first_moment_shift(axis: AxisConfig, x):
     """S(t; x) - x = (gap x + alpha) / D, with no cancellation; scalars or arrays.
 
-    The one closed form that divides by D = [n] + beta: it refuses a D that is
-    not a normal double, which takes beta = 0 (or below the normal range) and
-    [n] below the normal range, where gap would lose its bits too.
+    The one closed form that divides by D = [n] + beta.  A D that is not a
+    normal double is refused at beta > 0, as gap loses its bits too; at beta =
+    0 (so alpha = 0) the shift is then (p^l r^n [l]_r / [n]_r + expm1(l log p)) x.
     """
     _, _, _, gap, den = _coefficients(axis)
     if not den >= sys.float_info.min:
+        if axis.beta == 0.0:
+            l, lam, p = axis.l, axis.pq.log_ratio, axis.pq.p  # [l]_r / [n]_r from expm1
+            lead = p ** l * math.exp(axis.n * lam) * math.expm1(l * lam) / math.expm1(axis.n * lam)
+            return (lead + math.expm1(l * math.log(p))) * x
         raise ValueError(f"requires [n] + beta to be a normal double (got [n] + beta = {den!r} "
                          f"at n={axis.n}, p={axis.pq.p}, q={axis.pq.q}, beta={axis.beta!r})")
     return (gap * x + axis.alpha) / den

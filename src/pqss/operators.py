@@ -34,11 +34,10 @@ order (_clibm.weighted_sums: the same sum on every CPU, with any BLAS), and
 the grid is the sum of the outer products.  Every catalog function carries its factors.  The node
 grid itself is built only as the oracle's table (sample_at_nodes).
 
-Weights are evaluated from (m, log r) alone in log space, for a whole vector
-of x at once, and exponentiated once at the end, every interior row in one
-call to the compiled kernel (_clibm.weight_rows); the endpoint rows x = 0 and
-x = 1 are the exact unit vectors e_0 and e_m, so endpoint evaluations are
-exact.
+Weights come from (m, log r) alone, for a vector of x at once, by the ratios
+s_(k+1) / s_k = [m - k]_r x / ([k + 1]_r (1 - r^(m-1-k) x)) outward from each
+row's largest weight, all interior rows in one _clibm.weight_ratio_rows call;
+the rows x = 0 and 1 are the unit vectors e_0 and e_m, so endpoints are exact.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._clibm import libm, weight_rows, weighted_sums
-from .pq_core import PQPair, cumulative_log_factorials, pq_integer
+from ._clibm import libm, weight_ratio_rows, weighted_sums
+from .pq_core import PQPair, pq_integer
 
 NODE_EXPONENTS = ("canonical", "literal")
 
@@ -135,38 +134,44 @@ def _affine(axis: AxisConfig) -> tuple[float, float, float]:
     return lead * bracket_m / den, b, bracket_m
 
 
+@lru_cache(maxsize=4)  # the two axes of an operator
+def _expm1_table(m: int, lam: float) -> np.ndarray:
+    """expm1(nu lam), nu = 0..m, read-only: the table an axis's nodes and weights share."""
+    e = libm(math.expm1, np.arange(m + 1.0) * lam)
+    e.flags.writeable = False
+    return e
+
+
 def nodes(axis: AxisConfig) -> np.ndarray:
     """All nodes t_0..t_m as an array; increasing, contained in [0, l + 1).
 
     t_nu = A u_nu + B with (A, B) from _affine, and u_nu = expm1(nu lam) /
-    expm1(m lam) from one libm call: u_0 = 0 and u_m = 1 exactly.
+    expm1(m lam) from _expm1_table: u_0 = 0 and u_m = 1 exactly.
     """
     a, b, _ = _affine(axis)
-    u = libm(math.expm1, np.arange(axis.degree + 1.0) * axis.pq.log_ratio)
+    u = _expm1_table(axis.degree, axis.pq.log_ratio)
     return a * (u / u[-1]) + b
 
 
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     """Weights s_0(x)..s_m(x) for every x in xs, one row per x.
 
-    Log-space evaluation at r = q/p (_clibm.weight_rows): log binomials come
-    from the compensated log-factorial table of the r-brackets, the rising
-    products from expm1-stabilized factor logs summed along each row, and
-    each weight is one exp; the compiled kernel writes every interior row
-    into the returned matrix in one C loop, in one call.  Rows for x = 0 and
-    x = 1 are the exact unit vectors e_0 and e_m (the weight mass
-    concentrates at nu = 0 and nu = m).
+    Ratio evaluation at r = q/p (_clibm.weight_ratio_rows, one kernel call
+    for every interior row, from nodes' _expm1_table), with no transcendental
+    per weight: each row is the product of the ratios s_(k+1) / s_k outward
+    from its largest weight, divided by its sum, so a weight's rounding grows
+    with its distance from it, not with log([m]_r!).  Rows at 0, 1: e_0, e_m.
     """
     xs = np.asarray(xs, dtype=float)
     outside = ~((0.0 <= xs) & (xs <= 1.0))
     if outside.any():
         raise ValueError(f"requires x in [0, 1] (got x={xs[outside][0]})")
-    m, lam = axis.degree, axis.pq.log_ratio
+    m = axis.degree
     out = np.zeros((xs.size, m + 1))
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, m] = 1.0
     if ((0.0 < xs) & (xs < 1.0)).any():
-        weight_rows(cumulative_log_factorials(m, lam), xs, lam, out)
+        weight_ratio_rows(_expm1_table(m, axis.pq.log_ratio), xs, out)
     return out
 
 

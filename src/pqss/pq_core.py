@@ -7,9 +7,8 @@ the bracket numbers
 
 with r = q/p and [k]_r = 1 + r + ... + r^(k-1).  The closed moments' D and
 gap, and the nodes' offset B = alpha / D, use [k]; the nodes' map otherwise
-takes [k]_r, and the weights use only [k]_r, through the log-factorial
-table: the Neumaier prefix sum (_clibm.compensated_cumsum) of the bracket
-logs log [k]_r (_clibm.bracket_logs), finite for every k.
+takes [k]_r, and the weights only the ratios [m - k]_r / [k + 1]_r of
+neighbouring r-binomials (_clibm.weight_ratio_rows), not the table below.
 """
 
 from __future__ import annotations
@@ -66,15 +65,11 @@ def pq_integer(k: int, pq: PQPair) -> float:
     return -(p ** k) * math.expm1(k * pq.log_ratio) / (p - q)
 
 
-# One command reuses at most its two axes' tables, and operators repeat only
-# back to back, so a few tables keep every hit: 8 gave the hits and misses of
-# 512 on every CLI command and benchmark workload, at a fraction of the memory.
 @lru_cache(maxsize=8)
 def cumulative_log_factorials(kmax: int, lam: float) -> np.ndarray:
-    """Array lf with lf[k] = log([k]_r!) for k = 0..kmax, r = e^lam, with
-    lam = PQPair.log_ratio: compensated sums of _clibm.bracket_logs, the last
-    8 cached on (kmax, lam), so pairs with the same lam share a table.  The
-    returned array is read-only.
+    """Read-only lf with lf[k] = log([k]_r!), k = 0..kmax, r = e^lam: compensated
+    sums of _clibm.bracket_logs, the last 8 cached on (kmax, lam).  Uncalled;
+    kept, with compensated_cumsum, for bench/tracer.py until ROADMAP item 3.
     """
     lf = np.zeros(kmax + 1)
     lf[1:] = compensated_cumsum(bracket_logs(kmax, lam))

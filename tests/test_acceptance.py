@@ -96,7 +96,7 @@ def test_partition_of_unity(verdict):
             min_weight = min(min_weight, float(w.min()))
     ok = worst <= 1e-12 and min_weight >= 0.0
 
-    # high-degree axes exercise the log-space path
+    # high-degree axes: the rows' sums before their division
     worst_big = 0.0
     for axis in (
         AxisConfig(n=2000, l=0, pq=PQPair(0.999, 0.998)),
@@ -115,12 +115,13 @@ def test_partition_of_unity(verdict):
 
 
 def test_high_degree_weights(verdict):
-    # the production log-space rows against the oracle's decimal rows, at the
+    # the production ratio rows against the oracle's decimal rows, at the
     # degrees the Korovkin tables reach: relative error over weights > 1e-200
     start = time.monotonic()
     xs = (0.1, 0.37, 0.5, 0.83, 0.999)
     family = one_minus_c_over_n(0.5, 1.0)
-    axes = [AxisConfig(n=m, l=0, pq=family.pq_at(m)) for m in (500, 2000, 8000, 16384)]
+    axes = [AxisConfig(n=m, l=0, pq=family.pq_at(m))
+            for m in (500, 2000, 8000, 16384, 32768, 65536)]
     axes.append(AxisConfig(n=2000, l=0, pq=PQPair(0.999, 0.998)))
     worst = 0.0
     for axis in axes:
@@ -131,7 +132,8 @@ def test_high_degree_weights(verdict):
     elapsed = time.monotonic() - start
     verdict(
         "high-degree-weights", worst <= 1e-10,
-        f"weight_matrix vs decimal oracle at m = 500, 2000, 8000, 16384 on 1 - c/n and "
+        f"weight_matrix vs decimal oracle at m = 500, 2000, 8000, 16384, 32768, 65536 on "
+        f"1 - c/n and "
         f"m = 2000 at (0.999, 0.998), 5 points each, worst relative error "
         f"{worst:.2e} over weights > 1e-200 (tol 1e-10), {elapsed:.1f}s",
     )
@@ -520,7 +522,7 @@ def _voronovskaja_limit(name: str, shape1: AxisShape, shape2: AxisShape, xs) -> 
 
 def test_voronovskaja(verdict):
     spec = one_minus_c_over_n(VORONOVSKAJA_CP, VORONOVSKAJA_CQ)
-    ns = (64, 256, 1024, 4096, 16384)
+    ns = (64, 256, 1024, 4096, 16384, 65536, 262144)
     xs = np.array([0.1, 0.37, 0.5, 0.83])
     shifted = (AxisShape(l=1, alpha=0.5, beta=1.0), AxisShape(l=3, alpha=1.0, beta=2.0))
     # C per row: the largest n * max|n (S f - f) - V| over n, times about 1.25
@@ -548,7 +550,7 @@ def test_voronovskaja(verdict):
     elapsed = time.monotonic() - start
     verdict(
         "voronovskaja", ok,
-        "; ".join(details) + f" (order required [-1.1, -0.9]; n=64..16384, 4x4 interior "
+        "; ".join(details) + f" (order required [-1.1, -0.9]; n=64..262144, 4x4 interior "
         f"points), {elapsed:.2f}s",
     )
 

@@ -385,10 +385,11 @@ def test_pair_with_q_far_below_p_is_refused(tmp_path, monkeypatch, capsys):
         assert err == (f"error: requires a finite log(q/p), but (q - p)/p rounds to -1 "
                        f"(got p={p}, q={q})\n")
     assert list(tmp_path.iterdir()) == []
-    # the near miss still evaluates, to 1 ulp below the exact 0.25 (the operator
-    # reproduces t at l = 0, alpha = beta = 0); the (p,q) node form read 3 ulps below
+    # the near miss still evaluates, to the exact 0.25 (the operator reproduces
+    # t at l = 0, alpha = beta = 0); the log-space weights read 1 ulp below it
+    # and the (p,q) node form 3 ulps below
     rc, out, err = run(["eval", *point, "--n1", "3", "--p1", "1", "--q1", "1e-15"], capsys)
-    assert (rc, out) == (0, "value 0.24999999999999997\n")
+    assert (rc, out) == (0, "value 0.25\n")
 
 
 def test_bounds_clean(tmp_path, monkeypatch, capsys):
@@ -584,21 +585,24 @@ def test_closed_moments_refuse_a_square_below_the_normal_range(tmp_path, capsys,
     assert (tmp_path / "out").exists() and _no_nan_or_inf(tmp_path, out)
     if argv[0] == "bounds":
         assert "violations 0" in out
-        # the shift (gap x + alpha) / D still needs D itself, which is 0 from
-        # n = 1077: refused, naming it, before any report is written
-        rc, out, err = run(["bounds", "--n1", "1100", *SUBNORMAL_SQUARE,
+        # with beta > 0 the shift (gap x + alpha) / D still needs D itself;
+        # [n] is 0 from n = 1077, so a beta below the normal range leaves D
+        # there: refused, naming it, before any report is written
+        rc, out, err = run(["bounds", "--n1", "1100", *SUBNORMAL_SQUARE, "--beta1", "1e-320",
                             "--output", str(tmp_path / "refused.csv")], capsys)
         assert (rc, out) == (2, "")
-        assert err == ("error: requires [n] + beta to be a normal double (got [n] + beta = 0.0 "
-                       "at n=1100, p=0.5, q=0.25, beta=0.0)\n")
+        assert err == ("error: requires [n] + beta to be a normal double (got [n] + beta = 1e-320 "
+                       "at n=1100, p=0.5, q=0.25, beta=1e-320)\n")
         assert not (tmp_path / "refused.csv").exists()
 
 
 # Commands that the (p,q) node form refused at exit 2, and the affine form runs:
 # [n] + beta past the square root of the largest double (the closed moments
 # squared it), p^m below the normal range (at (0.9, 0.6) from m = 6724), and
-# [n] below it or 0 with beta = 0, which eval, reading no closed moment, never needs
+# [n] below it or 0 with beta = 0, which eval, reading no closed moment, never needs,
+# and which the shift, at beta = 0, takes in a form without D
 OPENED = {
+    "shift-d-0-beta-0-bounds": ["bounds", "--n1", "1100", *SUBNORMAL_SQUARE],
     "beta-1e160-bounds": ["bounds", "--f", "e11", "--grid", "3", "--beta1", "1e160"],
     "beta-1e160-converge": ["converge", "--n-list", "8,16,32", "--beta1", "1e160", "--grid", "3"],
     **{f"pm-subnormal-l{l1}": ["eval", "--f", "e11", "--x1", x1, "--x2", ".5", "--oracle",
@@ -634,6 +638,17 @@ def test_commands_past_the_pq_node_form_run_with_finite_values(tmp_path, monkeyp
         assert float(values["absdiff"]) <= 1e-10 * max(1.0, abs(float(values["oracle"])))
     if argv[0] == "bounds":
         assert "violations 0" in out
+
+
+@pytest.mark.parametrize("n1", ["32768", "65536"])
+def test_constant_bound_holds_at_high_degree(tmp_path, capsys, n1):
+    # |S(1) - 1| is the rounding of each weight row's sum: the ratio rows keep
+    # it within BOUND_SLACK here, where log-space rows read up to 1.7e-11
+    rc, out, err = run(["bounds", "--n1", n1, "--p1", "0.999", "--q1", "0.998", "--n2", "1",
+                        "--f", "const1", "--grid", "41", "--output", str(tmp_path / "out.csv")],
+                       capsys)
+    assert (rc, err) == (0, "")
+    assert "violations 0" in out
 
 
 def test_converge_prices_every_degree_before_any_work(monkeypatch, tmp_path, capsys):

@@ -81,22 +81,45 @@ def test_closed_moments_refuse_a_subnormal_square():
     # divided by D^2, which is subnormal from n = 514 and 0 from n = 540, and
     # refused it; in the affine form nothing divides by D^2, so they run there,
     # to the exact values.  The shift still divides by D itself, which is
-    # subnormal from n = 1025 and 0 from n = 1077: that is refused, naming D
-    for n in (514, 540, 600, 1024):
+    # subnormal from n = 1025 and 0 from n = 1077.  With beta = 0 the shift
+    # is then taken in a form without D, to the exact values too; with a
+    # beta below the normal range, D is refused, naming it
+    for n in (514, 540, 600, 1024, 1025, 1100):
         axis = AxisConfig(n=n, l=1, pq=PQPair(0.5, 0.25))
         want = _exact_shift_and_central(axis, 0.5)
         got = (first_moment_shift(axis, 0.5), central_moment(axis, 0.5))
         assert got == pytest.approx(want, rel=1e-14), n
         assert delta(axis, 0.5) == math.sqrt(got[1])
-    for n, den in ((1025, r"1\.11\d*e-308"), (1100, r"0\.0")):
-        axis = AxisConfig(n=n, l=1, pq=PQPair(0.5, 0.25))
+        # the raw moments read only (A, B, [m]_r)
+        assert first_moment_univariate(axis, 0.5) == pytest.approx(0.25, rel=1e-15), n
+        assert math.isfinite(second_moment_univariate(axis, 0.5))
+    for n, den in ((1025, r"1\.11\d*e-308"), (1100, r"1e-320")):
+        axis = AxisConfig(n=n, l=1, pq=PQPair(0.5, 0.25), beta=1e-320)
         for fn in (first_moment_shift, central_moment, delta):
             with pytest.raises(ValueError, match=rf"requires \[n\] \+ beta to be a normal double "
                                                  rf"\(got \[n\] \+ beta = {den} at n={n}, "):
                 fn(axis, 0.5)
-        # the raw moments read only (A, B, [m]_r)
-        assert first_moment_univariate(axis, 0.5) == pytest.approx(0.25, rel=1e-15)
+        # the raw moments still run; beta outweighs [n] in D, so S(t) is 7.4e-12
+        # at n = 1100, where abs=0 keeps the comparison relative
+        want = float(_exact_raw(axis, 0.5)[0])
+        assert first_moment_univariate(axis, 0.5) == pytest.approx(want, rel=1e-15, abs=0.0)
         assert math.isfinite(second_moment_univariate(axis, 0.5))
+
+
+def test_shift_needs_no_d_at_beta_zero():
+    # beta = 0 with [n] below the normal range: the shift is
+    # (p^l r^n [l]_r / [n]_r + expm1(l log p)) x, against 60-digit decimal
+    # ([m] x / [n] - x from the same doubles); (0.5, 0.49) keeps r^n at 2e-10,
+    # so its first term shows
+    for n, p, q in ((1100, 0.5, 0.25), (1100, 0.5, 0.49), (7000, 0.9, 0.6)):
+        for l in (0, 1, 3, 40):
+            axis = AxisConfig(n=n, l=l, pq=PQPair(p, q))
+            assert not moments._coefficients(axis)[4] >= sys.float_info.min
+            xs = np.array([0.0, 0.3, 1.0])
+            want = [_exact_shift_and_central(axis, float(x))[0] for x in xs]
+            assert first_moment_shift(axis, xs) == pytest.approx(want, rel=1e-14, abs=0.0)
+    # the repro axis of `bounds --n1 1100 --p1 0.5 --q1 0.25`: l = 0, so 0
+    assert first_moment_shift(AxisConfig(n=1100, l=0, pq=PQPair(0.5, 0.25)), 0.7) == 0.0
 
 
 def test_central_moment_closed(worked_axis):
@@ -132,9 +155,9 @@ def test_delta_values_and_clamping(worked_axis):
             delta(worked_axis, np.array([0.5, bad]))
 
 
-def _exact_shift_and_central(axis: AxisConfig, x: float) -> tuple[float, float]:
-    """S(t; x) - x and S((t - x)^2; x) from the raw closed moments, in decimal at
-    60 digits from the same doubles, each rounded once."""
+def _exact_raw(axis: AxisConfig, x: float) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """The raw closed moments S(t; x) and S(t^2; x), in decimal at 60 digits
+    from the same doubles, not rounded."""
     with decimal.localcontext(decimal.Context(prec=60)):
         p, q, alpha, beta, x = map(decimal.Decimal, (axis.pq.p, axis.pq.q, axis.alpha,
                                                      axis.beta, x))
@@ -144,6 +167,15 @@ def _exact_shift_and_central(axis: AxisConfig, x: float) -> tuple[float, float]:
         first = (bracket(m) * x + alpha) / den
         second = (bracket(m) * (p ** (m - 1) + 2 * alpha) * x
                   + q * bracket(m) * bracket(m - 1) * x * x + alpha ** 2) / den ** 2
+        return first, second
+
+
+def _exact_shift_and_central(axis: AxisConfig, x: float) -> tuple[float, float]:
+    """S(t; x) - x and S((t - x)^2; x) from _exact_raw, in decimal at 60
+    digits, each rounded once."""
+    first, second = _exact_raw(axis, x)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(x)
         return float(first - x), float(second - 2 * x * first + x * x)
 
 
@@ -211,6 +243,8 @@ def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
         monkeypatch.setattr(module, "libm", refuse)
     for module in (_clibm, pq_core):
         monkeypatch.setattr(module, "bracket_logs", refuse)
+    for module in (_clibm, operators):
+        monkeypatch.setattr(module, "weight_ratio_rows", refuse)
     monkeypatch.setattr(operators, "weight_matrix", refuse)
     moments._oracle_row.cache_clear()
     np.testing.assert_array_equal(moment_oracle(op, [table], [0.3], [0.8]), want)

@@ -90,7 +90,7 @@ def test_weight_vector_validation(worked_axis):
 
 
 def scalar_weight_vector(axis, x):
-    """Log-space weights one x at a time, with scalar loops: the reference
+    """Ratio-form weights one x at a time, with scalar loops: the reference
     weight_matrix must reproduce bit for bit."""
     m = axis.degree
     out = np.zeros(m + 1)
@@ -101,25 +101,33 @@ def scalar_weight_vector(axis, x):
         out[m] = 1.0
         return out
     lam = math.log1p((axis.pq.q - axis.pq.p) / axis.pq.p)   # log r, r = q/p
-
-    def neumaier(values):
-        acc = np.zeros(len(values) + 1)
-        s = c = 0.0
-        for i, v in enumerate(values):
-            t = s + v
-            c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
-            s = t
-            acc[i + 1] = s + c
-        return acc
-
-    # the r-brackets [j]_r = (1 - r^j) / (1 - r) and the factors 1 - r^j x
-    lf = neumaier([math.log(math.expm1(j * lam) / math.expm1(lam)) for j in range(1, m + 1)])
-    log_binom = lf[m] - lf - lf[::-1]
-    log_x = math.log(x)
-    rising = neumaier([math.log(-math.expm1(j * lam + log_x)) for j in range(m)])
-    nu = np.arange(m + 1)
-    log_w = log_binom + nu * log_x + rising[::-1]
-    return np.array([math.exp(v) for v in log_w])
+    e = [math.expm1(j * lam) for j in range(m + 1)]         # r^j - 1
+    # s_(k+1) / s_k = [m - k]_r x / ([k + 1]_r (1 - r^(m-1-k) x)), with
+    # 1 - r^j x = (1 - x) - x (r^j - 1)
+    num = [e[m - k] * x for k in range(m)]
+    den = [e[k + 1] * ((1.0 - x) - x * e[m - 1 - k]) for k in range(m)]
+    # the anchor: the first largest term of the forward product from s_0 = 1,
+    # each term rounded with no exponent limit (math.frexp after each factor)
+    f, ex, top, anchor = 0.5, 1, (1, 0.5), 0
+    for k in range(m):
+        rho = num[k] / den[k]
+        if rho == 0.0:
+            break
+        rho_f, rho_ex = math.frexp(rho)
+        f, f_ex = math.frexp(f * rho_f)
+        ex += rho_ex + f_ex
+        if (ex, f) > top:
+            top, anchor = (ex, f), k + 1
+    # from 1 at the anchor: ratios to the right, inverse ratios to the left
+    out[anchor] = 1.0
+    for k in range(anchor, m):
+        out[k + 1] = out[k] * (num[k] / den[k])
+    for k in range(anchor - 1, -1, -1):
+        out[k] = out[k + 1] * (den[k] / num[k])
+    total = out[0]
+    for v in out[1:]:
+        total += v
+    return np.array([v / total for v in out])
 
 
 @pytest.mark.parametrize("m", [1, 2, 28, 257, 2049])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqss import _clibm
-from pqss._clibm import _log_rising_terms, compensated_cumsum, weighted_sums
+from pqss._clibm import compensated_cumsum, weighted_sums
 from pqss.catalog import build_catalog
 from pqss.moments import (
     literal_first_moment_factor,
@@ -26,6 +26,7 @@ from pqss.moments import (
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
+    _expm1_table,
     apply_on_grid,
     nodes,
     sample_at_nodes,
@@ -54,9 +55,10 @@ def rising_product(m, x, pq):
     return math.prod((pq.p ** j - pq.q ** j * x) / pq.p ** j for j in range(m))
 
 
-def log_rising_sum(m, x, pq):
-    # log of the rising product: the fsum of one _log_rising_terms row
-    return math.fsum(_log_rising_terms(m, [x], pq.log_ratio)[0].tolist())
+def first_weight(m, xs, pq):
+    # s_0(x) = prod_{j<m} (1 - r^j x), the rising product, for each x in xs:
+    # the first weight of an l = 0 axis of degree m
+    return weight_matrix(AxisConfig(n=m, l=0, pq=pq), xs)[:, 0]
 
 
 def r_bracket_logs(m, pq):
@@ -140,18 +142,18 @@ def test_pq_factorial_values():
 
 
 def test_rising_product_values():
-    assert _log_rising_terms(0, [0.7], PAIRS[1].log_ratio).shape == (1, 0)  # empty product 1
+    # at m = 0 (e = [expm1(0)]) the one weight is the empty product 1
+    out = np.zeros((1, 1))
+    assert _clibm.weight_ratio_rows([0.0], [0.7], out).tolist() == [[1.0]]
     # r = 0.6/0.9: (1 - 0.5)(1 - r 0.5) = 0.5 * 0.6 / 0.9
-    assert math.exp(log_rising_sum(2, 0.5, PAIRS[1])) == pytest.approx(0.30 / 0.9, rel=1e-14)
+    assert first_weight(2, [0.5], PAIRS[1])[0] == pytest.approx(0.30 / 0.9, rel=1e-14)
 
 
 def test_log_rising_agrees_with_direct():
     xs = (0.1, 0.5, 0.9)
     for pq in PAIRS:
         for m in (1, 5, 50, 200):
-            rows = _log_rising_terms(m, xs, pq.log_ratio)
-            for x, row in zip(xs, rows):
-                got = math.exp(math.fsum(row.tolist()))
+            for x, got in zip(xs, first_weight(m, xs, pq)):
                 assert got == pytest.approx(rising_product(m, x, pq), rel=1e-12)
 
 
@@ -164,7 +166,7 @@ def test_log_rising_against_mpmath():
         for j in range(m):
             prod *= 1 - (q / p) ** j * x
         want = float(mp.log(prod))
-    got = log_rising_sum(200, 0.5, PQPair(0.99, 0.98))
+    got = math.log(first_weight(200, [0.5], PQPair(0.99, 0.98))[0])
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -224,8 +226,8 @@ def test_compensated_cumsum_is_the_scalar_loop_bit_for_bit(monkeypatch):
             want = np.array([neumaier_loop(row.tolist()) for row in flat])
             assert_same_bits(compensated_cumsum(vals), want.reshape(arr.shape))
         if calls is not None:
-            # one compiled call per compensated_cumsum call, for all its rows
-            assert calls == [("pqss_neumaier", None)] * len(inputs)
+            # no compiled loop: no package path sums log-factorials any more
+            assert calls == []
 
 
 def test_cumulative_log_factorials_values_and_caching():
@@ -240,13 +242,12 @@ def test_cumulative_log_factorials_values_and_caching():
 
 
 def test_cumulative_log_factorials_are_shared_by_pairs_with_one_ratio():
-    # (0.5, 0.25) and (1.0, 0.5) have the same log_ratio, so two axes of one
-    # degree read one table: the second is a cache hit
+    # (0.5, 0.25) and (1.0, 0.5) have the same log_ratio, so one degree's
+    # table serves both: the second is a cache hit
     cumulative_log_factorials.cache_clear()
     a, b = PQPair(0.5, 0.25), PQPair(1.0, 0.5)
     assert a.log_ratio == b.log_ratio
-    weight_vector(AxisConfig(n=600, l=0, pq=a), 0.3)
-    weight_vector(AxisConfig(n=600, l=0, pq=b), 0.3)
+    assert cumulative_log_factorials(600, a.log_ratio) is cumulative_log_factorials(600, b.log_ratio)
     info = cumulative_log_factorials.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -326,7 +327,7 @@ def record_kernel(monkeypatch):
 
 def both_paths(monkeypatch):
     """Run a loop body on each path of libm, oracle_sums, compensated_cumsum,
-    weighted_sums, bracket_logs and weight_rows.  First (where a compiler
+    weighted_sums, bracket_logs and weight_ratio_rows.  First (where a compiler
     exists) through the kernel, yielding the list of its calls as (function
     name, returned); then with load() finding no kernel, yielding None, so
     math and numpy answer every call."""
@@ -863,21 +864,42 @@ def test_contraction_sums_in_index_order_bit_for_bit(monkeypatch):
     assert np.any(in_order_matvec(w, v) != in_order_matvec(w, v, reverse=True))
 
 
-def scalar_weight_rows(lf, xs, lam, fill):
-    """weight_rows written out with Python floats, one x at a time: the terms,
-    their Neumaier prefix (0 first), each log weight in the kernel's order
-    and its exp; a row whose x is not in (0, 1) is all fill."""
-    lf, m = lf.tolist(), len(lf) - 1
+def scalar_ratio_rows(m, xs, lam, fill):
+    """weight_ratio_rows written out with Python floats, one x at a time: the
+    ratios, the anchor as the first largest term of their forward product
+    (each term rounded with no exponent limit: math.frexp after every
+    factor), the products outward from it, the inverse ratios formed
+    directly, and the division by the sum in index order; a row whose x is
+    not in (0, 1) is all fill."""
+    e = [math.expm1(j * lam) for j in range(m + 1)]
     rows = []
     for x in xs:
         if not 0.0 < x < 1.0:
             rows.append([fill] * (m + 1))
             continue
-        log_x = math.log(x)
-        terms = [math.log(-math.expm1(j * lam + log_x)) for j in range(m)]
-        pre = [0.0, *neumaier_loop(terms).tolist()]
-        rows.append([math.exp((((lf[m] - lf[nu]) - lf[m - nu]) + nu * log_x) + pre[m - nu])
-                     for nu in range(m + 1)])
+        y = 1.0 - x
+        num = [e[m - k] * x for k in range(m)]
+        den = [e[k + 1] * (y - x * e[m - 1 - k]) for k in range(m)]
+        ratio = [a / b for a, b in zip(num, den)]
+        f, ex, top, anchor = 0.5, 1, (1, 0.5), 0
+        for k, rho in enumerate(ratio):
+            if rho == 0.0:
+                break  # every later term is 0 too
+            rho_f, rho_ex = math.frexp(rho)
+            f, f_ex = math.frexp(f * rho_f)
+            ex += rho_ex + f_ex
+            if (ex, f) > top:
+                top, anchor = (ex, f), k + 1
+        w = [0.0] * (m + 1)
+        w[anchor] = 1.0
+        for k in range(anchor, m):
+            w[k + 1] = w[k] * ratio[k]
+        for k in range(anchor - 1, -1, -1):
+            w[k] = w[k + 1] * (den[k] / num[k])
+        total = w[0]
+        for v in w[1:]:
+            total += v
+        rows.append([v / total for v in w])
     return np.array(rows)
 
 
@@ -887,19 +909,25 @@ EXTREME_RATIOS = (PQPair(1.0, 2.0 ** -53), PQPair(1.0, 1.0 - 2.0 ** -53))
 
 
 def _weight_row_cases():
-    """(m, pq, xs) on random axes: 1 - c/m pairs, p = 1 and (0.5, 0.25), and
-    up to m = 8000 the extreme ratios, each with the edge x values, and the
-    endpoints, whose rows are left as they are."""
+    """(m, pq, xs) on the sweep's axes and on random axes: 1 - c/m pairs,
+    p = 1 and (0.5, 0.25), and up to m = 8001 the extreme ratios, each with
+    the edge x values, and the endpoints, whose rows are left as they are."""
     rng = np.random.default_rng(2028)
     edge = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]
-    cases = []
-    for m in (1, 2, 28, 257, 2049, 8000, 16384):
+    sweep = sorted({(op.axis1.degree, op.axis1.pq) for op in standard_sweep()},
+                   key=lambda key: (key[0], key[1].p, key[1].q))
+    cases = [(m, pq, np.concatenate((edge, sweep_grid(5)))) for m, pq in sweep]
+    for m in (1, 2, 28, 257, 2049, 8000, 8001, 16384):
         c = max(m, 8)
         cp = float(rng.uniform(0.1, 1.0))
         cq = cp + float(rng.uniform(0.3, 1.5))
         pairs = (PQPair(1.0 - cp / c, 1.0 - cq / c), PQPair(1.0, 1.0 - cq / c), PQPair(0.5, 0.25))
-        for pq in pairs + (EXTREME_RATIOS if m <= 8000 else ()):
+        for pq in pairs + (EXTREME_RATIOS if m <= 8001 else ()):
             cases.append((m, pq, np.concatenate((edge, rng.uniform(0.0, 1.0, 3)))))
+    # two local maxima: 6.5e-4 at nu = 1378, after a rise long enough that
+    # the forward product's mantissas leave the normal range unless rescaled,
+    # and 3.3e-4 at nu = m
+    cases.append((8001, PQPair(1.0, 0.995), np.array([0.999])))
     return cases
 
 
@@ -907,19 +935,20 @@ def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
     fill = -2.5
     cases = []
     for m, pq, xs in _weight_row_cases():
-        logs = r_bracket_logs(m, pq)
-        lf = np.concatenate(([0.0], neumaier_loop(logs)))
-        cases.append((f"m={m} p={pq.p} q={pq.q}", m, pq.log_ratio, xs, logs, lf,
-                      scalar_weight_rows(lf, xs, pq.log_ratio, fill)))
+        lam = pq.log_ratio
+        e = math_map(math.expm1, np.arange(m + 1.0) * lam)
+        cases.append((f"m={m} p={pq.p} q={pq.q}", m, lam, e, xs, r_bracket_logs(m, pq),
+                      scalar_ratio_rows(m, xs, lam, fill)))
     for calls in both_paths(monkeypatch):
-        for name, m, lam, xs, logs, lf, rows in cases:
+        for name, m, lam, e, xs, logs, rows in cases:
             assert_same_bits(_clibm.bracket_logs(m, lam), logs, err_msg=name)
             out = np.full((xs.size, m + 1), fill)
-            assert _clibm.weight_rows(lf, xs, lam, out) is out
+            assert _clibm.weight_ratio_rows(e, xs, out) is out
             assert_same_bits(out, rows, err_msg=name)
         if calls is not None:
-            # one compiled call per call, for the whole table and all rows
-            assert calls == [("pqss_bracket_logs", None), ("pqss_weight_rows", None)] * len(cases)
+            # libm's expm1 for the bracket logs (which have no compiled loop of
+            # their own), then one compiled call for all rows
+            assert calls == [("pqss_expm1", 0), ("pqss_weight_ratio_rows", None)] * len(cases)
 
 
 def test_weight_matrix_rows_are_finite_and_nonnegative(monkeypatch):
@@ -938,16 +967,18 @@ def test_weight_matrix_rows_are_finite_and_nonnegative(monkeypatch):
 def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
     calls = record_kernel(monkeypatch)
     cumulative_log_factorials.cache_clear()
+    _expm1_table.cache_clear()
     axis = AxisConfig(n=300, l=2, pq=PQPair(0.99, 0.95), alpha=0.5, beta=1.0)
     xs = np.linspace(0.0, 1.0, 41)
+    # per axis: the table e = expm1(nu lam) in one libm call, which the nodes
+    # read too; per matrix: every interior row in one kernel call; no
+    # log-factorial table is built
     weight_matrix(axis, xs)
-    # a cache miss builds the table: its bracket logs and their prefix sums
-    assert calls == [("pqss_bracket_logs", None), ("pqss_neumaier", None),
-                     ("pqss_weight_rows", None)]
-    calls.clear()
     weight_matrix(axis, xs[::-1])
     weight_vector(axis, 0.3)
-    assert calls == [("pqss_weight_rows", None)] * 2
+    nodes(axis)
+    assert calls == [("pqss_expm1", 0)] + [("pqss_weight_ratio_rows", None)] * 3
+    assert cumulative_log_factorials.cache_info().misses == 0
     calls.clear()
     # the endpoint rows are the unit vectors, with no table and no kernel
     weight_matrix(axis, [0.0, 1.0, 0.0])
@@ -955,20 +986,26 @@ def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
 
 
 def test_weight_rows_refuses_lam_not_below_zero_on_both_paths(monkeypatch):
-    lf = cumulative_log_factorials(300, PAIRS[1].log_ratio)
+    # the nearest ratio below 1 that PQPair admits keeps e[1] = expm1(lam)
+    # below -2^-54
+    assert math.expm1(EXTREME_RATIOS[1].log_ratio) <= -2.0 ** -54
+    table = lambda lam: math_map(math.expm1, np.arange(301.0) * lam)
     for calls in both_paths(monkeypatch):
         # r = e^lam must be below 1: at lam = 1 the factor 1 - r x would be
-        # below 0 at x = 0.5; lam = 0 and nan are refused alike
-        for lam in (1.0, 0.0, math.nan):
-            with pytest.raises(ValueError, match=r"requires lam = log\(q/p\) < 0"):
-                _clibm.weight_rows(lf, [0.3, 0.5], lam, np.zeros((2, 301)))
+        # below 0 at x = 0.5; lam = 0 and nan are refused alike, and so is a
+        # lam closer to 0 than any PQPair gives, where e[1] (1 - x) could
+        # round to 0 and a ratio to inf
+        for lam in (1.0, 0.0, -2.0 ** -55, math.nan):
+            with pytest.raises(ValueError, match=r"requires e\[1\] = expm1\(lam\) at most -2\^-54, "
+                                                 r"lam = log\(q/p\) < 0"):
+                _clibm.weight_ratio_rows(table(lam), [0.3, 0.5], np.zeros((2, 301)))
         if calls is not None:
             # refused before the compiled loop
             assert calls == []
     # the kernel writes m + 1 values per x into out, so its shape is checked first
     for out in (np.zeros((2, 300)), np.zeros((301, 2)).T, np.zeros((2, 301), dtype=np.float32)):
         with pytest.raises(ValueError, match=r"C-contiguous float out of shape \(2, 301\)"):
-            _clibm.weight_rows(lf, [0.3, 0.5], PAIRS[1].log_ratio, out)
+            _clibm.weight_ratio_rows(table(PAIRS[1].log_ratio), [0.3, 0.5], out)
 
 
 def _oracle_arrays(asymmetric_sweep):

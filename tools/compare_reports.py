@@ -142,13 +142,22 @@ def _commands() -> list[tuple[list[str], dict[str, str]]]:
         add("bounds", "--n1", n1, "--p1", "0.5", "--q1", "0.25", "--f", "e10", "--grid", "5")
     add("converge", "--cp", "400", "--cq", "500", "--n-list", "1000,2000,4000", "--f", "e20",
         "--grid", "5")
-    # [n] + beta itself subnormal (n1 = 1030) or 0 (n1 = 1100), where the shift
-    # (gap x + alpha) / D has no value; with beta > 0, D >= beta and it runs
+    # [n] + beta itself subnormal (n1 = 1030) or 0 (n1 = 1100), where
+    # (gap x + alpha) / D has no value: at beta = 0 the shift takes a form
+    # without D (l1 = 0 makes it 0), with a subnormal beta D is refused, and
+    # with beta >= 1, D >= beta and it runs
     for n1 in ("1030", "1100"):
         add("bounds", "--n1", n1, "--p1", "0.5", "--q1", "0.25", "--l1", "1", "--f", "e10",
             "--grid", "5")
+    add("bounds", "--n1", "1100", "--p1", "0.5", "--q1", "0.25", "--f", "e10", "--grid", "5")
+    add("bounds", "--n1", "1100", "--p1", "0.5", "--q1", "0.25", "--l1", "1", "--beta1",
+        "1e-320", "--f", "e10", "--grid", "5")
     add("bounds", "--n1", "1100", "--p1", "0.5", "--q1", "0.25", "--l1", "1", "--alpha1", "0.5",
         "--beta1", "1.0", "--f", "exp_sum", "--grid", "5")
+    # |S(1) - 1| at high degree: the rounding of each weight row's sum
+    for n1 in ("32768", "65536"):
+        add("bounds", "--n1", n1, "--p1", "0.999", "--q1", "0.998", "--n2", "1", "--f",
+            "const1", "--grid", "41")
     # p^m and [n] below the normal range: the nodes take neither (A = p^l [m]_r / [n]_r
     # at beta = 0, and A is about p^(m-1) [m]_r / beta with beta > 0)
     add("eval", "--f", "e11", "--x1", ".5", "--x2", ".5", "--n1", "1000", "--p1", "0.3",
