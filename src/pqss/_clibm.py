@@ -12,7 +12,7 @@ error sum), two tables at a time in the two lanes of a vector of doubles,
 and each lane's rounding is kept only where an error bound certifies it is
 the correctly rounded exact sum; any other point is summed again by a port
 of CPython 3.11's math_fsum.  weighted_sums (every factor of apply_on_grid)
-and weight_ratio_rows (every interior row of weight_matrix) run all their
+and weight_ratio_rows (the whole of weight_matrix) run all their
 rows in one call each, with the operations of their numpy code in the same
 order, so they keep its bits.
 
@@ -35,8 +35,8 @@ build fails, load() returns None, and libm and oracle_sums answer by the
 math module instead (a map of the function over the array, math.fsum row by
 row for the sums), which gives the same values and errors; weighted_sums
 answers by np.cumsum, which accumulates left to right, and weight_ratio_rows
-by numpy.  compensated_cumsum and bracket_logs (the uncalled log-factorial
-table's) are numpy code alone.  A failed build is not retried in-process.
+by numpy.  A failed build is not retried in-process.  The module holds only
+these compiled loops and their fallbacks.
 """
 
 from __future__ import annotations
@@ -516,27 +516,6 @@ def oracle_sums(w1: np.ndarray, w2: np.ndarray, tables) -> np.ndarray:
     return out
 
 
-def compensated_cumsum(values) -> np.ndarray:
-    """Running prefix sums with Neumaier compensation, along the last axis
-    (naive sums of ~2000 log-factorial terms drift around 1e-10, these stay
-    near 1e-13).  Each row is the sequential loop
-
-        t = s + v;  c += (s - t) + v if |s| >= |v| else (v - t) + s;  s = t;
-        out = s + c
-
-    run by np.cumsum, which accumulates left to right (each error term
-    depends only on its own s, v and t), with the loop's bits, inf and nan
-    included.
-    """
-    v = np.ascontiguousarray(values, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.cumsum(v, axis=-1)
-        prev = np.zeros_like(s)
-        prev[..., 1:] = s[..., :-1]
-        err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
-        return s + np.cumsum(err, axis=-1)
-
-
 def weighted_sums(w: np.ndarray, v) -> np.ndarray:
     """w @ v for w of shape (k, n >= 1) and v of n values or one (for all n),
     each row summed from its first term to its last, one rounded product and
@@ -553,13 +532,6 @@ def weighted_sums(w: np.ndarray, v) -> np.ndarray:
         return out
     with np.errstate(over="ignore", invalid="ignore"):
         return np.cumsum(w * v, axis=1)[:, -1]
-
-
-def bracket_logs(kmax: int, lam: float) -> np.ndarray:
-    """log [k]_r = log(expm1(k lam) / expm1(lam)) for k = 1..kmax (kmax >= 0),
-    the brackets of r = e^lam, with lam = PQPair.log_ratio < 0; each [k]_r is
-    at least 1, so every log is finite."""
-    return libm(math.log, libm(math.expm1, np.arange(1.0, kmax + 1) * lam) / math.expm1(lam))
 
 
 # Products of this many mantissas in [0.5, 1) stay normal doubles.
@@ -584,10 +556,10 @@ def _anchors(ratio: np.ndarray) -> np.ndarray:
     return np.argmax(np.where(top, key_f, -1.0), axis=1)
 
 
-def weight_ratio_rows(e, xs, out: np.ndarray) -> np.ndarray:
-    """The weights s_0(x)..s_m(x) at r = e^lam, written into the rows of out,
-    shape (len(xs), m + 1), whose x is in (0, 1) (the other rows are left as
-    they are); out is returned.
+def weight_ratio_rows(e, xs) -> np.ndarray:
+    """The weights s_0(x)..s_m(x) at r = e^lam, one row per x in xs, in a new
+    matrix: the unit rows e_0 at x = 0 and e_m at x = 1, and zeros at an x
+    outside [0, 1] (which weight_matrix refuses).
 
     From e = expm1(nu lam), nu = 0..m, by ratios outward from each row's
     largest weight (C. Loader, "Fast and accurate computation of binomial
@@ -598,11 +570,11 @@ def weight_ratio_rows(e, xs, out: np.ndarray) -> np.ndarray:
     """
     e, xs = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(xs, dtype=float)
     m = e.size - 1
-    if out.shape != (xs.size, m + 1) or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError(f"requires a C-contiguous float out of shape {(xs.size, m + 1)} "
-                         f"(got {out.dtype} {out.shape})")
     if m and not e[1] <= -2.0 ** -54:
         raise ValueError(f"requires e[1] = expm1(lam) at most -2^-54, lam = log(q/p) < 0 (got {e[1]})")
+    out = np.zeros((xs.size, m + 1))
+    out[xs == 0.0, 0] = 1.0
+    out[xs == 1.0, m] = 1.0
     module = load()
     if module is not None:
         buf = functools.partial(module.ffi.from_buffer, "double[]")

@@ -3,9 +3,9 @@
 The six monomial moments e_ij(t1, t2) = t1^i t2^j for (i, j) in
 {(0,0), (1,0), (0,1), (1,1), (2,0), (0,2)} have closed forms under the
 canonical node convention.  Each axis is the q-Bernstein operator at r = q/p
-composed with t = A u + B (operators._affine), and that operator reproduces
-linear functions and maps u^2 to x^2 + x (1 - x) / [m]_r (Phillips 1997);
-per axis, with m = n + l, D = [n] + beta, A = p^(m-1) [m]_r / D and B = alpha / D:
+composed with t = A u + B, and that operator reproduces linear functions and
+maps u^2 to x^2 + x (1 - x) / [m]_r (Phillips 1997); per axis, with m = n + l,
+D = [n] + beta, A = p^(m-1) [m]_r / D and B = alpha / D:
 
     S(1; x)   = 1
     S(t; x)   = A x + B = ([m] x + alpha) / D
@@ -19,7 +19,9 @@ central moment, a square plus a term that is nonnegative on [0, 1]:
     S((t - x)^2; x)   = (S(t; x) - x)^2 + A^2 x (1 - x) / [m]_r.
 
 Only the shift divides by D; a D that is not a normal double it takes in a
-form without D at beta = 0, and refuses at beta > 0.
+form without D at beta = 0, and refuses at beta > 0.  Every per-axis constant
+(A, B, [m]_r, gap, D and that form's slope) is operators._axis_form's, cached
+once per axis; this module holds only the formulas in x.
 
 The oracle below recomputes everything as a literal sum: weights by the direct
 formula in stdlib decimal at 60 digits, each rounded once to a double, with no
@@ -44,8 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _clibm
-from .operators import AxisConfig, BivariateOperator, _affine, nodes
-from .pq_core import PQPair, pq_integer
+from .operators import AxisConfig, BivariateOperator, _axis_form, nodes
+from .pq_core import PQPair
 from .serialize import fmt_float
 
 MOMENT_NAMES = (
@@ -60,21 +62,10 @@ MOMENT_NAMES = (
 _VALID_IJ = {(i, j) for _, i, j in MOMENT_NAMES}
 
 
-@lru_cache(maxsize=256)  # the sweep's 135 axes fit
-def _coefficients(axis: AxisConfig) -> tuple[float, float, float, float, float]:
-    """(A, B, [m]_r, gap, D) of one axis's canonical nodes t = A u + B, with
-    m = n + l, D = [n] + beta and gap = [m] - D = q^n [l] + expm1(l log p) [n]
-    - beta; cached, as every closed form of an axis starts from them."""
-    a, b, bm = _affine(dataclasses.replace(axis, node_exponent="canonical"))
-    p, q, bn = axis.pq.p, axis.pq.q, pq_integer(axis.n, axis.pq)
-    gap = q ** axis.n * pq_integer(axis.l, axis.pq) + math.expm1(axis.l * math.log(p)) * bn
-    return a, b, bm, gap - axis.beta, bn + axis.beta
-
-
 def first_moment_univariate(axis: AxisConfig, x):
     """A x + B = ([m] x + alpha) / ([n] + beta); accepts scalars or arrays."""
-    a, b, _, _, _ = _coefficients(axis)
-    return a * x + b
+    form = _axis_form(axis)
+    return form.a * x + form.b
 
 
 def first_moment_shift(axis: AxisConfig, x):
@@ -82,23 +73,24 @@ def first_moment_shift(axis: AxisConfig, x):
 
     The one closed form that divides by D = [n] + beta.  A D that is not a
     normal double is refused at beta > 0, as gap loses its bits too; at beta =
-    0 (so alpha = 0) the shift is then (p^l r^n [l]_r / [n]_r + expm1(l log p)) x.
+    0 (so alpha = 0) the shift is then slope x, slope = p^l r^n [l]_r / [n]_r +
+    expm1(l log p).
     """
-    _, _, _, gap, den = _coefficients(axis)
-    if not den >= sys.float_info.min:
+    form = _axis_form(axis)
+    if not form.den >= sys.float_info.min:
         if axis.beta == 0.0:
-            l, lam, p = axis.l, axis.pq.log_ratio, axis.pq.p  # [l]_r / [n]_r from expm1
-            lead = p ** l * math.exp(axis.n * lam) * math.expm1(l * lam) / math.expm1(axis.n * lam)
-            return (lead + math.expm1(l * math.log(p))) * x
-        raise ValueError(f"requires [n] + beta to be a normal double (got [n] + beta = {den!r} "
-                         f"at n={axis.n}, p={axis.pq.p}, q={axis.pq.q}, beta={axis.beta!r})")
-    return (gap * x + axis.alpha) / den
+            return form.slope * x
+        raise ValueError(f"requires [n] + beta to be a normal double (got [n] + beta = "
+                         f"{form.den!r} at n={axis.n}, p={axis.pq.p}, q={axis.pq.q}, "
+                         f"beta={axis.beta!r})")
+    return (form.gap * x + axis.alpha) / form.den
 
 
 def second_moment_univariate(axis: AxisConfig, x):
     """A^2 (x^2 + x (1 - x) / [m]_r) + 2 A B x + B^2; accepts scalars or arrays."""
-    a, b, bm, _, _ = _coefficients(axis)
-    return a * a * (x * x + x * (1.0 - x) / bm) + 2.0 * a * b * x + b * b
+    form = _axis_form(axis)
+    a, b = form.a, form.b
+    return a * a * (x * x + x * (1.0 - x) / form.bm) + 2.0 * a * b * x + b * b
 
 
 def _raw_moment(axis: AxisConfig, k: int, x):
@@ -113,9 +105,9 @@ def _raw_moment(axis: AxisConfig, k: int, x):
 def central_moment(axis: AxisConfig, x):
     """Closed S((t - x)^2; x) = shift^2 + A^2 x (1 - x) / [m]_r on one axis, with
     shift = first_moment_shift; scalars or arrays.  Both terms are >= 0 on [0, 1]."""
-    a, _, bm, _, _ = _coefficients(axis)
+    form = _axis_form(axis)
     shift = first_moment_shift(axis, x)
-    return shift * shift + a * a * x * (1.0 - x) / bm
+    return shift * shift + form.a * form.a * x * (1.0 - x) / form.bm
 
 
 def moment_closed(op: BivariateOperator, i: int, j: int, x1: float, x2: float) -> float:
@@ -221,8 +213,8 @@ def literal_first_moment_factor(axis: AxisConfig, x: float) -> float:
         raise ValueError(f"requires x in (0, 1] (got x={x})")
     lit = dataclasses.replace(axis, node_exponent="literal")
     measured = math.fsum((oracle_weight_vector(lit, x) * nodes(lit)).tolist())
-    a, base, _, _, _ = _coefficients(axis)
-    closed_slope = a * x
+    form = _axis_form(axis)
+    closed_slope, base = form.a * x, form.b
     if measured == base:
         raise ValueError(f"requires a literal first moment that differs from alpha/D at x={x} "
                          f"(both are {base!r} on {axis})")

@@ -21,9 +21,10 @@ powers of p then add up to (-m(m-1) + 2 nu(m-nu) + nu(nu-1) + (m-nu)(m-nu-1))/2
 The nodes are an affine map of that basis's own nodes u_nu = [nu]_r / [m]_r:
 p^(m-nu) [nu] = p^(m-1) [nu]_r, so t_nu = A u_nu + B with A = p^(m-1) [m]_r / D,
 B = alpha / D and D = [n] + beta, and each axis is Phillips' q-Bernstein
-operator at r composed with phi(u) = A u + B.  _affine computes (A, B, [m]_r)
+operator at r composed with phi(u) = A u + B.  _axis_form computes A and B
 in ratio form, with no power p^m, so no axis is refused for a small p^m or
-[n].  The weights form a partition of unity and are nonnegative on [0, 1], so
+[n]; it is the one home of every per-axis constant, the closed moments' too.
+The weights form a partition of unity and are nonnegative on [0, 1], so
 the operator is positive and reproduces constants up to roundoff.  Functions
 are only ever sampled at the nodes, which live in [0, l + 1).
 
@@ -36,8 +37,9 @@ grid itself is built only as the oracle's table (sample_at_nodes).
 
 Weights come from (m, log r) alone, for a vector of x at once, by the ratios
 s_(k+1) / s_k = [m - k]_r x / ([k + 1]_r (1 - r^(m-1-k) x)) outward from each
-row's largest weight, all interior rows in one _clibm.weight_ratio_rows call;
-the rows x = 0 and 1 are the unit vectors e_0 and e_m, so endpoints are exact.
+row's largest weight, all rows in one _clibm.weight_ratio_rows call, which
+writes the rows x = 0 and 1 as the unit vectors e_0 and e_m, so endpoints are
+exact.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -111,27 +114,37 @@ class AxisConfig:
         return self.n + self.l
 
 
+_AxisForm = namedtuple("_AxisForm", "a a_literal b bm gap den slope")
+
+
 @lru_cache(maxsize=256)  # the sweep's 135 axes fit
-def _affine(axis: AxisConfig) -> tuple[float, float, float]:
-    """(A, B, [m]_r) of the axis's nodes t_nu = A u_nu + B, u_nu = [nu]_r / [m]_r.
+def _axis_form(axis: AxisConfig) -> _AxisForm:
+    """Every per-axis constant: the nodes' map t_nu = A u_nu + B, u_nu = [nu]_r / [m]_r,
+    and the closed moments' [m]_r, gap, D and D-free shift slope.
 
     With [k] = p^(k-1) [k]_r and D = [n] + beta, t_nu = (p^(base-nu) [nu] + alpha) / D
     gives A = p^(base-1) [m]_r / D and B = alpha / D (base is m, or n for the
-    literal nodes).  A is taken as p^(base-n) [m]_r / ([n]_r + beta / h / h) with
-    h = p^((n-1)/2): it is 1 exactly at l = 0, alpha = beta = 0, and h stays a
+    literal nodes' a_literal).  A is taken as p^(base-n) [m]_r / ([n]_r + beta / h / h)
+    with h = p^((n-1)/2): it is 1 exactly at l = 0, alpha = beta = 0, and h stays a
     normal double far past where p^(n-1) underflows; where h rounds to 0, A is
-    0, against a true A below m 1.3e-324.
+    0, against a true A below m 1.3e-324.  gap = [m] - D = q^n [l] + expm1(l log p)
+    [n] - beta, and slope = p^l r^n [l]_r / [n]_r + expm1(l log p) is the shift
+    (S(t) - x) / x at beta = 0, which needs no D.
     """
-    n, lam, p = axis.n, axis.pq.log_ratio, axis.pq.p
-    unit = math.expm1(lam)
-    bracket_n, bracket_m = math.expm1(n * lam) / unit, math.expm1(axis.degree * lam) / unit
-    den, b = bracket_n, 0.0
+    n, l, lam, p = axis.n, axis.l, axis.pq.log_ratio, axis.pq.p
+    unit, e_n = math.expm1(lam), math.expm1(n * lam)
+    bracket_n, bracket_m = e_n / unit, math.expm1(axis.degree * lam) / unit
+    bn = pq_integer(n, axis.pq)
+    den, ratio_den, b = bn + axis.beta, bracket_n, 0.0
     if axis.beta:
         half = p ** ((n - 1) / 2)
-        den += axis.beta / half / half if half else math.inf
-        b = axis.alpha / (pq_integer(n, axis.pq) + axis.beta)
-    lead = p ** axis.l if axis.node_exponent == "canonical" else 1.0
-    return lead * bracket_m / den, b, bracket_m
+        ratio_den += axis.beta / half / half if half else math.inf
+        b = axis.alpha / den
+    lead, shrink = p ** l, math.expm1(l * math.log(p))
+    gap = axis.pq.q ** n * pq_integer(l, axis.pq) + shrink * bn
+    slope = lead * math.exp(n * lam) * math.expm1(l * lam) / e_n + shrink
+    return _AxisForm(lead * bracket_m / ratio_den, bracket_m / ratio_den, b, bracket_m,
+                     gap - axis.beta, den, slope)
 
 
 @lru_cache(maxsize=4)  # the two axes of an operator
@@ -145,19 +158,20 @@ def _expm1_table(m: int, lam: float) -> np.ndarray:
 def nodes(axis: AxisConfig) -> np.ndarray:
     """All nodes t_0..t_m as an array; increasing, contained in [0, l + 1).
 
-    t_nu = A u_nu + B with (A, B) from _affine, and u_nu = expm1(nu lam) /
+    t_nu = A u_nu + B with (A, B) from _axis_form, and u_nu = expm1(nu lam) /
     expm1(m lam) from _expm1_table: u_0 = 0 and u_m = 1 exactly.
     """
-    a, b, _ = _affine(axis)
+    form = _axis_form(axis)
+    a = form.a if axis.node_exponent == "canonical" else form.a_literal
     u = _expm1_table(axis.degree, axis.pq.log_ratio)
-    return a * (u / u[-1]) + b
+    return a * (u / u[-1]) + form.b
 
 
 def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     """Weights s_0(x)..s_m(x) for every x in xs, one row per x.
 
     Ratio evaluation at r = q/p (_clibm.weight_ratio_rows, one kernel call
-    for every interior row, from nodes' _expm1_table), with no transcendental
+    for the whole matrix, from nodes' _expm1_table), with no transcendental
     per weight: each row is the product of the ratios s_(k+1) / s_k outward
     from its largest weight, divided by its sum, so a weight's rounding grows
     with its distance from it, not with log([m]_r!).  Rows at 0, 1: e_0, e_m.
@@ -166,13 +180,7 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     outside = ~((0.0 <= xs) & (xs <= 1.0))
     if outside.any():
         raise ValueError(f"requires x in [0, 1] (got x={xs[outside][0]})")
-    m = axis.degree
-    out = np.zeros((xs.size, m + 1))
-    out[xs == 0.0, 0] = 1.0
-    out[xs == 1.0, m] = 1.0
-    if ((0.0 < xs) & (xs < 1.0)).any():
-        weight_ratio_rows(_expm1_table(m, axis.pq.log_ratio), xs, out)
-    return out
+    return weight_ratio_rows(_expm1_table(axis.degree, axis.pq.log_ratio), xs)
 
 
 def weight_vector(axis: AxisConfig, x: float) -> np.ndarray:

@@ -5,10 +5,12 @@ the bracket numbers
 
     [k] = (p^k - q^k) / (p - q) = p^(k-1) [k]_r,      [0] = 0,
 
-with r = q/p and [k]_r = 1 + r + ... + r^(k-1).  The closed moments' D and
-gap, and the nodes' offset B = alpha / D, use [k]; the nodes' map otherwise
-takes [k]_r, and the weights only the ratios [m - k]_r / [k + 1]_r of
-neighbouring r-binomials (_clibm.weight_ratio_rows), not the table below.
+with r = q/p and [k]_r = 1 + r + ... + r^(k-1).  Of an axis's constants
+(operators._axis_form), the closed moments' D and gap and the nodes' offset
+B = alpha / D use [k]; the nodes' map otherwise takes [k]_r, and the weights
+only the ratios [m - k]_r / [k + 1]_r of neighbouring r-binomials
+(_clibm.weight_ratio_rows), not the log-factorial table below, which nothing
+in the package calls.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._clibm import bracket_logs, compensated_cumsum
+from ._clibm import libm
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,36 @@ def pq_integer(k: int, pq: PQPair) -> float:
     return -(p ** k) * math.expm1(k * pq.log_ratio) / (p - q)
 
 
+def compensated_cumsum(values) -> np.ndarray:
+    """Running prefix sums with Neumaier compensation, along the last axis
+    (naive sums of ~2000 log-factorial terms drift around 1e-10, these stay
+    near 1e-13).  Each row is the sequential loop
+
+        t = s + v;  c += (s - t) + v if |s| >= |v| else (v - t) + s;  s = t;
+        out = s + c
+
+    run by np.cumsum, which accumulates left to right (each error term
+    depends only on its own s, v and t), with the loop's bits, inf and nan
+    included.
+    """
+    v = np.ascontiguousarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.cumsum(v, axis=-1)
+        prev = np.zeros_like(s)
+        prev[..., 1:] = s[..., :-1]
+        err = np.where(np.abs(prev) >= np.abs(v), (prev - s) + v, (v - s) + prev)
+        return s + np.cumsum(err, axis=-1)
+
+
 @lru_cache(maxsize=8)
 def cumulative_log_factorials(kmax: int, lam: float) -> np.ndarray:
-    """Read-only lf with lf[k] = log([k]_r!), k = 0..kmax, r = e^lam: compensated
-    sums of _clibm.bracket_logs, the last 8 cached on (kmax, lam).  Uncalled;
-    kept, with compensated_cumsum, for bench/tracer.py until ROADMAP item 3.
+    """Read-only lf with lf[k] = log([k]_r!), k = 0..kmax, r = e^lam, lam < 0:
+    compensated sums of log [k]_r = log(expm1(k lam) / expm1(lam)), each finite
+    as [k]_r >= 1, the last 8 cached on (kmax, lam).  Uncalled; kept, with
+    compensated_cumsum, for bench/tracer.py until ROADMAP item 3.
     """
+    brackets = libm(math.expm1, np.arange(1.0, kmax + 1) * lam) / math.expm1(lam)
     lf = np.zeros(kmax + 1)
-    lf[1:] = compensated_cumsum(bracket_logs(kmax, lam))
+    lf[1:] = compensated_cumsum(libm(math.log, brackets))
     lf.setflags(write=False)
     return lf

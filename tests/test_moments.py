@@ -29,9 +29,11 @@ from pqss.moments import (
 from pqss.operators import (
     AxisConfig,
     BivariateOperator,
+    _axis_form,
     apply_on_grid,
     nodes,
     sample_at_nodes,
+    weight_matrix,
     weight_vector,
 )
 from pqss.pq_core import PQPair
@@ -114,7 +116,7 @@ def test_shift_needs_no_d_at_beta_zero():
     for n, p, q in ((1100, 0.5, 0.25), (1100, 0.5, 0.49), (7000, 0.9, 0.6)):
         for l in (0, 1, 3, 40):
             axis = AxisConfig(n=n, l=l, pq=PQPair(p, q))
-            assert not moments._coefficients(axis)[4] >= sys.float_info.min
+            assert not _axis_form(axis).den >= sys.float_info.min
             xs = np.array([0.0, 0.3, 1.0])
             want = [_exact_shift_and_central(axis, float(x))[0] for x in xs]
             assert first_moment_shift(axis, xs) == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -211,6 +213,41 @@ def test_shift_and_central_match_exact_closed_forms():
     assert worst["central"] <= 1e-14, worst
 
 
+def _random_axes(rng, count):
+    """Valid axes off the sweep: n <= 400, l <= 100, p in [0.05, 1] (log-uniform,
+    so that [n] leaves the normal range often), q/p in [0.01, 1), and beta = 0
+    (half of them) or in [1e-3, 1e8], alpha <= beta; each with a random x in
+    (0, 1), then 0 and 1."""
+    for _ in range(count):
+        p = float(0.05 ** rng.uniform())
+        q = p * float(rng.uniform(0.01, 1.0))
+        beta = 0.0 if rng.random() < 0.5 else float(10.0 ** rng.uniform(-3.0, 8.0))
+        axis = AxisConfig(n=int(rng.integers(1, 401)), l=int(rng.integers(0, 101)),
+                          pq=PQPair(p, q), alpha=float(rng.uniform(0.0, beta)), beta=beta)
+        yield axis, np.array([rng.uniform(), 0.0, 1.0])
+
+
+def test_closed_and_production_moments_match_the_oracle_on_random_axes():
+    # closed e10, e20 and central moment, and production e10 (the weight rows
+    # times the nodes), against the oracle's rows, within verify's tolerance
+    d_free = 0
+    for axis, xs in _random_axes(np.random.default_rng(20261022), 300):
+        d_free += axis.beta == 0.0 and not _axis_form(axis).den >= sys.float_info.min
+        t = nodes(axis)
+        production = weight_matrix(axis, xs) @ t
+        for x, e10 in zip(xs, production):
+            w = oracle_weight_vector(axis, x)
+            oracle = [math.fsum(w * t ** k) for k in (1, 2)] + [math.fsum(w * (t - x) ** 2)]
+            got = [first_moment_univariate(axis, x), second_moment_univariate(axis, x),
+                   central_moment(axis, x)]
+            for g, o in zip([*got, e10], [*oracle, oracle[0]]):
+                assert abs(g - o) <= 1e-10 * max(1.0, abs(o)), (axis, x, g, o)
+    # the draws reach the shift's form without D (beta = 0, [n] below the
+    # normal range) on 14 of the 300 axes; the worst relative gap is 1.7e-15
+    assert d_free >= 10
+    moments._oracle_row.cache_clear()
+
+
 def test_oracle_weight_vector_matches_production(worked_axis):
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
         w_prod = weight_vector(worked_axis, x)
@@ -224,7 +261,7 @@ def test_oracle_weight_vector_matches_production(worked_axis):
 
 
 def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
-    # oracle independence: no libm, no log-factorial kernel and no
+    # oracle independence: no libm, no log-factorial table and no
     # weight_matrix, even for a new row
     from pqss import _clibm, catalog, operators, pq_core
 
@@ -238,11 +275,10 @@ def test_oracle_stays_off_the_production_kernels(monkeypatch, worked_axis):
     # libm in its own module and in every module that imports it
     with_libm = [module for name, module in sys.modules.items()
                  if name.partition(".")[0] == "pqss" and getattr(module, "libm", None) is _clibm.libm]
-    assert {_clibm, catalog, operators} <= set(with_libm)
+    assert {_clibm, catalog, operators, pq_core} <= set(with_libm)
     for module in with_libm:
         monkeypatch.setattr(module, "libm", refuse)
-    for module in (_clibm, pq_core):
-        monkeypatch.setattr(module, "bracket_logs", refuse)
+    monkeypatch.setattr(pq_core, "cumulative_log_factorials", refuse)
     for module in (_clibm, operators):
         monkeypatch.setattr(module, "weight_ratio_rows", refuse)
     monkeypatch.setattr(operators, "weight_matrix", refuse)

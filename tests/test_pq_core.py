@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pqss import _clibm
-from pqss._clibm import compensated_cumsum, weighted_sums
+from pqss._clibm import weighted_sums
 from pqss.catalog import build_catalog
 from pqss.moments import (
     literal_first_moment_factor,
@@ -33,7 +33,7 @@ from pqss.operators import (
     weight_matrix,
     weight_vector,
 )
-from pqss.pq_core import PQPair, cumulative_log_factorials, pq_integer
+from pqss.pq_core import PQPair, compensated_cumsum, cumulative_log_factorials, pq_integer
 
 PAIRS = [PQPair(1.0, 0.5), PQPair(0.9, 0.6), PQPair(0.99, 0.95)]
 
@@ -143,8 +143,7 @@ def test_pq_factorial_values():
 
 def test_rising_product_values():
     # at m = 0 (e = [expm1(0)]) the one weight is the empty product 1
-    out = np.zeros((1, 1))
-    assert _clibm.weight_ratio_rows([0.0], [0.7], out).tolist() == [[1.0]]
+    assert _clibm.weight_ratio_rows([0.0], [0.7]).tolist() == [[1.0]]
     # r = 0.6/0.9: (1 - 0.5)(1 - r 0.5) = 0.5 * 0.6 / 0.9
     assert first_weight(2, [0.5], PAIRS[1])[0] == pytest.approx(0.30 / 0.9, rel=1e-14)
 
@@ -327,10 +326,10 @@ def record_kernel(monkeypatch):
 
 def both_paths(monkeypatch):
     """Run a loop body on each path of libm, oracle_sums, compensated_cumsum,
-    weighted_sums, bracket_logs and weight_ratio_rows.  First (where a compiler
-    exists) through the kernel, yielding the list of its calls as (function
-    name, returned); then with load() finding no kernel, yielding None, so
-    math and numpy answer every call."""
+    weighted_sums, cumulative_log_factorials and weight_ratio_rows.  First
+    (where a compiler exists) through the kernel, yielding the list of its
+    calls as (function name, returned); then with load() finding no kernel,
+    yielding None, so math and numpy answer every call."""
     if not compiler_missing:
         yield record_kernel(monkeypatch)
     monkeypatch.setattr(_clibm, "load", lambda: None)
@@ -864,18 +863,18 @@ def test_contraction_sums_in_index_order_bit_for_bit(monkeypatch):
     assert np.any(in_order_matvec(w, v) != in_order_matvec(w, v, reverse=True))
 
 
-def scalar_ratio_rows(m, xs, lam, fill):
+def scalar_ratio_rows(m, xs, lam):
     """weight_ratio_rows written out with Python floats, one x at a time: the
     ratios, the anchor as the first largest term of their forward product
     (each term rounded with no exponent limit: math.frexp after every
     factor), the products outward from it, the inverse ratios formed
-    directly, and the division by the sum in index order; a row whose x is
-    not in (0, 1) is all fill."""
+    directly, and the division by the sum in index order; the rows at x = 0
+    and 1 are e_0 and e_m."""
     e = [math.expm1(j * lam) for j in range(m + 1)]
     rows = []
     for x in xs:
         if not 0.0 < x < 1.0:
-            rows.append([fill] * (m + 1))
+            rows.append([float(nu == (0 if x == 0.0 else m)) for nu in range(m + 1)])
             continue
         y = 1.0 - x
         num = [e[m - k] * x for k in range(m)]
@@ -911,7 +910,7 @@ EXTREME_RATIOS = (PQPair(1.0, 2.0 ** -53), PQPair(1.0, 1.0 - 2.0 ** -53))
 def _weight_row_cases():
     """(m, pq, xs) on the sweep's axes and on random axes: 1 - c/m pairs,
     p = 1 and (0.5, 0.25), and up to m = 8001 the extreme ratios, each with
-    the edge x values, and the endpoints, whose rows are left as they are."""
+    the edge x values, and the endpoints, whose rows are unit vectors."""
     rng = np.random.default_rng(2028)
     edge = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0]
     sweep = sorted({(op.axis1.degree, op.axis1.pq) for op in standard_sweep()},
@@ -932,23 +931,17 @@ def _weight_row_cases():
 
 
 def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
-    fill = -2.5
     cases = []
     for m, pq, xs in _weight_row_cases():
         lam = pq.log_ratio
         e = math_map(math.expm1, np.arange(m + 1.0) * lam)
-        cases.append((f"m={m} p={pq.p} q={pq.q}", m, lam, e, xs, r_bracket_logs(m, pq),
-                      scalar_ratio_rows(m, xs, lam, fill)))
+        cases.append((f"m={m} p={pq.p} q={pq.q}", e, xs, scalar_ratio_rows(m, xs, lam)))
     for calls in both_paths(monkeypatch):
-        for name, m, lam, e, xs, logs, rows in cases:
-            assert_same_bits(_clibm.bracket_logs(m, lam), logs, err_msg=name)
-            out = np.full((xs.size, m + 1), fill)
-            assert _clibm.weight_ratio_rows(e, xs, out) is out
-            assert_same_bits(out, rows, err_msg=name)
+        for name, e, xs, rows in cases:
+            assert_same_bits(_clibm.weight_ratio_rows(e, xs), rows, err_msg=name)
         if calls is not None:
-            # libm's expm1 for the bracket logs (which have no compiled loop of
-            # their own), then one compiled call for all rows
-            assert calls == [("pqss_expm1", 0), ("pqss_weight_ratio_rows", None)] * len(cases)
+            # one compiled call for all rows
+            assert calls == [("pqss_weight_ratio_rows", None)] * len(cases)
 
 
 def test_weight_matrix_rows_are_finite_and_nonnegative(monkeypatch):
@@ -980,9 +973,11 @@ def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
     assert calls == [("pqss_expm1", 0)] + [("pqss_weight_ratio_rows", None)] * 3
     assert cumulative_log_factorials.cache_info().misses == 0
     calls.clear()
-    # the endpoint rows are the unit vectors, with no table and no kernel
-    weight_matrix(axis, [0.0, 1.0, 0.0])
-    assert calls == []
+    # the endpoint rows are the unit vectors, with no new table; the one
+    # kernel call skips every row
+    assert weight_matrix(axis, [0.0, 1.0, 0.0]).tolist() == [
+        [1.0] + [0.0] * 302, [0.0] * 302 + [1.0], [1.0] + [0.0] * 302]
+    assert calls == [("pqss_weight_ratio_rows", None)]
 
 
 def test_weight_rows_refuses_lam_not_below_zero_on_both_paths(monkeypatch):
@@ -998,14 +993,10 @@ def test_weight_rows_refuses_lam_not_below_zero_on_both_paths(monkeypatch):
         for lam in (1.0, 0.0, -2.0 ** -55, math.nan):
             with pytest.raises(ValueError, match=r"requires e\[1\] = expm1\(lam\) at most -2\^-54, "
                                                  r"lam = log\(q/p\) < 0"):
-                _clibm.weight_ratio_rows(table(lam), [0.3, 0.5], np.zeros((2, 301)))
+                _clibm.weight_ratio_rows(table(lam), [0.3, 0.5])
         if calls is not None:
             # refused before the compiled loop
             assert calls == []
-    # the kernel writes m + 1 values per x into out, so its shape is checked first
-    for out in (np.zeros((2, 300)), np.zeros((301, 2)).T, np.zeros((2, 301), dtype=np.float32)):
-        with pytest.raises(ValueError, match=r"C-contiguous float out of shape \(2, 301\)"):
-            _clibm.weight_ratio_rows(table(PAIRS[1].log_ratio), [0.3, 0.5], out)
 
 
 def _oracle_arrays(asymmetric_sweep):

@@ -9,7 +9,8 @@ use.  Unit tests do not count either: a name that only its own tests call is
 dead code with tests.  ALLOWED holds the exceptions, each with its reason.
 
 The benchmark's tracer (bench/tracer.py) looks pqss functions up by name, so
-each of its targets must exist.
+each of its targets must exist, and reads the log-factorial table's cache
+counters, so that table must stay an lru_cache.
 """
 
 import ast
@@ -99,3 +100,11 @@ def test_every_traced_name_resolves():
     missing = [f"{mod}.{name}" for mod, name in tracer.TARGETS
                if not callable(getattr(importlib.import_module(f"pqss.{mod}"), name, None))]
     assert tracer.TARGETS and missing == []
+    # Tracer.installed() also reads pq_core.cumulative_log_factorials.cache_info()
+    # before and after its pass, and patches every target in place
+    lf = importlib.import_module("pqss.pq_core").cumulative_log_factorials
+    before = lf.cache_info()
+    with tracer.Tracer().installed() as traced:
+        assert importlib.import_module("pqss.pq_core").cumulative_log_factorials is not lf
+    assert importlib.import_module("pqss.pq_core").cumulative_log_factorials is lf
+    assert lf.cache_info() == before and traced.counters["lf.misses"] == 0
