@@ -1,6 +1,7 @@
-"""libm's exp, expm1 and sin over a whole array, in one C loop;
-the oracle's weighted sums, each a math.fsum; the contraction's index-order
-row sums; and the weight rows, by ratios outward from each row's largest.
+"""libm's exp, expm1 and sin over a whole array, in one C loop, and an
+axis's table expm1(j lam); the oracle's weighted sums, each a math.fsum; the
+contraction's index-order row sums; and the weight rows, by ratios outward
+from each row's largest.
 
 libm applies a math-module function to an array.  Its compiled loop calls
 the same libm functions as `math`, so every value keeps its bits and the
@@ -12,9 +13,10 @@ error sum), two tables at a time in the two lanes of a vector of doubles,
 and each lane's rounding is kept only where an error bound certifies it is
 the correctly rounded exact sum; any other point is summed again by a port
 of CPython 3.11's math_fsum.  weighted_sums (every factor of apply_on_grid)
-and weight_ratio_rows (the whole of weight_matrix) run all their
-rows in one call each, with the operations of their numpy code in the same
-order, so they keep its bits.
+and weight_ratio_rows (the whole of weight_matrix, its check of xs too) run
+all their rows in one call each, with the operations of their numpy code in
+the same order, so they keep its bits; expm1_table forms each j * lam as
+np.arange(m + 1.0) * lam does.
 
 The C source below is built with cffi in API mode on first use, into this
 package's __pycache__ directory, under a name keyed by a hash of the source,
@@ -27,16 +29,16 @@ the builds of other hashes.
 The flags keep gcc from substituting anything for libm: no -ffast-math
 (which would call libmvec's vector kernels, and reassociate the sums) and
 -ffp-contract=off (no fused multiply-add in a row sum).  They
-name no target CPU: the two-lane loop uses GCC's and Clang's vector
+name no target CPU: the two-lane loops use GCC's and Clang's vector
 extension, which compiles to the architecture's baseline (SSE2 on x86-64).
 
 Where cffi or a C compiler is missing (or is neither GCC nor Clang), or the
 build fails, load() returns None, and libm and oracle_sums answer by the
 math module instead (a map of the function over the array, math.fsum row by
 row for the sums), which gives the same values and errors; weighted_sums
-answers by np.cumsum, which accumulates left to right, and weight_ratio_rows
-by numpy.  A failed build is not retried in-process.  The module holds only
-these compiled loops and their fallbacks.
+answers by np.cumsum, which accumulates left to right, weight_ratio_rows by
+numpy and expm1_table by libm.  A failed build is not retried in-process.
+The module holds only these compiled loops and their fallbacks.
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ int pqss_oracle_sums(const double *w1, const double *w2, const double *const *ta
                      const ptrdiff_t *strides, double *out, size_t nt,
                      size_t k1, size_t k2, size_t n1, size_t n2);
 void pqss_weighted_sums(const double *w, const double *v, double *out, size_t rows, size_t n);
-void pqss_weight_ratio_rows(const double *e, const double *xs, double *out, size_t rows,
-                            size_t m, size_t chunk);
+int pqss_expm1_table(double lam, double *out, size_t n);
+ptrdiff_t pqss_weight_ratio_rows(const double *e, const double *xs, double *out, size_t rows,
+                                 size_t m);
 """
 
 _SOURCE = r"""
@@ -301,58 +304,117 @@ static double pqss_frexp(double v, int64_t *ex)
     return v;
 }
 
-/* weight_ratio_rows: row r (m + 1 values) holds the weights at x = xs[r] if
-   0 < x < 1, and is left as it is otherwise.  With e[j] = expm1(j lam) and
-   y = 1 - x, the ratio s_(k+1) / s_k is
-       rho_k = (e[m - k] x) / (e[k + 1] (y - x e[m - 1 - k])),
-   whose factor y - x e[j] = 1 - r^j x adds two terms >= 0.  The anchor a is
-   the first index of the largest term of 1, rho_0, rho_0 rho_1, ..., keyed
-   by (exponent, mantissa): f multiplies the rho_k's mantissas and is scaled
-   back to [0.5, 1) every `chunk` factors, lead sums the exponents, so
-   nothing overflows or underflows.  From s_a = 1 the row is the product of
-   the inverse ratios, formed directly, to the left and of the rho_k (kept in
-   out[k + 1]) to the right, divided by its sum in index order. */
-void pqss_weight_ratio_rows(const double *e, const double *xs, double *out, size_t rows,
-                            size_t m, size_t chunk)
+/* out[j] = expm1(j lam), j < n, through the product np.arange(n) * lam
+   forms; the result is 1 if any output is not finite. */
+int pqss_expm1_table(double lam, double *out, size_t n)
 {
+    int bad = 0;
+    for (size_t j = 0; j < n; j++) {
+        out[j] = expm1((double)j * lam);
+        bad |= !isfinite(out[j]);
+    }
+    return bad;
+}
+
+/* out[k] = rho_k, or 1 / rho_k formed directly where inverse, for k < n:
+   rho_k = (e[m - k] x) / (e[k + 1] ((1 - x) - x e[m - 1 - k])), two at a
+   time, one per lane (an odd n's last in both). */
+static inline void pqss_ratios(const double *e, size_t m, double x, size_t n, int inverse,
+                               double *out)
+{
+    pqss_v2 vx = {x, x}, vy = {1.0 - x, 1.0 - x};
+    for (size_t k = 0; k < n; k += 2) {
+        size_t j = k + 1 < n ? k + 1 : k;
+        pqss_v2 num = (pqss_v2){e[m - k], e[m - j]} * vx;
+        pqss_v2 den = (pqss_v2){e[k + 1], e[j + 1]};
+        den *= vy - vx * (pqss_v2){e[m - 1 - k], e[m - 1 - j]};
+        pqss_v2 v = inverse ? den / num : num / den;
+        out[k] = v[0];
+        out[j] = v[1];
+    }
+}
+
+/* weight_ratio_rows: row r (m + 1 values) holds the weights at x = xs[r]
+   (e_0 at x = 0, e_m at x = 1); the result is the index of the first x
+   outside [0, 1] (nan too), found before any row is written, or -1.  Each
+   rho_k = s_(k+1) / s_k (in out[k + 1]) is finite and >= +0.0, as
+   1 - r^j x = (1 - x) - x e[j] adds two terms >= 0.  The anchor a is the
+   first index of the largest term of 1, rho_0, rho_0 rho_1, ..., each
+   rounded as with no exponent range: term k is g 2^d, and g takes rho_k as
+   it is while the product is in [2^-1000, 2^1000], where a power of 2
+   changes no rounding, else from both mantissas, the top term rescaled to
+   g's scale (top_g: 0 or inf out of reach).  From s_a = 1 the row is the
+   product of the inverse ratios to the left and of the rho_k to the right,
+   divided by its sum in index order.  Each side stops at its first exact
+   0: every later product is +0.0, which changes no sum and divides to +0.0,
+   so the sum and the division cover [lo, hi) alone. */
+ptrdiff_t pqss_weight_ratio_rows(const double *e, const double *xs, double *out, size_t rows,
+                                 size_t m)
+{
+    for (size_t r = 0; r < rows; r++)
+        if (!(xs[r] >= 0.0 && xs[r] <= 1.0))
+            return (ptrdiff_t)r;
     for (size_t r = 0; r < rows; r++, out += m + 1) {
-        double x = xs[r], y = 1.0 - x, f = 0.5, w = 1.0, s;
-        int64_t lead = 1, top_x = 1;
-        uint64_t top_f = 0, b;
-        size_t a = 0;
-        if (!(x > 0.0 && x < 1.0))
+        double x = xs[r], g = 1.0, top = 1.0, top_g = 1.0, w = 1.0, s;
+        int64_t d = 0, top_d = 0;
+        size_t a = 0, lo = 0, hi = m + 1;
+        if (!(x > 0.0 && x < 1.0)) {
+            memset(out, 0, (m + 1) * sizeof *out);
+            out[x == 0.0 ? 0 : m] = 1.0;
             continue;
-        for (size_t k = 0; k < m; k++)
-            out[k + 1] = (e[m - k] * x) / (e[k + 1] * (y - x * e[m - 1 - k]));
-        for (size_t k0 = 0; k0 < m; k0 += chunk) {
-            for (size_t k = k0; k < m && k < k0 + chunk; k++) {
-                double rho = out[k + 1];
-                f *= rho > 0.0 ? pqss_frexp(rho, &lead) : 0.0;
-                memcpy(&b, &f, sizeof b);
-                int64_t kx = lead + (int64_t)(b >> 52) - 1022;
-                b &= 0xfffffffffffffULL;
-                if (f > 0.0 && (kx > top_x || (kx == top_x && b > top_f))) {
-                    top_x = kx;
-                    top_f = b;
-                    a = k + 1;
-                }
-            }
-            if (f > 0.0)
-                f = pqss_frexp(f, &lead);
         }
-        for (size_t k = a; k-- > 0;)
-            out[k] = w = w * ((e[k + 1] * (y - x * e[m - 1 - k])) / (e[m - k] * x));
+        pqss_ratios(e, m, x, m, 0, out + 1);
+        for (size_t k = 0; k < m; k++) {
+            double h = g * out[k + 1];
+            if (!(h >= 0x1p-1000 && h <= 0x1p1000)) {
+                int64_t ex = d;
+                h = pqss_frexp(g, &ex) * (out[k + 1] > 0.0 ? pqss_frexp(out[k + 1], &ex) : 0.0);
+                if (h == 0.0)
+                    break; /* this term and every later one are 0 */
+                d = ex;
+                ex = top_d - d;
+                top_g = pqss_frexp(top, &ex);
+                top_g = ex < -1000 ? 0.0 : ex > 1001 ? INFINITY : ldexp(top_g, (int)ex);
+            }
+            if (h > top_g) {
+                top = top_g = h;
+                top_d = d;
+                a = k + 1;
+            }
+            g = h;
+        }
+        pqss_ratios(e, m, x, a, 1, out);
+        for (size_t k = a; k-- > 0;) {
+            w *= out[k];
+            if (w == 0.0) {
+                memset(out, 0, (k + 1) * sizeof *out);
+                lo = k + 1;
+                break;
+            }
+            out[k] = w;
+        }
         out[a] = w = 1.0;
-        s = out[0];
-        for (size_t k = 1; k <= a; k++)
+        s = out[lo];
+        for (size_t k = lo + 1; k <= a; k++)
             s += out[k];
         for (size_t k = a; k < m; k++) {
-            out[k + 1] = w = w * out[k + 1];
+            w *= out[k + 1];
+            if (w == 0.0) {
+                memset(out + k + 1, 0, (m - k) * sizeof *out);
+                hi = k + 1;
+                break;
+            }
+            out[k + 1] = w;
             s += w;
         }
-        for (size_t k = 0; k <= m; k++)
-            out[k] /= s;
+        for (size_t k = lo; k < hi; k += 2) {
+            size_t j = k + 1 < hi ? k + 1 : k;
+            pqss_v2 v = (pqss_v2){out[k], out[j]} / (pqss_v2){s, s};
+            out[k] = v[0];
+            out[j] = v[1];
+        }
     }
+    return -1;
 }
 """
 
@@ -556,30 +618,48 @@ def _anchors(ratio: np.ndarray) -> np.ndarray:
     return np.argmax(np.where(top, key_f, -1.0), axis=1)
 
 
+def expm1_table(m: int, lam: float) -> np.ndarray:
+    """libm(math.expm1, np.arange(m + 1.0) * lam), whose products the compiled
+    loop forms itself, with no array of them; the libm call answers where
+    there is no kernel or a value is not finite."""
+    module = load()
+    if module is not None:
+        out = np.empty(m + 1)
+        if not module.lib.pqss_expm1_table(lam, module.ffi.from_buffer("double[]", out), m + 1):
+            return out
+    return libm(math.expm1, np.arange(m + 1.0) * lam)
+
+
 def weight_ratio_rows(e, xs) -> np.ndarray:
     """The weights s_0(x)..s_m(x) at r = e^lam, one row per x in xs, in a new
-    matrix: the unit rows e_0 at x = 0 and e_m at x = 1, and zeros at an x
-    outside [0, 1] (which weight_matrix refuses).
+    matrix: the unit rows e_0 at x = 0 and e_m at x = 1.  An x outside
+    [0, 1] (nan too) raises ValueError naming the first.
 
     From e = expm1(nu lam), nu = 0..m, by ratios outward from each row's
     largest weight (C. Loader, "Fast and accurate computation of binomial
     probabilities", 2000), as pqss_weight_ratio_rows describes.  An e[1]
     above -2^-54 (no PQPair.log_ratio gives one) raises ValueError, so every
-    ratio is finite.  The kernel makes every row in one call; its numpy
-    fallback does the same operations in the same order, so has its bits.
+    ratio is finite.  The kernel checks xs and makes every row in one call,
+    each side of a row up to its first exact 0; its numpy fallback does the
+    same operations in the same order, over whole rows, so has its bits.
     """
     e, xs = np.ascontiguousarray(e, dtype=float), np.ascontiguousarray(xs, dtype=float)
     m = e.size - 1
     if m and not e[1] <= -2.0 ** -54:
         raise ValueError(f"requires e[1] = expm1(lam) at most -2^-54, lam = log(q/p) < 0 (got {e[1]})")
+    module = load()
+    if module is not None:
+        out, buf = np.empty((xs.size, m + 1)), functools.partial(module.ffi.from_buffer, "double[]")
+        bad = module.lib.pqss_weight_ratio_rows(buf(e), buf(xs), buf(out), xs.size, m)
+    else:
+        bad = next(iter(np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0)))), -1)
+    if bad >= 0:
+        raise ValueError(f"requires x in [0, 1] (got x={xs[bad]})")
+    if module is not None:
+        return out
     out = np.zeros((xs.size, m + 1))
     out[xs == 0.0, 0] = 1.0
     out[xs == 1.0, m] = 1.0
-    module = load()
-    if module is not None:
-        buf = functools.partial(module.ffi.from_buffer, "double[]")
-        module.lib.pqss_weight_ratio_rows(buf(e), buf(xs), buf(out), xs.size, m, _CHUNK)
-        return out
     inner = np.flatnonzero((0.0 < xs) & (xs < 1.0))
     x, k = xs[inner, None], np.arange(m)
     num, den = e[m - k] * x, e[k + 1] * ((1.0 - x) - x * e[m - 1 - k])

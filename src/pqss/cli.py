@@ -205,14 +205,14 @@ def _check_cost(m1: int, m2: int, k: int, *more: tuple[str, int]) -> None:
 
     m1, m2 are the largest degrees the command builds on each axis and k the
     points per axis of its grid; the arrays are each axis's weights, priced
-    with the temporaries weight_matrix holds while it runs (1.05 float arrays
-    of k(m + 1) at its peak, the matrix and the m + 1 values of e and of its
-    argument, 1.4 where the call also loads the kernel, by tracemalloc,
-    k = 41, m = 2000 and 16384), and the grid itself, then the command's own
-    `more` sizes.  At m = 65537 (tracemalloc) each axis's nodes peak at 2.0
-    float arrays of m + 1 (both node exponents) and weight_matrix at k = 1
-    at 3.0, below the 8k(m + 1) each axis is priced at; eval's whole peak
-    there, both axes' cached e included, is 7.4 such arrays of its 16.
+    with the temporaries weight_matrix holds while it runs (1.03 float arrays
+    of k(m + 1) at its peak, the matrix and the m + 1 values of e, 1.36 where
+    the call also loads the kernel, by tracemalloc, k = 41, m = 2000 and
+    16384), and the grid itself, then the command's own `more` sizes.  At
+    m = 65537 (tracemalloc) each axis's nodes peak at 2.0 float arrays of
+    m + 1 (both node exponents) and weight_matrix at k = 1 at 2.0, below the
+    8k(m + 1) each axis is priced at; eval's whole peak there, both axes'
+    cached e included, is 6.0 such arrays of its 16.
     """
     sizes = (
         ("axis 1 weight build 8k(m1+1)", 8 * k * (m1 + 1)),

@@ -357,12 +357,14 @@ def verify_moments(
         absdiff = np.abs(closed - oracle)
         result.n_checks += absdiff.size
         bad = absdiff > tolerance * np.maximum(1.0, np.abs(oracle))
-        for i1, i2, k in np.argwhere(bad.transpose(1, 2, 0)):
+        failing = np.argwhere(bad.transpose(1, 2, 0))
+        if failing.size:
+            axes = f"axis1={axis_params(op.axis1)} axis2={axis_params(op.axis2)}"
+        for i1, i2, k in failing:
             result.failures.append(
                 f"{names[k]} closed={fmt_float(closed[k, i1, i2])} "
                 f"oracle={fmt_float(oracle[k, i1, i2])} absdiff={absdiff[k, i1, i2]:.3e} "
-                f"at (x1={xs[i1]}, x2={xs[i2]}) for "
-                f"axis1={axis_params(op.axis1)} axis2={axis_params(op.axis2)}"
+                f"at (x1={xs[i1]}, x2={xs[i2]}) for {axes}"
             )
         i1, i2 = divmod(int(np.argmax(absdiff.max(axis=0))), xs.size)
         entries = tuple(

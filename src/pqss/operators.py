@@ -54,7 +54,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._clibm import libm, weight_ratio_rows, weighted_sums
+from ._clibm import expm1_table, weight_ratio_rows, weighted_sums
 from .pq_core import PQPair, pq_integer
 
 NODE_EXPONENTS = ("canonical", "literal")
@@ -150,7 +150,7 @@ def _axis_form(axis: AxisConfig) -> _AxisForm:
 @lru_cache(maxsize=4)  # the two axes of an operator
 def _expm1_table(m: int, lam: float) -> np.ndarray:
     """expm1(nu lam), nu = 0..m, read-only: the table an axis's nodes and weights share."""
-    e = libm(math.expm1, np.arange(m + 1.0) * lam)
+    e = expm1_table(m, lam)
     e.flags.writeable = False
     return e
 
@@ -174,12 +174,9 @@ def weight_matrix(axis: AxisConfig, xs) -> np.ndarray:
     for the whole matrix, from nodes' _expm1_table), with no transcendental
     per weight: each row is the product of the ratios s_(k+1) / s_k outward
     from its largest weight, divided by its sum, so a weight's rounding grows
-    with its distance from it, not with log([m]_r!).  Rows at 0, 1: e_0, e_m.
+    with its distance from it, not with log([m]_r!).  Rows at 0, 1: e_0, e_m;
+    an x outside [0, 1] raises ValueError.
     """
-    xs = np.asarray(xs, dtype=float)
-    outside = ~((0.0 <= xs) & (xs <= 1.0))
-    if outside.any():
-        raise ValueError(f"requires x in [0, 1] (got x={xs[outside][0]})")
     return weight_ratio_rows(_expm1_table(axis.degree, axis.pq.log_ratio), xs)
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -927,7 +928,18 @@ def _weight_row_cases():
     # the forward product's mantissas leave the normal range unless rescaled,
     # and 3.3e-4 at nu = m
     cases.append((8001, PQPair(1.0, 0.995), np.array([0.999])))
+    # a tie: the terms at nu = 0 and nu = m both round to 1.0, and the row
+    # anchored at the later one differs in its bits
+    cases.append((3, PQPair(1.0, 0.05), np.array([0.677530039913981])))
     return cases
+
+
+def _tails_reach_zero(row):
+    """Whether each side of row's largest weight falls through subnormals to
+    an exact 0, where the kernel stops that side's product."""
+    a = int(np.argmax(row))
+    return all((side == 0.0).any() and ((0.0 < side) & (side < np.finfo(float).tiny)).any()
+               for side in (row[:a], row[a + 1:]))
 
 
 def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
@@ -936,12 +948,30 @@ def test_weight_path_loops_are_the_scalar_loops_bit_for_bit(monkeypatch):
         lam = pq.log_ratio
         e = math_map(math.expm1, np.arange(m + 1.0) * lam)
         cases.append((f"m={m} p={pq.p} q={pq.q}", e, xs, scalar_ratio_rows(m, xs, lam)))
+    # both early stops and their zero fills are exercised (17 rows)
+    assert sum(_tails_reach_zero(row) for *_, rows in cases for row in rows) >= 10
     for calls in both_paths(monkeypatch):
         for name, e, xs, rows in cases:
             assert_same_bits(_clibm.weight_ratio_rows(e, xs), rows, err_msg=name)
         if calls is not None:
-            # one compiled call for all rows
-            assert calls == [("pqss_weight_ratio_rows", None)] * len(cases)
+            # one compiled call for all rows, which finds every x in [0, 1]
+            assert calls == [("pqss_weight_ratio_rows", -1)] * len(cases)
+
+
+@needs_compiler
+def test_weight_row_kernel_writes_only_its_rows():
+    # a sentinel past the last row, whose two tails end in exact zeros: the
+    # zero fills stay inside the row
+    module = _clibm.load()
+    m, lam = 8000, PQPair(1.0, 1.0 - 1.0 / 8000).log_ratio
+    e, xs = math_map(math.expm1, np.arange(m + 1.0) * lam), np.array([0.0, 0.5, 1.0, 0.5])
+    out = np.full(xs.size * (m + 1) + 1, math.nan)
+    buf = partial(module.ffi.from_buffer, "double[]")
+    assert module.lib.pqss_weight_ratio_rows(buf(e), buf(xs), buf(out), xs.size, m) == -1
+    assert math.isnan(out[-1])
+    rows = scalar_ratio_rows(m, xs, lam)
+    assert _tails_reach_zero(rows[-1])
+    assert_same_bits(out[:-1].reshape(rows.shape), rows)
 
 
 def test_weight_matrix_rows_are_finite_and_nonnegative(monkeypatch):
@@ -963,21 +993,51 @@ def test_weight_matrix_is_one_kernel_call_per_table_and_per_matrix(monkeypatch):
     _expm1_table.cache_clear()
     axis = AxisConfig(n=300, l=2, pq=PQPair(0.99, 0.95), alpha=0.5, beta=1.0)
     xs = np.linspace(0.0, 1.0, 41)
-    # per axis: the table e = expm1(nu lam) in one libm call, which the nodes
-    # read too; per matrix: every interior row in one kernel call; no
+    # per axis: the table e = expm1(nu lam) in one compiled loop, which the
+    # nodes read too; per matrix: every interior row in one kernel call; no
     # log-factorial table is built
     weight_matrix(axis, xs)
     weight_matrix(axis, xs[::-1])
     weight_vector(axis, 0.3)
     nodes(axis)
-    assert calls == [("pqss_expm1", 0)] + [("pqss_weight_ratio_rows", None)] * 3
+    assert calls == [("pqss_expm1_table", 0)] + [("pqss_weight_ratio_rows", -1)] * 3
     assert cumulative_log_factorials.cache_info().misses == 0
     calls.clear()
-    # the endpoint rows are the unit vectors, with no new table; the one
-    # kernel call skips every row
+    # the endpoint rows are the unit vectors, with no new table, written by
+    # the one kernel call
     assert weight_matrix(axis, [0.0, 1.0, 0.0]).tolist() == [
         [1.0] + [0.0] * 302, [0.0] * 302 + [1.0], [1.0] + [0.0] * 302]
-    assert calls == [("pqss_weight_ratio_rows", None)]
+    assert calls == [("pqss_weight_ratio_rows", -1)]
+
+
+def test_weight_matrix_refuses_the_first_x_outside_the_unit_interval(monkeypatch):
+    axis = AxisConfig(n=300, l=2, pq=PQPair(0.99, 0.95))
+    for calls in both_paths(monkeypatch):
+        for bad in (math.nan, -1e-300, 1.0 + 2.0 ** -52, math.inf):
+            for xs in ([bad], [0.0, 0.5, 1.0, bad], [0.25, bad, 0.5, -2.0, math.nan]):
+                with pytest.raises(ValueError, match=re.escape(f"requires x in [0, 1] (got x={bad})")):
+                    weight_matrix(axis, xs)
+        # -0.0 is x = 0: the unit row e_0
+        assert weight_matrix(axis, [-0.0, 0.5])[0].tolist() == [1.0] + [0.0] * axis.degree
+        if calls is not None:
+            # the kernel checks xs before any row and returns the first bad index
+            assert [returned for name, returned in calls
+                    if name == "pqss_weight_ratio_rows"] == [0, 3, 1] * 4 + [-1]
+
+
+def test_expm1_table_is_the_libm_map_bit_for_bit(monkeypatch):
+    cases = [(m, pq.log_ratio) for m in (0, 1, 2, 2049, 65537)
+             for pq in (PAIRS[1], *EXTREME_RATIOS)]
+    for calls in both_paths(monkeypatch):
+        for m, lam in cases:
+            want = math_map(math.expm1, np.arange(m + 1.0) * lam)
+            assert_same_bits(_clibm.expm1_table(m, lam), want, err_msg=f"m={m} lam={lam}")
+        # a value that is not finite: libm's map raises what math raises
+        with pytest.raises(OverflowError, match="math range error"):
+            _clibm.expm1_table(1, 710.0)
+        if calls is not None:
+            assert calls == [("pqss_expm1_table", 0)] * len(cases) + [
+                ("pqss_expm1_table", 1), ("pqss_expm1", 1)]
 
 
 def test_weight_rows_refuses_lam_not_below_zero_on_both_paths(monkeypatch):
